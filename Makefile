@@ -13,8 +13,11 @@ build:
 vet:
 	$(GO) vet ./...
 
+# bench/ is a module of its own (the ledger driver), which the root
+# `go test ./...` does not reach.
 test: test-plans
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 	$(MAKE) bench-guard
 
 # Golden-plan snapshot corpus: EXPLAIN output for every query under
@@ -135,13 +138,15 @@ bench-server:
 
 check: vet build test race
 
-# Fuzz each parser target for $(FUZZTIME); crashers persist under the
-# package's testdata/fuzz/ directory and become regression seeds.
+# Fuzz each parser target and the tuple wire format for $(FUZZTIME);
+# crashers persist under the package's testdata/fuzz/ directory and
+# become regression seeds.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xq/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dtd/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmldoc/
+	$(GO) test -run xxx -fuzz FuzzTupleWire -fuzztime $(FUZZTIME) ./internal/value/
 
 # Crash-point enumeration and fault-injection sweeps: every counted disk
 # op is a crash or fault site; recovery must land on a committed boundary.

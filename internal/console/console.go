@@ -178,8 +178,10 @@ func (c *Console) command(out io.Writer, line string) bool {
 			break
 		}
 		phys := snap.DB
-		fmt.Fprintf(out, "file: %d pages, wal: %d bytes, dirty: %d pages\n",
-			phys.FilePages, phys.WALBytes, phys.DirtyPages)
+		fmt.Fprintf(out, "file: %d pages (%d free, %d retired), wal: %d bytes, dirty: %d pages\n",
+			phys.FilePages, phys.FreePages, phys.RetiredPages, phys.WALBytes, phys.DirtyPages)
+		fmt.Fprintf(out, "wal written: %d bytes = %d page images + %d row ops + %d commits\n",
+			snap.WAL.Bytes, snap.WAL.PageImageBytes, snap.WAL.RowOpBytes, snap.WAL.CommitBytes)
 		fmt.Fprintf(out, "buffer pool: %d shards, %d hits, %d misses\n",
 			snap.Pool.Shards, snap.Pool.Hits, snap.Pool.Misses)
 		for _, w := range snap.Warehouses {
@@ -188,6 +190,12 @@ func (c *Console) command(out io.Writer, line string) bool {
 		for _, t := range phys.Tables {
 			fmt.Fprintf(out, "  table %-12s %8d rows  indexes: %s\n",
 				t.Name, t.Rows, strings.Join(t.Indexes, ", "))
+			ixPages := 0
+			for _, n := range t.IndexPages {
+				ixPages += n
+			}
+			fmt.Fprintf(out, "        %-12s %8d heap pages, %d bytes of rows, %d index pages\n",
+				"", t.HeapPages, t.HeapBytes, ixPages)
 		}
 		pc := snap.PlanCache
 		fmt.Fprintf(out, "plan cache: %d entries, %d hits, %d misses, %d invalidations\n",

@@ -57,6 +57,15 @@ func (s Snapshot) Metrics() map[string]float64 {
 	m["db.file_pages"] = float64(s.DB.FilePages)
 	m["db.wal_bytes"] = float64(s.DB.WALBytes)
 	m["db.dirty_pages"] = float64(s.DB.DirtyPages)
+	m["db.free_pages"] = float64(s.DB.FreePages)
+	m["db.retired_pages"] = float64(s.DB.RetiredPages)
+	for _, t := range s.DB.Tables {
+		m["db.table."+t.Name+".heap_pages"] = float64(t.HeapPages)
+		m["db.table."+t.Name+".heap_bytes"] = float64(t.HeapBytes)
+		for ix, n := range t.IndexPages {
+			m["db.index."+ix+".pages"] = float64(n)
+		}
+	}
 	return m
 }
 

@@ -40,6 +40,7 @@ const (
 type Tree struct {
 	pool   *bufpool.Pool
 	anchor disk.PageID
+	pages  int // anchor and nodes; kept current by Insert's splits
 
 	// Frozen trees resolve page reads (anchor, inner, leaf) through the
 	// pool's version map at a fixed epoch.
@@ -56,7 +57,7 @@ var ErrFrozen = fmt.Errorf("btree: mutation of frozen snapshot tree")
 // matter how many splits the live tree has seen since. The caller must
 // keep the epoch pinned (bufpool.PinEpoch) while the view is in use.
 func (t *Tree) Freeze(epoch uint64) *Tree {
-	return &Tree{pool: t.pool, anchor: t.anchor, frozen: true, epoch: epoch}
+	return &Tree{pool: t.pool, anchor: t.anchor, pages: t.pages, frozen: true, epoch: epoch}
 }
 
 // fetchRead resolves a page for reading: version-mapped at the frozen
@@ -87,7 +88,7 @@ func Create(pool *bufpool.Pool) (*Tree, error) {
 	anchor.Page().SetAux(uint32(rootID))
 	id := anchor.ID()
 	pool.Unpin(anchor, true)
-	return &Tree{pool: pool, anchor: id}, nil
+	return &Tree{pool: pool, anchor: id, pages: 2}, nil
 }
 
 // Open attaches to an existing tree by its anchor page.
@@ -101,11 +102,20 @@ func Open(pool *bufpool.Pool, anchor disk.PageID) (*Tree, error) {
 	if kind != page.KindMeta {
 		return nil, fmt.Errorf("btree: page %d is not a tree anchor", anchor)
 	}
-	return &Tree{pool: pool, anchor: anchor}, nil
+	t := &Tree{pool: pool, anchor: anchor}
+	ids, err := t.Pages()
+	if err != nil {
+		return nil, fmt.Errorf("btree: open: %w", err)
+	}
+	t.pages = len(ids)
+	return t, nil
 }
 
 // Anchor returns the tree's persistent identity.
 func (t *Tree) Anchor() disk.PageID { return t.anchor }
+
+// NumPages reports how many pages the tree occupies, anchor included.
+func (t *Tree) NumPages() int { return t.pages }
 
 func (t *Tree) root() (disk.PageID, error) {
 	ref, err := t.fetchRead(t.anchor)
@@ -159,6 +169,7 @@ func (t *Tree) Insert(key, val []byte) (ok bool, err error) {
 		n.insertCellAt(0, innerCell(res.sepKey, uint32(res.right)))
 		newRoot := nr.ID()
 		t.pool.UnpinMut(nr, true)
+		t.pages++
 		if err := t.setRoot(newRoot); err != nil {
 			return false, err
 		}
@@ -278,6 +289,7 @@ func (t *Tree) splitLeaf(f *bufpool.Frame, n node, rank int, cell []byte) (inser
 	sep := append([]byte(nil), r.key(0)...)
 	right := rf.ID()
 	t.pool.UnpinMut(rf, true)
+	t.pages++
 	return insertResult{split: true, sepKey: sep, right: right}, nil
 }
 
@@ -318,6 +330,7 @@ func (t *Tree) splitInner(f *bufpool.Frame, n node, rank int, cell []byte) (inse
 	right := rf.ID()
 	t.pool.UnpinMut(rf, true)
 	t.pool.UnpinMut(f, true)
+	t.pages++
 	return insertResult{split: true, sepKey: promoted, right: right}, nil
 }
 
@@ -535,4 +548,38 @@ func (t *Tree) Check() error {
 		prev = append(prev[:0], it.Key()...)
 	}
 	return it.Err()
+}
+
+// Pages lists every page of the tree: the anchor, then the nodes level
+// by level. Only inner nodes are read, plus the first node of the leaf
+// level to recognise it — a leaf's id is known from its parent, and all
+// leaves of a B+tree sit at one depth.
+func (t *Tree) Pages() ([]disk.PageID, error) {
+	root, err := t.root()
+	if err != nil {
+		return nil, err
+	}
+	ids := []disk.PageID{t.anchor}
+	for level := []disk.PageID{root}; len(level) > 0; {
+		ids = append(ids, level...)
+		var next []disk.PageID
+		for _, id := range level {
+			ref, err := t.fetchRead(id)
+			if err != nil {
+				return nil, err
+			}
+			n := wrapNode(ref.Page())
+			if n.isLeaf() {
+				ref.Release()
+				break
+			}
+			next = append(next, disk.PageID(n.aux()))
+			for i, num := 0, n.numCells(); i < num; i++ {
+				next = append(next, disk.PageID(n.child(i)))
+			}
+			ref.Release()
+		}
+		level = next
+	}
+	return ids, nil
 }

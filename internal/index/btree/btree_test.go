@@ -308,3 +308,75 @@ func TestQuickModel(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPagesListsEveryPageOnce builds one tree by splitting inserts and
+// one by bulk load in a file that holds nothing else: between them their
+// page lists must cover the file exactly, each page once, and the cheap
+// count each tree keeps must agree with its list — also after a reopen.
+func TestPagesListsEveryPageOnce(t *testing.T) {
+	mgr, err := disk.Open(filepath.Join(t.TempDir(), "pages.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	pool := bufpool.New(mgr, 2048)
+	grown, err := Create(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := grown.Pages(); len(got) != 2 || grown.NumPages() != 2 {
+		t.Fatalf("empty tree: pages %v, count %d; want anchor and root", got, grown.NumPages())
+	}
+	pad := bytes.Repeat([]byte{'k'}, 300) // fat keys: three levels within a few thousand inserts
+	for _, i := range rand.New(rand.NewSource(3)).Perm(4000) {
+		if _, err := grown.Insert(append([]byte(fmt.Sprintf("%06d", i)), pad...), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items := make([]Item, 100000)
+	for i := range items {
+		k := []byte(fmt.Sprintf("bulk%08d", i))
+		items[i] = Item{Key: k, Val: k[4:]}
+	}
+	bulk, err := BulkLoad(pool, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	owner := make([]string, mgr.NumPages())
+	for name, tr := range map[string]*Tree{"grown": grown, "bulk": bulk} {
+		ids, err := tr.Pages()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[0] != tr.Anchor() || len(ids) != tr.NumPages() {
+			t.Errorf("%s: %d pages listed from %d, NumPages %d, anchor %d", name, len(ids), ids[0], tr.NumPages(), tr.Anchor())
+		}
+		if len(ids) < 200 {
+			t.Errorf("%s: only %d pages; the test wants inner levels", name, len(ids))
+		}
+		for _, id := range ids {
+			if int(id) >= len(owner) || owner[id] != "" {
+				t.Fatalf("%s lists page %d, which is outside the file or already listed by %q", name, id, owner[id])
+			}
+			owner[id] = name
+		}
+	}
+	for id := 1; id < len(owner); id++ {
+		if owner[id] == "" {
+			t.Fatalf("page %d of the file is in neither tree's list", id)
+		}
+	}
+
+	if err := pool.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(bufpool.New(mgr, 64), grown.Anchor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.NumPages() != grown.NumPages() || grown.Freeze(1).NumPages() != grown.NumPages() {
+		t.Errorf("reopened tree counts %d pages, frozen %d, live %d",
+			reopened.NumPages(), grown.Freeze(1).NumPages(), grown.NumPages())
+	}
+}

@@ -33,6 +33,7 @@ func BulkLoad(pool *bufpool.Pool, items []Item) (*Tree, error) {
 		page   disk.PageID
 	}
 	var level []entry
+	pages := 1 // the anchor; every level adds its nodes below
 
 	// Fill leaves left to right.
 	lf, err := pool.Allocate(page.KindBTreeLeaf)
@@ -74,6 +75,7 @@ func BulkLoad(pool *bufpool.Pool, items []Item) (*Tree, error) {
 		n.insertCellAt(n.numCells(), cell)
 	}
 	pool.Unpin(lf, true)
+	pages += len(level)
 
 	// Build inner levels from the minimums of the level below until a
 	// single root remains. The first child of each group becomes the
@@ -102,6 +104,7 @@ func BulkLoad(pool *bufpool.Pool, items []Item) (*Tree, error) {
 			pool.Unpin(f, true)
 		}
 		level = up
+		pages += len(level)
 	}
 
 	anchor, err := pool.Allocate(page.KindMeta)
@@ -111,5 +114,5 @@ func BulkLoad(pool *bufpool.Pool, items []Item) (*Tree, error) {
 	anchor.Page().SetAux(uint32(level[0].page))
 	id := anchor.ID()
 	pool.Unpin(anchor, true)
-	return &Tree{pool: pool, anchor: id}, nil
+	return &Tree{pool: pool, anchor: id, pages: pages}, nil
 }

@@ -220,13 +220,20 @@ type WALMetrics struct {
 	Appends Counter // records appended
 	Fsyncs  Counter // file syncs (commit syncs and truncate syncs)
 	Bytes   Counter // total bytes appended (monotone, not current size)
+	// Bytes again, split by what the record carries; the three sum to it.
+	PageImageBytes Counter // bulk-load page images
+	RowOpBytes     Counter // init page, set aux, insert, delete, update
+	CommitBytes    Counter // commit records
 }
 
 // WALSnapshot is the WAL section of a registry snapshot.
 type WALSnapshot struct {
-	Appends uint64
-	Fsyncs  uint64
-	Bytes   uint64
+	Appends        uint64
+	Fsyncs         uint64
+	Bytes          uint64
+	PageImageBytes uint64
+	RowOpBytes     uint64
+	CommitBytes    uint64
 }
 
 // HeapMetrics counts heap-scan work done by the executor.
@@ -380,6 +387,10 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 			Appends: r.WAL.Appends.Load(),
 			Fsyncs:  r.WAL.Fsyncs.Load(),
 			Bytes:   r.WAL.Bytes.Load(),
+
+			PageImageBytes: r.WAL.PageImageBytes.Load(),
+			RowOpBytes:     r.WAL.RowOpBytes.Load(),
+			CommitBytes:    r.WAL.CommitBytes.Load(),
 		},
 		Heap: HeapSnapshot{
 			PagesScanned:   r.Heap.PagesScanned.Load(),
@@ -436,6 +447,9 @@ func (s RegistrySnapshot) Metrics() map[string]float64 {
 		"wal.appends":           float64(s.WAL.Appends),
 		"wal.fsyncs":            float64(s.WAL.Fsyncs),
 		"wal.bytes":             float64(s.WAL.Bytes),
+		"wal.bytes.page_image":  float64(s.WAL.PageImageBytes),
+		"wal.bytes.row_op":      float64(s.WAL.RowOpBytes),
+		"wal.bytes.commit":      float64(s.WAL.CommitBytes),
 		"heap.pages_scanned":    float64(s.Heap.PagesScanned),
 		"heap.records_scanned":  float64(s.Heap.RecordsScanned),
 		"index.btree_searches":  float64(s.Index.BTreeSearches),

@@ -20,7 +20,11 @@ type Stats struct {
 	PoolHits      uint64
 	PoolMisses    uint64
 	PoolEvictions uint64
-	Tables        []TableStats
+	// Where FilePages went, beside the per-table figures: pages on the
+	// free list, and pages retired but still held back by a pinned reader.
+	FreePages    int
+	RetiredPages int
+	Tables       []TableStats
 }
 
 // TableStats describes one table.
@@ -28,6 +32,14 @@ type TableStats struct {
 	Name    string
 	Rows    int
 	Indexes []string
+	// HeapPages is the length of the heap chain and HeapBytes the payload
+	// of its live records; HeapBytes over HeapPages*8192 is the fill
+	// factor. IndexPages counts anchor and nodes per B-tree, by index
+	// name (a hash index has no pages; inside a DeferIndexes window no
+	// index has).
+	HeapPages  int
+	HeapBytes  int64
+	IndexPages map[string]int
 }
 
 // Stats reports the database's physical statistics.
@@ -35,6 +47,7 @@ func (db *DB) Stats() Stats {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	ps := db.pool.Stats()
+	free, retired := db.pool.Recycling()
 	s := Stats{
 		FilePages:     db.mgr.NumPages(),
 		WALBytes:      db.log.Size(),
@@ -43,10 +56,19 @@ func (db *DB) Stats() Stats {
 		PoolHits:      ps.Hits,
 		PoolMisses:    ps.Misses,
 		PoolEvictions: ps.Evictions,
+		FreePages:     len(free),
+		RetiredPages:  len(retired),
 	}
 	for _, t := range db.cat.tables {
-		ts := TableStats{Name: t.Name, Rows: t.Heap.Count()}
+		ts := TableStats{
+			Name: t.Name, Rows: t.Heap.Count(),
+			HeapPages: t.Heap.NumPages(), HeapBytes: t.Heap.Bytes(),
+			IndexPages: map[string]int{},
+		}
 		for _, ix := range t.Indexes {
+			if ix.BTree != nil {
+				ts.IndexPages[ix.Name] = ix.BTree.NumPages()
+			}
 			kind := "btree"
 			if ix.UsingHash {
 				kind = "hash"
@@ -61,10 +83,12 @@ func (db *DB) Stats() Stats {
 }
 
 // CompactTo rewrites the live contents of the database into a fresh file
-// at path — the VACUUM operation that reclaims pages leaked by dropped
-// tables and rebuilt indexes (this engine's B+trees do not merge
-// underfull pages, and crash recovery abandons old index pages). The
-// source database is unchanged; callers swap files afterwards.
+// at path — the VACUUM operation. Dropped tables and superseded indexes
+// no longer leak (their pages are recycled in place), so what it still
+// reclaims is what recycling cannot: free pages the file keeps at its
+// size, heap pages emptied by deletes, and B+tree nodes left underfull
+// (this engine's trees do not merge on delete). The source database is
+// unchanged; callers swap files afterwards.
 func (db *DB) CompactTo(path string, opts Options) error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

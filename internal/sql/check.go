@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 
+	"xomatiq/internal/storage/disk"
 	"xomatiq/internal/storage/heap"
 	"xomatiq/internal/value"
 )
@@ -23,6 +24,9 @@ import (
 //     no extras
 //   - each hash index holds exactly one posting per table row and no
 //     extras
+//   - every page of the file has exactly one owner: the catalog heap, a
+//     table heap, a B-tree, the free list, or the retired pages waiting
+//     for a reader — none leaked, none owned twice
 func (db *DB) CheckConsistency() error {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -61,6 +65,46 @@ func (db *DB) CheckConsistency() error {
 	for _, t := range db.cat.tables {
 		if err := db.checkTable(t); err != nil {
 			return err
+		}
+	}
+	return db.checkPages()
+}
+
+// checkPages accounts for every page of the file.
+func (db *DB) checkPages() error {
+	owners := make([]string, db.mgr.NumPages())
+	owners[0] = "file header"
+	var err error
+	own := func(owner string, id disk.PageID) {
+		switch {
+		case err != nil:
+		case int(id) >= len(owners):
+			err = fmt.Errorf("sql: check: %s holds page %d of a %d-page file", owner, id, len(owners))
+		case owners[id] != "":
+			err = fmt.Errorf("sql: check: page %d belongs to %s and to %s", id, owners[id], owner)
+		default:
+			owners[id] = owner
+		}
+	}
+	if werr := db.eachLivePage(own); werr != nil {
+		return werr
+	}
+	free, retired := db.pool.Recycling()
+	for _, id := range free {
+		own("free list", id)
+	}
+	for _, id := range retired {
+		own("retired pages", id)
+	}
+	for _, id := range db.dead {
+		own("pages of the open transaction's drops", id)
+	}
+	if err != nil {
+		return err
+	}
+	for id, o := range owners {
+		if o == "" {
+			return fmt.Errorf("sql: check: page %d is leaked: nothing owns it and it is not free", id)
 		}
 	}
 	return nil
@@ -119,6 +163,9 @@ func (db *DB) checkTable(t *TableInfo) error {
 						ix.Name, r.rid, t.Name)
 				}
 			}
+			continue
+		}
+		if ix.BTree == nil { // inside a DeferIndexes window
 			continue
 		}
 		if err := ix.BTree.Check(); err != nil {

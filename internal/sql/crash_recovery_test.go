@@ -149,9 +149,11 @@ func crashFingerprint(db *sql.DB) (string, error) {
 	return b.String(), nil
 }
 
-// crashWorkload builds the mixed shred/update/delete workload. Every
-// step is one Begin/Commit batch, the atomicity unit the sweep's
-// recovery invariant is stated over.
+// crashWorkload builds the mixed shred/update/delete workload, with two
+// bulk loads and a dropped table in it so that pages are retired, freed
+// and reused along the way. Every step changes the content at one
+// commit, the atomicity unit the sweep's recovery invariant is stated
+// over.
 func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 	var store *shred.Store
 	batch := func(name string, fn func(db *sql.DB) error) crashtest.Step {
@@ -175,6 +177,63 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 			return nil
 		}
 	}
+	// bulk is the loader's shape: retire the trees (DeferIndexes), append
+	// the documents as page images in one commit, rebuild the trees into
+	// the retired pages (ResumeIndexes). The content changes at the one
+	// commit in the middle, so the step is as atomic as a batch; the crash
+	// points inside it land in the retire and free, on page images whose
+	// free space the log skipped, and in a rebuild that overwrites the
+	// pages of the trees the catalog on disk still names.
+	bulk := func(name string, ds ...*xmldoc.Document) crashtest.Step {
+		return crashtest.Step{Name: name, Run: func(db *sql.DB) error {
+			if err := db.DeferIndexes(); err != nil {
+				return err
+			}
+			sh, err := store.NewShredder(crashDBName)
+			if err != nil {
+				return err
+			}
+			var chunk []*shred.DocBatch
+			for _, d := range ds {
+				chunk = append(chunk, sh.Shred(store.ReserveDocID(crashDBName), d))
+			}
+			// A harvest that came back empty commits nothing: the rebuild
+			// then overwrites the old trees with no log to fall back on,
+			// only the stale flag DeferIndexes made durable.
+			if len(chunk) > 0 {
+				if err := db.Begin(); err != nil {
+					return err
+				}
+				if err := store.InsertChunk(crashDBName, chunk); err != nil {
+					return err
+				}
+				if err := db.Commit(); err != nil {
+					return err
+				}
+				for _, b := range chunk {
+					store.MergeKeywords(crashDBName, b)
+				}
+			}
+			return db.ResumeIndexes()
+		}}
+	}
+	// scratch fills a table outside the warehouse schema and drop-scratch
+	// drops it, so that later steps grow into a dropped heap and tree.
+	exec := func(stmts ...string) func(*sql.DB) error {
+		return func(db *sql.DB) error {
+			for _, q := range stmts {
+				if _, err := db.Exec(q); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	scratch := []string{`CREATE TABLE IF NOT EXISTS scratch (k INT, pad TEXT)`}
+	for i := 0; i < 300; i++ {
+		scratch = append(scratch, fmt.Sprintf(`INSERT INTO scratch VALUES (%d, '%s')`, i, strings.Repeat("s", 200)))
+	}
+	scratch = append(scratch, `CREATE INDEX IF NOT EXISTS idx_scratch ON scratch (k)`)
 	return crashtest.Workload{
 		Setup: func(db *sql.DB) error {
 			s, err := shred.Open(db, true)
@@ -187,6 +246,7 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 		Steps: []crashtest.Step{
 			batch("load-1", load(docs[0], docs[1])),
 			batch("load-2", load(docs[2], docs[3])),
+			bulk("bulk", docs[6], docs[7]),
 			batch("delete", func(*sql.DB) error {
 				return store.DeleteDocument(crashDBName, docs[0].Name)
 			}),
@@ -199,7 +259,12 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 				_, err := store.LoadDocument(crashDBName, modifiedCopy(t, docs[2]))
 				return err
 			}),
+			batch("scratch", exec(scratch...)),
 			batch("load-3", load(docs[4], docs[5])),
+			batch("drop-scratch", exec(`DROP TABLE IF EXISTS scratch`)),
+			{Name: "checkpoint", Run: (*sql.DB).Checkpoint},
+			bulk("bulk-of-nothing"),
+			bulk("bulk-2", docs[8], docs[9]),
 			batch("delete-2", func(*sql.DB) error {
 				return store.DeleteDocument(crashDBName, docs[3].Name)
 			}),
@@ -213,7 +278,7 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 // across the workload, every reopen consistent and equivalent to a
 // committed state. `make crash` runs it by name.
 func TestCrashRecoverySweep(t *testing.T) {
-	docs := enzymeDocs(t, 6)
+	docs := enzymeDocs(t, 10)
 	maxPoints := 60
 	if testing.Short() {
 		maxPoints = 12
@@ -282,7 +347,7 @@ func snapshotProbe(db *sql.DB, snap *sql.Snap) (string, error) {
 // never a torn epoch — and recovery must still land on a committed
 // fingerprint with the reader's epoch pins in play.
 func TestCrashSweepSnapshotReader(t *testing.T) {
-	docs := enzymeDocs(t, 6)
+	docs := enzymeDocs(t, 10)
 	maxPoints := 40
 	if testing.Short() {
 		maxPoints = 10
@@ -308,7 +373,7 @@ func TestCrashSweepSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed matrix is the long form of TestCrashRecoverySweep")
 	}
-	docs := enzymeDocs(t, 6)
+	docs := enzymeDocs(t, 10)
 	for _, seed := range []int64{1, 9, 1337} {
 		w := crashWorkload(t, docs)
 		w.Steps = w.Steps[:4] // shorter workload; the matrix is about fault outcomes
@@ -316,6 +381,40 @@ func TestCrashSweepSeeds(t *testing.T) {
 			Seed:      seed,
 			Opts:      sql.Options{PoolPages: 256, WALSoftLimit: 8 << 10},
 			MaxPoints: 15,
+		}, w)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		t.Logf("seed %d: %v", seed, res)
+	}
+}
+
+// TestCrashSweepRecycledTrees cuts power at every operation of the
+// stretch where nothing but the stale flag stands between a crash and
+// wrong answers: after a checkpoint (empty log) an index rebuild with
+// no load in between overwrites pages of the trees the catalog on disk
+// still names — here in a different layout, because a dropped table has
+// freed lower pages. DeferIndexes must have made the flag durable first;
+// without its sync, several of these seeds recover a catalog pointing
+// into half-overwritten trees.
+func TestCrashSweepRecycledTrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep; the sampled one is TestCrashRecoverySweep")
+	}
+	docs := enzymeDocs(t, 10)
+	for _, seed := range []int64{3, 11, 99} {
+		w := crashWorkload(t, docs)
+		var steps []crashtest.Step
+		for _, s := range w.Steps {
+			switch s.Name {
+			case "load-1", "load-2", "scratch", "drop-scratch", "checkpoint", "bulk-of-nothing":
+				steps = append(steps, s)
+			}
+		}
+		w.Steps = steps
+		res, err := crashtest.Sweep(crashtest.Config{
+			Seed: seed,
+			Opts: sql.Options{PoolPages: 256, WALSoftLimit: 8 << 10},
 		}, w)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -98,8 +98,16 @@ type DB struct {
 	// load: inserts touch only the heaps, queries fall back to sequential
 	// scans, and ResumeIndexes rebuilds every index from sorted runs. The
 	// durable mgr.IndexesStale flag is raised for the whole window so a
-	// crash mid-load rebuilds on the next open.
+	// crash mid-load rebuilds on the next open. The old trees are retired
+	// when the window opens (their IndexInfo.BTree is nil inside it), so
+	// the rebuild reuses their pages.
 	indexesDeferred bool
+
+	// dead collects the pages that the open transaction leaves without an
+	// owner: dropped heaps and trees, superseded trees. The publish that
+	// follows its commit retires them (publishLocked); a rollback forgets
+	// them, because it brings their owners back.
+	dead []disk.PageID
 
 	// snap is the currently published snapshot (see snapshot.go); replaced
 	// under db.mu at every commit, read lock-free by snapshot queries.
@@ -249,6 +257,12 @@ func (db *DB) Recovered() bool { return db.recovered }
 // are reconstructed from heap contents instead of reopened from their
 // persisted anchors — required after WAL replay (recovery or rollback),
 // because index pages are not logged.
+//
+// It also derives the free list, which the file does not store: every
+// page the catalog does not reach is free. When rebuilding, that is
+// settled before the index pass — no old tree survives it, so only the
+// heaps count and the new trees go into the pages of the old — otherwise
+// after it, once the trees that were reopened have been walked.
 func (db *DB) loadCatalog(rebuild bool) error {
 	const catalogFirstPage = disk.PageID(1)
 	if db.mgr.NumPages() <= 1 {
@@ -327,6 +341,11 @@ func (db *DB) loadCatalog(rebuild bool) error {
 		t.statsRID = p.rid
 		t.hasStats = true
 	}
+	if rebuild {
+		if err := db.sweepFreeLocked(); err != nil {
+			return err
+		}
+	}
 	healed := false
 	for _, p := range pend {
 		name, tbl, anchor, usingHash, cols, derr := decodeIndexRow(p.tup)
@@ -381,6 +400,11 @@ func (db *DB) loadCatalog(rebuild bool) error {
 		t.Indexes = append(t.Indexes, ix)
 		db.cat.indexes[strings.ToLower(name)] = ix
 	}
+	if !rebuild {
+		if err := db.sweepFreeLocked(); err != nil {
+			return err
+		}
+	}
 	if rebuild || healed {
 		// Persist rebuilt anchors and start from a clean checkpoint.
 		if err := db.log.Append(wal.Record{Txn: 0, Op: wal.OpCommit}); err != nil {
@@ -388,6 +412,72 @@ func (db *DB) loadCatalog(rebuild bool) error {
 		}
 		return db.checkpointLocked()
 	}
+	return nil
+}
+
+// eachLivePage calls fn with every page the catalog reaches and a name
+// for what owns it: the catalog heap, each table's heap, each B-tree's
+// anchor and nodes.
+func (db *DB) eachLivePage(fn func(owner string, id disk.PageID)) error {
+	for _, id := range db.catH.PageIDs() {
+		fn("catalog", id)
+	}
+	for _, t := range db.cat.tables {
+		owner := "table " + t.Name
+		for _, id := range t.Heap.PageIDs() {
+			fn(owner, id)
+		}
+		for _, ix := range t.Indexes {
+			ids, err := treePages(ix)
+			if err != nil {
+				return err
+			}
+			owner := "index " + ix.Name
+			for _, id := range ids {
+				fn(owner, id)
+			}
+		}
+	}
+	return nil
+}
+
+// treePages lists the pages of ix's B-tree. A hash index has none, nor
+// has any index inside a DeferIndexes window.
+func treePages(ix *IndexInfo) ([]disk.PageID, error) {
+	if ix.BTree == nil {
+		return nil, nil
+	}
+	ids, err := ix.BTree.Pages()
+	if err != nil {
+		return nil, fmt.Errorf("sql: walking index %q: %w", ix.Name, err)
+	}
+	return ids, nil
+}
+
+// sweepFreeLocked makes the free list everything that neither the
+// catalog reaches nor a pinned reader still waits on (retired pages).
+func (db *DB) sweepFreeLocked() error {
+	live := make([]bool, db.mgr.NumPages())
+	if err := db.eachLivePage(func(_ string, id disk.PageID) {
+		if int(id) < len(live) {
+			live[id] = true
+		}
+	}); err != nil {
+		return err
+	}
+	return db.pool.ResetFree(live)
+}
+
+// markDead queues pages for retirement at the next publish, refusing
+// ids that a damaged tree or heap chain could have produced.
+func (db *DB) markDead(ids []disk.PageID) error {
+	n := db.mgr.NumPages()
+	for _, id := range ids {
+		if id == disk.InvalidPage || int(id) >= n {
+			return fmt.Errorf("sql: retiring page %d of a %d-page file", id, n)
+		}
+	}
+	db.dead = append(db.dead, ids...)
 	return nil
 }
 
@@ -571,7 +661,7 @@ func (db *DB) Commit() error {
 // frames, then replay the committed WAL suffix onto the checkpointed
 // file — exactly the path crash recovery takes — and rebuild the
 // catalog and in-memory indexes from the result. Pages allocated by the
-// aborted batch leak until the next Compact, like dropped tables.
+// aborted batch return to the free list when loadCatalog re-derives it.
 func (db *DB) Rollback() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -586,6 +676,7 @@ func (db *DB) Rollback() error {
 // the committed state, tolerating a WAL writer poisoned by an earlier
 // I/O fault. Caller holds db.mu.
 func (db *DB) rollbackLocked() error {
+	db.dead = nil
 	// Push buffered records (committed and aborted alike) to the log
 	// file so the committed-ops scan sees everything appended so far. A
 	// flush failure (e.g. an injected disk fault) leaves at worst a torn
@@ -982,6 +1073,16 @@ func (db *DB) dropTable(txn uint64, s *DropTable) error {
 		}
 		return fmt.Errorf("sql: no such table %q", s.Name)
 	}
+	// Everything the table owns dies with it. List the pages before the
+	// first catalog write: a failure up to here leaves nothing to undo.
+	dead := append([]disk.PageID(nil), t.Heap.PageIDs()...)
+	for _, ix := range t.Indexes {
+		ids, err := treePages(ix)
+		if err != nil {
+			return err
+		}
+		dead = append(dead, ids...)
+	}
 	for _, ix := range t.Indexes {
 		if err := db.catH.Delete(txn, ix.rid); err != nil {
 			return err
@@ -997,9 +1098,7 @@ func (db *DB) dropTable(txn uint64, s *DropTable) error {
 		return err
 	}
 	delete(db.cat.tables, key)
-	// Heap and index pages are leaked until the file is rebuilt; the
-	// warehouse drops tables only when re-harnessing a whole database.
-	return nil
+	return db.markDead(dead)
 }
 
 func (db *DB) dropIndex(txn uint64, s *DropIndex) error {
@@ -1010,6 +1109,10 @@ func (db *DB) dropIndex(txn uint64, s *DropIndex) error {
 			return nil
 		}
 		return fmt.Errorf("sql: no such index %q", s.Name)
+	}
+	dead, err := treePages(ix)
+	if err != nil {
+		return err
 	}
 	if err := db.catH.Delete(txn, ix.rid); err != nil {
 		return err
@@ -1024,7 +1127,7 @@ func (db *DB) dropIndex(txn uint64, s *DropIndex) error {
 			}
 		}
 	}
-	return nil
+	return db.markDead(dead)
 }
 
 func (db *DB) insert(txn uint64, s *Insert) (Result, error) {
@@ -1169,6 +1272,11 @@ func (db *DB) InsertBatch(table string, tuples []value.Tuple) error {
 // index access paths (the indexes miss the new rows), and the durable
 // stale flag guarantees a crash anywhere in the window rebuilds indexes
 // on the next open. Pair with ResumeIndexes.
+//
+// The flag makes the current B-trees dead weight — nothing will read
+// them again except snapshots already pinned — so they are retired here,
+// and the load and the rebuild that follow reuse their pages instead of
+// growing the file by another generation of index.
 func (db *DB) DeferIndexes() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -1178,10 +1286,41 @@ func (db *DB) DeferIndexes() error {
 	if db.indexesDeferred {
 		return nil
 	}
+	var trees []*IndexInfo
+	var dead []disk.PageID
+	for _, t := range db.cat.tables {
+		for _, ix := range t.Indexes {
+			ids, err := treePages(ix)
+			if err != nil {
+				return err
+			}
+			if ids != nil {
+				trees = append(trees, ix)
+				dead = append(dead, ids...)
+			}
+		}
+	}
 	if err := db.mgr.SetIndexesStale(true); err != nil {
 		return err
 	}
+	if len(trees) > 0 {
+		// The catalog on disk still names the old anchors. Before any of
+		// their pages can be overwritten by a checkpoint, the flag that
+		// says not to trust them must be on disk too.
+		if err := db.mgr.Sync(); err != nil {
+			return err
+		}
+	}
+	if err := db.markDead(dead); err != nil {
+		return err
+	}
 	db.indexesDeferred = true
+	for _, ix := range trees {
+		ix.BTree = nil
+	}
+	// Publish the window: snapshots from here on hold no tree, so with no
+	// reader pinned the retired pages are free before the first insert.
+	db.publishLocked()
 	return nil
 }
 

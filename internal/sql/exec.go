@@ -641,6 +641,18 @@ func refersTo(c *ColumnRef, binding string, t *TableInfo) bool {
 	return t.ColIndex(c.Column) >= 0
 }
 
+// indexesUsable reports whether the query may read secondary indexes.
+// Snapshot mode never inspects live catalog state; the Snap recorded at
+// publish whether its frozen B-trees were usable (snapIndexes also folds
+// in rollback-generation staleness). Inside a DeferIndexes window the
+// trees do not even exist.
+func (db *DB) indexesUsable(es *execState) bool {
+	if es.snap != nil {
+		return es.snapIndexes
+	}
+	return !db.indexesDeferred
+}
+
 // accessPath chooses between a sequential scan and an index scan for one
 // table, based on the WHERE conjuncts. The full predicate is re-checked
 // by the surrounding filter, so index selection is purely an access-path
@@ -650,14 +662,7 @@ func refersTo(c *ColumnRef, binding string, t *TableInfo) bool {
 // seqScanIter and DML row collection needs the bare ridSource.
 func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) (rowIter, *obs.OpStats, error) {
 	schema := t.Schema(binding)
-	deferred := db.indexesDeferred
-	if es.snap != nil {
-		// Snapshot mode never inspects live catalog state; the Snap
-		// recorded at publish whether its frozen B-trees are usable
-		// (snapIndexes also folds in rollback-generation staleness).
-		deferred = !es.snapIndexes
-	}
-	if deferred {
+	if !db.indexesUsable(es) {
 		// Bulk load in progress: the secondary indexes miss the freshly
 		// loaded rows until ResumeIndexes rebuilds them, so only the
 		// heaps are trustworthy.

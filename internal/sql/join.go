@@ -69,7 +69,7 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableR
 		return bit, nil
 	}
 	if len(pairs) > 0 {
-		if ix := pickJoinIndex(rt, pairs); ix != nil {
+		if ix := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
 			// Index nested-loop probes one left row at a time; the left
 			// batch stream adapts to rows at the join boundary.
 			op := es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",

@@ -60,7 +60,7 @@ func (t *TableInfo) freeze(epoch uint64) *TableInfo {
 		hasStats: t.hasStats,
 	}
 	for _, ix := range t.Indexes {
-		if ix.UsingHash {
+		if ix.BTree == nil { // a hash index, or a tree retired by DeferIndexes
 			continue
 		}
 		ft.Indexes = append(ft.Indexes, &IndexInfo{
@@ -91,6 +91,10 @@ func (db *DB) publishLocked() {
 		s.tables[name] = t.freeze(epoch)
 	}
 	db.snap.Store(s)
+	// What the commit orphaned stays readable for snapshots up to the
+	// current epoch and is recycled once they are gone.
+	db.pool.Retire(db.dead)
+	db.dead = nil
 	db.pool.PublishEpoch()
 }
 

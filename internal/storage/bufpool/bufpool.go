@@ -48,9 +48,10 @@ type Pool struct {
 
 	// MVCC state (see mvcc.go): the published epoch, and a refcount of
 	// readers pinned per epoch that holds retained page versions alive.
-	epoch atomic.Uint64
-	pinMu sync.Mutex
-	pins  map[uint64]int
+	epoch   atomic.Uint64
+	pinMu   sync.Mutex
+	pins    map[uint64]int
+	retired []retiredPages // ascending upTo; guarded by pinMu
 }
 
 // shard is one lock domain of the pool: a frame map, an LRU list and the
@@ -259,6 +260,11 @@ func (p *Pool) Allocate(kind page.Kind) (*Frame, error) {
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if old, ok := s.frames[id]; ok {
+		// A recycled page: its previous life may still be cached. Nothing
+		// reaches that frame any more (the page was free), so forget it.
+		s.dropFrameLocked(old)
+	}
 	f, err := s.newFrameLocked(id)
 	if err != nil {
 		return nil, err
@@ -434,20 +440,4 @@ func (p *Pool) Len() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// FreePage drops the page from the cache and returns it to the disk free
-// list. The page must not be pinned.
-func (p *Pool) FreePage(id disk.PageID) error {
-	s := p.shardFor(id)
-	s.mu.Lock()
-	if f, ok := s.frames[id]; ok {
-		if f.pins.Load() > 0 {
-			s.mu.Unlock()
-			return fmt.Errorf("bufpool: free pinned page %d", id)
-		}
-		s.dropFrameLocked(f)
-	}
-	s.mu.Unlock()
-	return p.mgr.Free(id)
 }

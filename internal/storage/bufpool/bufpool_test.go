@@ -145,24 +145,32 @@ func TestFetchSharesFrame(t *testing.T) {
 	p.Unpin(g, false)
 }
 
-func TestFreePage(t *testing.T) {
+func TestAllocateForgetsRecycledFrame(t *testing.T) {
 	p, mgr := newPool(t, 4)
 	f, _ := p.Allocate(page.KindHeap)
 	id := f.ID()
-	if err := p.FreePage(id); err == nil {
-		t.Error("FreePage of pinned page should fail")
-	}
-	p.Unpin(f, false)
-	if err := p.FreePage(id); err != nil {
+	if _, err := f.Page().Insert([]byte("previous life")); err != nil {
 		t.Fatal(err)
 	}
-	// The freed page is reused by the next allocation.
-	id2, err := mgr.Allocate()
+	p.Unpin(f, true)
+	if err := mgr.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	// The freed page is reused by the next allocation, and the frame its
+	// previous life left in the cache neither shows through nor lingers.
+	g, err := p.Allocate(page.KindMeta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id2 != id {
-		t.Errorf("freed page not recycled: got %d, want %d", id2, id)
+	if g.ID() != id {
+		t.Fatalf("freed page not recycled: got %d, want %d", g.ID(), id)
+	}
+	if g == f || g.Page().NumSlots() != 0 || g.Page().Kind() != page.KindMeta {
+		t.Error("recycled page came back with its old frame or contents")
+	}
+	p.Unpin(g, true)
+	if p.Len() != 1 {
+		t.Errorf("pool holds %d frames for one page", p.Len())
 	}
 }
 

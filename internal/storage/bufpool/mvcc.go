@@ -20,6 +20,12 @@
 // Retained copies are dropped by gcVersions once no pinned epoch can need
 // them (upTo < min over pinned epochs and the current epoch). Pins are a
 // refcount per epoch; queries and transactions pin the epoch they read at.
+//
+// Whole pages die the same way. When a commit leaves a structure behind —
+// a superseded B-tree, a dropped table — the engine retires its pages
+// (Retire) just before publishing: snapshots up to the current epoch may
+// still walk them, so they wait, untouched, until the same floor has
+// passed that epoch, and only then join the disk free list for reuse.
 package bufpool
 
 import (
@@ -32,6 +38,13 @@ import (
 type pageVersion struct {
 	upTo uint64
 	pg   *page.Page
+}
+
+// retiredPages is one Retire call: pages that nothing published after
+// epoch upTo references, and that snapshots at epochs <= upTo may read.
+type retiredPages struct {
+	upTo uint64
+	ids  []disk.PageID
 }
 
 // PageRef is a readable page handle returned by ReadAt: either a live
@@ -98,6 +111,56 @@ func (p *Pool) UnpinEpoch(e uint64) {
 	}
 }
 
+// Retire takes pages out of service: the caller (the engine, under its
+// write lock, about to publish) guarantees that no structure of the next
+// epoch reaches them. They go to the disk free list once no reader is
+// pinned at the current epoch or earlier — at that very publish when
+// nothing is pinned. ids must name allocated pages.
+func (p *Pool) Retire(ids []disk.PageID) {
+	if len(ids) == 0 {
+		return
+	}
+	p.pinMu.Lock()
+	p.retired = append(p.retired, retiredPages{upTo: p.epoch.Load(), ids: ids})
+	p.pinMu.Unlock()
+}
+
+// Recycling lists the pages on the disk free list and the retired pages
+// still waiting for readers to let go of them, as of one instant (stats,
+// page accounting).
+func (p *Pool) Recycling() (free, retired []disk.PageID) {
+	p.pinMu.Lock()
+	defer p.pinMu.Unlock()
+	for _, r := range p.retired {
+		retired = append(retired, r.ids...)
+	}
+	return p.mgr.FreePages(), retired
+}
+
+// ResetFree replaces the disk free list with every page of the file that
+// is neither marked in live (indexed by page id; the engine marks what
+// its catalog reaches) nor retired and still waiting. The engine calls it
+// when it opens a file and after a rollback: the list is derived, never
+// stored. live is used as scratch.
+func (p *Pool) ResetFree(live []bool) error {
+	p.pinMu.Lock()
+	defer p.pinMu.Unlock()
+	for _, r := range p.retired {
+		for _, id := range r.ids {
+			if int(id) < len(live) {
+				live[id] = true
+			}
+		}
+	}
+	var free []disk.PageID
+	for id := 1; id < len(live); id++ { // page 0 is the file header
+		if !live[id] {
+			free = append(free, disk.PageID(id))
+		}
+	}
+	return p.mgr.SetFree(free)
+}
+
 // PinnedEpochs reports the number of distinct epochs currently pinned
 // (stats, tests).
 func (p *Pool) PinnedEpochs() int {
@@ -106,9 +169,14 @@ func (p *Pool) PinnedEpochs() int {
 	return len(p.pins)
 }
 
-// minLiveEpoch is the GC floor: the smallest epoch any pinned reader (or
-// a reader pinning right now, which gets the current epoch) can observe.
-func (p *Pool) minLiveEpoch() uint64 {
+// gcVersions drops what no live epoch can resolve to. The floor is the
+// smallest epoch any pinned reader (or a reader pinning right now, which
+// gets the current epoch) can observe; a retained version or a retired
+// page is needed only while some reader's epoch e satisfies e <= upTo,
+// so everything with upTo < floor goes. New pins only ever land on the
+// current epoch, so the floor cannot move backwards between computing it
+// and sweeping.
+func (p *Pool) gcVersions() {
 	min := p.epoch.Load()
 	p.pinMu.Lock()
 	for e := range p.pins {
@@ -116,17 +184,15 @@ func (p *Pool) minLiveEpoch() uint64 {
 			min = e
 		}
 	}
+	// Retired pages change lists under pinMu, so that ResetFree never
+	// sees a page on neither list or on both.
+	for len(p.retired) > 0 && p.retired[0].upTo < min {
+		// Free only refuses ids outside the file, which Retire's caller
+		// has ruled out, and the file never shrinks.
+		_ = p.mgr.Free(p.retired[0].ids...)
+		p.retired = p.retired[1:]
+	}
 	p.pinMu.Unlock()
-	return min
-}
-
-// gcVersions drops retained versions that no live epoch can resolve to:
-// a version is needed only while some reader's epoch e satisfies
-// e <= upTo, so everything with upTo < minLiveEpoch goes. New pins only
-// ever land on the current epoch, so the floor cannot move backwards
-// between computing it and sweeping.
-func (p *Pool) gcVersions() {
-	min := p.minLiveEpoch()
 	for _, s := range p.shards {
 		s.vmu.Lock()
 		for id, vs := range s.versions {

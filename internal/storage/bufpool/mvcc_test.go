@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"xomatiq/internal/storage/disk"
 	"xomatiq/internal/storage/page"
 )
 
@@ -266,5 +267,53 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 	wg.Wait()
 	if n := p.PinnedEpochs(); n != 0 {
 		t.Fatalf("PinnedEpochs = %d, want 0", n)
+	}
+}
+
+func TestRetireWaitsForPinnedReaders(t *testing.T) {
+	p, _ := newPool(t, 8)
+	a, _ := seedPage(t, p, "a")
+	b, _ := seedPage(t, p, "b")
+	p.PublishEpoch()
+
+	// Nothing pinned: pages retired now are free at the next publish.
+	p.Retire([]disk.PageID{a.ID()})
+	if free, retired := p.Recycling(); len(free) != 0 || len(retired) != 1 || retired[0] != a.ID() {
+		t.Fatalf("free %v, retired %v; want page %d retired", free, retired, a.ID())
+	}
+	p.PublishEpoch()
+	if free, retired := p.Recycling(); len(free) != 1 || free[0] != a.ID() || len(retired) != 0 {
+		t.Fatalf("free %v, retired %v after an unpinned publish", free, retired)
+	}
+
+	// A reader pinned at the epoch that could still read b holds it back
+	// across later publishes, until it lets go.
+	pinned := p.PinEpoch()
+	p.Retire([]disk.PageID{b.ID()})
+	p.PublishEpoch()
+	p.PublishEpoch()
+	if free, retired := p.Recycling(); len(free) != 1 || len(retired) != 1 {
+		t.Fatalf("free %v, retired %v while a reader at epoch %d is pinned", free, retired, pinned)
+	}
+	ref, err := p.ReadAt(b.ID(), pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readRec(t, p, ref, 0); got != "b" {
+		t.Errorf("pinned reader sees %q on a retired page, want b", got)
+	}
+	p.UnpinEpoch(pinned)
+	if free, retired := p.Recycling(); len(free) != 2 || len(retired) != 0 {
+		t.Errorf("free %v, retired %v after the last reader left", free, retired)
+	}
+
+	// A reset keeps what is still retired off the free list.
+	p.Retire([]disk.PageID{b.ID()}) // as if b had been reallocated and dropped again
+	live := make([]bool, 3)
+	if err := p.ResetFree(live); err != nil {
+		t.Fatal(err)
+	}
+	if free, _ := p.Recycling(); len(free) != 1 || free[0] != a.ID() {
+		t.Errorf("free %v after a reset with page %d retired, want [%d]", free, b.ID(), a.ID())
 	}
 }

@@ -1,7 +1,7 @@
 // Package disk manages a page-addressed database file: fixed-size pages
-// identified by PageID, with allocation, free-listing, read, write and
-// sync. It is the lowest layer of the XomatiQ storage engine; the buffer
-// pool sits on top.
+// identified by PageID, with allocation, an in-memory free list, read,
+// write and sync. It is the lowest layer of the XomatiQ storage engine;
+// the buffer pool sits on top.
 package disk
 
 import (
@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 
 	"xomatiq/internal/storage/page"
@@ -25,11 +26,18 @@ const InvalidPage PageID = 0
 //
 //	0..8   magic "XOMATIQ\x01"
 //	8..12  numPages (uint32, includes the header page)
-//	12..16 freeListHead (uint32 PageID, 0 = empty)
+//	12..16 reserved, zero (once the head of an on-disk free list that no
+//	       release ever put a page on)
 //	16     flags (bit 0: index anchors stale, rebuild before trusting)
 //
 // Files written before the flags byte existed are 16 bytes short of it;
 // the missing byte reads as zero flags.
+//
+// The free list is not in the file. Which pages are free is derived
+// state, like the indexes: whoever owns the file's contents knows which
+// pages it can reach and hands the rest over with SetFree after opening
+// or rolling back. Nothing about the list can therefore be torn by a
+// crash or disagree with the log.
 var magic = [8]byte{'X', 'O', 'M', 'A', 'T', 'I', 'Q', 1}
 
 const flagIndexesStale = 1 << 0
@@ -40,7 +48,7 @@ type Manager struct {
 	mu           sync.Mutex
 	f            File
 	numPages     uint32
-	freeHead     PageID
+	free         []PageID // descending, so the lowest id is popped first
 	indexesStale bool
 }
 
@@ -87,7 +95,6 @@ func OpenFS(fs FS, path string) (*Manager, error) {
 		return nil, errors.Join(fmt.Errorf("disk: %s is not a xomatiq database file", path), f.Close())
 	}
 	m.numPages = binary.LittleEndian.Uint32(hdr[8:])
-	m.freeHead = PageID(binary.LittleEndian.Uint32(hdr[12:]))
 	if n >= 17 {
 		m.indexesStale = hdr[16]&flagIndexesStale != 0
 	}
@@ -103,9 +110,6 @@ func OpenFS(fs FS, path string) (*Manager, error) {
 		if m.numPages < 1 {
 			m.numPages = 1
 		}
-		if uint32(m.freeHead) >= m.numPages {
-			m.freeHead = InvalidPage
-		}
 	}
 	return m, nil
 }
@@ -114,7 +118,6 @@ func (m *Manager) writeHeader() error {
 	var hdr [17]byte
 	copy(hdr[:8], magic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], m.numPages)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(m.freeHead))
 	if m.indexesStale {
 		hdr[16] |= flagIndexesStale
 	}
@@ -154,20 +157,16 @@ func (m *Manager) NumPages() int {
 	return int(m.numPages)
 }
 
-// Allocate returns a fresh page ID, reusing a freed page when available.
-// The page contents are undefined; callers must initialise before use.
+// Allocate returns a page ID for a new page: the lowest free one, or the
+// next past the end of the file. The page contents are undefined; callers
+// must initialise before use.
 func (m *Manager) Allocate() (PageID, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.freeHead != InvalidPage {
-		id := m.freeHead
-		// The first 4 bytes of a free page store the next free page.
-		var next [4]byte
-		if _, err := m.f.ReadAt(next[:], int64(id)*page.Size); err != nil {
-			return InvalidPage, fmt.Errorf("disk: read free list: %w", err)
-		}
-		m.freeHead = PageID(binary.LittleEndian.Uint32(next[:]))
-		return id, m.writeHeader()
+	if n := len(m.free); n > 0 {
+		id := m.free[n-1]
+		m.free = m.free[:n-1]
+		return id, nil
 	}
 	id := PageID(m.numPages)
 	m.numPages++
@@ -198,20 +197,40 @@ func (m *Manager) EnsureAllocated(id PageID) error {
 	return m.writeHeader()
 }
 
-// Free returns a page to the free list.
-func (m *Manager) Free(id PageID) error {
+// Free returns pages to the free list. The caller vouches that nothing
+// reaches them any more; their contents stay as they are until reuse.
+func (m *Manager) Free(ids ...PageID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if id == InvalidPage || uint32(id) >= m.numPages {
-		return fmt.Errorf("disk: free invalid page %d", id)
+	return m.freeLocked(ids)
+}
+
+// SetFree replaces the free list with ids: every page the owner of the
+// file's contents found unreachable when it opened the file or rolled
+// it back to its last commit.
+func (m *Manager) SetFree(ids []PageID) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.free = m.free[:0]
+	return m.freeLocked(ids)
+}
+
+func (m *Manager) freeLocked(ids []PageID) error {
+	for _, id := range ids {
+		if id == InvalidPage || uint32(id) >= m.numPages {
+			return fmt.Errorf("disk: free invalid page %d", id)
+		}
 	}
-	var next [4]byte
-	binary.LittleEndian.PutUint32(next[:], uint32(m.freeHead))
-	if _, err := m.f.WriteAt(next[:], int64(id)*page.Size); err != nil {
-		return fmt.Errorf("disk: write free link: %w", err)
-	}
-	m.freeHead = id
-	return m.writeHeader()
+	m.free = append(m.free, ids...)
+	sort.Slice(m.free, func(i, j int) bool { return m.free[i] > m.free[j] })
+	return nil
+}
+
+// FreePages returns a copy of the free list (stats, consistency checks).
+func (m *Manager) FreePages() []PageID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]PageID(nil), m.free...)
 }
 
 // ReadPage fills buf (page.Size bytes) with the page contents.

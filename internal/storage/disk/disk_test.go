@@ -116,14 +116,23 @@ func TestFreeListReuse(t *testing.T) {
 	if c != a {
 		t.Errorf("freed page not reused: got %d, want %d", c, a)
 	}
-	// Free list persists across reopen.
+	// The list is not stored: a reopened file has none until its owner
+	// says which pages it cannot reach, lowest id handed out first.
 	m.Free(bID)
 	m.Close()
 	m2, _ := Open(path)
 	defer m2.Close()
+	if got := m2.FreePages(); len(got) != 0 {
+		t.Errorf("free list %v survived a reopen", got)
+	}
+	if err := m2.SetFree([]PageID{a, bID}); err != nil {
+		t.Fatal(err)
+	}
 	d, _ := m2.Allocate()
-	if d != bID {
-		t.Errorf("free list lost across reopen: got %d, want %d", d, bID)
+	e, _ := m2.Allocate()
+	f, _ := m2.Allocate()
+	if d != a || e != bID || f != 3 {
+		t.Errorf("allocated %d, %d, %d after SetFree, want %d, %d, 3", d, e, f, a, bID)
 	}
 }
 

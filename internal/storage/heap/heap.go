@@ -44,7 +44,9 @@ type Heap struct {
 	first disk.PageID
 	last  disk.PageID
 	count int
+	bytes int64         // live record payload, for fill-factor statistics
 	pages []disk.PageID // chain order; parallel scans partition this
+	img   []byte        // logPageImage's scratch buffer
 
 	// Frozen heaps resolve page reads through the pool's version map at
 	// a fixed epoch instead of the live frames.
@@ -64,6 +66,7 @@ func (h *Heap) Freeze(epoch uint64) *Heap {
 		first:  h.first,
 		last:   h.last,
 		count:  h.count,
+		bytes:  h.bytes,
 		pages:  append([]disk.PageID(nil), h.pages...),
 		frozen: true,
 		epoch:  epoch,
@@ -107,7 +110,11 @@ func Open(pool *bufpool.Pool, log *wal.Log, first disk.PageID) (*Heap, error) {
 		if err != nil {
 			return nil, fmt.Errorf("heap: open: %w", err)
 		}
-		h.count += f.Page().LiveCount()
+		f.Page().Records(func(_ int, rec []byte) bool {
+			h.count++
+			h.bytes += int64(len(rec))
+			return true
+		})
 		next := disk.PageID(f.Page().Aux())
 		pool.Unpin(f, false)
 		h.pages = append(h.pages, id)
@@ -122,6 +129,10 @@ func (h *Heap) FirstPage() disk.PageID { return h.first }
 
 // Count reports the number of live records.
 func (h *Heap) Count() int { return h.count }
+
+// Bytes reports the payload bytes of the live records; over NumPages
+// pages of page.Size bytes it gives the heap's fill factor.
+func (h *Heap) Bytes() int64 { return h.bytes }
 
 func (h *Heap) appendLog(r wal.Record) error {
 	if h.log == nil {
@@ -147,6 +158,7 @@ func (h *Heap) Insert(txn uint64, rec []byte) (RID, error) {
 		rid := RID{Page: f.ID(), Slot: uint16(slot)}
 		h.pool.UnpinMut(f, true)
 		h.count++
+		h.bytes += int64(len(rec))
 		return rid, h.appendLog(wal.Record{Txn: txn, Op: wal.OpInsertAt, Page: uint32(rid.Page), Slot: rid.Slot, Data: rec})
 	}
 	if !errors.Is(err, page.ErrPageFull) {
@@ -179,22 +191,25 @@ func (h *Heap) Insert(txn uint64, rec []byte) (RID, error) {
 	rid := RID{Page: nf.ID(), Slot: uint16(slot)}
 	h.pool.UnpinMut(nf, true)
 	h.count++
+	h.bytes += int64(len(rec))
 	return rid, h.appendLog(wal.Record{Txn: txn, Op: wal.OpInsertAt, Page: uint32(rid.Page), Slot: rid.Slot, Data: rec})
 }
 
-// logPageImage logs the frame's entire current page contents as one
-// OpPageImage record. The WAL copies the payload synchronously, so the
-// live page buffer can be passed directly.
+// logPageImage logs the frame's current page as one OpPageImage record:
+// its used bytes without the free space in the middle (page.AppendImage).
+// The image is assembled in the heap's scratch buffer, which the WAL has
+// finished with when Append returns.
 func (h *Heap) logPageImage(txn uint64, f *bufpool.Frame) error {
 	if h.log == nil {
 		return nil
 	}
+	h.img = f.Page().AppendImage(h.img[:0])
 	return h.log.Append(wal.Record{
 		Txn:  txn,
 		Op:   wal.OpPageImage,
 		Page: uint32(f.ID()),
 		Kind: uint8(f.Page().Kind()),
-		Data: f.Page().Bytes(),
+		Data: h.img,
 	})
 }
 
@@ -259,6 +274,7 @@ func (h *Heap) InsertBatch(txn uint64, recs [][]byte) ([]RID, error) {
 		rids = append(rids, RID{Page: f.ID(), Slot: uint16(slot)})
 		touched = true
 		h.count++
+		h.bytes += int64(len(rec))
 	}
 	if touched {
 		if err := h.logPageImage(txn, f); err != nil {
@@ -295,12 +311,17 @@ func (h *Heap) Delete(txn uint64, rid RID) error {
 	if err != nil {
 		return err
 	}
-	if err := f.Page().Delete(int(rid.Slot)); err != nil {
+	old, err := f.Page().Get(int(rid.Slot))
+	if err == nil {
+		err = f.Page().Delete(int(rid.Slot))
+	}
+	if err != nil {
 		h.pool.UnpinMut(f, false)
 		return err
 	}
 	h.pool.UnpinMut(f, true)
 	h.count--
+	h.bytes -= int64(len(old))
 	return h.appendLog(wal.Record{Txn: txn, Op: wal.OpDelete, Page: uint32(rid.Page), Slot: rid.Slot})
 }
 
@@ -317,9 +338,13 @@ func (h *Heap) Update(txn uint64, rid RID, rec []byte) (RID, error) {
 	if err != nil {
 		return rid, err
 	}
-	err = f.Page().Update(int(rid.Slot), rec)
+	old, err := f.Page().Get(int(rid.Slot))
+	if err == nil {
+		err = f.Page().Update(int(rid.Slot), rec)
+	}
 	if err == nil {
 		h.pool.UnpinMut(f, true)
+		h.bytes += int64(len(rec) - len(old))
 		return rid, h.appendLog(wal.Record{Txn: txn, Op: wal.OpUpdate, Page: uint32(rid.Page), Slot: rid.Slot, Data: rec})
 	}
 	h.pool.UnpinMut(f, false)
@@ -416,11 +441,7 @@ func Replay(pool *bufpool.Pool, ops []wal.Record) error {
 				err = f.Page().Delete(int(op.Slot))
 			}
 		case wal.OpPageImage:
-			if len(op.Data) != page.Size {
-				err = fmt.Errorf("heap: replay page image of %d bytes", len(op.Data))
-			} else {
-				copy(f.Page().Bytes(), op.Data)
-			}
+			err = f.Page().SetImage(op.Data)
 		default:
 			err = fmt.Errorf("heap: replay unknown op %d", op.Op)
 		}

@@ -10,6 +10,7 @@ import (
 
 	"xomatiq/internal/storage/bufpool"
 	"xomatiq/internal/storage/disk"
+	"xomatiq/internal/storage/page"
 	"xomatiq/internal/storage/wal"
 )
 
@@ -345,5 +346,116 @@ func TestQuickHeapModel(t *testing.T) {
 func TestRIDString(t *testing.T) {
 	if got := (RID{Page: 3, Slot: 7}).String(); got != "3:7" {
 		t.Errorf("RID.String = %q", got)
+	}
+}
+
+// TestReplayPageImages bulk-loads through InsertBatch — whose log is page
+// images with the free space left out — and replays the log twice into
+// files whose pages hold garbage: once as logged, and once with every
+// image blown up to the full 8192 bytes, which is what a log written
+// before the free space was skipped holds. Both must reproduce the heap.
+func TestReplayPageImages(t *testing.T) {
+	fx := newFixture(t)
+	h, err := Create(fx.pool, fx.log, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	var rids []RID
+	for batch := 0; batch < 5; batch++ { // five batches: four tail pages imaged twice
+		recs := make([][]byte, 150)
+		for i := range recs {
+			recs[i] = make([]byte, 40+rng.Intn(200))
+			rng.Read(recs[i])
+		}
+		got, err := h.InsertBatch(1, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rids = append(rids, got...)
+	}
+	for i := 0; i < len(rids); i += 7 {
+		if err := h.Delete(1, rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fx.log.Append(wal.Record{Txn: 1, Op: wal.OpCommit})
+	fx.log.Sync()
+	if h.NumPages() < 5 {
+		t.Fatalf("workload fits %d pages; the test wants several", h.NumPages())
+	}
+	var want [][]byte
+	var wantBytes int64
+	h.Scan(func(_ RID, rec []byte) bool {
+		want = append(want, append([]byte(nil), rec...))
+		wantBytes += int64(len(rec))
+		return true
+	})
+	if h.Bytes() != wantBytes || h.Count() != len(want) {
+		t.Errorf("heap tracks %d records of %d bytes, scan finds %d of %d", h.Count(), h.Bytes(), len(want), wantBytes)
+	}
+
+	ops, err := wal.CommittedOps(filepath.Join(fx.dir, "data.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	images, imageBytes := 0, 0
+	fullSize := make([]wal.Record, len(ops))
+	for i, op := range ops {
+		fullSize[i] = op
+		if op.Op != wal.OpPageImage {
+			continue
+		}
+		images++
+		imageBytes += len(op.Data)
+		pg := page.New(page.KindFree)
+		if err := pg.SetImage(op.Data); err != nil {
+			t.Fatal(err)
+		}
+		fullSize[i].Data = pg.Bytes()
+	}
+	if images <= h.NumPages() || imageBytes >= images*page.Size*95/100 {
+		t.Errorf("%d images of %d bytes for %d pages: want tail pages imaged twice and free space skipped",
+			images, imageBytes, h.NumPages())
+	}
+
+	for name, log := range map[string][]wal.Record{"hole-free": ops, "full-size": fullSize} {
+		mgr, err := disk.Open(filepath.Join(t.TempDir(), "replayed.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mgr.Close()
+		garbage := bytes.Repeat([]byte{0xAB}, page.Size)
+		for mgr.NumPages() < fx.mgr.NumPages() {
+			id, err := mgr.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.WritePage(id, garbage); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pool := bufpool.New(mgr, 64)
+		if err := Replay(pool, log); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		h2, err := Open(pool, nil, h.FirstPage())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got [][]byte
+		h2.Scan(func(_ RID, rec []byte) bool {
+			got = append(got, append([]byte(nil), rec...))
+			return true
+		})
+		if len(got) != len(want) || h2.Count() != len(want) || h2.Bytes() != wantBytes || h2.NumPages() != h.NumPages() {
+			t.Fatalf("%s: replayed heap has %d records (%d counted, %d bytes, %d pages), want %d (%d bytes, %d pages)",
+				name, len(got), h2.Count(), h2.Bytes(), h2.NumPages(), len(want), wantBytes, h.NumPages())
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%s: replayed record %d differs", name, i)
+			}
+		}
 	}
 }

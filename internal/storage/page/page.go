@@ -83,6 +83,36 @@ func (p *Page) Init(kind Kind) {
 // Bytes returns the underlying buffer.
 func (p *Page) Bytes() []byte { return p.buf }
 
+// AppendImage appends the page's used bytes to dst — header and slot
+// directory, then the record payloads — leaving out the free space
+// between them, whose contents no reader ever looks at.
+func (p *Page) AppendImage(dst []byte) []byte {
+	dst = append(dst, p.buf[:p.u16(offFreeStart)]...)
+	return append(dst, p.buf[p.u16(offFreeEnd):]...)
+}
+
+// SetImage overwrites the page with an image made by AppendImage,
+// zero-filling the free space the image left out. A Size-byte image (all
+// that was logged before free space was skipped) is taken as it is.
+func (p *Page) SetImage(img []byte) error {
+	if len(img) == Size {
+		copy(p.buf, img)
+		return nil
+	}
+	if len(img) < headerSize {
+		return fmt.Errorf("page: image of %d bytes", len(img))
+	}
+	start := int(binary.LittleEndian.Uint16(img[offFreeStart:]))
+	end := int(binary.LittleEndian.Uint16(img[offFreeEnd:]))
+	if start < headerSize || start > end || end > Size || len(img) != start+Size-end {
+		return fmt.Errorf("page: image of %d bytes with free space %d..%d", len(img), start, end)
+	}
+	copy(p.buf, img[:start])
+	clear(p.buf[start:end])
+	copy(p.buf[end:], img[start:])
+	return nil
+}
+
 // Kind reports the page kind.
 func (p *Page) Kind() Kind { return Kind(p.buf[offKind]) }
 

@@ -384,3 +384,94 @@ func TestInsertAtReplaysInsertSequence(t *testing.T) {
 		}
 	}
 }
+
+func TestImageRoundTrip(t *testing.T) {
+	p := New(KindHeap)
+	p.SetAux(77)
+	var slots []int
+	for i := 0; i < 40; i++ {
+		s, err := p.Insert(bytes.Repeat([]byte{byte('a' + i%26)}, 30+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots = append(slots, s)
+	}
+	for _, s := range slots[:10] { // holes inside the record area travel with the image
+		if err := p.Delete(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := p.AppendImage([]byte("hdr"))[3:]
+	if want := Size - p.FreeSpace() - slotSize; len(img) != want {
+		t.Fatalf("image is %d bytes, want the %d used ones", len(img), want)
+	}
+
+	// Restoring over a page full of something else leaves nothing of it.
+	q := Wrap(bytes.Repeat([]byte{0xAB}, Size))
+	if err := q.SetImage(img); err != nil {
+		t.Fatal(err)
+	}
+	if q.Kind() != KindHeap || q.Aux() != 77 || q.NumSlots() != p.NumSlots() || q.FreeSpace() != p.FreeSpace() {
+		t.Fatalf("restored header differs: kind %d aux %d slots %d free %d", q.Kind(), q.Aux(), q.NumSlots(), q.FreeSpace())
+	}
+	for _, s := range slots {
+		want, werr := p.Get(s)
+		got, gerr := q.Get(s)
+		if (werr == nil) != (gerr == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("slot %d: restored %q, %v; original %q, %v", s, got, gerr, want, werr)
+		}
+	}
+	if !bytes.Equal(q.AppendImage(nil), img) {
+		t.Error("image of the restored page differs from the image it was restored from")
+	}
+	for _, b := range q.Bytes()[q.u16(offFreeStart):q.u16(offFreeEnd)] {
+		if b != 0 {
+			t.Fatal("free space of a restored page is not zero-filled")
+		}
+	}
+	// The restored page keeps working as a page.
+	if _, err := q.Insert([]byte("after replay")); err != nil {
+		t.Fatal(err)
+	}
+
+	// A full-size image, as logs written before free space was skipped
+	// hold, is taken byte for byte.
+	r := New(KindFree)
+	if err := r.SetImage(p.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r.Bytes(), p.Bytes()) {
+		t.Error("full-size image not restored verbatim")
+	}
+
+	// An empty page is all header; a full one has no hole to skip.
+	if img := New(KindHeap).AppendImage(nil); len(img) != headerSize {
+		t.Errorf("empty page images to %d bytes, want %d", len(img), headerSize)
+	}
+}
+
+func TestSetImageRejectsDamage(t *testing.T) {
+	p := New(KindHeap)
+	if _, err := p.Insert([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	img := p.AppendImage(nil)
+	before := append([]byte(nil), p.Bytes()...)
+	bad := map[string][]byte{
+		"empty":            {},
+		"shorter than hdr": img[:headerSize-1],
+		"tail cut":         img[:len(img)-1],
+		"tail grown":       append(append([]byte(nil), img...), 0),
+	}
+	crossed := append([]byte(nil), img...)
+	crossed[offFreeStart], crossed[offFreeStart+1] = 0xFF, 0x1F // free space starts past its end
+	bad["bounds crossed"] = crossed
+	for name, b := range bad {
+		if err := p.SetImage(b); err == nil {
+			t.Errorf("%s: SetImage accepted a damaged image", name)
+		}
+		if !bytes.Equal(p.Bytes(), before) {
+			t.Fatalf("%s: a refused image changed the page", name)
+		}
+	}
+}

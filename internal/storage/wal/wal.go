@@ -6,7 +6,8 @@
 // Design: redo-only logical logging over heap pages with a NO-STEAL
 // buffer policy. Heap mutations append page-directed records (init page,
 // set aux, insert-at, delete, update — or, on the bulk-load path, one
-// whole-page image per filled page) tagged with a transaction id; a
+// image per filled page: the page's used bytes, its free space left out
+// and zero-filled again on replay) tagged with a transaction id; a
 // commit record, followed by an fsync, makes the transaction durable.
 // Dirty data pages are only written back at a checkpoint, which flushes
 // the buffer pool and then truncates the log. Recovery therefore replays
@@ -17,7 +18,8 @@
 //
 // Record framing: [4]length [4]crc32 payload. A torn tail (short frame or
 // bad checksum) ends recovery at the last intact record, so a crash
-// mid-append loses only the uncommitted tail.
+// mid-append loses only the uncommitted tail. Logs written when page
+// images were always 8192 bytes replay unchanged.
 package wal
 
 import (
@@ -44,7 +46,14 @@ const (
 	OpDelete                  // payload: pageID, slot
 	OpUpdate                  // payload: pageID, slot, record bytes
 	OpCommit                  // no payload
-	OpPageImage               // payload: pageID, kind, full page bytes
+	OpPageImage               // payload: pageID, kind, page image (page.AppendImage)
+)
+
+// A record on disk is a frame header, [4]length [4]crc32 of what follows,
+// then the record: [8]txn [1]op [4]page [2]slot [1]kind [4]aux and Data.
+const (
+	frameHeader = 8
+	recHeader   = 20
 )
 
 // Record is one logical log record.
@@ -66,7 +75,8 @@ type Log struct {
 	w    *bufio.Writer
 	path string
 	size int64
-	m    *obs.WALMetrics // always non-nil; SetMetrics swaps in the engine's
+	hdr  [frameHeader + recHeader]byte // Append's header scratch, under mu
+	m    *obs.WALMetrics               // always non-nil; SetMetrics swaps in the engine's
 }
 
 // appendWriter turns a positional disk.File into the sequential writer
@@ -111,24 +121,8 @@ func (l *Log) SetMetrics(m *obs.WALMetrics) {
 	l.mu.Unlock()
 }
 
-func (r *Record) encode() []byte {
-	buf := make([]byte, 0, 24+len(r.Data))
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], r.Txn)
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, byte(r.Op))
-	binary.LittleEndian.PutUint32(tmp[:4], r.Page)
-	buf = append(buf, tmp[:4]...)
-	binary.LittleEndian.PutUint16(tmp[:2], r.Slot)
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, r.Kind)
-	binary.LittleEndian.PutUint32(tmp[:4], r.Aux)
-	buf = append(buf, tmp[:4]...)
-	return append(buf, r.Data...)
-}
-
 func decodeRecord(p []byte) (Record, error) {
-	if len(p) < 20 {
+	if len(p) < recHeader {
 		return Record{}, fmt.Errorf("wal: record of %d bytes too short", len(p))
 	}
 	r := Record{
@@ -139,29 +133,49 @@ func decodeRecord(p []byte) (Record, error) {
 		Kind: p[15],
 		Aux:  binary.LittleEndian.Uint32(p[16:]),
 	}
-	if len(p) > 20 {
-		r.Data = append([]byte(nil), p[20:]...)
+	if len(p) > recHeader {
+		r.Data = append([]byte(nil), p[recHeader:]...)
 	}
 	return r, nil
 }
 
 // Append adds a record to the log buffer. It is not durable until Sync.
+// r.Data is checksummed and written where it lies — a page image is never
+// copied on its way to the buffer — so the caller may reuse it on return.
 func (l *Log) Append(r Record) error {
-	payload := r.encode()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	// The header is built in the log's own scratch array: a local one
+	// would be moved to the heap by the checksum and writer calls.
+	hdr := l.hdr[:]
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(recHeader+len(r.Data)))
+	rec := hdr[frameHeader:]
+	binary.LittleEndian.PutUint64(rec[0:], r.Txn)
+	rec[8] = byte(r.Op)
+	binary.LittleEndian.PutUint32(rec[9:], r.Page)
+	binary.LittleEndian.PutUint16(rec[13:], r.Slot)
+	rec[15] = r.Kind
+	binary.LittleEndian.PutUint32(rec[16:], r.Aux)
+	sum := crc32.Update(crc32.ChecksumIEEE(rec), crc32.IEEETable, r.Data)
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	if _, err := l.w.Write(hdr); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := l.w.Write(payload); err != nil {
+	if _, err := l.w.Write(r.Data); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(hdr) + len(payload))
+	n := uint64(len(hdr) + len(r.Data))
+	l.size += int64(n)
 	l.m.Appends.Inc()
-	l.m.Bytes.Add(uint64(len(hdr) + len(payload)))
+	l.m.Bytes.Add(n)
+	switch r.Op {
+	case OpPageImage:
+		l.m.PageImageBytes.Add(n)
+	case OpCommit:
+		l.m.CommitBytes.Add(n)
+	default:
+		l.m.RowOpBytes.Add(n)
+	}
 	return nil
 }
 

@@ -1,10 +1,15 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"xomatiq/internal/obs"
 )
 
 func logPath(t *testing.T) string {
@@ -195,5 +200,79 @@ func TestSizeAcrossReopen(t *testing.T) {
 	defer l2.Close()
 	if l2.Size() != want {
 		t.Errorf("reopened Size = %d, want %d", l2.Size(), want)
+	}
+}
+
+// TestFramingBytes pins the bytes of a record on disk: Append assembles
+// them without ever building the payload in one piece, and they must
+// stay what every existing log holds.
+func TestFramingBytes(t *testing.T) {
+	path := logPath(t)
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Record{Txn: 0x0102030405060708, Op: OpUpdate, Page: 0x11223344, Slot: 0x5566, Kind: 0x77, Aux: 0x8899AABB, Data: []byte("payload")}
+	if err := l.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte{
+		8, 7, 6, 5, 4, 3, 2, 1, // txn, little-endian
+		byte(OpUpdate),
+		0x44, 0x33, 0x22, 0x11, // page
+		0x66, 0x55, // slot
+		0x77,                   // kind
+		0xBB, 0xAA, 0x99, 0x88, // aux
+		'p', 'a', 'y', 'l', 'o', 'a', 'd',
+	}
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(payload))
+	want = append(want, payload...)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("record on disk:\n got %x\nwant %x", got, want)
+	}
+}
+
+// TestAppendCopiesNothing: a page image goes from the caller's buffer to
+// the log buffer with no allocation in between, and the byte counters
+// split by record type add up to the total.
+func TestAppendCopiesNothing(t *testing.T) {
+	l, err := Open(logPath(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m := &obs.WALMetrics{}
+	l.SetMetrics(m)
+	image := Record{Txn: 1, Op: OpPageImage, Page: 9, Kind: 1, Data: make([]byte, 8000)}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := l.Append(image); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("Append of a page image allocates %.0f times", allocs)
+	}
+	for _, r := range []Record{
+		{Txn: 1, Op: OpInsertAt, Page: 9, Data: []byte("row")},
+		{Txn: 1, Op: OpDelete, Page: 9},
+		{Txn: 1, Op: OpCommit},
+	} {
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.PageImageBytes.Load() + m.RowOpBytes.Load() + m.CommitBytes.Load(); got != m.Bytes.Load() || uint64(l.Size()) != got {
+		t.Errorf("page images %d + row ops %d + commits %d = %d, wal.bytes %d, size %d",
+			m.PageImageBytes.Load(), m.RowOpBytes.Load(), m.CommitBytes.Load(), got, m.Bytes.Load(), l.Size())
+	}
+	if m.CommitBytes.Load() != 28 || m.RowOpBytes.Load() != 28+3+28 {
+		t.Errorf("commit bytes %d, row-op bytes %d", m.CommitBytes.Load(), m.RowOpBytes.Load())
 	}
 }

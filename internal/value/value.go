@@ -9,6 +9,7 @@ package value
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -262,74 +263,111 @@ func (v Value) AsNumeric() (f float64, ok bool) {
 	return 0, false
 }
 
+// Wire tags: the first byte of every encoded field. Tags 0-5 are the
+// Kind values themselves, which is all that files written before the
+// compact format hold: there INT and BOOL carry 8 fixed big-endian
+// bytes. Encode now writes INT and BOOL as zig-zag varints under two
+// tags of their own and never emits the fixed-width forms again;
+// splitField reads both, so old and new records mix freely in one heap
+// page and no file carries a format version.
+const (
+	wireIntVar  = 6 // INT as zig-zag varint
+	wireBoolVar = 7 // BOOL as zig-zag varint (0 or 1)
+)
+
 // Encode appends a self-delimiting binary encoding of v to dst.
-// Layout: 1 kind byte, then a kind-specific payload.
+// Layout: 1 wire tag, then a kind-specific payload.
 func (v Value) Encode(dst []byte) []byte {
-	dst = append(dst, byte(v.kind))
 	switch v.kind {
-	case KindNull:
-	case KindInt, KindBool:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(v.i))
-		dst = append(dst, buf[:]...)
+	case KindInt:
+		return binary.AppendVarint(append(dst, wireIntVar), v.i)
+	case KindBool:
+		return binary.AppendVarint(append(dst, wireBoolVar), v.i)
 	case KindFloat:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
-		dst = append(dst, buf[:]...)
+		return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(v.f))
 	case KindText:
-		dst = appendUvarintBytes(dst, []byte(v.s))
+		dst = binary.AppendUvarint(append(dst, byte(KindText)), uint64(len(v.s)))
+		return append(dst, v.s...)
 	case KindBytes:
-		dst = appendUvarintBytes(dst, v.b)
+		dst = binary.AppendUvarint(append(dst, byte(KindBytes)), uint64(len(v.b)))
+		return append(dst, v.b...)
 	}
-	return dst
+	return append(dst, byte(KindNull))
 }
 
-func appendUvarintBytes(dst, p []byte) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(p)))
-	dst = append(dst, buf[:n]...)
-	return append(dst, p...)
+// splitField parses the field at the head of p: its kind, its numeric
+// payload as bits (INT and BOOL as the two's-complement int64, FLOAT as
+// IEEE-754 bits), and the extent of the field — a TEXT or BYTES payload
+// is p[off:n], and n is the bytes the field occupies. n == 0 means p
+// does not start with a whole field; errField says why. Every reader of
+// the wire form goes through it, except VisitTuple's loop, which repeats
+// the switch inline because a call per field is a third of a scan's
+// decode time.
+func splitField(p []byte) (k Kind, bits uint64, off, n int) {
+	if len(p) == 0 {
+		return 0, 0, 0, 0
+	}
+	switch tag := p[0]; tag {
+	case byte(KindNull):
+		return KindNull, 0, 1, 1
+	case wireIntVar, wireBoolVar:
+		k = KindInt
+		if tag == wireBoolVar {
+			k = KindBool
+		}
+		if len(p) > 1 && p[1] < 0x80 { // one byte: no need for the decoder's loop
+			u := uint64(p[1])
+			return k, u>>1 ^ -(u & 1), 2, 2
+		}
+		i, sz := binary.Varint(p[1:])
+		if sz <= 0 {
+			return 0, 0, 0, 0
+		}
+		return k, uint64(i), 1 + sz, 1 + sz
+	case byte(KindInt), byte(KindBool), byte(KindFloat):
+		if len(p) < 9 {
+			return 0, 0, 0, 0
+		}
+		return Kind(tag), binary.BigEndian.Uint64(p[1:9]), 9, 9
+	case byte(KindText), byte(KindBytes):
+		m, sz := binary.Uvarint(p[1:])
+		if sz <= 0 || uint64(len(p)-1-sz) < m {
+			return 0, 0, 0, 0
+		}
+		return Kind(tag), 0, 1 + sz, 1 + sz + int(m)
+	}
+	return 0, 0, 0, 0
+}
+
+// errField describes why splitField refused p.
+func errField(p []byte) error {
+	switch {
+	case len(p) == 0:
+		return errors.New("truncated input")
+	case p[0] > wireBoolVar:
+		return fmt.Errorf("unknown wire tag %d", p[0])
+	}
+	return errors.New("short or corrupt field")
 }
 
 // Decode reads one encoded value from p, returning the value and the
 // number of bytes consumed.
 func Decode(p []byte) (Value, int, error) {
-	if len(p) == 0 {
-		return Null, 0, fmt.Errorf("value: decode: empty input")
+	k, bits, off, n := splitField(p)
+	if n == 0 {
+		return Null, 0, fmt.Errorf("value: decode: %w", errField(p))
 	}
-	k := Kind(p[0])
-	rest := p[1:]
 	switch k {
-	case KindNull:
-		return Null, 1, nil
 	case KindInt, KindBool:
-		if len(rest) < 8 {
-			return Null, 0, fmt.Errorf("value: decode %s: short input", k)
-		}
-		i := int64(binary.BigEndian.Uint64(rest[:8]))
-		return Value{kind: k, i: i}, 9, nil
+		return Value{kind: k, i: int64(bits)}, n, nil
 	case KindFloat:
-		if len(rest) < 8 {
-			return Null, 0, fmt.Errorf("value: decode FLOAT: short input")
-		}
-		f := math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))
-		return NewFloat(f), 9, nil
-	case KindText, KindBytes:
-		n, sz := binary.Uvarint(rest)
-		if sz <= 0 || uint64(len(rest)-sz) < n {
-			return Null, 0, fmt.Errorf("value: decode %s: corrupt length", k)
-		}
-		payload := rest[sz : sz+int(n)]
-		consumed := 1 + sz + int(n)
-		if k == KindText {
-			return NewText(string(payload)), consumed, nil
-		}
-		b := make([]byte, len(payload))
-		copy(b, payload)
-		return NewBytes(b), consumed, nil
-	default:
-		return Null, 0, fmt.Errorf("value: decode: unknown kind %d", p[0])
+		return NewFloat(math.Float64frombits(bits)), n, nil
+	case KindText:
+		return NewText(string(p[off:n])), n, nil
+	case KindBytes:
+		return NewBytes(append([]byte(nil), p[off:n]...)), n, nil
 	}
+	return Null, n, nil
 }
 
 // Key-encoding tags, shared by EncodeKey and AppendFieldKey.
@@ -350,17 +388,7 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	case KindNull:
 		return append(dst, tagNull)
 	case KindInt, KindFloat:
-		dst = append(dst, tagNumeric)
-		bits := math.Float64bits(v.Float())
-		// Flip so that the byte order matches numeric order.
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits |= 1 << 63
-		}
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], bits)
-		return append(dst, buf[:]...)
+		return appendNumericKey(dst, math.Float64bits(v.Float()))
 	case KindText:
 		dst = append(dst, tagText)
 		return appendEscaped(dst, []byte(v.s))
@@ -378,28 +406,23 @@ func (v Value) EncodeKey(dst []byte) []byte {
 // string allocation for TEXT fields). Index rebuilds use it to key every
 // record of a heap scan with near-zero garbage.
 func AppendFieldKey(dst, rec []byte, col int) ([]byte, error) {
-	f, err := fieldAt(rec, col)
+	k, bits, payload, err := fieldAt(rec, col)
 	if err != nil {
 		return dst, err
 	}
-	switch Kind(f[0]) {
-	case KindNull:
-		return append(dst, tagNull), nil
+	switch k {
 	case KindInt:
-		i := int64(binary.BigEndian.Uint64(f[1:9]))
-		return appendNumericKey(dst, math.Float64bits(float64(i))), nil
+		return appendNumericKey(dst, math.Float64bits(float64(int64(bits)))), nil
 	case KindFloat:
-		return appendNumericKey(dst, binary.BigEndian.Uint64(f[1:9])), nil
+		return appendNumericKey(dst, bits), nil
 	case KindBool:
-		return append(dst, tagBool, f[8]), nil
+		return append(dst, tagBool, byte(bits)), nil
 	case KindText:
-		_, sz := binary.Uvarint(f[1:])
-		return appendEscaped(append(dst, tagText), f[1+sz:]), nil
+		return appendEscaped(append(dst, tagText), payload), nil
 	case KindBytes:
-		_, sz := binary.Uvarint(f[1:])
-		return appendEscaped(append(dst, tagBytes), f[1+sz:]), nil
+		return appendEscaped(append(dst, tagBytes), payload), nil
 	}
-	return dst, fmt.Errorf("value: field key: unknown kind %d", f[0])
+	return append(dst, tagNull), nil
 }
 
 // appendNumericKey appends the order-preserving form of float64 bits.
@@ -409,48 +432,29 @@ func appendNumericKey(dst []byte, bits uint64) []byte {
 	} else {
 		bits |= 1 << 63
 	}
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], bits)
-	return append(append(dst, tagNumeric), buf[:]...)
+	return binary.BigEndian.AppendUint64(append(dst, tagNumeric), bits)
 }
 
-// fieldAt returns the wire bytes of field col (kind byte included)
-// inside an encoded tuple, without decoding the other fields.
-func fieldAt(rec []byte, col int) ([]byte, error) {
+// fieldAt parses field col of an encoded tuple (see splitField for the
+// results) without decoding the fields around it.
+func fieldAt(rec []byte, col int) (k Kind, bits uint64, payload []byte, err error) {
 	n, sz := binary.Uvarint(rec)
 	if sz <= 0 {
-		return nil, fmt.Errorf("value: field at: corrupt count")
+		return 0, 0, nil, fmt.Errorf("value: field at: corrupt count")
 	}
 	if uint64(col) >= n {
-		return nil, fmt.Errorf("value: field at: column %d of %d", col, n)
+		return 0, 0, nil, fmt.Errorf("value: field at: column %d of %d", col, n)
 	}
 	p := rec[sz:]
 	for i := 0; ; i++ {
-		if len(p) == 0 {
-			return nil, fmt.Errorf("value: field at: truncated tuple")
-		}
-		var consumed int
-		switch Kind(p[0]) {
-		case KindNull:
-			consumed = 1
-		case KindInt, KindBool, KindFloat:
-			consumed = 9
-		case KindText, KindBytes:
-			m, msz := binary.Uvarint(p[1:])
-			if msz <= 0 || uint64(len(p)-1-msz) < m {
-				return nil, fmt.Errorf("value: field at: corrupt length")
-			}
-			consumed = 1 + msz + int(m)
-		default:
-			return nil, fmt.Errorf("value: field at: unknown kind %d", p[0])
-		}
-		if len(p) < consumed {
-			return nil, fmt.Errorf("value: field at: truncated field")
+		k, bits, off, used := splitField(p)
+		if used == 0 {
+			return 0, 0, nil, fmt.Errorf("value: field at: %w", errField(p))
 		}
 		if i == col {
-			return p[:consumed], nil
+			return k, bits, p[off:used], nil
 		}
-		p = p[consumed:]
+		p = p[used:]
 	}
 }
 
@@ -489,6 +493,9 @@ func DecodeTuple(p []byte) (Tuple, error) {
 		return nil, fmt.Errorf("value: decode tuple: corrupt count")
 	}
 	p = p[sz:]
+	if n > uint64(len(p)) { // every field takes a byte at least
+		return nil, fmt.Errorf("value: decode tuple: %d fields in %d bytes", n, len(p))
+	}
 	t := make(Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
 		v, used, err := Decode(p)
@@ -502,10 +509,10 @@ func DecodeTuple(p []byte) (Tuple, error) {
 }
 
 // VisitTuple walks an encoded tuple field by field without materialising
-// Values, calling visit once per field with the raw wire payload: INT and
-// BOOL pass their 8-byte big-endian payload as bits, FLOAT passes its
-// IEEE-754 bits, TEXT and BYTES pass the payload slice (aliasing rec, so
-// the callee must copy anything it keeps), NULL passes neither. The
+// Values, calling visit once per field with the raw payload: INT and BOOL
+// pass their value as bits (whichever wire form held it), FLOAT passes
+// its IEEE-754 bits, TEXT and BYTES pass the payload slice (aliasing rec,
+// so the callee must copy anything it keeps), NULL passes neither. The
 // columnar chunk decoder uses it to fill column vectors straight from
 // heap records with zero per-field allocation.
 func VisitTuple(rec []byte, visit func(col int, k Kind, bits uint64, payload []byte) error) error {
@@ -514,37 +521,62 @@ func VisitTuple(rec []byte, visit func(col int, k Kind, bits uint64, payload []b
 		return fmt.Errorf("value: visit tuple: corrupt count")
 	}
 	p := rec[sz:]
-	for i := uint64(0); i < n; i++ {
+	for i := 0; uint64(i) < n; i++ {
+		// splitField, inline.
+		var (
+			k       Kind
+			bits    uint64
+			payload []byte
+			used    int
+		)
 		if len(p) == 0 {
-			return fmt.Errorf("value: visit tuple: truncated tuple")
+			return fmt.Errorf("value: visit tuple: %w", errField(p))
 		}
-		k := Kind(p[0])
-		var bits uint64
-		var payload []byte
-		var consumed int
-		switch k {
-		case KindNull:
-			consumed = 1
-		case KindInt, KindBool, KindFloat:
-			if len(p) < 9 {
-				return fmt.Errorf("value: visit tuple: short %s field", k)
+		switch tag := p[0]; tag {
+		case byte(KindNull):
+			used = 1
+		case wireIntVar, wireBoolVar:
+			k = KindInt
+			if tag == wireBoolVar {
+				k = KindBool
 			}
-			bits = binary.BigEndian.Uint64(p[1:9])
-			consumed = 9
-		case KindText, KindBytes:
+			// Ids, positions and depths — most of what the generic schema
+			// stores — fit one or two varint bytes; those skip the general
+			// decoder's loop.
+			if len(p) > 1 && p[1] < 0x80 {
+				u := uint64(p[1])
+				bits, used = u>>1^-(u&1), 2
+				break
+			}
+			if len(p) > 2 && p[2] < 0x80 {
+				u := uint64(p[1]&0x7f) | uint64(p[2])<<7
+				bits, used = u>>1^-(u&1), 3
+				break
+			}
+			v, vsz := binary.Varint(p[1:])
+			if vsz <= 0 {
+				return fmt.Errorf("value: visit tuple: %w", errField(p))
+			}
+			bits, used = uint64(v), 1+vsz
+		case byte(KindInt), byte(KindBool), byte(KindFloat):
+			if len(p) < 9 {
+				return fmt.Errorf("value: visit tuple: %w", errField(p))
+			}
+			k, bits, used = Kind(tag), binary.BigEndian.Uint64(p[1:9]), 9
+		case byte(KindText), byte(KindBytes):
 			m, msz := binary.Uvarint(p[1:])
 			if msz <= 0 || uint64(len(p)-1-msz) < m {
-				return fmt.Errorf("value: visit tuple: corrupt length")
+				return fmt.Errorf("value: visit tuple: %w", errField(p))
 			}
-			payload = p[1+msz : 1+msz+int(m)]
-			consumed = 1 + msz + int(m)
+			used = 1 + msz + int(m)
+			k, payload = Kind(tag), p[1+msz:used]
 		default:
-			return fmt.Errorf("value: visit tuple: unknown kind %d", p[0])
+			return fmt.Errorf("value: visit tuple: %w", errField(p))
 		}
-		if err := visit(int(i), k, bits, payload); err != nil {
+		if err := visit(i, k, bits, payload); err != nil {
 			return err
 		}
-		p = p[consumed:]
+		p = p[used:]
 	}
 	return nil
 }

@@ -161,11 +161,17 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	bad := [][]byte{
 		{},
-		{byte(KindInt), 1, 2},       // short int
+		{byte(KindInt), 1, 2},       // short fixed-width int (legacy form)
+		{byte(KindBool), 1},         // short fixed-width bool (legacy form)
 		{byte(KindFloat), 1},        // short float
 		{byte(KindText), 0xFF},      // corrupt varint / length
 		{byte(KindText), 0x05, 'a'}, // length overruns
 		{0x77},                      // unknown kind
+		{wireIntVar},                // varint int with no payload
+		{wireIntVar, 0x80},          // varint int cut inside the varint
+		{wireIntVar, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // varint overflows 64 bits
+		{wireBoolVar},       // varint bool with no payload
+		{wireBoolVar, 0x80}, // varint bool cut inside the varint
 	}
 	for i, p := range bad {
 		if _, _, err := Decode(p); err == nil {
