@@ -9,6 +9,7 @@
 package sql
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -103,6 +104,9 @@ type tableStats struct {
 }
 
 // collectStats scans a table's heap once and summarises every column.
+// Fields are read straight off the wire form; a Value is built only when
+// it becomes a column's new bound or a new frequency entry, which after
+// the first rows of a table is rare.
 func collectStats(t *TableInfo) (*tableStats, error) {
 	st := &tableStats{Cols: make([]colStats, len(t.Columns))}
 	sketches := make([]kmvSketch, len(t.Columns))
@@ -110,47 +114,56 @@ func collectStats(t *TableInfo) (*tableStats, error) {
 	for i := range freqs {
 		freqs[i] = make(map[string]freqEntry)
 	}
+	// bounds[i] holds the keys of Cols[i].Min and Max: a key between the
+	// two belongs to a value value.Compare puts between them, which moves
+	// neither.
+	bounds := make([][2][]byte, len(t.Columns))
 	var key []byte
 	h := fnv.New64a()
-	var serr error
-	err := t.Heap.Scan(func(_ heap.RID, rec []byte) bool {
-		tup, derr := value.DecodeTuple(rec)
-		if derr != nil {
-			serr = derr
-			return false
+	field := func(i int, k value.Kind, bits uint64, payload []byte) error {
+		if i >= len(st.Cols) {
+			return nil
 		}
-		st.Rows++
-		for i, v := range tup {
-			if i >= len(st.Cols) {
-				break
-			}
-			c := &st.Cols[i]
-			if v.IsNull() {
-				c.Nulls++
-				continue
-			}
-			key = v.EncodeKey(key[:0])
-			h.Reset()
-			h.Write(key)
-			sketches[i].add(h.Sum64())
+		c := &st.Cols[i]
+		if k == value.KindNull {
+			c.Nulls++
+			return nil
+		}
+		key = value.AppendWireKey(key[:0], k, bits, payload)
+		h.Reset()
+		h.Write(key)
+		sketches[i].add(h.Sum64())
+		b := &bounds[i]
+		lo, hi := bytes.Compare(key, b[0]), bytes.Compare(key, b[1])
+		// Numeric keys go through float64, so two integers past 2^53 can
+		// share a key and still differ: only a key strictly inside is safe.
+		rounds := k == value.KindInt || k == value.KindFloat
+		if c.Min.IsNull() || lo < 0 || hi > 0 || rounds && (lo == 0 || hi == 0) {
+			v := value.WireValue(k, bits, payload)
 			if c.Min.IsNull() || value.Compare(v, c.Min) < 0 {
-				c.Min = v
+				c.Min, b[0] = v, append(b[0][:0], key...)
 			}
 			if c.Max.IsNull() || value.Compare(v, c.Max) > 0 {
-				c.Max = v
-			}
-			if freqs[i] != nil {
-				if e, ok := freqs[i][string(key)]; ok {
-					e.N++
-					freqs[i][string(key)] = e
-				} else if len(key) > statsFreqKeyMax || len(freqs[i]) >= statsFreqCap {
-					freqs[i] = nil
-				} else {
-					freqs[i][string(key)] = freqEntry{Val: v, N: 1}
-				}
+				c.Max, b[1] = v, append(b[1][:0], key...)
 			}
 		}
-		return true
+		if freqs[i] != nil {
+			if e, ok := freqs[i][string(key)]; ok {
+				e.N++
+				freqs[i][string(key)] = e
+			} else if len(key) > statsFreqKeyMax || len(freqs[i]) >= statsFreqCap {
+				freqs[i] = nil
+			} else {
+				freqs[i][string(key)] = freqEntry{Val: value.WireValue(k, bits, payload), N: 1}
+			}
+		}
+		return nil
+	}
+	var serr error
+	err := t.Heap.Scan(func(_ heap.RID, rec []byte) bool {
+		st.Rows++
+		serr = value.VisitTuple(rec, field)
+		return serr == nil
 	})
 	if err != nil {
 		return nil, err

@@ -247,3 +247,74 @@ func TestDropTableRemovesStats(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCollectStatsBounds feeds collectStats the values on which comparing
+// index keys instead of values could go wrong (integers past 2^53 share a
+// float64 key, -0 and +0 do not, NaN compares equal to everything, a NUL
+// byte is escaped in a key) and checks Min and Max against value.Compare
+// applied to every decoded row in heap order.
+func TestCollectStatsBounds(t *testing.T) {
+	db, err := Open(filepath.Join(t.TempDir(), "bounds.db"), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE edge (i INT, f FLOAT, s TEXT, m INT)`); err != nil {
+		t.Fatal(err)
+	}
+	const big = int64(1) << 53
+	negZero := math.Copysign(0, -1)
+	// 2^53 and 2^53+1 share a key, as do 2^53+4 and 2^53+5; in each pair
+	// the value that arrives second is the column's final bound.
+	rows := []value.Tuple{
+		{value.NewInt(big + 1), value.NewFloat(0), value.NewText("a\x00"), value.NewInt(5)},
+		{value.NewInt(big + 4), value.NewFloat(negZero), value.NewText("a"), value.NewInt(5)},
+		{value.NewInt(big), value.NewFloat(math.NaN()), value.NewText("a\x00\x00"), value.Null},
+		{value.NewInt(big + 5), value.NewFloat(-1), value.NewText("a\x01"), value.NewInt(7)},
+		{value.NewInt(big + 2), value.NewFloat(1), value.NewText(""), value.NewInt(-big - 1)},
+		{value.NewInt(big + 1), value.NewFloat(negZero), value.NewText("a\x00"), value.NewInt(-big)},
+		{value.NewInt(big + 2), value.NewFloat(0), value.NewText("b"), value.NewInt(4)},
+	}
+	mustBatch(t, db, "edge", rows)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	tbl := db.cat.tables["edge"]
+	st, err := collectStats(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]colStats, len(tbl.Columns))
+	err = tbl.Heap.Scan(func(_ heap.RID, rec []byte) bool {
+		tup, derr := value.DecodeTuple(rec)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		for i, v := range tup {
+			c := &want[i]
+			if v.IsNull() {
+				continue
+			}
+			if c.Min.IsNull() || value.Compare(v, c.Min) < 0 {
+				c.Min = v
+			}
+			if c.Max.IsNull() || value.Compare(v, c.Max) > 0 {
+				c.Max = v
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b value.Value) bool { // identical, not merely equal: -0 is not +0 here
+		return a.Kind() == b.Kind() && string(a.Encode(nil)) == string(b.Encode(nil))
+	}
+	for i, c := range st.Cols {
+		if !same(c.Min, want[i].Min) || !same(c.Max, want[i].Max) {
+			t.Errorf("column %s: min/max %v/%v, want %v/%v", tbl.Columns[i].Name, c.Min, c.Max, want[i].Min, want[i].Max)
+		}
+	}
+	if st.Rows != int64(len(rows)) || st.Cols[3].Nulls != 1 {
+		t.Errorf("rows=%d nulls(m)=%d, want %d and 1", st.Rows, st.Cols[3].Nulls, len(rows))
+	}
+}

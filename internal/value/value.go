@@ -357,17 +357,23 @@ func Decode(p []byte) (Value, int, error) {
 	if n == 0 {
 		return Null, 0, fmt.Errorf("value: decode: %w", errField(p))
 	}
+	return WireValue(k, bits, p[off:n]), n, nil
+}
+
+// WireValue materialises one field as VisitTuple hands it over (kind,
+// bits, payload); TEXT and BYTES payloads are copied.
+func WireValue(k Kind, bits uint64, payload []byte) Value {
 	switch k {
 	case KindInt, KindBool:
-		return Value{kind: k, i: int64(bits)}, n, nil
+		return Value{kind: k, i: int64(bits)}
 	case KindFloat:
-		return NewFloat(math.Float64frombits(bits)), n, nil
+		return NewFloat(math.Float64frombits(bits))
 	case KindText:
-		return NewText(string(p[off:n])), n, nil
+		return NewText(string(payload))
 	case KindBytes:
-		return NewBytes(append([]byte(nil), p[off:n]...)), n, nil
+		return NewBytes(append([]byte(nil), payload...))
 	}
-	return Null, n, nil
+	return Null
 }
 
 // Key-encoding tags, shared by EncodeKey and AppendFieldKey.
@@ -410,19 +416,25 @@ func AppendFieldKey(dst, rec []byte, col int) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
+	return AppendWireKey(dst, k, bits, payload), nil
+}
+
+// AppendWireKey appends the EncodeKey form of one field as VisitTuple
+// hands it over (kind, bits, payload).
+func AppendWireKey(dst []byte, k Kind, bits uint64, payload []byte) []byte {
 	switch k {
 	case KindInt:
-		return appendNumericKey(dst, math.Float64bits(float64(int64(bits)))), nil
+		return appendNumericKey(dst, math.Float64bits(float64(int64(bits))))
 	case KindFloat:
-		return appendNumericKey(dst, bits), nil
+		return appendNumericKey(dst, bits)
 	case KindBool:
-		return append(dst, tagBool, byte(bits)), nil
+		return append(dst, tagBool, byte(bits))
 	case KindText:
-		return appendEscaped(append(dst, tagText), payload), nil
+		return appendEscaped(append(dst, tagText), payload)
 	case KindBytes:
-		return appendEscaped(append(dst, tagBytes), payload), nil
+		return appendEscaped(append(dst, tagBytes), payload)
 	}
-	return append(dst, tagNull), nil
+	return append(dst, tagNull)
 }
 
 // appendNumericKey appends the order-preserving form of float64 bits.

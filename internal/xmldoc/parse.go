@@ -332,17 +332,19 @@ func unescape(s string) (string, error) {
 	return sb.String(), nil
 }
 
+// A Replacer builds its lookup table on first use, which costs more than
+// escaping a short string: both are built once (Replace is safe for
+// concurrent use), not per call.
+var (
+	textEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
+	attrEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+)
+
 // Escape escapes character data for element content.
-func Escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func Escape(s string) string { return textEscaper.Replace(s) }
 
 // EscapeAttr escapes an attribute value (double-quoted).
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func EscapeAttr(s string) string { return attrEscaper.Replace(s) }
 
 // SerializeOptions tune serialisation.
 type SerializeOptions struct {

@@ -3,6 +3,7 @@ package xmldoc
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +164,30 @@ func TestEscaping(t *testing.T) {
 	if doc2.Root.Text() != `5 < 6 && "quoted"` {
 		t.Errorf("text after round trip = %q", doc2.Root.Text())
 	}
+}
+
+// TestEscapeConcurrent serialises from several goroutines at once: the
+// escapers are shared by every caller in the process.
+func TestEscapeConcurrent(t *testing.T) {
+	root := NewElement("r")
+	root.SetAttr("a", `<>&"'`)
+	root.AddText(`5 < 6 && "quoted"`)
+	doc := &Document{Root: root}
+	want := doc.Serialize(SerializeOptions{NoDecl: true})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := doc.Serialize(SerializeOptions{NoDecl: true}); got != want {
+					t.Errorf("serialised %q, want %q", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // randomTree builds a random document for property tests.
