@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: all build vet test test-plans test-tx race bench bench-json bench-compare bench-guard bench-server serve loadtest profile check fuzz crash
 
-# Seconds of fuzzing per parser target.
+# Seconds of fuzzing per target.
 FUZZTIME ?= 30s
 
 all: check
@@ -138,12 +138,13 @@ bench-server:
 
 check: vet build test race
 
-# Fuzz each parser target and the tuple wire format for $(FUZZTIME);
-# crashers persist under the package's testdata/fuzz/ directory and
-# become regression seeds.
+# Fuzz each parser target, the tuple wire format and the join-strategy
+# differential for $(FUZZTIME); crashers persist under the package's
+# testdata/fuzz/ directory and become regression seeds.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xq/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql/
+	$(GO) test -run xxx -fuzz FuzzJoinStrategies -fuzztime $(FUZZTIME) ./internal/sql/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dtd/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmldoc/
 	$(GO) test -run xxx -fuzz FuzzTupleWire -fuzztime $(FUZZTIME) ./internal/value/

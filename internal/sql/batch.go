@@ -31,8 +31,9 @@ func (t *tracedChunkIter) NextChunk() (*chunk, error) {
 	return c, err
 }
 
-// tracedBatchIf mirrors tracedIf for batch operators: with tracing off
-// (op nil) the iterator passes through untouched.
+// tracedBatchIf wraps it with an actuals recorder when the plan line
+// carries an operator handle; with tracing off (op nil) the iterator
+// passes through untouched, so the normal query path pays nothing.
 func tracedBatchIf(op *obs.OpStats, it batchIter) batchIter {
 	if op == nil {
 		return it
@@ -40,31 +41,16 @@ func tracedBatchIf(op *obs.OpStats, it batchIter) batchIter {
 	return &tracedChunkIter{in: it, op: op}
 }
 
-// toBatch converts a bare access-path iterator to its native batched
-// form: sequential scans decode heap pages straight into chunk columns,
-// index RID lists fetch and decode in batches. Anything else adapts
-// row-by-row.
-func toBatch(es *execState, it rowIter) batchIter {
-	switch s := it.(type) {
-	case *seqScanIter:
-		return &chunkScanIter{es: es, t: s.t, schema: s.schema, batch: s.batch}
-	case *ridListIter:
-		return &chunkRIDIter{es: es, t: s.t, schema: s.schema, rids: s.rids, batch: s.batch}
-	default:
-		return newChunksFromRows(es, it, defaultChunkCap)
-	}
-}
-
 // chunkScanIter is the batched sequential scan: every NextChunk decodes
 // whole heap pages straight into the reused chunk's column vectors until
 // the batch target is reached (page granularity, so a dense page may
 // overshoot the target slightly). Per-row work is two appends per
-// column — no Tuple and no per-TEXT-field string allocation.
+// column — no Tuple and no per-TEXT-field string allocation. Page pins
+// are held only inside ScanPage, so memory stays O(batch) and a cancel
+// fires between rows of a long scan.
 type chunkScanIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	batch  int
+	es *execState
+	a  *access
 
 	started bool
 	cur     disk.PageID
@@ -72,7 +58,7 @@ type chunkScanIter struct {
 	eof     bool
 }
 
-func (s *chunkScanIter) Schema() *Schema { return s.schema }
+func (s *chunkScanIter) Schema() *Schema { return s.a.schema }
 
 func (s *chunkScanIter) NextChunk() (*chunk, error) {
 	if s.eof {
@@ -80,8 +66,8 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 	}
 	if !s.started {
 		s.started = true
-		s.cur = s.t.Heap.FirstPage()
-		s.out = newChunk(s.schema, s.batch)
+		s.cur = s.a.t.Heap.FirstPage()
+		s.out = newChunk(s.a.schema, s.a.batch)
 	}
 	s.out.Reset()
 	for !s.out.Full() {
@@ -91,7 +77,7 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 		}
 		var serr error
 		records := 0
-		next, _, err := s.t.Heap.ScanPage(s.cur, func(_ heap.RID, rec []byte) bool {
+		next, _, err := s.a.t.Heap.ScanPage(s.cur, func(_ heap.RID, rec []byte) bool {
 			if cerr := s.es.poll(); cerr != nil {
 				serr = cerr
 				return false
@@ -118,33 +104,38 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 	return s.out, nil
 }
 
-// chunkRIDIter is the batched form of an index scan's RID-list fetch.
+// chunkRIDIter is the batched index scan. Its first NextChunk collects
+// the index path's RIDs, so the collection is timed as part of the scan
+// and a plan that is only explained reads no index; every call then
+// fetches and decodes up to a batch of the rows behind them.
 type chunkRIDIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	rids   []heap.RID
-	batch  int
+	es *execState
+	a  *access
 
-	pos int
-	out *chunk
+	rids []heap.RID
+	pos  int
+	out  *chunk
 }
 
-func (r *chunkRIDIter) Schema() *Schema { return r.schema }
+func (r *chunkRIDIter) Schema() *Schema { return r.a.schema }
 
 func (r *chunkRIDIter) NextChunk() (*chunk, error) {
+	if r.out == nil {
+		rids, err := r.a.rids(r.es)
+		if err != nil {
+			return nil, err
+		}
+		r.rids, r.out = rids, newChunk(r.a.schema, r.a.batch)
+	}
 	if r.pos >= len(r.rids) {
 		return nil, nil
-	}
-	if r.out == nil {
-		r.out = newChunk(r.schema, r.batch)
 	}
 	r.out.Reset()
 	for !r.out.Full() && r.pos < len(r.rids) {
 		if err := r.es.poll(); err != nil {
 			return nil, err
 		}
-		rec, err := r.t.Heap.Get(r.rids[r.pos])
+		rec, err := r.a.t.Heap.Get(r.rids[r.pos])
 		if err != nil {
 			return nil, err
 		}

@@ -200,19 +200,6 @@ func (c *chunk) AppendRecord(rec []byte) error {
 	return nil
 }
 
-// AppendTuple appends one materialised row (the rows→chunks adapter and
-// join outputs use it for right-side tuples).
-func (c *chunk) AppendTuple(t value.Tuple) {
-	for i := range c.cols {
-		if i < len(t) {
-			c.appendValue(i, t[i])
-		} else {
-			c.cols[i].appendNull()
-		}
-	}
-	c.n++
-}
-
 // appendValue appends one value to column col without advancing the row
 // count; callers append exactly one value per column, then bump n.
 func (c *chunk) appendValue(col int, v value.Value) {
@@ -307,74 +294,4 @@ func (c *chunk) TupleAt(row int) value.Tuple {
 	t := make(value.Tuple, len(c.cols))
 	c.ReadRow(row, t)
 	return t
-}
-
-// rowsFromChunks adapts a batch stream to the row interface for the
-// operators that stay row-at-a-time (index nested-loop and cross joins,
-// DML helpers). Each row materialises via TupleAt, so downstream
-// retention is safe.
-type rowsFromChunks struct {
-	in  batchIter
-	cur *chunk
-	pos int
-}
-
-func (r *rowsFromChunks) Schema() *Schema { return r.in.Schema() }
-
-func (r *rowsFromChunks) Next() (value.Tuple, bool, error) {
-	for {
-		if r.cur != nil && r.pos < r.cur.Rows() {
-			t := r.cur.TupleAt(r.cur.RowIdx(r.pos))
-			r.pos++
-			return t, true, nil
-		}
-		c, err := r.in.NextChunk()
-		if err != nil {
-			return nil, false, err
-		}
-		if c == nil {
-			return nil, false, nil
-		}
-		r.cur, r.pos = c, 0
-	}
-}
-
-// chunksFromRows adapts a row stream back to batches (row-only join
-// outputs feed the batch pipeline through it).
-type chunksFromRows struct {
-	es  *execState
-	in  rowIter
-	out *chunk
-	eof bool
-}
-
-func newChunksFromRows(es *execState, in rowIter, capHint int) *chunksFromRows {
-	return &chunksFromRows{es: es, in: in, out: newChunk(in.Schema(), capHint)}
-}
-
-func (a *chunksFromRows) Schema() *Schema { return a.in.Schema() }
-
-func (a *chunksFromRows) NextChunk() (*chunk, error) {
-	if a.eof {
-		return nil, nil
-	}
-	a.out.Reset()
-	for !a.out.Full() {
-		if err := a.es.poll(); err != nil {
-			return nil, err
-		}
-		tup, ok, err := a.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			a.eof = true
-			break
-		}
-		a.out.AppendTuple(tup)
-	}
-	if a.out.n == 0 {
-		return nil, nil
-	}
-	return a.out, nil
 }

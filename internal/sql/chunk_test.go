@@ -94,7 +94,9 @@ func TestChunkRecordPadding(t *testing.T) {
 func TestChunkSelectionVector(t *testing.T) {
 	c := newChunk(chunkTestSchema(), 32)
 	for i := 0; i < 20; i++ {
-		c.AppendTuple(chunkTestTuple(i))
+		if err := c.AppendRecord(chunkTestTuple(i).Encode(nil)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	sel := c.sel[:0]
 	for r := 0; r < c.n; r += 2 {
@@ -170,7 +172,10 @@ func TestChunkAppendJoined(t *testing.T) {
 	}}
 	left := newChunk(lsch, 8)
 	for i := 0; i < 4; i++ {
-		left.AppendTuple(value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("L%d", i))})
+		rec := value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("L%d", i))}.Encode(nil)
+		if err := left.AppendRecord(rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := newChunk(osch, 8)
 	out.appendJoined(left, 2, value.Tuple{value.NewInt(42), value.NewText("R")})

@@ -773,7 +773,7 @@ func (db *DB) Exec(src string) (Result, error) {
 func (db *DB) ExecStmt(stmt Statement) (Result, error) {
 	switch s := stmt.(type) {
 	case *Select:
-		rows, err := db.QueryStmt(s)
+		rows, err := db.QueryStmtOptsContext(context.Background(), s, ExecOpts{})
 		if err != nil {
 			return Result{}, err
 		}
@@ -880,24 +880,7 @@ func (db *DB) QueryContext(ctx context.Context, src string) (*Rows, error) {
 	if !ok {
 		return nil, fmt.Errorf("sql: Query requires a SELECT, got %T", stmt)
 	}
-	return db.QueryStmtContext(ctx, sel)
-}
-
-// QueryStmt runs a parsed SELECT.
-func (db *DB) QueryStmt(sel *Select) (*Rows, error) {
-	return db.QueryStmtContext(context.Background(), sel)
-}
-
-// QueryStmtContext runs a parsed SELECT under ctx.
-func (db *DB) QueryStmtContext(ctx context.Context, sel *Select) (*Rows, error) {
 	return db.QueryStmtOptsContext(ctx, sel, ExecOpts{})
-}
-
-// QueryStmtTracedContext runs a parsed SELECT under ctx with a query
-// trace attached: qt accumulates the plan lines and per-operator actual
-// rows/timings as the plan executes (EXPLAIN ANALYZE, slow-query log).
-func (db *DB) QueryStmtTracedContext(ctx context.Context, sel *Select, qt *obs.QueryTrace) (*Rows, error) {
-	return db.QueryStmtOptsContext(ctx, sel, ExecOpts{Trace: qt})
 }
 
 // ExecOpts carries per-query execution overrides.
@@ -1506,41 +1489,65 @@ func (db *DB) removeTuple(txn uint64, t *TableInfo, rid heap.RID, tup value.Tupl
 
 // matchingRows evaluates where against the rows of t (through an index
 // access path when one applies), calling fn with the rid and decoded
-// tuple of each match. fn must not mutate the heap; callers collect rids
-// first when they need to.
+// tuple of each match. It walks the access decision directly — heap
+// pages through ScanPage, or the index path's RIDs through Get — and
+// feeds the same work counters as a SELECT scan. fn must not mutate the
+// heap; callers collect rids first when they need to.
 func (db *DB) matchingRows(t *TableInfo, where Expr, fn func(rid heap.RID, tup value.Tuple) error) error {
 	// A minimal execState (no ctx, no workers) keeps the DML scan serial
 	// and untraced while still feeding the work counters.
-	it, _, err := db.accessPath(&execState{reg: db.reg}, t, t.Name, conjuncts(where))
-	if err != nil {
-		return err
-	}
-	src, ok := it.(ridSource)
-	if !ok {
-		return fmt.Errorf("sql: internal: access path is not rid-aware")
-	}
-	schema := it.Schema()
-	for {
-		tup, more, err := it.Next()
+	es := &execState{reg: db.reg}
+	a := db.accessPath(es, t, t.Name, conjuncts(where))
+	visit := func(rid heap.RID, rec []byte) error {
+		tup, err := value.DecodeTuple(rec)
 		if err != nil {
 			return err
 		}
-		if !more {
-			return nil
-		}
 		if where != nil {
-			v, err := Eval(where, Row{Schema: schema, Values: tup})
+			v, err := Eval(where, Row{Schema: a.schema, Values: tup})
 			if err != nil {
 				return err
 			}
 			if !truthy(v) {
-				continue
+				return nil
 			}
 		}
-		if err := fn(src.CurrentRID(), tup); err != nil {
+		return fn(rid, tup)
+	}
+	if a.ix != nil {
+		rids, err := a.rids(es)
+		if err != nil {
 			return err
 		}
+		for _, rid := range rids {
+			rec, err := t.Heap.Get(rid)
+			if err != nil {
+				return err
+			}
+			if err := visit(rid, rec); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
+	for id := t.Heap.FirstPage(); id != disk.InvalidPage; {
+		records := 0
+		var verr error
+		next, _, err := t.Heap.ScanPage(id, func(rid heap.RID, rec []byte) bool {
+			records++
+			verr = visit(rid, rec)
+			return verr == nil
+		})
+		if err != nil {
+			return err
+		}
+		if verr != nil {
+			return verr
+		}
+		es.scannedPage(records)
+		id = next
+	}
+	return nil
 }
 
 func (db *DB) deleteRows(txn uint64, s *Delete) (Result, error) {

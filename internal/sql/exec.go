@@ -4,20 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"xomatiq/internal/obs"
 	"xomatiq/internal/storage/disk"
 	"xomatiq/internal/storage/heap"
 	"xomatiq/internal/value"
 )
-
-// rowIter is the executor interface: a pull-based stream of tuples with a
-// fixed schema.
-type rowIter interface {
-	Schema() *Schema
-	Next() (value.Tuple, bool, error)
-}
 
 // cancelEvery is how many rows an executor loop processes between
 // context polls: small enough that a cancelled scan over a large table
@@ -26,8 +18,8 @@ const cancelEvery = 256
 
 // execState is shared by every iterator of one query execution, so the
 // poll counter accumulates across the whole plan: many small index
-// probes cancel as promptly as one big scan. A nil state (the DML
-// row-collection path) never cancels and never parallelises.
+// probes cancel as promptly as one big scan. A state without a context
+// (DML row collection) never cancels and never parallelises.
 type execState struct {
 	ctx   context.Context
 	polls int
@@ -81,9 +73,6 @@ func newExecState(ctx context.Context, workers int) *execState {
 // result (or error) is already determined, and an undeletable scratch
 // file must not turn it into a failure.
 func (es *execState) finish() {
-	if es == nil {
-		return
-	}
 	if es.done != nil {
 		close(es.done)
 	}
@@ -97,9 +86,6 @@ func (es *execState) finish() {
 
 // poll returns ctx.Err() on every cancelEvery-th call.
 func (es *execState) poll() error {
-	if es == nil {
-		return nil
-	}
 	es.polls++
 	if es.polls%cancelEvery != 0 || es.ctx == nil {
 		return nil
@@ -110,24 +96,19 @@ func (es *execState) poll() error {
 // tracef appends a plan line to the query trace and returns its operator
 // handle (nil when no trace, or when the trace is plan-only).
 func (es *execState) tracef(format string, args ...any) *obs.OpStats {
-	if es == nil {
-		return nil
-	}
 	return es.qt.Linef(format, args...)
 }
 
 // plainf appends a plan line that never carries actuals (work folded
 // into another operator, e.g. filters inside a parallel scan).
 func (es *execState) plainf(format string, args ...any) {
-	if es != nil {
-		es.qt.Plainf(format, args...)
-	}
+	es.qt.Plainf(format, args...)
 }
 
 // scannedPage feeds one visited heap page (with its decoded record
 // count) to the registry. Safe from scan worker goroutines.
 func (es *execState) scannedPage(records int) {
-	if es == nil || es.reg == nil {
+	if es.reg == nil {
 		return
 	}
 	es.reg.Heap.PagesScanned.Inc()
@@ -136,43 +117,16 @@ func (es *execState) scannedPage(records int) {
 
 // btreeSearch feeds one B-tree prefix/range scan to the registry.
 func (es *execState) btreeSearch() {
-	if es != nil && es.reg != nil {
+	if es.reg != nil {
 		es.reg.Index.BTreeSearches.Inc()
 	}
 }
 
 // hashLookup feeds one hash-index lookup to the registry.
 func (es *execState) hashLookup() {
-	if es != nil && es.reg != nil {
+	if es.reg != nil {
 		es.reg.Index.HashLookups.Inc()
 	}
-}
-
-// tracedIter wraps an operator's input to record rows emitted and
-// inclusive wall time (children included, as EXPLAIN ANALYZE reports it
-// everywhere else). Only ever allocated when a trace collects actuals.
-type tracedIter struct {
-	in rowIter
-	op *obs.OpStats
-}
-
-func (t *tracedIter) Schema() *Schema { return t.in.Schema() }
-
-func (t *tracedIter) Next() (value.Tuple, bool, error) {
-	start := time.Now()
-	tup, ok, err := t.in.Next()
-	t.op.Observe(ok && err == nil, time.Since(start))
-	return tup, ok, err
-}
-
-// tracedIf wraps it with an actuals recorder when the plan line carries
-// an operator handle; with tracing off (op nil) it returns it unchanged,
-// so the normal query path pays nothing.
-func tracedIf(op *obs.OpStats, it rowIter) rowIter {
-	if op == nil {
-		return it
-	}
-	return &tracedIter{in: it, op: op}
 }
 
 // runSelect plans and executes a SELECT under db.mu (read-held). qt, when
@@ -380,31 +334,8 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	}
 
 	first := entries[0]
-	rit, scanOp, err := db.accessPath(es, first.t, first.ref.Binding(), conjs)
-	if err != nil {
-		return nil, err
-	}
-	firstFilters := pushdown[strings.ToLower(first.ref.Binding())]
-	// The actuals wrapper goes on AFTER the parallelize decision:
-	// parallelizeScan type-asserts the bare seqScanIter, and when it wins,
-	// the serial scan operator never runs (its plan line renders without
-	// actuals) while the parallel operator carries its own handle. Both
-	// branches produce the batched pipeline: chunks flow from here on.
-	var it batchIter
-	if pit, pop, ok := parallelizeScan(es, rit, firstFilters); ok {
-		it = tracedBatchIf(pop, pit)
-		for _, c := range firstFilters {
-			// Filters fold into the scan workers, so the lines carry no
-			// separate actuals.
-			es.plainf("  filter %s", ExprString(c))
-		}
-	} else {
-		it = tracedBatchIf(scanOp, toBatch(es, rit))
-		for _, c := range firstFilters {
-			fop := es.tracef("  filter %s", ExprString(c))
-			it = tracedBatchIf(fop, newChunkFilter(it, c))
-		}
-	}
+	it := scanWith(es, db.accessPath(es, first.t, first.ref.Binding(), conjs),
+		pushdown[strings.ToLower(first.ref.Binding())], true)
 	// Residual conjuncts apply as soon as every column they reference is
 	// in scope, so selective cross-binding predicates (join conditions,
 	// structural tests) prune intermediate results early.
@@ -426,11 +357,8 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	leftEst := estScanRows(first.t, first.ref.Binding(), conjs)
 	for i, e := range entries[1:] {
 		jest := estJoinRows(entries, i+1, placed, conjs, leftEst)
-		it, err = db.buildJoin(es, it, e.t, e.ref, conjs,
+		it = db.buildJoin(es, it, e.t, e.ref, conjs,
 			pushdown[strings.ToLower(e.ref.Binding())], jest)
-		if err != nil {
-			return nil, err
-		}
 		it = applyReady(it)
 		placed[lowerBinding(e.ref)] = true
 		leftEst = jest
@@ -653,21 +581,36 @@ func (db *DB) indexesUsable(es *execState) bool {
 	return !db.indexesDeferred
 }
 
+// access is the access path chosen for one table: the table and the
+// schema it is read under, the chunk size the cost model picked, the
+// plan line's operator handle and, for an index path, the index with
+// the equality/IN prefix values and optional trailing range to probe it
+// with. Choosing it reads nothing: the scan operator collects an index
+// path's RIDs when it first runs (DML calls the same collector), so a
+// plain EXPLAIN never touches the index.
+type access struct {
+	t      *TableInfo
+	schema *Schema
+	batch  int
+	op     *obs.OpStats
+	// ix is nil for a sequential heap scan.
+	ix     *IndexInfo
+	prefix [][]value.Value
+	rng    *bound
+}
+
 // accessPath chooses between a sequential scan and an index scan for one
 // table, based on the WHERE conjuncts. The full predicate is re-checked
 // by the surrounding filter, so index selection is purely an access-path
-// optimisation. The returned iterator is NOT wrapped with the actuals
-// recorder — callers apply tracedIf(op, it) themselves, after the
-// parallelize decision, because parallelizeScan must see the bare
-// seqScanIter and DML row collection needs the bare ridSource.
-func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) (rowIter, *obs.OpStats, error) {
-	schema := t.Schema(binding)
+// optimisation.
+func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) *access {
+	a := &access{t: t, schema: t.Schema(binding), batch: defaultChunkCap}
 	if !db.indexesUsable(es) {
 		// Bulk load in progress: the secondary indexes miss the freshly
 		// loaded rows until ResumeIndexes rebuilds them, so only the
 		// heaps are trustworthy.
-		op := es.tracef("scan %s as %s: sequential (index maintenance deferred)", t.Name, binding)
-		return &seqScanIter{es: es, t: t, schema: schema, batch: defaultChunkCap}, op, nil
+		a.op = es.tracef("scan %s as %s: sequential (index maintenance deferred)", t.Name, binding)
+		return a
 	}
 	bounds := map[int]*bound{} // column position -> constraints
 	boundFor := func(pos int) *bound {
@@ -773,35 +716,51 @@ func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Ex
 	if best == nil {
 		// The batch annotation is part of the plan: the cost model picks
 		// the chunk size from the scan's row estimate.
-		batch := batchSizeFor(float64(rows))
-		op := es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)", t.Name, binding, batch, rows)
-		return &seqScanIter{es: es, t: t, schema: schema, batch: batch}, op, nil
+		a.batch = batchSizeFor(float64(rows))
+		a.op = es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)", t.Name, binding, a.batch, rows)
+		return a
 	}
 	how := "prefix lookup"
 	if bestRange != nil {
 		how = "prefix+range scan"
 	}
-	batch := batchSizeFor(estIdx)
-	op := es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
-		t.Name, binding, best.Name, how, len(bestPrefix), batch, estRowsInt(estIdx))
-	// Index scans collect their RID list eagerly at construction; when
-	// actuals are on, that work is attributed to the scan operator.
-	var start time.Time
-	if op != nil {
-		start = time.Now()
+	a.batch = batchSizeFor(estIdx)
+	a.op = es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
+		t.Name, binding, best.Name, how, len(bestPrefix), a.batch, estRowsInt(estIdx))
+	a.ix, a.prefix, a.rng = best, bestPrefix, bestRange
+	return a
+}
+
+// scanWith builds the scan of an access decision with its binding's
+// pushed-down filters: the parallel scan when it wins (the filters fold
+// into its workers, and the serial scan's plan line renders without
+// actuals because that operator never runs), otherwise the serial scan
+// with one chunk filter per conjunct. lines gives each filter a plan
+// line of its own, as the driving table's scan shows them.
+func scanWith(es *execState, a *access, filters []Expr, lines bool) batchIter {
+	if pit, pop, ok := parallelizeScan(es, a, filters); ok {
+		for _, c := range filters {
+			if lines {
+				// The workers apply the filter, so its line carries no
+				// separate actuals.
+				es.plainf("  filter %s", ExprString(c))
+			}
+		}
+		return tracedBatchIf(pop, pit)
 	}
-	var it rowIter
-	var err error
-	if best.UsingHash {
-		it, err = newHashScanIter(es, t, schema, best, bestPrefix)
-	} else {
-		it, err = newBTreeScanIter(es, t, schema, best, bestPrefix, bestRange)
+	var it batchIter = &chunkScanIter{es: es, a: a}
+	if a.ix != nil {
+		it = &chunkRIDIter{es: es, a: a}
 	}
-	if rl, ok := it.(*ridListIter); ok {
-		rl.batch = batch
+	it = tracedBatchIf(a.op, it)
+	for _, c := range filters {
+		var fop *obs.OpStats
+		if lines {
+			fop = es.tracef("  filter %s", ExprString(c))
+		}
+		it = tracedBatchIf(fop, newChunkFilter(it, c))
 	}
-	op.AddSince(start)
-	return it, op, err
+	return it
 }
 
 // prefixCombos enumerates the cartesian product of per-column candidate
@@ -820,133 +779,6 @@ func prefixCombos(prefix [][]value.Value) [][]byte {
 	return out
 }
 
-// ridSource is a single-table iterator that can report the record ID of
-// the row it just returned; DELETE and UPDATE need it.
-type ridSource interface {
-	rowIter
-	CurrentRID() heap.RID
-}
-
-// seqScanIter scans a heap page at a time: each Next serves decoded rows
-// of the current page, and page pins are held only inside ScanPage, so a
-// full-table scan keeps O(page) rows in memory instead of the whole heap
-// and a context cancel fires between pages of a long scan.
-type seqScanIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	// batch is the chunk capacity the cost model chose; toBatch carries
-	// it into the batched form of this scan.
-	batch   int
-	started bool
-	cur     disk.PageID // next page to load
-	rids    []heap.RID  // rows of the page most recently loaded
-	tups    []value.Tuple
-	pos     int
-}
-
-func (s *seqScanIter) Schema() *Schema { return s.schema }
-
-// CurrentRID reports the record id of the last row returned by Next.
-func (s *seqScanIter) CurrentRID() heap.RID { return s.rids[s.pos-1] }
-
-// loadPage decodes the rows of s.cur into the iterator's reused buffers
-// and advances s.cur along the chain.
-func (s *seqScanIter) loadPage() error {
-	s.rids, s.tups, s.pos = s.rids[:0], s.tups[:0], 0
-	var serr error
-	next, _, err := s.t.Heap.ScanPage(s.cur, func(rid heap.RID, rec []byte) bool {
-		if cerr := s.es.poll(); cerr != nil {
-			serr = cerr
-			return false
-		}
-		tup, derr := value.DecodeTuple(rec)
-		if derr != nil {
-			serr = derr
-			return false
-		}
-		s.rids = append(s.rids, rid)
-		s.tups = append(s.tups, tup)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if serr != nil {
-		return serr
-	}
-	s.es.scannedPage(len(s.tups))
-	s.cur = next
-	return nil
-}
-
-func (s *seqScanIter) Next() (value.Tuple, bool, error) {
-	for {
-		if s.pos < len(s.tups) {
-			t := s.tups[s.pos]
-			s.pos++
-			return t, true, nil
-		}
-		if !s.started {
-			s.started = true
-			s.cur = s.t.Heap.FirstPage()
-		}
-		if s.cur == disk.InvalidPage {
-			return nil, false, nil
-		}
-		if err := s.loadPage(); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// ridListIter yields the tuples behind a pre-computed RID list (index
-// scans resolve to this).
-type ridListIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	rids   []heap.RID
-	batch  int // chunk capacity for the batched form (see toBatch)
-	pos    int
-}
-
-func (r *ridListIter) Schema() *Schema { return r.schema }
-
-// CurrentRID reports the record id of the last row returned by Next.
-func (r *ridListIter) CurrentRID() heap.RID { return r.rids[r.pos-1] }
-
-func (r *ridListIter) Next() (value.Tuple, bool, error) {
-	if err := r.es.poll(); err != nil {
-		return nil, false, err
-	}
-	if r.pos >= len(r.rids) {
-		return nil, false, nil
-	}
-	rec, err := r.t.Heap.Get(r.rids[r.pos])
-	if err != nil {
-		return nil, false, err
-	}
-	r.pos++
-	tup, err := value.DecodeTuple(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return tup, true, nil
-}
-
-func newHashScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo, prefix [][]value.Value) (rowIter, error) {
-	var rids []heap.RID
-	for _, key := range prefixCombos(prefix) {
-		es.hashLookup()
-		ix.Hash.Lookup(key, func(p []byte) bool {
-			rids = append(rids, ridFromBytes(p))
-			return true
-		})
-	}
-	return &ridListIter{es: es, t: t, schema: schema, rids: rids}, nil
-}
-
 // bound collects the constraints WHERE places on one column.
 type bound struct {
 	eq       *value.Value
@@ -956,10 +788,21 @@ type bound struct {
 	hiStrict bool
 }
 
-// newBTreeScanIter scans the index for keys matching the equality/IN
-// prefix combinations and optional trailing range, collecting RIDs.
-func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo, prefixVals [][]value.Value, rng *bound) (rowIter, error) {
+// rids collects the RIDs of an index path, in index order: one hash
+// lookup or B-tree scan per equality/IN prefix combination, the B-tree
+// scan bounded by the trailing range when there is one.
+func (a *access) rids(es *execState) ([]heap.RID, error) {
 	var rids []heap.RID
+	if a.ix.UsingHash {
+		for _, key := range prefixCombos(a.prefix) {
+			es.hashLookup()
+			a.ix.Hash.Lookup(key, func(p []byte) bool {
+				rids = append(rids, ridFromBytes(p))
+				return true
+			})
+		}
+		return rids, nil
+	}
 	var cerr error
 	collect := func(key, val []byte) bool {
 		if cerr = es.poll(); cerr != nil {
@@ -968,12 +811,12 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 		rids = append(rids, ridFromBytes(val))
 		return true
 	}
-	for _, prefix := range prefixCombos(prefixVals) {
+	for _, prefix := range prefixCombos(a.prefix) {
 		var err error
 		es.btreeSearch()
-		switch {
+		switch rng := a.rng; {
 		case rng == nil:
-			err = ix.BTree.ScanPrefix(prefix, collect)
+			err = a.ix.BTree.ScanPrefix(prefix, collect)
 		default:
 			// Range on the column after the prefix. Strictness is
 			// re-checked by the filter, so the scan may be slightly loose
@@ -989,7 +832,7 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 				// the bound past any suffix bytes.
 				to = append(to, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 			}
-			err = ix.BTree.ScanRange(from, to, func(key, val []byte) bool {
+			err = a.ix.BTree.ScanRange(from, to, func(key, val []byte) bool {
 				if len(prefix) > 0 && !strings.HasPrefix(string(key), string(prefix)) {
 					return false
 				}
@@ -1003,29 +846,5 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 			return nil, cerr
 		}
 	}
-	return &ridListIter{es: es, t: t, schema: schema, rids: rids}, nil
-}
-
-// filterIter drops rows for which pred is not true.
-type filterIter struct {
-	in   rowIter
-	pred Expr
-}
-
-func (f *filterIter) Schema() *Schema { return f.in.Schema() }
-
-func (f *filterIter) Next() (value.Tuple, bool, error) {
-	for {
-		tup, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := Eval(f.pred, Row{Schema: f.in.Schema(), Values: tup})
-		if err != nil {
-			return nil, false, err
-		}
-		if truthy(v) {
-			return tup, true, nil
-		}
-	}
+	return rids, nil
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -10,33 +11,83 @@ import (
 	"xomatiq/internal/value"
 )
 
-// equiPair is one left-expr = right-column equality usable as a join key.
+// equiPair is one left = right-column equality usable as a join key.
 type equiPair struct {
-	left     Expr // evaluated against the left schema
-	rightCol int  // column position in the right table
+	left     keySrc // a column of the left stream, or a constant
+	rightCol int    // column position in the right table
+}
+
+// keySrc is one component of a join key: column col of a chunk, or the
+// constant lit when col is -1.
+type keySrc struct {
+	col int
+	lit value.Value
+}
+
+func (s keySrc) value(c *chunk, r int) value.Value {
+	if s.col < 0 {
+		return s.lit
+	}
+	return c.Value(s.col, r)
+}
+
+// encodeKey appends the join key of physical row r of c to dst, one
+// component per source, read straight from the column vectors. Both
+// equi-joins key both of their sides here. ok is false when a component
+// is NULL: NULL equals nothing, not even NULL, so such a row enters no
+// build partition and probes no index.
+func encodeKey(dst []byte, srcs []keySrc, c *chunk, r int) (key []byte, ok bool) {
+	for _, s := range srcs {
+		v := s.value(c, r)
+		if v.IsNull() {
+			return dst, false
+		}
+		dst = v.EncodeKey(dst)
+	}
+	return dst, true
+}
+
+// probeSrcs orders the pairs' left sides by the key columns cols (right
+// column positions), so a probe key encodes exactly as the hash build or
+// the index encodes the right row.
+func probeSrcs(pairs []equiPair, cols []int) []keySrc {
+	srcs := make([]keySrc, 0, len(cols))
+	for _, pos := range cols {
+		for _, p := range pairs {
+			if p.rightCol == pos {
+				srcs = append(srcs, p.left)
+				break
+			}
+		}
+	}
+	return srcs
 }
 
 // buildJoin adds one table to the join tree. It prefers, in order: index
-// nested-loop join (right table has an index whose leading column is a
-// join key), partitioned hash join (any equi keys), and nested-loop join
+// nested-loop join (right table has an index whose columns are all join
+// keys), partitioned hash join (any equi keys), and cross join
 // (everything else). The ON residual is applied at the join; WHERE
 // conjuncts are re-checked by the outer filter.
 // est is the cost model's output-cardinality estimate for this join,
 // rendered on the plan line (EXPLAIN ANALYZE pairs it with actuals).
-func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableRef, whereConjs []Expr, rightFilter []Expr, est float64) (batchIter, error) {
+func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableRef, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
 	binding := ref.Binding()
 	rightSchema := rt.Schema(binding)
-	outSchema := left.Schema().Concat(rightSchema)
 
 	// Candidate equality conjuncts: the ON clause plus WHERE conjuncts
 	// linking the right table to the left stream.
-	cands := conjuncts(ref.On)
-	cands = append(cands, whereConjs...)
+	on := conjuncts(ref.On)
 	var pairs []equiPair
 	var residual []Expr
-	for i, c := range cands {
-		fromOn := i < len(conjuncts(ref.On))
+	for i, c := range append(on, whereConjs...) {
+		fromOn := i < len(on)
 		if p, ok := db.asEquiPair(c, left.Schema(), binding, rt); ok {
+			// A key holds one component per right column, so an ON
+			// equality on a column an earlier pair already keys is
+			// checked as a residual.
+			if fromOn && slices.ContainsFunc(pairs, func(q equiPair) bool { return q.rightCol == p.rightCol }) {
+				residual = append(residual, c)
+			}
 			pairs = append(pairs, p)
 			continue
 		}
@@ -49,62 +100,42 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableR
 	// use an index for pushed-down equality/range conjuncts) with the
 	// remaining single-binding filters applied inline. A large sequential
 	// right side parallelises just like a driving scan, so hash-join and
-	// nested-loop builds also scale with QueryWorkers.
+	// cross-join builds also scale with QueryWorkers.
 	// rightSrc runs lazily inside the join's first NextChunk (on the
 	// caller's goroutine), so its scan/parallel-scan trace lines appear
 	// only when the build actually executes — plain EXPLAIN never reaches
 	// it.
-	rightSrc := func() (batchIter, error) {
-		it, sop, err := db.accessPath(es, rt, binding, whereConjs)
-		if err != nil {
-			return nil, err
-		}
-		if pit, pop, ok := parallelizeScan(es, it, rightFilter); ok {
-			return tracedBatchIf(pop, pit), nil
-		}
-		bit := tracedBatchIf(sop, toBatch(es, it))
-		for _, f := range rightFilter {
-			bit = newChunkFilter(bit, f)
-		}
-		return bit, nil
+	rightSrc := func() batchIter {
+		return scanWith(es, db.accessPath(es, rt, binding, whereConjs), rightFilter, false)
 	}
-	if len(pairs) > 0 {
-		if ix := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
-			// Index nested-loop probes one left row at a time; the left
-			// batch stream adapts to rows at the join boundary.
-			op := es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",
-				rt.Name, binding, ix.Name, len(pairs), estRowsInt(est))
-			lrows := &rowsFromChunks{in: left}
-			join := tracedIf(op, newIndexJoinIter(es, lrows, rt, rightSchema, outSchema, ix, pairs, rightFilter))
-			for _, r := range residual {
-				join = &filterIter{in: join, pred: r}
-			}
-			return newChunksFromRows(es, join, defaultChunkCap), nil
-		}
+	var m matcher
+	var op *obs.OpStats
+	if ix := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
+		op = es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",
+			rt.Name, binding, ix.Name, len(pairs), estRowsInt(est))
+		m = newIndexJoin(es, rt, rightSchema, ix, pairs, rightFilter)
+	} else if len(pairs) > 0 {
 		// The partition count is a plan decision: deterministic in the
 		// statistics-backed build-side estimate (and the memory budget,
 		// which raises it so one partition fits the budget).
 		parts := partitionsFor(estScanRows(rt, binding, whereConjs), es.memBudget, len(rightSchema.Cols))
-		op := es.tracef("join %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
+		op = es.tracef("join %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
 			rt.Name, binding, len(pairs), parts, estRowsInt(est))
-		var join batchIter = tracedBatchIf(op, newPartHashJoin(es, left, outSchema, pairs, rightSrc, parts, op))
-		for _, r := range residual {
-			join = newChunkFilter(join, r)
-		}
-		return join, nil
+		m = newPartHashJoin(es, pairs, rightSrc, parts, op)
+	} else {
+		op = es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
+			rt.Name, binding, estRowsInt(est))
+		m = &crossJoin{rightSrc: rightSrc}
 	}
-	op := es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
-		rt.Name, binding, estRowsInt(est))
-	lrows := &rowsFromChunks{in: left}
-	join := tracedIf(op, newNestedLoopIter(es, lrows, outSchema, rightSrc))
+	join := tracedBatchIf(op, &joinIter{es: es, left: left, schema: left.Schema().Concat(rightSchema), m: m})
 	for _, r := range residual {
-		join = &filterIter{in: join, pred: r}
+		join = newChunkFilter(join, r)
 	}
-	return newChunksFromRows(es, join, defaultChunkCap), nil
+	return join
 }
 
-// asEquiPair matches expr as leftExpr = right.col (either orientation)
-// where leftExpr resolves against the left schema and right.col belongs
+// asEquiPair matches expr as left = right.col (either orientation) where
+// left is a column of the left schema or a literal and right.col belongs
 // to the right binding.
 func (db *DB) asEquiPair(e Expr, leftSchema *Schema, binding string, rt *TableInfo) (equiPair, bool) {
 	b, ok := e.(*BinaryExpr)
@@ -123,18 +154,20 @@ func (db *DB) asEquiPair(e Expr, leftSchema *Schema, binding string, rt *TableIn
 				return equiPair{}, false
 			}
 		}
-		lc, ok := l.(*ColumnRef)
-		if ok {
-			if _, err := leftSchema.Find(lc); err != nil {
+		p := equiPair{left: keySrc{col: -1}, rightCol: rt.ColIndex(rc.Column)}
+		switch l := l.(type) {
+		case *ColumnRef:
+			i, err := leftSchema.Find(l)
+			if err != nil {
 				return equiPair{}, false
 			}
-		} else if _, isLit := l.(*Literal); !isLit {
-			// Allow arbitrary left expressions only when they reference
-			// the left schema exclusively; keep it simple: columns and
-			// literals.
+			p.left.col = i
+		case *Literal:
+			p.left.lit = l.Val
+		default:
 			return equiPair{}, false
 		}
-		return equiPair{left: l, rightCol: rt.ColIndex(rc.Column)}, true
+		return p, true
 	}
 	if p, ok := try(b.Left, b.Right); ok {
 		return p, true
@@ -162,7 +195,7 @@ func pickJoinIndex(rt *TableInfo, pairs []equiPair) *IndexInfo {
 			for _, p := range pairs {
 				if p.rightCol == pos {
 					found = true
-					if _, lit := p.left.(*Literal); !lit {
+					if p.left.col >= 0 {
 						leftDependent = true
 					}
 					break
@@ -180,42 +213,99 @@ func pickJoinIndex(rt *TableInfo, pairs []equiPair) *IndexInfo {
 	return nil
 }
 
-// joinKey evaluates the pair left expressions against a left row and
-// encodes them in the order of cols (right column positions).
-func joinKey(pairs []equiPair, cols []int, schema *Schema, tup value.Tuple) ([]byte, error) {
-	var key []byte
-	for _, pos := range cols {
-		for _, p := range pairs {
-			if p.rightCol == pos {
-				v, err := Eval(p.left, Row{Schema: schema, Values: tup})
-				if err != nil {
-					return nil, err
-				}
-				key = v.EncodeKey(key)
-				break
-			}
-		}
-	}
-	return key, nil
-}
-
 // pairCols extracts the distinct right column positions of the pairs, in
 // first-appearance order.
 func pairCols(pairs []equiPair) []int {
 	var cols []int
 	for _, p := range pairs {
-		dup := false
-		for _, c := range cols {
-			if c == p.rightCol {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(cols, p.rightCol) {
 			cols = append(cols, p.rightCol)
 		}
 	}
 	return cols
+}
+
+// matcher is one join strategy: it finds the right rows that match each
+// left row.
+type matcher interface {
+	// build runs once, before the first left chunk is pulled.
+	build() error
+	// match returns the right rows matching logical row k (physical row
+	// r) of left chunk c. The rows of each chunk are matched in order
+	// from k = 0. The slice is valid until the next call.
+	match(c *chunk, k, r int) ([]value.Tuple, error)
+}
+
+// joinIter is the probe loop every join strategy shares: it pulls left
+// chunks, asks its matcher for each row's matches and emits (left row ++
+// right row) into a reused output chunk through appendJoined, so left
+// columns move arena-to-arena. A row with many matches may span output
+// chunks; output order is left stream order, then match order.
+type joinIter struct {
+	es     *execState
+	left   batchIter
+	schema *Schema
+	m      matcher
+
+	out     *chunk
+	cur     *chunk // left chunk being probed
+	curPos  int    // next logical row of cur
+	curRow  int    // physical row whose matches are being emitted
+	matches []value.Tuple
+	mpos    int
+	eof     bool
+}
+
+func (j *joinIter) Schema() *Schema { return j.schema }
+
+func (j *joinIter) NextChunk() (*chunk, error) {
+	if j.eof {
+		return nil, nil
+	}
+	if j.out == nil {
+		if err := j.m.build(); err != nil {
+			return nil, err
+		}
+		j.out = newChunk(j.schema, defaultChunkCap)
+	}
+	j.out.Reset()
+	for {
+		for j.mpos < len(j.matches) {
+			if j.out.Full() {
+				return j.out, nil
+			}
+			if err := j.es.poll(); err != nil {
+				return nil, err
+			}
+			j.out.appendJoined(j.cur, j.curRow, j.matches[j.mpos])
+			j.mpos++
+		}
+		if j.cur == nil || j.curPos >= j.cur.Rows() {
+			c, err := j.left.NextChunk()
+			if err != nil {
+				return nil, err
+			}
+			if c == nil {
+				j.eof = true
+				if j.out.n > 0 {
+					return j.out, nil
+				}
+				return nil, nil
+			}
+			j.cur, j.curPos = c, 0
+			continue
+		}
+		if err := j.es.poll(); err != nil {
+			return nil, err
+		}
+		j.curRow = j.cur.RowIdx(j.curPos)
+		matches, err := j.m.match(j.cur, j.curPos, j.curRow)
+		if err != nil {
+			return nil, err
+		}
+		j.matches, j.mpos = matches, 0
+		j.curPos++
+	}
 }
 
 // fnvHash is FNV-1a, the partition function of the partitioned hash
@@ -247,50 +337,26 @@ type joinPartition struct {
 	w       *spillWriter
 }
 
-// keySrc is the precompiled probe-key source for one join column: a left
-// chunk column (the fast path, read straight from the column vector), a
-// constant literal, or a general expression evaluated over the scratch
-// row.
-type keySrc struct {
-	colIdx int // left column position; -1 when lit/expr applies
-	lit    value.Value
-	expr   Expr
-}
-
-// partHashJoinIter is the batched partitioned hash join. The build side
+// partHashJoin is the partitioned hash join. The build side
 // hash-partitions the right source by join key into parts partitions
 // (rows stay in right-source order inside each partition, so per-key
-// match lists — and therefore results — are byte-identical to the
-// row-at-a-time join); the per-partition hash tables then build
-// concurrently under the query's worker budget. The probe side consumes
-// left chunks, computes each row's key against the column vectors
-// directly, and emits joined rows into a reused output chunk.
-type partHashJoinIter struct {
-	es        *execState
-	left      batchIter
-	outSchema *Schema
-	pairs     []equiPair
-	cols      []int
-	srcs      []keySrc
-	rightSrc  func() (batchIter, error)
-	parts     int
-	op        *obs.OpStats // the join's trace line (spill annotation)
+// match lists — and therefore results — do not depend on the partition
+// count); the per-partition hash tables then build concurrently under
+// the query's worker budget. Probes key each left row straight from the
+// chunk's column vectors into one reused buffer.
+type partHashJoin struct {
+	es       *execState
+	cols     []int    // key columns (right positions), in key order
+	probe    []keySrc // the left side of each key column
+	rightSrc func() batchIter
+	parts    int
+	op       *obs.OpStats // the join's trace line (spill annotation)
 
-	built      bool
 	partitions []joinPartition
 	resident   int64 // estimated bytes buffered across unspilled partitions
 	spilledN   int
 	anySpilled bool
-
-	out     *chunk
-	keyBuf  []byte
-	scratch value.Tuple
-	cur     *chunk // left chunk being probed
-	curPos  int    // next logical row of cur
-	curRow  int    // physical row of the matches being expanded
-	matches []value.Tuple
-	mpos    int
-	eof     bool
+	keyBuf     []byte
 
 	// Spilled-probe state, valid while anySpilled: per-left-chunk match
 	// lists indexed by logical row, and the per-partition probe lists
@@ -307,42 +373,21 @@ type spillProbe struct {
 	key string
 }
 
-func newPartHashJoin(es *execState, left batchIter, outSchema *Schema, pairs []equiPair, rightSrc func() (batchIter, error), parts int, op *obs.OpStats) *partHashJoinIter {
+func newPartHashJoin(es *execState, pairs []equiPair, rightSrc func() batchIter, parts int, op *obs.OpStats) *partHashJoin {
 	if parts < 1 {
 		parts = 1
 	}
-	h := &partHashJoinIter{
-		es: es, left: left, outSchema: outSchema,
-		pairs: pairs, cols: pairCols(pairs), rightSrc: rightSrc, parts: parts, op: op,
+	cols := pairCols(pairs)
+	return &partHashJoin{
+		es: es, cols: cols, probe: probeSrcs(pairs, cols),
+		rightSrc: rightSrc, parts: parts, op: op,
 	}
-	leftSchema := left.Schema()
-	for _, pos := range h.cols {
-		for _, p := range h.pairs {
-			if p.rightCol != pos {
-				continue
-			}
-			s := keySrc{colIdx: -1}
-			switch e := p.left.(type) {
-			case *ColumnRef:
-				if i, err := leftSchema.Find(e); err == nil {
-					s.colIdx = i
-				} else {
-					s.expr = p.left
-				}
-			case *Literal:
-				s.lit = e.Val
-			default:
-				s.expr = p.left
-			}
-			h.srcs = append(h.srcs, s)
-			break
-		}
-	}
-	h.scratch = make(value.Tuple, len(leftSchema.Cols))
-	return h
 }
 
-func (h *partHashJoinIter) Schema() *Schema { return h.outSchema }
+// partition returns the partition a key hashes to.
+func (h *partHashJoin) partition(key []byte) int {
+	return int(fnvHash(key) % uint64(h.parts))
+}
 
 // build consumes the right source, partitioning rows by key hash, then
 // builds the per-partition hash tables (concurrently when the query has
@@ -352,17 +397,14 @@ func (h *partHashJoinIter) Schema() *Schema { return h.outSchema }
 // to a temp file; the spill decision runs in this single-threaded loop
 // over the deterministic right stream, so which partitions spill — and
 // therefore the result bytes — do not depend on worker count.
-func (h *partHashJoinIter) build() error {
-	h.built = true
+func (h *partHashJoin) build() error {
 	h.partitions = make([]joinPartition, h.parts)
-	src, err := h.rightSrc()
-	if err != nil {
-		return err
-	}
-	budget := int64(0)
+	src := h.rightSrc()
+	budget := h.es.memBudget
 	rowCost := int64(0)
-	if h.es != nil && h.es.memBudget > 0 {
-		budget = h.es.memBudget
+	keys := make([]keySrc, len(h.cols))
+	for i, pos := range h.cols {
+		keys[i] = keySrc{col: pos}
 	}
 	var kb []byte
 	for {
@@ -381,11 +423,11 @@ func (h *partHashJoinIter) build() error {
 				return err
 			}
 			r := c.RowIdx(k)
-			kb = kb[:0]
-			for _, pos := range h.cols {
-				kb = c.Value(pos, r).EncodeKey(kb)
+			var ok bool
+			if kb, ok = encodeKey(kb[:0], keys, c, r); !ok {
+				continue
 			}
-			p := &h.partitions[int(fnvHash(kb)%uint64(h.parts))]
+			p := &h.partitions[h.partition(kb)]
 			if p.spilled {
 				if err := p.w.add(string(kb), c.TupleAt(r)); err != nil {
 					return err
@@ -412,7 +454,7 @@ func (h *partHashJoinIter) build() error {
 		if err := p.w.flush(); err != nil {
 			return err
 		}
-		if h.es != nil && h.es.reg != nil {
+		if h.es.reg != nil {
 			h.es.reg.Exec.JoinSpillBytes.Add(uint64(p.w.bytes()))
 		}
 	}
@@ -428,13 +470,7 @@ func (h *partHashJoinIter) build() error {
 			p.table[k] = append(p.table[k], p.rows[i])
 		}
 	}
-	workers := 1
-	if h.es != nil && h.es.workers > 1 {
-		workers = h.es.workers
-	}
-	if workers > h.parts {
-		workers = h.parts
-	}
+	workers := min(h.es.workers, h.parts)
 	if workers <= 1 {
 		for i := range h.partitions {
 			buildOne(&h.partitions[i])
@@ -464,7 +500,7 @@ func (h *partHashJoinIter) build() error {
 // ties — deterministic) out to a temp file, writing its (key, row)
 // records in stream order, and frees its resident buffers. The file is
 // registered with the query for cleanup at finish, success or error.
-func (h *partHashJoinIter) spillLargest() error {
+func (h *partHashJoin) spillLargest() error {
 	best := -1
 	for i := range h.partitions {
 		p := &h.partitions[i]
@@ -509,9 +545,9 @@ func (h *partHashJoinIter) spillLargest() error {
 // immediately, rows landing in spilled partitions are grouped per
 // partition so each touched spill file is read back exactly once per
 // chunk (ascending partition order — deterministic I/O), then match
-// lists are recorded per logical row. NextChunk then emits rows in left
+// lists are recorded per logical row. match then serves rows in left
 // stream order, so results are byte-identical to an unspilled run.
-func (h *partHashJoinIter) probeChunkSpilled(c *chunk) error {
+func (h *partHashJoin) probeChunkSpilled(c *chunk) error {
 	n := c.Rows()
 	if cap(h.rowMatches) < n {
 		h.rowMatches = make([][]value.Tuple, n)
@@ -524,17 +560,18 @@ func (h *partHashJoinIter) probeChunkSpilled(c *chunk) error {
 		if err := h.es.poll(); err != nil {
 			return err
 		}
-		key, err := h.probeKey(c.RowIdx(k))
-		if err != nil {
-			return err
+		h.rowMatches[k] = nil
+		key, ok := encodeKey(h.keyBuf[:0], h.probe, c, c.RowIdx(k))
+		h.keyBuf = key
+		if !ok {
+			continue
 		}
-		pi := int(fnvHash(key) % uint64(h.parts))
+		pi := h.partition(key)
 		p := &h.partitions[pi]
 		if !p.spilled {
 			h.rowMatches[k] = p.table[string(key)]
 			continue
 		}
-		h.rowMatches[k] = nil
 		h.spillProbes[pi] = append(h.spillProbes[pi], spillProbe{pos: k, key: string(key)})
 	}
 	for pi := 0; pi < h.parts; pi++ {
@@ -558,290 +595,133 @@ func (h *partHashJoinIter) probeChunkSpilled(c *chunk) error {
 	return nil
 }
 
-// probeKey computes the join key of one left chunk row into the reused
-// key buffer. Column sources read the chunk vectors directly; only
-// general expressions fall back to a scratch-row Eval.
-func (h *partHashJoinIter) probeKey(r int) ([]byte, error) {
-	h.keyBuf = h.keyBuf[:0]
-	loaded := false
-	for i := range h.srcs {
-		s := &h.srcs[i]
-		var v value.Value
-		switch {
-		case s.colIdx >= 0:
-			v = h.cur.Value(s.colIdx, r)
-		case s.expr != nil:
-			if !loaded {
-				h.cur.ReadRow(r, h.scratch)
-				loaded = true
-			}
-			var err error
-			v, err = Eval(s.expr, Row{Schema: h.left.Schema(), Values: h.scratch})
-			if err != nil {
+func (h *partHashJoin) match(c *chunk, k, r int) ([]value.Tuple, error) {
+	if h.anySpilled {
+		// Match lists are resolved for the whole chunk up front.
+		if k == 0 {
+			if err := h.probeChunkSpilled(c); err != nil {
 				return nil, err
 			}
-		default:
-			v = s.lit
 		}
-		h.keyBuf = v.EncodeKey(h.keyBuf)
+		return h.rowMatches[k], nil
 	}
-	return h.keyBuf, nil
-}
-
-func (h *partHashJoinIter) NextChunk() (*chunk, error) {
-	if h.eof {
+	key, ok := encodeKey(h.keyBuf[:0], h.probe, c, r)
+	h.keyBuf = key
+	if !ok {
 		return nil, nil
 	}
-	if !h.built {
-		if err := h.build(); err != nil {
-			return nil, err
-		}
-	}
-	if h.out == nil {
-		h.out = newChunk(h.outSchema, defaultChunkCap)
-	}
-	h.out.Reset()
-	for {
-		// Expand the pending matches of the current left row; a row with
-		// many matches may span output chunks.
-		for h.mpos < len(h.matches) {
-			if h.out.Full() {
-				return h.out, nil
-			}
-			h.out.appendJoined(h.cur, h.curRow, h.matches[h.mpos])
-			h.mpos++
-		}
-		if h.cur == nil || h.curPos >= h.cur.Rows() {
-			c, err := h.left.NextChunk()
-			if err != nil {
-				return nil, err
-			}
-			if c == nil {
-				h.eof = true
-				if h.out.n > 0 {
-					return h.out, nil
-				}
-				return nil, nil
-			}
-			h.cur, h.curPos = c, 0
-			if h.anySpilled {
-				if err := h.probeChunkSpilled(c); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := h.es.poll(); err != nil {
-			return nil, err
-		}
-		r := h.cur.RowIdx(h.curPos)
-		if h.anySpilled {
-			// Match lists were resolved for the whole chunk up front.
-			h.curRow = r
-			h.matches = h.rowMatches[h.curPos]
-			h.curPos++
-			h.mpos = 0
-			continue
-		}
-		h.curPos++
-		key, err := h.probeKey(r)
-		if err != nil {
-			return nil, err
-		}
-		part := &h.partitions[int(fnvHash(key)%uint64(h.parts))]
-		h.curRow = r
-		h.matches = part.table[string(key)]
-		h.mpos = 0
-	}
+	return h.partitions[h.partition(key)].table[string(key)], nil
 }
 
-// indexJoinIter probes a right-table index for each left row.
-type indexJoinIter struct {
-	es          *execState
-	left        rowIter
-	rt          *TableInfo
-	rightSchema *Schema
-	outSchema   *Schema
-	ix          *IndexInfo
-	pairs       []equiPair
-	rightFilter []Expr
+// indexJoin probes a right-table index once per left row and fetches the
+// rows behind the matching entries. The right side's pushed-down filters
+// and the pairs on columns the index does not cover are checked per
+// fetched row.
+type indexJoin struct {
+	es      *execState
+	rt      *TableInfo
+	schema  *Schema // the right table's
+	ix      *IndexInfo
+	probe   []keySrc   // the left side of each index column
+	extra   []equiPair // pairs on columns the index does not cover
+	filters []Expr
 
-	current value.Tuple
+	key     []byte
+	extraV  []value.Value
+	rids    []heap.RID
 	matches []value.Tuple
-	mpos    int
 }
 
-func newIndexJoinIter(es *execState, left rowIter, rt *TableInfo, rightSchema, outSchema *Schema, ix *IndexInfo, pairs []equiPair, rightFilter []Expr) rowIter {
-	return &indexJoinIter{
-		es: es, left: left, rt: rt, rightSchema: rightSchema, outSchema: outSchema,
-		ix: ix, pairs: pairs, rightFilter: rightFilter,
+func newIndexJoin(es *execState, rt *TableInfo, schema *Schema, ix *IndexInfo, pairs []equiPair, filters []Expr) *indexJoin {
+	j := &indexJoin{es: es, rt: rt, schema: schema, ix: ix, probe: probeSrcs(pairs, ix.ColPos), filters: filters}
+	for _, p := range pairs {
+		if !slices.Contains(ix.ColPos, p.rightCol) {
+			j.extra = append(j.extra, p)
+		}
 	}
+	j.extraV = make([]value.Value, len(j.extra))
+	return j
 }
 
-func (j *indexJoinIter) Schema() *Schema { return j.outSchema }
+func (j *indexJoin) build() error { return nil }
 
-func (j *indexJoinIter) probe(ltup value.Tuple) error {
-	if err := j.es.poll(); err != nil {
-		return err
+func (j *indexJoin) match(c *chunk, _, r int) ([]value.Tuple, error) {
+	key, ok := encodeKey(j.key[:0], j.probe, c, r)
+	j.key = key
+	if !ok {
+		return nil, nil
 	}
-	key, err := joinKey(j.pairs, j.ix.ColPos, j.left.Schema(), ltup)
-	if err != nil {
-		return err
+	for i, p := range j.extra {
+		if j.extraV[i] = p.left.value(c, r); j.extraV[i].IsNull() {
+			return nil, nil
+		}
 	}
-	j.matches = j.matches[:0]
-	var rids []heap.RID
+	j.rids = j.rids[:0]
 	if j.ix.Hash != nil {
 		j.es.hashLookup()
 		j.ix.Hash.Lookup(key, func(p []byte) bool {
-			rids = append(rids, ridFromBytes(p))
+			j.rids = append(j.rids, ridFromBytes(p))
 			return true
 		})
 	} else {
 		j.es.btreeSearch()
 		if err := j.ix.BTree.ScanPrefix(key, func(_, v []byte) bool {
-			rids = append(rids, ridFromBytes(v))
+			j.rids = append(j.rids, ridFromBytes(v))
 			return true
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, rid := range rids {
+	j.matches = j.matches[:0]
+rows:
+	for _, rid := range j.rids {
 		rec, err := j.rt.Heap.Get(rid)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tup, err := value.DecodeTuple(rec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if keep, err := passes(j.rightFilter, j.rightSchema, tup); err != nil {
-			return err
+		if keep, err := passes(j.filters, j.schema, tup); err != nil {
+			return nil, err
 		} else if !keep {
 			continue
 		}
-		// The index may cover fewer columns than the equality set; the
-		// residual pairs are verified here.
-		match := true
-		for _, p := range j.pairs {
-			covered := false
-			for _, pos := range j.ix.ColPos {
-				if pos == p.rightCol {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			lv, err := Eval(p.left, Row{Schema: j.left.Schema(), Values: ltup})
-			if err != nil {
-				return err
-			}
-			if lv.IsNull() || tup[p.rightCol].IsNull() || value.Compare(lv, tup[p.rightCol]) != 0 {
-				match = false
-				break
+		for i, p := range j.extra {
+			if rv := tup[p.rightCol]; rv.IsNull() || value.Compare(j.extraV[i], rv) != 0 {
+				continue rows
 			}
 		}
-		if match {
-			j.matches = append(j.matches, tup)
-		}
+		j.matches = append(j.matches, tup)
 	}
-	j.mpos = 0
-	return nil
+	return j.matches, nil
 }
 
-func (j *indexJoinIter) Next() (value.Tuple, bool, error) {
-	for {
-		if j.mpos < len(j.matches) {
-			rt := j.matches[j.mpos]
-			j.mpos++
-			out := make(value.Tuple, 0, len(j.current)+len(rt))
-			out = append(out, j.current...)
-			out = append(out, rt...)
-			return out, true, nil
-		}
-		ltup, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.current = ltup
-		if err := j.probe(ltup); err != nil {
-			return nil, false, err
-		}
-	}
+// crossJoin pairs every left row with every right row; the join's
+// predicates run as filters above it.
+type crossJoin struct {
+	rightSrc func() batchIter
+	right    []value.Tuple
 }
 
-// nestedLoopIter is the fallback cross join; predicates are applied by
-// the caller's filters.
-type nestedLoopIter struct {
-	es        *execState
-	left      rowIter
-	outSchema *Schema
-	rightSrc  func() (batchIter, error)
-
-	right   []value.Tuple
-	built   bool
-	current value.Tuple
-	rpos    int
-	haveRow bool
-}
-
-func newNestedLoopIter(es *execState, left rowIter, outSchema *Schema, rightSrc func() (batchIter, error)) rowIter {
-	return &nestedLoopIter{es: es, left: left, outSchema: outSchema, rightSrc: rightSrc}
-}
-
-func (n *nestedLoopIter) Schema() *Schema { return n.outSchema }
-
-func (n *nestedLoopIter) build() error {
-	n.built = true
-	src, err := n.rightSrc()
-	if err != nil {
-		return err
-	}
+func (x *crossJoin) build() error {
+	src := x.rightSrc()
 	for {
 		c, err := src.NextChunk()
-		if err != nil {
+		if err != nil || c == nil {
 			return err
 		}
-		if c == nil {
-			return nil
-		}
-		for k, cn := 0, c.Rows(); k < cn; k++ {
-			n.right = append(n.right, c.TupleAt(c.RowIdx(k)))
+		for k, n := 0, c.Rows(); k < n; k++ {
+			x.right = append(x.right, c.TupleAt(c.RowIdx(k)))
 		}
 	}
 }
 
-func (n *nestedLoopIter) Next() (value.Tuple, bool, error) {
-	if !n.built {
-		if err := n.build(); err != nil {
-			return nil, false, err
-		}
-	}
-	for {
-		if err := n.es.poll(); err != nil {
-			return nil, false, err
-		}
-		if n.haveRow && n.rpos < len(n.right) {
-			rt := n.right[n.rpos]
-			n.rpos++
-			out := make(value.Tuple, 0, len(n.current)+len(rt))
-			out = append(out, n.current...)
-			out = append(out, rt...)
-			return out, true, nil
-		}
-		ltup, ok, err := n.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		n.current = ltup
-		n.rpos = 0
-		n.haveRow = true
-	}
-}
+func (x *crossJoin) match(*chunk, int, int) ([]value.Tuple, error) { return x.right, nil }
 
 // passes evaluates pushed-down single-binding conjuncts against a right
-// tuple during join builds and probes.
+// tuple during index nested-loop probes.
 func passes(filters []Expr, schema *Schema, tup value.Tuple) (bool, error) {
 	for _, f := range filters {
 		v, err := Eval(f, Row{Schema: schema, Values: tup})

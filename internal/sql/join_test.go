@@ -1,0 +1,282 @@
+package sql
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"xomatiq/internal/obs"
+	"xomatiq/internal/value"
+)
+
+// Join-strategy tests: the index nested loop, the partitioned hash join
+// and the cross join must agree on every query — NULL keys, duplicate
+// keys, keys the index covers only in part, pushed-down filters, ON and
+// WHERE forms — and each must be deterministic across worker counts,
+// safe under chunk recycling, and cancellable mid-join.
+
+// joinStrategy names one way of running an equi-join and the plan line
+// that proves the planner took it.
+type joinStrategy struct {
+	name  string
+	plan  string
+	index bool // create indexes on a.k and b.k
+	cross bool // write every equality as a.x + 0 = b.y
+}
+
+var joinStrategies = []joinStrategy{
+	{name: "index nested loop", plan: "index nested loop via", index: true},
+	{name: "hash join", plan: "partitioned hash join"},
+	{name: "cross join", plan: "nested loop (cross)", cross: true},
+}
+
+// eq renders the join equality a.l = b.r for a strategy; the cross form
+// hides the left column in an expression so no equi-pair is detected.
+func (s joinStrategy) eq(l, r string) string {
+	if s.cross {
+		return fmt.Sprintf("a.%s + 0 = b.%s", l, r)
+	}
+	return fmt.Sprintf("a.%s = b.%s", l, r)
+}
+
+// joinQueries are the probe shapes, with %[1]s the k equality, %[2]s the
+// j equality and %[3]s a second equality on b.k (a.j = b.k) of the
+// strategy at hand.
+var joinQueries = []string{
+	`SELECT a.v, b.w FROM a JOIN b ON %[1]s`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s`,
+	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND %[2]s`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[2]s`,
+	`SELECT a.v, b.w FROM a JOIN b ON %[1]s WHERE b.j <> 1`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.w > 'b3' AND a.j IS NOT NULL`,
+	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND b.j IS NULL`,
+	`SELECT a.v, b.w, b.j FROM a JOIN b ON %[1]s AND %[2]s WHERE a.v < 'a5'`,
+	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND %[3]s`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[3]s`,
+}
+
+// seedJoinTables creates a(k, j, v) and b(k, j, w) with the given row
+// counts; keys come from a small domain so duplicates are common, and
+// about one key in five is NULL.
+func seedJoinTables(t *testing.T, db *DB, rng *rand.Rand, na, nb int) {
+	t.Helper()
+	mustExec(t, db, `CREATE TABLE a (k INT, j INT, v TEXT)`)
+	mustExec(t, db, `CREATE TABLE b (k INT, j INT, w TEXT)`)
+	key := func(domain int) value.Value {
+		if rng.Intn(5) == 0 {
+			return value.Null
+		}
+		return value.NewInt(int64(rng.Intn(domain)))
+	}
+	fill := func(table, prefix string, n int) {
+		tups := make([]value.Tuple, n)
+		for i := range tups {
+			tups[i] = value.Tuple{key(6), key(3), value.NewText(fmt.Sprintf("%s%d", prefix, i))}
+		}
+		if err := db.InsertBatch(table, tups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill("a", "a", na)
+	fill("b", "b", nb)
+}
+
+// runJoinQuery runs q with the given worker count and returns its rows.
+func runJoinQuery(t *testing.T, db *DB, q string, workers int) []string {
+	t.Helper()
+	db.opts.QueryWorkers = workers
+	return rowStrings(mustQuery(t, db, q))
+}
+
+// FuzzJoinStrategies is the differential test of the three join
+// strategies. Every query runs as an index nested loop (indexes on a.k
+// and b.k; the j equality is the uncovered pair), as a partitioned hash
+// join (no index) and as a cross join (a.x + 0 = b.y defeats equi-pair
+// detection). All three must return the same multiset; each must return
+// byte-identical rows in the same order for QueryWorkers 1 and 4 and
+// under chunkPoison.
+func FuzzJoinStrategies(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(9))
+	f.Add(int64(2), uint8(40), uint8(40))
+	f.Add(int64(3), uint8(0), uint8(5))
+	f.Add(int64(4), uint8(7), uint8(0))
+	f.Add(int64(5), uint8(200), uint8(150))
+	f.Add(int64(42), uint8(25), uint8(60))
+	f.Fuzz(func(t *testing.T, seed int64, na, nb uint8) {
+		// Let the tiny tables take the parallel scan, so workers=4 runs a
+		// different operator than workers=1.
+		defer func(pages int, overhead float64) {
+			parallelScanMinPages, parallelOverhead = pages, overhead
+		}(parallelScanMinPages, parallelOverhead)
+		parallelScanMinPages, parallelOverhead = 1, 0
+
+		results := make([][][]string, len(joinStrategies))
+		for si, s := range joinStrategies {
+			db := openDB(t)
+			seedJoinTables(t, db, rand.New(rand.NewSource(seed)), int(na), int(nb))
+			if s.index {
+				mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
+				mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+			}
+			for _, tmpl := range joinQueries {
+				q := fmt.Sprintf(tmpl, s.eq("k", "k"), s.eq("j", "j"), s.eq("j", "k"))
+				plan, err := db.Explain(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(plan, s.plan) {
+					t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
+				}
+				serial := runJoinQuery(t, db, q, 1)
+				if parallel := runJoinQuery(t, db, q, 4); strings.Join(parallel, "\n") != strings.Join(serial, "\n") {
+					t.Fatalf("%s: %s: workers=4 diverged from workers=1:\n%v\n%v", s.name, q, parallel, serial)
+				}
+				chunkPoison = true
+				poisoned := runJoinQuery(t, db, q, 1)
+				chunkPoison = false
+				if strings.Join(poisoned, "\n") != strings.Join(serial, "\n") {
+					t.Fatalf("%s: %s: chunkPoison rerun diverged:\n%v\n%v", s.name, q, poisoned, serial)
+				}
+				sort.Strings(serial)
+				results[si] = append(results[si], serial)
+			}
+		}
+		for qi, tmpl := range joinQueries {
+			want := strings.Join(results[0][qi], "\n")
+			for si := 1; si < len(joinStrategies); si++ {
+				if got := strings.Join(results[si][qi], "\n"); got != want {
+					t.Errorf("%s: %s returned\n%s\nbut %s returned\n%s",
+						tmpl, joinStrategies[si].name, got, joinStrategies[0].name, want)
+				}
+			}
+		}
+	})
+}
+
+// TestJoinNullKeys pins SQL's NULL semantics for equi-joins: NULL equals
+// nothing, not even NULL, so neither the ON nor the WHERE form pairs the
+// NULL-keyed rows, under any strategy.
+func TestJoinNullKeys(t *testing.T) {
+	for _, s := range joinStrategies {
+		db := openDB(t)
+		mustExec(t, db, `CREATE TABLE a (k INT, j INT, v TEXT)`)
+		mustExec(t, db, `CREATE TABLE b (k INT, j INT, w TEXT)`)
+		mustExec(t, db, `INSERT INTO a VALUES (1, 0, 'a1'), (NULL, 0, 'anull')`)
+		mustExec(t, db, `INSERT INTO b VALUES (1, 0, 'b1'), (NULL, 0, 'bnull')`)
+		if s.index {
+			mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
+			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+		}
+		for _, tmpl := range []string{
+			`SELECT a.v, b.w FROM a JOIN b ON %s`,
+			`SELECT a.v, b.w FROM a, b WHERE %s`,
+		} {
+			q := fmt.Sprintf(tmpl, s.eq("k", "k"))
+			plan, err := db.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(plan, s.plan) {
+				t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
+			}
+			if got := rowStrings(mustQuery(t, db, q)); strings.Join(got, ";") != "a1|b1" {
+				t.Errorf("%s: %s = %v, want [a1|b1]", s.name, q, got)
+			}
+		}
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled after n
+// calls, so a test can cancel a query at a fixed point of its execution
+// without racing it. Only single-worker queries may use it.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestJoinStrategiesCancel cancels a query while each strategy's join is
+// emitting rows: the query must stop with the context's error. The join
+// line's actuals prove the cancel landed mid-join, after output began.
+func TestJoinStrategiesCancel(t *testing.T) {
+	for _, s := range joinStrategies {
+		db := openDB(t)
+		db.opts.QueryWorkers = 1
+		mustExec(t, db, `CREATE TABLE a (k INT, j INT, v TEXT)`)
+		mustExec(t, db, `CREATE TABLE b (k INT, j INT, w TEXT)`)
+		for _, table := range []string{"a", "b"} {
+			tups := make([]value.Tuple, 300)
+			for i := range tups {
+				tups[i] = value.Tuple{value.NewInt(int64(i % 3)), value.NewInt(0), value.NewText(fmt.Sprint(i))}
+			}
+			if err := db.InsertBatch(table, tups); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s.index {
+			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+		}
+		stmt, err := Parse(fmt.Sprintf(`SELECT a.v, b.w FROM a JOIN b ON %s`, s.eq("k", "k")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qt := obs.NewQueryTrace(true)
+		_, err = db.QueryStmtOptsContext(&cancelAfter{Context: context.Background(), n: 30},
+			stmt.(*Select), ExecOpts{Trace: qt})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", s.name, err)
+		}
+		joined := int64(-1)
+		for _, op := range qt.Operators() {
+			if strings.HasPrefix(op.Op, "join ") {
+				joined = op.Rows
+			}
+		}
+		if joined <= 0 {
+			t.Errorf("%s: cancel did not land mid-join (join rows before cancel = %d):\n%s",
+				s.name, joined, qt.Render(true))
+		}
+	}
+}
+
+// TestExplainRunsNoIndexScan checks that plain EXPLAIN only plans: an
+// index scan collects its RIDs when it first runs, so the pool hits of
+// an EXPLAIN do not grow with the number of keys the scan would match.
+func TestExplainRunsNoIndexScan(t *testing.T) {
+	db := openDB(t)
+	mustExec(t, db, `CREATE TABLE n (k INT, v TEXT)`)
+	tups := make([]value.Tuple, 5000)
+	for i := range tups {
+		tups[i] = value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("v%d", i))}
+	}
+	if err := db.InsertBatch("n", tups); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE INDEX idx_n_k ON n (k)`)
+	hits := func(q string) uint64 {
+		before := db.pool.Stats().Hits
+		plan, err := db.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "index idx_n_k") {
+			t.Fatalf("%s: plan does not use the index:\n%s", q, plan)
+		}
+		return db.pool.Stats().Hits - before
+	}
+	few, many := hits(`SELECT v FROM n WHERE k < 5`), hits(`SELECT v FROM n WHERE k < 3000`)
+	if many != few {
+		t.Errorf("EXPLAIN pool hits grow with matching keys: %d for k < 5, %d for k < 3000", few, many)
+	}
+}

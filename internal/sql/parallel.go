@@ -35,12 +35,11 @@ var (
 // wrap them again when ok is true. Output order is byte-identical to the
 // serial plan for any worker count: chunks carry their chain position
 // and the merger emits them in heap order.
-func parallelizeScan(es *execState, it rowIter, filters []Expr) (batchIter, *obs.OpStats, bool) {
-	ss, ok := it.(*seqScanIter)
-	if !ok || es == nil || es.workers <= 1 {
+func parallelizeScan(es *execState, a *access, filters []Expr) (batchIter, *obs.OpStats, bool) {
+	if a.ix != nil || es.workers <= 1 {
 		return nil, nil, false
 	}
-	pages := ss.t.Heap.PageIDs()
+	pages := a.t.Heap.PageIDs()
 	if len(pages) < parallelScanMinPages {
 		return nil, nil, false
 	}
@@ -48,7 +47,7 @@ func parallelizeScan(es *execState, it rowIter, filters []Expr) (batchIter, *obs
 	if workers > len(pages) {
 		workers = len(pages)
 	}
-	rows := float64(ss.t.Heap.Count())
+	rows := float64(a.t.Heap.Count())
 	work := float64(len(pages))*parallelPageCost +
 		rows*(parallelRowCost+parallelFilterCost*float64(len(filters)))
 	if work*(1-1/float64(workers)) < parallelOverhead {
@@ -57,17 +56,17 @@ func parallelizeScan(es *execState, it rowIter, filters []Expr) (batchIter, *obs
 	// The operator folds the filters in, so its estimate (and actuals)
 	// are post-filter output rows.
 	binding := ""
-	if len(ss.schema.Cols) > 0 {
-		binding = ss.schema.Cols[0].Table
+	if len(a.schema.Cols) > 0 {
+		binding = a.schema.Cols[0].Table
 	}
 	op := es.tracef("  parallel scan (%d workers, %d pages) (batch=%d) (est rows=%d)",
-		workers, len(pages), ss.batch, estRowsInt(estScanRows(ss.t, binding, filters)))
+		workers, len(pages), a.batch, estRowsInt(estScanRows(a.t, binding, filters)))
 	p := &parallelScanIter{
-		es: es, t: ss.t, schema: ss.schema, batch: ss.batch,
+		es: es, t: a.t, schema: a.schema, batch: a.batch,
 		filters: filters, pages: pages, workers: workers,
 	}
 	for _, f := range filters {
-		cols, okc := predCols(f, ss.schema)
+		cols, okc := predCols(f, a.schema)
 		p.filterCols = append(p.filterCols, cols)
 		p.filterAll = append(p.filterAll, !okc)
 	}

@@ -76,7 +76,7 @@ func TestJoinSpillExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	qt := obs.NewQueryTrace(true)
-	if _, err := db.QueryStmtTracedContext(context.Background(), stmt.(*Select), qt); err != nil {
+	if _, err := db.QueryStmtOptsContext(context.Background(), stmt.(*Select), ExecOpts{Trace: qt}); err != nil {
 		t.Fatal(err)
 	}
 	out := qt.Render(true)
