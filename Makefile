@@ -28,7 +28,7 @@ test-plans:
 	$(GO) test -run TestGoldenPlans ./internal/sql/
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/xq2sql/...
+	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/...
 
 # Transaction suite: the MVCC/Tx API tests (snapshot isolation, write
 # visibility, conflicts, admission) under the race detector, plus the

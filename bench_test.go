@@ -367,7 +367,7 @@ func BenchmarkE10VsNativeXML(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.QueryParsed(q); err != nil {
+			if _, err := e.QueryContext(context.Background(), benchutil.Figure9Query); err != nil {
 				b.Fatal(err)
 			}
 			e.Close()
@@ -774,11 +774,11 @@ func BenchmarkChunkScan(b *testing.B) {
 	q := `SELECT k, v FROM m WHERE grp = 'g3'`
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db.SetQueryWorkers(w)
+			sel := parseSelect(b, q)
 			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := db.QueryStmtOptsContext(context.Background(), sel, sql.ExecOpts{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -828,11 +828,11 @@ func BenchmarkHashJoinPartitioned(b *testing.B) {
 	q := `SELECT d.tag, f.amt FROM dl d, fr f WHERE f.fk = d.k AND d.k < 50`
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db.SetQueryWorkers(w)
+			sel := parseSelect(b, q)
 			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := db.QueryStmtOptsContext(context.Background(), sel, sql.ExecOpts{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -969,11 +969,11 @@ func BenchmarkJoinSpill(b *testing.B) {
 			name = fmt.Sprintf("budget=%dKiB", budget>>10)
 		}
 		b.Run(name, func(b *testing.B) {
-			db.SetMemBudget(budget)
+			sel := parseSelect(b, q)
 			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := db.QueryStmtOptsContext(context.Background(), sel, sql.ExecOpts{MemBudget: budget})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -982,7 +982,17 @@ func BenchmarkJoinSpill(b *testing.B) {
 			b.ReportMetric(float64(rows), "rows")
 		})
 	}
-	db.SetMemBudget(0)
+}
+
+// parseSelect parses a benchmark's SELECT once, so per-query execution
+// overrides can ride on ExecOpts.
+func parseSelect(b *testing.B, src string) *sql.Select {
+	b.Helper()
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stmt.(*sql.Select)
 }
 
 // ---------------------------------------------------------------------

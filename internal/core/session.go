@@ -9,12 +9,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"xomatiq/internal/obs"
+	"xomatiq/internal/sql"
 )
 
 // SessionOptions carries the per-session state a NewSession starts from.
@@ -325,37 +328,86 @@ func (s *Session) observe(res *Result, err error) {
 // wire-serializable via Result.JSON.
 // Outside a transaction each query pins a per-statement snapshot of the
 // current epoch, so it never blocks behind (or observes a torn state of)
-// a concurrent load. With a transaction open the query joins it and sees
-// the transaction's stable snapshot plus its own writes.
+// a concurrent load, and sees committed state only. With a transaction
+// open the query joins it and sees the transaction's stable snapshot
+// plus its own writes.
 func (s *Session) Query(ctx context.Context, src string) (*Result, error) {
-	if tx := s.openTx(); tx != nil {
-		return tx.Query(ctx, src)
-	}
-	release, err := s.Admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	qctx, cancel := s.queryCtx(ctx)
-	defer cancel()
-	res, err := s.eng.queryContext(qctx, src, s.opts.QueryWorkers, s.opts.MemBudget, s.opts.Tag, readView{})
-	s.observe(res, err)
+	res, _, err := s.query(ctx, src, false)
 	return res, err
 }
 
-// ExplainAnalyze runs the query on the session and renders the executed
+// ExplainAnalyze runs the query on the session — inside its open
+// transaction, if any, exactly as Query would — and renders the executed
 // plan with per-operator actuals (see Engine.ExplainAnalyze).
 func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error) {
+	_, report, err := s.query(ctx, src, true)
+	return report, err
+}
+
+// query routes one statement: through the session's open transaction,
+// or against the published snapshot.
+func (s *Session) query(ctx context.Context, src string, analyze bool) (*Result, string, error) {
+	if tx := s.openTx(); tx != nil {
+		return tx.query(ctx, src, analyze)
+	}
+	return s.run(ctx, src, nil, analyze)
+}
+
+// run is the one query path under every entry point: admit, derive the
+// query context, plan (cache-first), execute against view (nil: the
+// published snapshot) with the session's overrides, observe. With
+// analyze set the execution is traced and rendered as the EXPLAIN
+// ANALYZE report; otherwise a trace is kept only for the slow-query log.
+func (s *Session) run(ctx context.Context, src string, view *sql.Snap, analyze bool) (res *Result, report string, err error) {
 	release, err := s.Admit()
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	defer release()
-	qctx, cancel := s.queryCtx(ctx)
+	defer func() { s.observe(res, err) }()
+	ctx, cancel := s.queryCtx(ctx)
 	defer cancel()
-	report, res, err := s.eng.explainAnalyze(qctx, src, s.opts.QueryWorkers, s.opts.MemBudget, s.opts.Tag, readView{})
-	s.observe(res, err)
-	return report, err
+	e := s.eng
+	// An already-expired context fails fast: small queries can otherwise
+	// finish between the executor's periodic cancellation polls.
+	if err := ctx.Err(); err != nil {
+		e.reg.Query.Queries.Inc()
+		e.reg.Query.Errors.Inc()
+		return nil, "", err
+	}
+	start := time.Now()
+	entry, cached, err := e.plan(src)
+	if err != nil {
+		e.reg.Query.Queries.Inc()
+		e.reg.Query.Errors.Inc()
+		return nil, "", err
+	}
+	// The per-query trace is allocated ONLY when EXPLAIN ANALYZE or the
+	// slow-query log might need it; the common path keeps tracing nil
+	// all the way down.
+	var qt *obs.QueryTrace
+	if analyze || e.cfg.SlowQueryThreshold > 0 {
+		qt = obs.NewQueryTrace(true)
+	}
+	res, err = e.execPlan(ctx, entry, sql.ExecOpts{
+		Trace: qt, Workers: s.opts.QueryWorkers, MemBudget: s.opts.MemBudget, Snap: view,
+	})
+	elapsed := time.Since(start)
+	e.observeQuery(src, s.opts.Tag, cached, qt, res, err, elapsed)
+	if err != nil || !analyze {
+		return res, "", err
+	}
+	cacheState := "miss"
+	if cached {
+		cacheState = "hit"
+	}
+	total := fmt.Sprintf("total: %d rows in %s (mode=%s, plan cache %s)",
+		len(res.Rows), elapsed.Round(time.Microsecond), res.Mode, cacheState)
+	if res.Mode == ModeNative {
+		return res, fmt.Sprintf("native evaluation (no single-SELECT translation)\n%s", total), nil
+	}
+	return res, "SQL: " + res.SQL + "\nplan:\n  " +
+		strings.ReplaceAll(qt.Render(true), "\n", "\n  ") + "\n" + total, nil
 }
 
 // Explain translates the query and renders the plan without executing

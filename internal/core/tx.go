@@ -125,26 +125,24 @@ func (tx *Tx) ReadOnly() bool { return tx.opts.ReadOnly }
 // batch after it (reads see the transaction's writes, still isolated
 // from everyone else's).
 func (tx *Tx) Query(ctx context.Context, src string) (*Result, error) {
+	res, _, err := tx.query(ctx, src, false)
+	return res, err
+}
+
+// query runs one statement of the transaction on the session path,
+// choosing the view: the pinned snapshot, or once escalated the writer's
+// BatchView.
+func (tx *Tx) query(ctx context.Context, src string, analyze bool) (*Result, string, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.done.Load() {
-		return nil, ErrTxClosed
+		return nil, "", ErrTxClosed
 	}
-	s := tx.sess
-	release, err := s.Admit()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	qctx, cancel := s.queryCtx(ctx)
-	defer cancel()
-	v := readView{snap: tx.snap}
+	view := tx.snap
 	if tx.escalated {
-		v = readView{live: true}
+		view = tx.sess.eng.db.BatchView()
 	}
-	res, err := s.eng.queryContext(qctx, src, s.opts.QueryWorkers, s.opts.MemBudget, s.opts.Tag, v)
-	s.observe(res, err)
-	return res, err
+	return tx.sess.run(ctx, src, view, analyze)
 }
 
 // escalateLocked acquires the write half of the transaction on its first

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +363,235 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 		if n != 16 && n != 28 {
 			t.Fatalf("reader saw %d rows mid-load; want a committed boundary (16 or 28)", n)
 		}
+	}
+}
+
+// enzymeIDs lists the entry ids of a generated harvest.
+func enzymeIDs(entries []*bio.EnzymeEntry) map[string]bool {
+	ids := map[string]bool{}
+	for _, en := range entries {
+		ids[en.ID] = true
+	}
+	return ids
+}
+
+// TestTxReadersNeverSeeOpenBatch: while an escalated transaction holds an
+// uncommitted update, every reader outside it — document counts, the
+// metrics snapshot, plain sessions, document reconstruction — reports
+// the last commit, before and after a rollback; the new state appears
+// at Commit and not before.
+func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+	const dbName = "hlx_enzyme.DEFAULT"
+	small := enzymeIDs(bio.GenEnzymes(10, bio.GenOptions{Seed: 5}))
+	bigger := bio.GenEnzymes(25, bio.GenOptions{Seed: 5})
+	var added string
+	for _, en := range bigger {
+		if !small[en.ID] {
+			added = en.ID
+			break
+		}
+	}
+	if added == "" {
+		t.Fatal("the bigger harvest adds no entry")
+	}
+
+	plain, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	check := func(stage string, want int) {
+		t.Helper()
+		if n, err := e.DocCount(dbName); err != nil || n != want {
+			t.Errorf("%s: DocCount = %d, %v; want %d", stage, n, err, want)
+		}
+		snap, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wh := range snap.Warehouses {
+			if wh.DB == dbName && wh.Docs != want {
+				t.Errorf("%s: Snapshot().Warehouses docs = %d, want %d", stage, wh.Docs, want)
+			}
+		}
+		if n := txRows(t, plain, ctx, countQuery); n != want {
+			t.Errorf("%s: plain session sees %d rows, want %d", stage, n, want)
+		}
+		_, err = e.Document(dbName, added)
+		if visible := err == nil; visible != (want == len(bigger)) {
+			t.Errorf("%s: Document(%s) = %v, want visible=%v", stage, added, err, want == len(bigger))
+		}
+	}
+	check("before", 11)
+
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	src.Publish(enzymeFlat(t, bigger))
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Update(ctx, dbName); err != nil {
+		t.Fatal(err)
+	}
+	check("open batch", 11)
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	check("after rollback", 11)
+
+	tx, err = sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Update(ctx, dbName); err != nil {
+		t.Fatal(err)
+	}
+	check("open batch again", 11)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check("after commit", len(bigger))
+}
+
+// TestTxWriterSeesOwnBatch: one transaction re-harnesses a database in a
+// new entry order, then updates it twice (removals and modifications
+// included). Its reads, and the committed count, show every entry
+// exactly once — the updates delete by the ids the transaction's own
+// harness assigned, not by the committed ones.
+func TestTxWriterSeesOwnBatch(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+	const dbName = "hlx_enzyme.DEFAULT"
+
+	entries := bio.GenEnzymes(15, bio.GenOptions{Seed: 5})
+	reversed := make([]*bio.EnzymeEntry, len(entries))
+	for i, en := range entries {
+		reversed[len(entries)-1-i] = en
+	}
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := func(stage string, want []*bio.EnzymeEntry) {
+		t.Helper()
+		res, err := tx.Query(ctx, countQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]int{}
+		for _, r := range res.Rows {
+			seen[r[0]]++
+		}
+		for _, en := range want {
+			if seen[en.ID] != 1 {
+				t.Errorf("%s: entry %s read %d times, want once", stage, en.ID, seen[en.ID])
+			}
+		}
+		if len(res.Rows) != len(want) {
+			t.Errorf("%s: tx reads %d rows, want %d", stage, len(res.Rows), len(want))
+		}
+	}
+
+	src.Publish(enzymeFlat(t, reversed))
+	if _, err := tx.Harness(ctx, dbName); err != nil {
+		t.Fatal(err)
+	}
+	expect("harness", reversed)
+
+	// Remove one entry, modify one, add one.
+	first := append([]*bio.EnzymeEntry{}, reversed[:3]...)
+	first = append(first, reversed[4:]...)
+	changed := *first[5]
+	changed.Comments = append([]string{"Updated curator note."}, changed.Comments...)
+	first[5] = &changed
+	first = append(first, &bio.EnzymeEntry{ID: "7.7.7.7", Description: []string{"Brand new enzyme."}})
+	src.Publish(enzymeFlat(t, first))
+	if cs, err := tx.Update(ctx, dbName); err != nil || len(cs.Removed) != 1 || len(cs.Modified) != 1 {
+		t.Fatalf("first update = %+v, %v", cs, err)
+	}
+	expect("first update", first)
+
+	// Modify two more, one of them the entry added above.
+	second := append([]*bio.EnzymeEntry{}, first...)
+	for _, i := range []int{1, len(second) - 1} {
+		en := *second[i]
+		en.Comments = append([]string{"Second curator note."}, en.Comments...)
+		second[i] = &en
+	}
+	src.Publish(enzymeFlat(t, second))
+	if cs, err := tx.Update(ctx, dbName); err != nil || len(cs.Modified) != 2 {
+		t.Fatalf("second update = %+v, %v", cs, err)
+	}
+	expect("second update", second)
+
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.DocCount(dbName); err != nil || n != len(second) {
+		t.Fatalf("DocCount after commit = %d, %v; want %d", n, err, len(second))
+	}
+	if n := txRows(t, sess, ctx, countQuery); n != len(second) {
+		t.Fatalf("session reads %d rows after commit, want %d", n, len(second))
+	}
+}
+
+// TestTxSessionExplainAnalyzeJoinsTx: EXPLAIN ANALYZE on a session with
+// an open transaction runs inside it, exactly as Session.Query does.
+func TestTxSessionExplainAnalyzeJoinsTx(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+	const dbName = "hlx_enzyme.DEFAULT"
+
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(15, bio.GenOptions{Seed: 5})))
+	if _, err := tx.Harness(ctx, dbName); err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(20, bio.GenOptions{Seed: 5})))
+	if _, err := tx.Update(ctx, dbName); err != nil {
+		t.Fatal(err)
+	}
+	n := txRows(t, tx, ctx, countQuery)
+	if n != 21 {
+		t.Fatalf("tx reads %d rows, want 21", n)
+	}
+	report, err := sess.ExplainAnalyze(ctx, countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("total: %d rows", n); !strings.Contains(report, want) {
+		t.Fatalf("session EXPLAIN ANALYZE inside the tx lacks %q:\n%s", want, report)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	report, err = sess.ExplainAnalyze(ctx, countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(report, "total: 11 rows") {
+		t.Fatalf("session EXPLAIN ANALYZE after rollback:\n%s", report)
 	}
 }

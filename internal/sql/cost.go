@@ -532,7 +532,7 @@ func (db *DB) estGroupsFor(es *execState, sel *Select) int64 {
 	var tables []bound
 	total := 1.0
 	for _, ref := range sel.From {
-		t, err := db.tableFor(es, ref.Table)
+		t, err := es.snap.cat.table(ref.Table)
 		if err != nil {
 			continue
 		}
