@@ -108,14 +108,18 @@ type loadResult struct {
 // document is DTD-validated on a worker before shredding. deferIdx
 // elects the bulk index path: maintenance off during the load, bulk
 // rebuild from sorted runs at the end (small delta loads keep inline
-// maintenance instead, which is cheaper than a full rebuild).
+// maintenance instead, which is cheaper than a full rebuild). clear
+// removes the database's previous harvest first, in the same batch as
+// the first chunk: readers see the old harvest until the new one's first
+// chunk commits, never an empty warehouse between the two.
 //
 // Error handling: a failed chunk is rolled back; whatever prefix
 // committed before the failure stays, is reindexed, and the error is
-// returned — the next harness replaces the harvest wholesale.
-// Cancellation is honoured between documents and chunks, never inside a
-// chunk commit.
-func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx bool, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
+// returned — the next harness replaces the harvest wholesale. A failure
+// before the first chunk commits rolls the clear back with it, leaving
+// the previous harvest in place. Cancellation is honoured between
+// documents and chunks, never inside a chunk commit.
+func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
 		return nil, 0, err
@@ -130,6 +134,25 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 	}
 	if deferIdx {
 		if err := e.db.DeferIndexes(); err != nil {
+			return nil, 0, err
+		}
+	}
+	// open: a batch is open that the next chunk joins rather than begins.
+	// clearing: the clear has not committed yet. The clear runs before the
+	// producer starts, since it resets the doc ids the producer hands out.
+	open, clearing := false, clear && !txMode
+	if clearing {
+		if err := e.db.Begin(); err != nil {
+			return nil, 0, errors.Join(err, e.db.ResumeIndexes())
+		}
+		open = true
+	}
+	if clear {
+		if err := e.store.ClearDatabase(dbName); err != nil {
+			if open {
+				// The rollback also ends the deferred-index window.
+				err = errors.Join(err, e.db.Rollback())
+			}
 			return nil, 0, err
 		}
 	}
@@ -202,29 +225,33 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 		next    int
 		failErr error
 	)
+	// flush commits the pending chunk; with the clear still open it
+	// commits that batch even when no document followed it. Inside a
+	// transaction the batch is already open and a failed chunk aborts the
+	// whole transaction in tx.go. Otherwise a failed chunk leaves its
+	// batch open for the tail to roll back.
 	flush := func() error {
-		if len(chunk) == 0 {
+		if len(chunk) == 0 && !open {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if txMode {
-			// The transaction's batch is already open; a failed chunk
-			// aborts the whole transaction in tx.go.
-			if err := e.store.InsertChunk(dbName, chunk); err != nil {
-				return err
-			}
-		} else {
+		if !txMode && !open {
 			if err := e.db.Begin(); err != nil {
 				return err
 			}
-			if err := e.store.InsertChunk(dbName, chunk); err != nil {
-				return errors.Join(err, e.db.Rollback())
-			}
+			open = true
+		}
+		if err := e.store.InsertChunk(dbName, chunk); err != nil {
+			return err
+		}
+		if !txMode {
+			open = false
 			if err := e.db.Commit(); err != nil {
 				return err
 			}
+			clearing = false
 		}
 		// Keyword shards merge only after their chunk is durable, in
 		// document order, reproducing the sequential posting order.
@@ -278,6 +305,14 @@ collect:
 		failErr = perr
 	} else {
 		failErr = flush()
+	}
+	if open {
+		failErr = errors.Join(failErr, e.db.Rollback())
+	}
+	if clearing {
+		// The clear rolled back: the previous harvest is the warehouse
+		// again, and the store's dictionaries must follow it there.
+		failErr = errors.Join(failErr, e.store.Reload())
 	}
 	// Rebuild the secondary indexes over whatever committed — the full
 	// load on success, the consistent prefix on failure. ResumeIndexes

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/xmldoc"
 )
 
 // openEngineWorkers opens an engine with a fixed ingest parallelism.
@@ -226,5 +228,81 @@ RETURN $a//enzyme_id`
 	}
 	if hits := st.Hits - base.Hits; hits < 2 {
 		t.Errorf("plan cache hit %d times after reload, want >= 2", hits)
+	}
+}
+
+// invalidTail streams the ENZYME documents of its input and, once
+// armed, ends the stream with one the DTD rejects: an hlx_enzyme root
+// without its db_entry.
+type invalidTail struct {
+	hounds.EnzymeTransformer
+	armed *bool
+}
+
+func (t invalidTail) TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error {
+	if err := t.EnzymeTransformer.TransformStream(r, emit); err != nil || !*t.armed {
+		return err
+	}
+	return emit(&xmldoc.Document{Name: "invalid", Root: xmldoc.NewElement("hlx_enzyme")})
+}
+
+// TestHarnessFailureKeepsHarvest: a harness clears the previous harvest
+// in the batch of its first chunk, so a load that fails before that
+// chunk commits leaves the old harvest in place — rows, keyword index
+// and delta base — instead of an empty warehouse.
+func TestHarnessFailureKeepsHarvest(t *testing.T) {
+	const db = "hlx_enzyme.DEFAULT"
+	queries := []string{
+		`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme RETURN $a//enzyme_id`,
+		`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//catalytic_activity, "ketone") RETURN $a//enzyme_id`,
+	}
+	e := openEngineWorkers(t, 2)
+	armed := false
+	src := hounds.NewSimSource("expasy-enzyme", enzymeFlat(t, bio.GenEnzymes(20, bio.GenOptions{Seed: 5})))
+	if err := e.RegisterSource(db, src, invalidTail{armed: &armed}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Harness(db); err != nil {
+		t.Fatal(err)
+	}
+	render := func() []string {
+		t.Helper()
+		var out []string
+		for _, q := range queries {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, renderIDs(res))
+		}
+		return out
+	}
+	before := render()
+	if before[1] == "" {
+		t.Fatal("keyword query matches nothing; test cannot see a lost keyword index")
+	}
+
+	// Fewer documents than one chunk: the invalid one fails validation on
+	// a worker after the clear ran and before anything committed.
+	armed = true
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(10, bio.GenOptions{Seed: 9})))
+	if _, err := e.Harness(db); err == nil {
+		t.Fatal("harness of an invalid document succeeded")
+	}
+	if n, err := e.DocCount(db); err != nil || n != 21 {
+		t.Errorf("DocCount after failed harness = %d, %v; want 21", n, err)
+	}
+	if after := render(); strings.Join(after, "\n") != strings.Join(before, "\n") {
+		t.Errorf("failed harness changed query results:\n got %q\nwant %q", after, before)
+	}
+	if err := e.DB().CheckConsistency(); err != nil {
+		t.Errorf("consistency after failed harness: %v", err)
+	}
+	// Republished, the original source is the warehoused harvest again.
+	armed = false
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(20, bio.GenOptions{Seed: 5})))
+	if cs, err := e.Update(db); err != nil || !cs.Empty() {
+		t.Errorf("Update after failed harness = %+v, %v; want an empty delta", cs, err)
 	}
 }
