@@ -24,8 +24,11 @@ test: test-plans
 # internal/sql/testdata/plans/ must match byte-for-byte. After an
 # intentional planner change, regenerate with:
 #   $(GO) test -run TestGoldenPlans ./internal/sql/ -update
+# The counter-parity and Explain tests ride along: the plan shown must be
+# the plan run, with the work counters it pins.
 test-plans:
-	$(GO) test -run TestGoldenPlans ./internal/sql/
+	$(GO) test -run 'TestGoldenPlans|TestCounterParity|TestExplain' ./internal/sql/
+	$(GO) test -run 'Explain' ./internal/core/
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/...

@@ -867,25 +867,10 @@ func (e *Engine) corpusDocsLocked(db string) ([]*xmldoc.Document, error) {
 // and the relational plan the engine would execute — the "analysis of
 // the query plans generated by the query optimizer" workflow (§3.2).
 // Queries outside the translatable subset report the native fallback.
+//
+// Explain runs on the engine's implicit default session, like Query.
 func (e *Engine) Explain(src string) (string, error) {
-	q, err := xq.Parse(src)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	tr, err := xq2sql.Translate(e.store, q, xq2sql.Options{
-		UseKeywordIndex: e.cfg.UseKeywordIndex,
-	})
-	if errors.Is(err, xq2sql.ErrUnsupported) {
-		return fmt.Sprintf("native evaluation (no single-SELECT translation: %v)", err), nil
-	}
-	if err != nil {
-		return "", err
-	}
-	plan, err := e.db.Explain(tr.SQL)
-	if err != nil {
-		return "", err
-	}
-	return "SQL: " + tr.SQL + "\nplan:\n  " + strings.ReplaceAll(plan, "\n", "\n  "), nil
+	return e.defaultSess.Explain(src)
 }
 
 // ExplainAnalyze runs the query and renders the executed plan with

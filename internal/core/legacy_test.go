@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
@@ -84,6 +85,26 @@ func checkLegacyAnswers(t *testing.T, e *Engine, want map[string]legacyAnswer) {
 	}
 }
 
+// checkAllBTrees checks that every index of an opened legacy file is a
+// B-tree that owns pages. Open refuses a catalog row flagged as a hash
+// index, so a fixture that opens carries none.
+func checkAllBTrees(t *testing.T, e *Engine) {
+	t.Helper()
+	indexes := 0
+	for _, ts := range e.DB().Stats().Tables {
+		indexes += len(ts.Indexes)
+		for _, ix := range ts.Indexes {
+			name, _, _ := strings.Cut(ix, "(")
+			if ts.IndexPages[name] == 0 || !strings.Contains(ix, "(btree ") {
+				t.Errorf("index %s of %s owns %d pages", ix, ts.Name, ts.IndexPages[name])
+			}
+		}
+	}
+	if indexes == 0 {
+		t.Error("legacy file lists no index")
+	}
+}
+
 // TestLegacyFileOpens: a cleanly closed warehouse from the parent commit
 // opens, answers the paper's queries as it did there, gives its leaked
 // pages to the free list, takes an Update, and stays consistent —
@@ -99,6 +120,7 @@ func TestLegacyFileOpens(t *testing.T) {
 	if err := e.DB().CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	checkAllBTrees(t, e)
 	st := e.DB().Stats()
 	if _, index := pagesOwned(st); st.FreePages < index {
 		t.Errorf("legacy file of %d pages: %d index pages live, %d free; the dead generations should outweigh the live one",
@@ -157,5 +179,6 @@ func TestLegacyLogRecovers(t *testing.T) {
 	if err := e.DB().CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	checkAllBTrees(t, e)
 	checkLegacyAnswers(t, e, legacyAnswers(t, "crashed"))
 }

@@ -337,3 +337,56 @@ RETURN $a//enzyme_id`,
 		t.Errorf("ingest.loads = %d, want >= 2", snap.Ingest.Loads)
 	}
 }
+
+// planLinesRun checks that the plan Explain rendered is the one EXPLAIN
+// ANALYZE ran: line for line, each analyzed line is the planned line plus
+// its actuals. The run may add lines after them: a hash join plans its
+// build side when the build executes, and the report ends in its total.
+func planLinesRun(t *testing.T, plan, report string) {
+	t.Helper()
+	planned := strings.Split(plan, "\n")
+	ran := strings.Split(report, "\n")
+	if len(ran) <= len(planned) {
+		t.Fatalf("plan has %d lines, the analyzed run %d:\n%s\nran:\n%s", len(planned), len(ran), plan, report)
+	}
+	for i, line := range planned {
+		if !strings.HasPrefix(ran[i], line) {
+			t.Errorf("line %d: planned %q, ran %q", i, line, ran[i])
+		}
+	}
+}
+
+// TestSessionExplainHonorsWorkers: Session.Explain plans with the
+// session's worker override, so it shows the serial scan a serial
+// session runs and the parallel scan a default session runs.
+func TestSessionExplainHonorsWorkers(t *testing.T) {
+	e := openEngineCfg(t, func(c *Config) {
+		c.WithIndexes = false
+		c.UseKeywordIndex = false
+		c.QueryWorkers = 4
+	})
+	setupEnzyme(t, e, 300)
+	const q = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//catalytic_activity, "ketone")
+RETURN $a//enzyme_id`
+	ctx := context.Background()
+	for _, workers := range []int{1, 0} {
+		sess, err := e.NewSession(ctx, WithSessionQueryWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		plan, err := sess.Explain(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := sess.ExplainAnalyze(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Contains(plan, "parallel scan"), workers != 1; got != want {
+			t.Errorf("workers=%d: plan shows parallel scan %v, want %v:\n%s", workers, got, want, plan)
+		}
+		planLinesRun(t, plan, report)
+	}
+}

@@ -347,10 +347,22 @@ func (s *Session) ExplainAnalyze(ctx context.Context, src string) (string, error
 // query routes one statement: through the session's open transaction,
 // or against the published snapshot.
 func (s *Session) query(ctx context.Context, src string, analyze bool) (*Result, string, error) {
-	if tx := s.openTx(); tx != nil {
-		return tx.query(ctx, src, analyze)
+	view, release, err := s.view()
+	if err != nil {
+		return nil, "", err
 	}
-	return s.run(ctx, src, nil, analyze)
+	defer release()
+	return s.run(ctx, src, view, analyze)
+}
+
+// view picks the view the session's next statement reads: the open
+// transaction's (see Tx.view), or else the published snapshot (nil).
+// release must follow the statement.
+func (s *Session) view() (view *sql.Snap, release func(), err error) {
+	if tx := s.openTx(); tx != nil {
+		return tx.view()
+	}
+	return nil, func() {}, nil
 }
 
 // run is the one query path under every entry point: admit, derive the
@@ -411,10 +423,31 @@ func (s *Session) run(ctx context.Context, src string, view *sql.Snap, analyze b
 }
 
 // Explain translates the query and renders the plan without executing
-// it (see Engine.Explain).
+// it (see Engine.Explain): the plan Query would run on the session now,
+// drawn from the plan cache against the same view — inside the open
+// transaction, if any — with the session's overrides.
 func (s *Session) Explain(src string) (string, error) {
 	if s.closed.Load() {
 		return "", ErrSessionClosed
 	}
-	return s.eng.Explain(src)
+	view, release, err := s.view()
+	if err != nil {
+		return "", err
+	}
+	defer release()
+	e := s.eng
+	entry, _, err := e.plan(src)
+	if err != nil {
+		return "", err
+	}
+	if entry.unsupported {
+		return "native evaluation (no single-SELECT translation)", nil
+	}
+	plan, err := e.db.Explain(entry.tr.SQL, sql.ExecOpts{
+		Workers: s.opts.QueryWorkers, MemBudget: s.opts.MemBudget, Snap: view,
+	})
+	if err != nil {
+		return "", err
+	}
+	return "SQL: " + entry.tr.SQL + "\nplan:\n  " + strings.ReplaceAll(plan, "\n", "\n  "), nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/sql"
 )
 
 // TestStatsConcurrentWithLoads drives the optimizer-statistics path the
@@ -41,7 +42,7 @@ func TestStatsConcurrentWithLoads(t *testing.T) {
 
 	// The load pipeline must have analyzed: shredded-table plans carry
 	// estimates immediately after harnessing.
-	plan, err := e.DB().Explain(`SELECT node_id FROM nodes WHERE db = 'hlx_enzyme.DEFAULT'`)
+	plan, err := e.DB().Explain(`SELECT node_id FROM nodes WHERE db = 'hlx_enzyme.DEFAULT'`, sql.ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ RETURN $a//enzyme_id`
 				// Plan against the live stats snapshot. The estimate for
 				// the constant db column flips with each re-ANALYZE; the
 				// line must always be present and well-formed.
-				p, err := e.DB().Explain(`SELECT val FROM values_str WHERE db = 'hlx_enzyme.DEFAULT' AND path_id = 3`)
+				p, err := e.DB().Explain(`SELECT val FROM values_str WHERE db = 'hlx_enzyme.DEFAULT' AND path_id = 3`, sql.ExecOpts{})
 				if err != nil {
 					errs <- fmt.Errorf("reader %d explain: %w", r, err)
 					return

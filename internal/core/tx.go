@@ -125,24 +125,28 @@ func (tx *Tx) ReadOnly() bool { return tx.opts.ReadOnly }
 // batch after it (reads see the transaction's writes, still isolated
 // from everyone else's).
 func (tx *Tx) Query(ctx context.Context, src string) (*Result, error) {
-	res, _, err := tx.query(ctx, src, false)
+	view, release, err := tx.view()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	res, _, err := tx.sess.run(ctx, src, view, false)
 	return res, err
 }
 
-// query runs one statement of the transaction on the session path,
-// choosing the view: the pinned snapshot, or once escalated the writer's
-// BatchView.
-func (tx *Tx) query(ctx context.Context, src string, analyze bool) (*Result, string, error) {
+// view holds the transaction for one statement and picks the view it
+// reads: the pinned snapshot, or once escalated the writer's BatchView.
+// release lets the transaction go.
+func (tx *Tx) view() (view *sql.Snap, release func(), err error) {
 	tx.mu.Lock()
-	defer tx.mu.Unlock()
 	if tx.done.Load() {
-		return nil, "", ErrTxClosed
+		tx.mu.Unlock()
+		return nil, nil, ErrTxClosed
 	}
-	view := tx.snap
 	if tx.escalated {
-		view = tx.sess.eng.db.BatchView()
+		return tx.sess.eng.db.BatchView(), tx.mu.Unlock, nil
 	}
-	return tx.sess.run(ctx, src, view, analyze)
+	return tx.snap, tx.mu.Unlock, nil
 }
 
 // escalateLocked acquires the write half of the transaction on its first

@@ -595,3 +595,52 @@ func TestTxSessionExplainAnalyzeJoinsTx(t *testing.T) {
 		t.Fatalf("session EXPLAIN ANALYZE after rollback:\n%s", report)
 	}
 }
+
+// TestTxSessionExplainReadsPinnedSnapshot: Session.Explain inside an
+// open transaction plans against the transaction's pinned snapshot, so a
+// load committed by another session after Begin changes neither its
+// estimates nor the plan the transaction's query runs.
+func TestTxSessionExplainReadsPinnedSnapshot(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atBegin, err := sess.Explain(countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(200, bio.GenOptions{Seed: 5})))
+	if _, err := e.Harness("hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	inTx, err := sess.Explain(countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inTx != atBegin {
+		t.Errorf("plan inside the tx moved with another session's load:\n%s\nat Begin:\n%s", inTx, atBegin)
+	}
+	report, err := sess.ExplainAnalyze(ctx, countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planLinesRun(t, inTx, report)
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := sess.Explain(countQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after == atBegin {
+		t.Errorf("plan after the tx does not see the committed load:\n%s", after)
+	}
+}

@@ -251,13 +251,11 @@ type HeapSnapshot struct {
 // IndexMetrics counts index probe work done by the executor.
 type IndexMetrics struct {
 	BTreeSearches Counter // B-tree prefix/range scans (access paths and join probes)
-	HashLookups   Counter // hash-index lookups
 }
 
 // IndexSnapshot is the index section of a registry snapshot.
 type IndexSnapshot struct {
 	BTreeSearches uint64
-	HashLookups   uint64
 }
 
 // QueryMetrics counts engine-level query traffic.
@@ -398,7 +396,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		},
 		Index: IndexSnapshot{
 			BTreeSearches: r.Index.BTreeSearches.Load(),
-			HashLookups:   r.Index.HashLookups.Load(),
 		},
 		Query: QuerySnapshot{
 			Queries: r.Query.Queries.Load(),
@@ -453,7 +450,6 @@ func (s RegistrySnapshot) Metrics() map[string]float64 {
 		"heap.pages_scanned":    float64(s.Heap.PagesScanned),
 		"heap.records_scanned":  float64(s.Heap.RecordsScanned),
 		"index.btree_searches":  float64(s.Index.BTreeSearches),
-		"index.hash_lookups":    float64(s.Index.HashLookups),
 		"query.count":           float64(s.Query.Queries),
 		"query.sql":             float64(s.Query.SQL),
 		"query.native":          float64(s.Query.Native),

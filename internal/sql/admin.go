@@ -35,8 +35,7 @@ type TableStats struct {
 	// HeapPages is the length of the heap chain and HeapBytes the payload
 	// of its live records; HeapBytes over HeapPages*8192 is the fill
 	// factor. IndexPages counts anchor and nodes per B-tree, by index
-	// name (a hash index has no pages; inside a DeferIndexes window no
-	// index has).
+	// name (inside a DeferIndexes window no index has pages).
 	HeapPages  int
 	HeapBytes  int64
 	IndexPages map[string]int
@@ -69,11 +68,7 @@ func (db *DB) Stats() Stats {
 			if ix.BTree != nil {
 				ts.IndexPages[ix.Name] = ix.BTree.NumPages()
 			}
-			kind := "btree"
-			if ix.UsingHash {
-				kind = "hash"
-			}
-			ts.Indexes = append(ts.Indexes, fmt.Sprintf("%s(%s %s)", ix.Name, kind, strings.Join(ix.Columns, ",")))
+			ts.Indexes = append(ts.Indexes, fmt.Sprintf("%s(btree %s)", ix.Name, strings.Join(ix.Columns, ",")))
 		}
 		sort.Strings(ts.Indexes)
 		s.Tables = append(s.Tables, ts)
@@ -141,10 +136,7 @@ func (db *DB) CompactTo(path string, opts Options) error {
 	for _, n := range names {
 		t := db.cat.tables[n]
 		for _, ix := range t.Indexes {
-			stmt := &CreateIndex{
-				Name: ix.Name, Table: t.Name,
-				Columns: ix.Columns, UsingHash: ix.UsingHash,
-			}
+			stmt := &CreateIndex{Name: ix.Name, Table: t.Name, Columns: ix.Columns}
 			if _, err := out.ExecStmt(stmt); err != nil {
 				out.Close()
 				return fmt.Errorf("sql: compact: index %s: %w", ix.Name, err)

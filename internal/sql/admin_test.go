@@ -79,38 +79,38 @@ func TestExplain(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE refs (ec TEXT, acc TEXT)`)
 	mustExec(t, db, `INSERT INTO refs VALUES ('1.1.1.1', 'X')`)
 
-	plan, err := db.Explain(`SELECT name FROM enzymes WHERE ec = '1.1.1.1'`)
+	plan, err := db.Explain(`SELECT name FROM enzymes WHERE ec = '1.1.1.1'`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "index idx_ec") {
 		t.Errorf("plan should use idx_ec:\n%s", plan)
 	}
-	plan, err = db.Explain(`SELECT name FROM enzymes WHERE score > 5`)
+	plan, err = db.Explain(`SELECT name FROM enzymes WHERE score > 5`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "sequential") {
 		t.Errorf("plan should be sequential:\n%s", plan)
 	}
-	plan, err = db.Explain(`SELECT e.name FROM refs r JOIN enzymes e ON r.ec = e.ec`)
+	plan, err = db.Explain(`SELECT e.name FROM refs r JOIN enzymes e ON r.ec = e.ec`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "index nested loop via idx_ec") {
 		t.Errorf("plan should use index join:\n%s", plan)
 	}
-	plan, err = db.Explain(`SELECT e.name FROM enzymes e JOIN refs r ON e.ec = r.ec`)
+	plan, err = db.Explain(`SELECT e.name FROM enzymes e JOIN refs r ON e.ec = r.ec`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(plan, "hash join") {
 		t.Errorf("plan should hash join (refs has no index):\n%s", plan)
 	}
-	if _, err := db.Explain(`DELETE FROM refs`); err == nil {
+	if _, err := db.Explain(`DELETE FROM refs`, ExecOpts{}); err == nil {
 		t.Error("Explain of non-SELECT should fail")
 	}
-	if _, err := db.Explain(`SELECT * FROM missing`); err == nil {
+	if _, err := db.Explain(`SELECT * FROM missing`, ExecOpts{}); err == nil {
 		t.Error("Explain of missing table should fail")
 	}
 }

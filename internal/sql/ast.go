@@ -28,12 +28,11 @@ type ColumnDef struct {
 	Type value.Kind
 }
 
-// CreateIndex defines a secondary index.
+// CreateIndex defines a secondary B-tree index.
 type CreateIndex struct {
 	Name        string
 	Table       string
 	Columns     []string
-	UsingHash   bool
 	IfNotExists bool
 }
 

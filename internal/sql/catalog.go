@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xomatiq/internal/index/btree"
-	"xomatiq/internal/index/hash"
 	"xomatiq/internal/storage/disk"
 	"xomatiq/internal/storage/heap"
 	"xomatiq/internal/value"
@@ -46,56 +45,37 @@ func (t *TableInfo) Schema(binding string) *Schema {
 	return s
 }
 
-// IndexInfo is the runtime state of one secondary index.
+// IndexInfo is the runtime state of one secondary B-tree index.
 type IndexInfo struct {
-	Name      string
-	Table     string
-	Columns   []string
-	ColPos    []int
-	UsingHash bool
-	BTree     *btree.Tree // nil for hash indexes
-	Hash      *hash.Index // nil for btree indexes
-	rid       heap.RID    // catalog row location
+	Name    string
+	Table   string
+	Columns []string
+	ColPos  []int
+	BTree   *btree.Tree // nil inside a DeferIndexes window
+	rid     heap.RID    // catalog row location
 }
 
-// Key builds the index key bytes for a tuple. B+tree keys append the RID
-// so duplicate column values stay unique and prefix-scannable; hash keys
-// omit it (payload carries the RID).
-func (ix *IndexInfo) Key(tup value.Tuple, rid heap.RID, forTree bool) []byte {
+// Key builds the index key bytes for a tuple. Keys append the RID so
+// duplicate column values stay unique and prefix-scannable.
+func (ix *IndexInfo) Key(tup value.Tuple, rid heap.RID) []byte {
 	var key []byte
 	for _, pos := range ix.ColPos {
 		key = tup[pos].EncodeKey(key)
 	}
-	if forTree {
-		key = appendRID(key, rid)
-	}
-	return key
+	return appendRID(key, rid)
 }
 
 // KeyFromRecord appends the index key of an encoded heap record to dst,
 // straight from the wire bytes: no tuple decode, no string garbage. The
 // bulk index rebuilds key every record of a heap scan this way.
-func (ix *IndexInfo) KeyFromRecord(dst, rec []byte, rid heap.RID, forTree bool) ([]byte, error) {
+func (ix *IndexInfo) KeyFromRecord(dst, rec []byte, rid heap.RID) ([]byte, error) {
 	var err error
 	for _, pos := range ix.ColPos {
 		if dst, err = value.AppendFieldKey(dst, rec, pos); err != nil {
 			return dst, err
 		}
 	}
-	if forTree {
-		dst = appendRID(dst, rid)
-	}
-	return dst, nil
-}
-
-// Prefix builds the key prefix for a lookup on the index's leading
-// columns (vals may be shorter than the column list).
-func (ix *IndexInfo) Prefix(vals []value.Value) []byte {
-	var key []byte
-	for _, v := range vals {
-		key = v.EncodeKey(key)
-	}
-	return key
+	return appendRID(dst, rid), nil
 }
 
 // appendRID encodes a RID as 6 bytes after an index key.
@@ -144,7 +124,10 @@ func (c *catalog) table(name string) (*TableInfo, error) {
 // Catalog row encodings. Rows are value.Tuples in the catalog heap:
 //
 //	table: ["T", name, firstPage, col1name, col1kind, col2name, ...]
-//	index: ["I", name, table, anchorPage(-1=hash), usesHash, c1, c2, ...]
+//	index: ["I", name, table, anchorPage, false, c1, c2, ...]
+//
+// The index row's boolean once flagged a hash index. It is always written
+// false, and a row with it set is refused: hash indexes are gone.
 func encodeTableRow(name string, first disk.PageID, cols []ColumnDef) []byte {
 	tup := value.Tuple{value.NewText("T"), value.NewText(name), value.NewInt(int64(first))}
 	for _, c := range cols {
@@ -172,7 +155,7 @@ func encodeIndexRow(ix *IndexInfo) []byte {
 	}
 	tup := value.Tuple{
 		value.NewText("I"), value.NewText(ix.Name), value.NewText(ix.Table),
-		value.NewInt(anchor), value.NewBool(ix.UsingHash),
+		value.NewInt(anchor), value.NewBool(false),
 	}
 	for _, c := range ix.Columns {
 		tup = append(tup, value.NewText(c))
@@ -180,16 +163,18 @@ func encodeIndexRow(ix *IndexInfo) []byte {
 	return tup.Encode(nil)
 }
 
-func decodeIndexRow(tup value.Tuple) (name, table string, anchor int64, usingHash bool, cols []string, err error) {
+func decodeIndexRow(tup value.Tuple) (name, table string, anchor int64, cols []string, err error) {
 	if len(tup) < 6 {
-		return "", "", 0, false, nil, fmt.Errorf("sql: corrupt catalog index row")
+		return "", "", 0, nil, fmt.Errorf("sql: corrupt catalog index row")
 	}
 	name = tup[1].Text()
+	if tup[4].Bool() {
+		return "", "", 0, nil, fmt.Errorf("sql: index %q is a hash index, which is no longer supported", name)
+	}
 	table = tup[2].Text()
 	anchor = tup[3].Int()
-	usingHash = tup[4].Bool()
 	for i := 5; i < len(tup); i++ {
 		cols = append(cols, tup[i].Text())
 	}
-	return name, table, anchor, usingHash, cols, nil
+	return name, table, anchor, cols, nil
 }

@@ -22,8 +22,6 @@ import (
 //   - each B-tree index passes its structural Check, holds exactly one
 //     entry per table row (keyed by tuple+RID, payload = the RID), and
 //     no extras
-//   - each hash index holds exactly one posting per table row and no
-//     extras
 //   - every page of the file has exactly one owner: the catalog heap, a
 //     table heap, a B-tree, the free list, or the retired pages waiting
 //     for a reader — none leaked, none owned twice
@@ -47,7 +45,7 @@ func (db *DB) CheckConsistency() error {
 		case "T":
 			_, _, _, scanErr = decodeTableRow(tup)
 		case "I":
-			_, _, _, _, _, scanErr = decodeIndexRow(tup)
+			_, _, _, _, scanErr = decodeIndexRow(tup)
 		case "S":
 			_, _, scanErr = decodeStatsRow(tup)
 		default:
@@ -143,28 +141,6 @@ func (db *DB) checkTable(t *TableInfo) error {
 	}
 
 	for _, ix := range t.Indexes {
-		if ix.Hash != nil {
-			if got := ix.Hash.Len(); got != len(rows) {
-				return fmt.Errorf("sql: check: hash index %q has %d entries, table %q has %d rows",
-					ix.Name, got, t.Name, len(rows))
-			}
-			for _, r := range rows {
-				found := false
-				want := ridBytes(r.rid)
-				ix.Hash.Lookup(ix.Key(r.tup, r.rid, false), func(payload []byte) bool {
-					if bytes.Equal(payload, want) {
-						found = true
-						return false
-					}
-					return true
-				})
-				if !found {
-					return fmt.Errorf("sql: check: hash index %q missing row %v of %q",
-						ix.Name, r.rid, t.Name)
-				}
-			}
-			continue
-		}
 		if ix.BTree == nil { // inside a DeferIndexes window
 			continue
 		}
@@ -180,7 +156,7 @@ func (db *DB) checkTable(t *TableInfo) error {
 				ix.Name, n, t.Name, len(rows))
 		}
 		for _, r := range rows {
-			val, ok, err := ix.BTree.Get(ix.Key(r.tup, r.rid, true))
+			val, ok, err := ix.BTree.Get(ix.Key(r.tup, r.rid))
 			if err != nil {
 				return fmt.Errorf("sql: check: index %q get: %w", ix.Name, err)
 			}

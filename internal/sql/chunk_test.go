@@ -208,7 +208,7 @@ func TestPartitionedJoinDeterminism(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
 	for _, q := range partitionedJoinQueries {
-		plan, err := db.Explain(q)
+		plan, err := db.Explain(q, ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

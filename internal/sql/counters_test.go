@@ -7,13 +7,12 @@ import (
 )
 
 // seedCounterFixture builds the fixed tables of the counter parity test:
-// a B-tree index on a.k and b.k, a hash index on h.k, duplicate keys in
-// b, and no NULL in any join column.
+// a B-tree index on a.k and b.k, duplicate keys in b, and no NULL in any
+// join column.
 func seedCounterFixture(t *testing.T, db *DB) {
 	t.Helper()
 	mustExec(t, db, `CREATE TABLE a (k INT, j INT, v TEXT)`)
 	mustExec(t, db, `CREATE TABLE b (k INT, j INT, w TEXT)`)
-	mustExec(t, db, `CREATE TABLE h (k INT, w TEXT)`)
 	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
@@ -24,15 +23,11 @@ func seedCounterFixture(t *testing.T, db *DB) {
 	for i := 0; i < 300; i++ {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO b VALUES (%d, %d, 'b-%04d')`, i%150, i%7, i))
 	}
-	for i := 0; i < 100; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO h VALUES (%d, 'h-%03d')`, i, i))
-	}
 	if err := db.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
 	mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
-	mustExec(t, db, `CREATE INDEX idx_h_k ON h (k) USING HASH`)
 }
 
 // TestCounterParity pins the exact work counters every access path, join
@@ -45,11 +40,11 @@ func TestCounterParity(t *testing.T) {
 	db := openDB(t)
 	db.opts.QueryWorkers = 1
 	seedCounterFixture(t, db)
-	type counters struct{ pages, records, btree, hash uint64 }
+	type counters struct{ pages, records, btree uint64 }
 	read := func() counters {
 		return counters{
 			db.reg.Heap.PagesScanned.Load(), db.reg.Heap.RecordsScanned.Load(),
-			db.reg.Index.BTreeSearches.Load(), db.reg.Index.HashLookups.Load(),
+			db.reg.Index.BTreeSearches.Load(),
 		}
 	}
 	cases := []struct {
@@ -57,24 +52,20 @@ func TestCounterParity(t *testing.T) {
 		plan string // substring the SELECT's plan must contain
 		want counters
 	}{
-		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, "scan a as a: sequential", counters{3, 400, 0, 0}},
-		{`SELECT v FROM a WHERE k < 40`, "index idx_a_k (prefix+range scan", counters{0, 0, 1, 0}},
-		{`SELECT w FROM h WHERE k = 5`, "index idx_h_k (prefix lookup", counters{0, 0, 0, 1}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k < 30`, "index nested loop via idx_b_k", counters{0, 0, 31, 0}},
-		{`SELECT a.v, h.w FROM a JOIN h ON a.k = h.k WHERE a.k < 10`, "index nested loop via idx_h_k", counters{0, 0, 1, 10}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, "partitioned hash join", counters{1, 300, 1, 0}},
-		{`SELECT COUNT(*) FROM a JOIN b ON a.k + 0 = b.k WHERE a.k < 5`, "nested loop (cross)", counters{1, 300, 1, 0}},
-		{`DELETE FROM b WHERE w LIKE '%-01%'`, "", counters{1, 300, 0, 0}},
-		{`DELETE FROM a WHERE k IN (3, 4, 5)`, "", counters{0, 0, 3, 0}},
-		{`UPDATE b SET w = 'x' WHERE j = 3`, "", counters{1, 200, 0, 0}},
-		{`UPDATE a SET v = 'y' WHERE k = 100`, "", counters{0, 0, 1, 0}},
-		{`DELETE FROM h WHERE k = 7`, "", counters{0, 0, 0, 1}},
-		{`UPDATE h SET w = 'z' WHERE k = 8`, "", counters{0, 0, 0, 1}},
-		{`DELETE FROM a WHERE v LIKE '%-03%'`, "", counters{3, 397, 0, 0}},
+		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, "scan a as a: sequential", counters{3, 400, 0}},
+		{`SELECT v FROM a WHERE k < 40`, "index idx_a_k (prefix+range scan", counters{0, 0, 1}},
+		{`SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k < 30`, "index nested loop via idx_b_k", counters{0, 0, 31}},
+		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, "partitioned hash join", counters{1, 300, 1}},
+		{`SELECT COUNT(*) FROM a JOIN b ON a.k + 0 = b.k WHERE a.k < 5`, "nested loop (cross)", counters{1, 300, 1}},
+		{`DELETE FROM b WHERE w LIKE '%-01%'`, "", counters{1, 300, 0}},
+		{`DELETE FROM a WHERE k IN (3, 4, 5)`, "", counters{0, 0, 3}},
+		{`UPDATE b SET w = 'x' WHERE j = 3`, "", counters{1, 200, 0}},
+		{`UPDATE a SET v = 'y' WHERE k = 100`, "", counters{0, 0, 1}},
+		{`DELETE FROM a WHERE v LIKE '%-03%'`, "", counters{3, 397, 0}},
 	}
 	for _, c := range cases {
 		if c.plan != "" {
-			plan, err := db.Explain(c.sql)
+			plan, err := db.Explain(c.sql, ExecOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,20 +74,14 @@ func TestCounterParity(t *testing.T) {
 			}
 		}
 		before := read()
-		if c.plan != "" {
-			// The writer's view, as Explain plans it: published snapshots
-			// carry no hash index.
-			batchQuery(t, db, c.sql)
-		} else {
-			mustExec(t, db, c.sql)
-		}
+		mustExec(t, db, c.sql)
 		after := read()
 		got := counters{
 			after.pages - before.pages, after.records - before.records,
-			after.btree - before.btree, after.hash - before.hash,
+			after.btree - before.btree,
 		}
 		if got != c.want {
-			t.Errorf("%s: counters {pages records btree hash} = %v, want %v", c.sql, got, c.want)
+			t.Errorf("%s: counters {pages records btree} = %v, want %v", c.sql, got, c.want)
 		}
 	}
 }

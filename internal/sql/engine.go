@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"xomatiq/internal/index/btree"
-	"xomatiq/internal/index/hash"
 	"xomatiq/internal/obs"
 	"xomatiq/internal/storage/bufpool"
 	"xomatiq/internal/storage/disk"
@@ -30,10 +29,6 @@ type Options struct {
 	// WALSoftLimit triggers a checkpoint once the log exceeds this many
 	// bytes at a statement boundary (default 32 MiB).
 	WALSoftLimit int64
-	// SyncOnCommit fsyncs the WAL at every commit (default true). Turning
-	// it off trades durability of the most recent transactions for bulk
-	// load speed; the warehouse loader uses explicit batches instead.
-	SyncOnCommit bool
 	// FS supplies the file implementation backing the data file and the
 	// WAL. Nil means the real filesystem. Crash-recovery tests inject a
 	// faultfs.FS here to exercise I/O-error and power-cut paths.
@@ -94,6 +89,10 @@ type DB struct {
 	batchTxn  uint64
 	recovered bool // true when Open replayed a WAL
 
+	// syncOnCommit fsyncs the WAL at every commit: set by Open, cleared
+	// by OpenAsync, which trades the most recent commits for load speed.
+	syncOnCommit bool
+
 	// indexesDeferred suspends secondary-index maintenance during a bulk
 	// load: inserts touch only the heaps, queries fall back to sequential
 	// scans, and ResumeIndexes rebuilds every index from sorted runs. The
@@ -136,24 +135,17 @@ type Rows struct {
 
 // Open opens (or creates) a database at path; the WAL lives at path+".wal".
 func Open(path string, opts Options) (*DB, error) {
-	opts.fill()
-	if opts.SyncOnCommit == false {
-		// Zero value means "unset": default to true. Callers who really
-		// want async commits set it via OpenAsync.
-		opts.SyncOnCommit = true
-	}
-	return open(path, opts)
+	return open(path, opts, true)
 }
 
 // OpenAsync opens a database whose commits do not fsync the WAL. Intended
 // for benchmarks and bulk rebuilds where the warehouse can be re-harnessed.
 func OpenAsync(path string, opts Options) (*DB, error) {
-	opts.fill()
-	opts.SyncOnCommit = false
-	return open(path, opts)
+	return open(path, opts, false)
 }
 
-func open(path string, opts Options) (*DB, error) {
+func open(path string, opts Options, syncOnCommit bool) (*DB, error) {
+	opts.fill()
 	mgr, err := disk.OpenFS(opts.FS, path)
 	if err != nil {
 		return nil, err
@@ -171,6 +163,8 @@ func open(path string, opts Options) (*DB, error) {
 		cat:  newCatalog(),
 		opts: opts,
 		reg:  opts.Metrics,
+
+		syncOnCommit: syncOnCommit,
 	}
 	db.pool.BindMetrics(&db.reg.Pool)
 	log.SetMetrics(&db.reg.WAL)
@@ -339,9 +333,9 @@ func (db *DB) loadCatalog(rebuild bool) error {
 			return err
 		}
 	}
-	healed := false
+	var heal []*IndexInfo
 	for _, p := range pend {
-		name, tbl, anchor, usingHash, cols, derr := decodeIndexRow(p.tup)
+		name, tbl, anchor, cols, derr := decodeIndexRow(p.tup)
 		if derr != nil {
 			return derr
 		}
@@ -349,9 +343,7 @@ func (db *DB) loadCatalog(rebuild bool) error {
 		if derr != nil {
 			return fmt.Errorf("sql: index %q references missing table: %w", name, derr)
 		}
-		ix := &IndexInfo{
-			Name: name, Table: t.Name, Columns: cols, UsingHash: usingHash, rid: p.rid,
-		}
+		ix := &IndexInfo{Name: name, Table: t.Name, Columns: cols, rid: p.rid}
 		for _, c := range cols {
 			pos := t.ColIndex(c)
 			if pos < 0 {
@@ -359,46 +351,42 @@ func (db *DB) loadCatalog(rebuild bool) error {
 			}
 			ix.ColPos = append(ix.ColPos, pos)
 		}
-		if usingHash {
-			ix.Hash = hash.New()
-			if err := db.rebuildHash(t, ix); err != nil {
-				return err
-			}
-		} else if rebuild || anchor < 0 {
-			if err := db.rebuildBTree(t, ix); err != nil {
-				return err
-			}
-			if err := db.rewriteIndexRow(ix); err != nil {
-				return err
-			}
-		} else {
-			tr, terr := btree.Open(db.pool, disk.PageID(anchor))
-			if terr != nil {
-				// The anchor names a page that does not hold a tree —
-				// the signature of an interrupted rollback or recovery
-				// whose rebuilt anchors never reached disk. Indexes are
-				// derived data: rebuild from the heap instead of
-				// refusing to open the database.
-				if err := db.rebuildBTree(t, ix); err != nil {
-					return err
-				}
-				if err := db.rewriteIndexRow(ix); err != nil {
-					return err
-				}
-				healed = true
-			} else {
-				ix.BTree = tr
-			}
-		}
 		t.Indexes = append(t.Indexes, ix)
 		db.cat.indexes[strings.ToLower(name)] = ix
+		if rebuild {
+			continue
+		}
+		if anchor >= 0 {
+			ix.BTree, _ = btree.Open(db.pool, disk.PageID(anchor))
+		}
+		if ix.BTree == nil {
+			// The anchor names a page that does not hold a tree — the
+			// signature of an interrupted rollback or recovery whose
+			// rebuilt anchors never reached disk. Indexes are derived
+			// data: rebuild from the heap instead of refusing to open
+			// the database.
+			heal = append(heal, ix)
+		}
+	}
+	if rebuild {
+		if err := db.rebuildIndexesLocked(); err != nil {
+			return err
+		}
+	}
+	for _, ix := range heal {
+		if err := db.buildTrees(db.cat.tables[strings.ToLower(ix.Table)], ix); err != nil {
+			return err
+		}
+		if err := db.rewriteIndexRow(ix); err != nil {
+			return err
+		}
 	}
 	if !rebuild {
 		if err := db.sweepFreeLocked(); err != nil {
 			return err
 		}
 	}
-	if rebuild || healed {
+	if rebuild || len(heal) > 0 {
 		// Persist rebuilt anchors and start from a clean checkpoint.
 		if err := db.log.Append(wal.Record{Txn: 0, Op: wal.OpCommit}); err != nil {
 			return err
@@ -434,8 +422,8 @@ func (db *DB) eachLivePage(fn func(owner string, id disk.PageID)) error {
 	return nil
 }
 
-// treePages lists the pages of ix's B-tree. A hash index has none, nor
-// has any index inside a DeferIndexes window.
+// treePages lists the pages of ix's B-tree (none inside a DeferIndexes
+// window).
 func treePages(ix *IndexInfo) ([]disk.PageID, error) {
 	if ix.BTree == nil {
 		return nil, nil
@@ -474,68 +462,6 @@ func (db *DB) markDead(ids []disk.PageID) error {
 	return nil
 }
 
-// rebuildBTree reconstructs an index from its table's heap: one scan
-// collecting (key, rid) pairs, one sort, one bottom-up bulk build. Keys
-// are unique (the RID is appended), so the sorted run is strictly
-// ascending as BulkLoad requires. This is the index half of the bulk
-// write path and also what recovery and cold-start rebuilds go through.
-func (db *DB) rebuildBTree(t *TableInfo, ix *IndexInfo) error {
-	// Keys are encoded straight from heap records into a shared arena;
-	// each item's Key is a subslice and its Val aliases the 6 RID bytes
-	// the tree key already ends with (BulkLoad copies both into pages,
-	// so the aliasing never escapes). Arena growth strands the old
-	// block, but earlier keys keep pointing into it safely.
-	var items []btree.Item
-	arena := make([]byte, 0, 1<<16)
-	var serr error
-	err := t.Heap.Scan(func(rid heap.RID, rec []byte) bool {
-		start := len(arena)
-		out, kerr := ix.KeyFromRecord(arena, rec, rid, true)
-		if kerr != nil {
-			serr = kerr
-			return false
-		}
-		arena = out
-		key := arena[start:len(arena):len(arena)]
-		items = append(items, btree.Item{Key: key, Val: key[len(key)-ridLen:]})
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if serr != nil {
-		return serr
-	}
-	sort.Slice(items, func(i, j int) bool { return bytes.Compare(items[i].Key, items[j].Key) < 0 })
-	tr, err := btree.BulkLoad(db.pool, items)
-	if err != nil {
-		return err
-	}
-	ix.BTree = tr
-	return nil
-}
-
-func (db *DB) rebuildHash(t *TableInfo, ix *IndexInfo) error {
-	// Hash.Insert copies the key, so one reusable buffer serves the
-	// whole scan; the RID payload is sliced off the same buffer's tail.
-	var kbuf []byte
-	var serr error
-	err := t.Heap.Scan(func(rid heap.RID, rec []byte) bool {
-		out, kerr := ix.KeyFromRecord(kbuf[:0], rec, rid, true)
-		if kerr != nil {
-			serr = kerr
-			return false
-		}
-		kbuf = out
-		ix.Hash.Insert(kbuf[:len(kbuf)-ridLen], kbuf[len(kbuf)-ridLen:])
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	return serr
-}
-
 // rewriteIndexRow updates an index's catalog row in place (anchor moved).
 func (db *DB) rewriteIndexRow(ix *IndexInfo) error {
 	nr, err := db.catH.Update(0, ix.rid, encodeIndexRow(ix))
@@ -554,7 +480,7 @@ func (db *DB) Crash() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	// The WAL buffer may hold committed-but-unsynced records when
-	// SyncOnCommit is off; flush the buffer (not the pool!) so the log
+	// commits do not sync; flush the buffer (not the pool!) so the log
 	// itself is intact, as it would be after an OS-level flush.
 	if err := db.log.Close(); err != nil {
 		db.mgr.Close()
@@ -624,7 +550,7 @@ func (db *DB) Commit() error {
 	}
 	db.inBatch = false
 	err := db.log.Append(wal.Record{Txn: db.batchTxn, Op: wal.OpCommit})
-	if err == nil && db.opts.SyncOnCommit {
+	if err == nil && db.syncOnCommit {
 		err = db.log.Sync()
 	}
 	if err != nil {
@@ -669,7 +595,7 @@ func (db *DB) rollbackLocked() error {
 	// flush failure (e.g. an injected disk fault) leaves at worst a torn
 	// uncommitted tail, which the scan ignores; drop the buffer so the
 	// writer sheds its sticky error and recover from what reached the
-	// file. (With SyncOnCommit off this can lose buffered commits — the
+	// file. (Under OpenAsync this can lose buffered commits — the
 	// documented trade of async mode.)
 	if err := db.log.Flush(); err != nil {
 		db.log.DiscardBuffer()
@@ -774,79 +700,76 @@ func (db *DB) ExecStmt(stmt Statement) (Result, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	txn := db.batchTxn
-	if !db.inBatch {
-		db.nextTxn++
-		txn = db.nextTxn
-	}
-	preMut, preSize := db.pool.Mutations(), db.log.Size()
 	var res Result
-	var err error
-	switch s := stmt.(type) {
-	case *CreateTable:
-		err = db.createTable(txn, s)
-	case *CreateIndex:
-		err = db.createIndex(txn, s)
-	case *DropTable:
-		err = db.dropTable(txn, s)
-	case *DropIndex:
-		err = db.dropIndex(txn, s)
-	case *Insert:
-		res, err = db.insert(txn, s)
-	case *Delete:
-		res, err = db.deleteRows(txn, s)
-	case *Update:
-		res, err = db.updateRows(txn, s)
-	default:
-		err = fmt.Errorf("sql: unsupported statement %T", stmt)
-	}
-	if err == nil && !db.inBatch {
-		err = db.commitAutoLocked(txn)
-	}
-	if err != nil {
-		if !db.inBatch {
-			err = db.stmtAbortLocked(err, preMut, preSize)
+	err := db.autocommitLocked(func(txn uint64) (err error) {
+		switch s := stmt.(type) {
+		case *CreateTable:
+			err = db.createTable(txn, s)
+		case *CreateIndex:
+			err = db.createIndex(txn, s)
+		case *DropTable:
+			err = db.dropTable(txn, s)
+		case *DropIndex:
+			err = db.dropIndex(txn, s)
+		case *Insert:
+			res, err = db.insert(txn, s)
+		case *Delete:
+			res, err = db.deleteRows(txn, s)
+		case *Update:
+			res, err = db.updateRows(txn, s)
+		default:
+			err = fmt.Errorf("sql: unsupported statement %T", stmt)
 		}
+		return err
+	})
+	if err != nil {
 		return Result{}, err
 	}
 	return res, nil
 }
 
-// commitAutoLocked commits a single auto-commit statement: append the
-// commit record, sync per policy, maybe checkpoint, publish the new
-// snapshot epoch. Caller holds db.mu.
-func (db *DB) commitAutoLocked(txn uint64) error {
-	if err := db.log.Append(wal.Record{Txn: txn, Op: wal.OpCommit}); err != nil {
-		return err
+// autocommitLocked runs one statement's writes, fn, under a transaction
+// id: the open batch's, or else a fresh one that the statement commits
+// alone — append the commit record, sync per policy, maybe checkpoint,
+// publish the new snapshot epoch. Caller holds db.mu.
+//
+// A failed auto-commit statement restores the last committed state.
+// Without this, a partially applied mutation — say a heap insert whose
+// WAL append then failed — would sit in dirty frames and be made
+// durable, unlogged, by the next checkpoint. The rollback runs only when
+// the statement actually touched a page or the log; errors before the
+// first mutation (missing table, bad column) return as-is. A commit whose
+// record reached the file before the fault is re-derived by the rollback
+// replay, so its effects survive. Inside a batch the error returns as-is
+// and the batch's owner decides.
+func (db *DB) autocommitLocked(fn func(txn uint64) error) error {
+	if db.inBatch {
+		return fn(db.batchTxn)
 	}
-	if db.opts.SyncOnCommit {
-		if err := db.log.Sync(); err != nil {
-			return err
-		}
+	db.nextTxn++
+	txn := db.nextTxn
+	preMut, preSize := db.pool.Mutations(), db.log.Size()
+	err := fn(txn)
+	if err == nil {
+		err = db.log.Append(wal.Record{Txn: txn, Op: wal.OpCommit})
 	}
-	if err := db.maybeCheckpointLocked(); err != nil {
-		return err
+	if err == nil && db.syncOnCommit {
+		err = db.log.Sync()
 	}
-	db.publishLocked()
-	return nil
-}
-
-// stmtAbortLocked restores the last committed state after a failed
-// auto-commit statement. Without this, a partially applied mutation —
-// say a heap insert whose WAL append then failed — would sit in dirty
-// frames and be made durable, unlogged, by the next checkpoint. The
-// rollback runs only when the statement actually touched a page or the
-// log; errors before the first mutation (missing table, bad column)
-// return as-is. A commit whose record reached the file before the fault
-// is re-derived by the rollback replay, so its effects survive.
-func (db *DB) stmtAbortLocked(stmtErr error, preMut uint64, preSize int64) error {
+	if err == nil {
+		err = db.maybeCheckpointLocked()
+	}
+	if err == nil {
+		db.publishLocked()
+		return nil
+	}
 	if db.pool.Mutations() == preMut && db.log.Size() == preSize {
-		return stmtErr
+		return err
 	}
 	if rbErr := db.rollbackLocked(); rbErr != nil {
-		return errors.Join(stmtErr, fmt.Errorf("sql: statement abort: %w", rbErr))
+		return errors.Join(err, fmt.Errorf("sql: statement abort: %w", rbErr))
 	}
-	return stmtErr
+	return err
 }
 
 // Query parses and runs a SELECT, returning materialised rows.
@@ -894,48 +817,9 @@ type ExecOpts struct {
 
 // QueryStmtOptsContext runs a parsed SELECT under ctx with per-query
 // execution overrides (session-scoped worker caps, tracing) against one
-// view. By default that is the published snapshot, pinned for the
-// statement: the query holds only the readGate, so a concurrent load
-// commits freely while it runs, and it sees committed state only. A
-// BatchView in o.Snap holds db.mu shared instead and sees the writer's
-// own open batch.
+// view (see runSelect).
 func (db *DB) QueryStmtOptsContext(ctx context.Context, sel *Select, o ExecOpts) (*Rows, error) {
-	snap := o.Snap
-	if snap == nil {
-		snap = db.AcquireSnapshot()
-		defer db.ReleaseSnapshot(snap)
-	}
-	if snap == batchView {
-		db.mu.RLock()
-		defer db.mu.RUnlock()
-		snap = db.batchViewLocked()
-	} else {
-		db.readGate.RLock()
-		defer db.readGate.RUnlock()
-	}
-	return db.runSelect(ctx, sel, o, snap)
-}
-
-// Table exposes table metadata (column defs and row count).
-func (db *DB) Table(name string) (cols []ColumnDef, rows int, err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, err := db.cat.table(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	return append([]ColumnDef(nil), t.Columns...), t.Heap.Count(), nil
-}
-
-// Tables lists the table names in the catalog.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var names []string
-	for _, t := range db.cat.tables {
-		names = append(names, t.Name)
-	}
-	return names
+	return db.runSelect(ctx, sel, o, true)
 }
 
 func (db *DB) createTable(txn uint64, s *CreateTable) error {
@@ -981,7 +865,7 @@ func (db *DB) createIndex(txn uint64, s *CreateIndex) error {
 	if err != nil {
 		return err
 	}
-	ix := &IndexInfo{Name: s.Name, Table: t.Name, Columns: s.Columns, UsingHash: s.UsingHash}
+	ix := &IndexInfo{Name: s.Name, Table: t.Name, Columns: s.Columns}
 	for _, c := range s.Columns {
 		pos := t.ColIndex(c)
 		if pos < 0 {
@@ -989,15 +873,8 @@ func (db *DB) createIndex(txn uint64, s *CreateIndex) error {
 		}
 		ix.ColPos = append(ix.ColPos, pos)
 	}
-	if s.UsingHash {
-		ix.Hash = hash.New()
-		if err := db.rebuildHash(t, ix); err != nil {
-			return err
-		}
-	} else {
-		if err := db.rebuildBTree(t, ix); err != nil {
-			return err
-		}
+	if err := db.buildTrees(t, ix); err != nil {
+		return err
 	}
 	rid, err := db.catH.Insert(txn, encodeIndexRow(ix))
 	if err != nil {
@@ -1141,20 +1018,9 @@ func (db *DB) InsertTuple(table string, tup value.Tuple) error {
 		}
 		tup[i] = cv
 	}
-	txn := db.batchTxn
-	if !db.inBatch {
-		db.nextTxn++
-		txn = db.nextTxn
-	}
-	preMut, preSize := db.pool.Mutations(), db.log.Size()
-	err = db.insertTuple(txn, t, tup)
-	if err == nil && !db.inBatch {
-		err = db.commitAutoLocked(txn)
-	}
-	if err != nil && !db.inBatch {
-		err = db.stmtAbortLocked(err, preMut, preSize)
-	}
-	return err
+	return db.autocommitLocked(func(txn uint64) error {
+		return db.insertTuple(txn, t, tup)
+	})
 }
 
 // InsertBatch bulk-appends pre-built tuples to a table, logging one WAL
@@ -1189,27 +1055,18 @@ func (db *DB) InsertBatch(table string, tuples []value.Tuple) error {
 		arena = tup.Encode(arena)
 		recs[i] = arena[start:len(arena):len(arena)]
 	}
-	txn := db.batchTxn
-	if !db.inBatch {
-		db.nextTxn++
-		txn = db.nextTxn
-	}
-	preMut, preSize := db.pool.Mutations(), db.log.Size()
-	rids, err := t.Heap.InsertBatch(txn, recs)
-	if err == nil && !db.indexesDeferred {
+	return db.autocommitLocked(func(txn uint64) error {
+		rids, err := t.Heap.InsertBatch(txn, recs)
+		if err != nil || db.indexesDeferred {
+			return err
+		}
 		for i, rid := range rids {
-			if err = db.indexTuple(t, tuples[i], rid); err != nil {
-				break
+			if err := db.indexTuple(t, tuples[i], rid); err != nil {
+				return err
 			}
 		}
-	}
-	if err == nil && !db.inBatch {
-		err = db.commitAutoLocked(txn)
-	}
-	if err != nil && !db.inBatch {
-		err = db.stmtAbortLocked(err, preMut, preSize)
-	}
-	return err
+		return nil
+	})
 }
 
 // DeferIndexes suspends secondary-index maintenance for a bulk load.
@@ -1306,13 +1163,6 @@ func (db *DB) ResumeIndexes() error {
 	return nil
 }
 
-// IndexesDeferred reports whether a DeferIndexes window is open.
-func (db *DB) IndexesDeferred() bool {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.indexesDeferred
-}
-
 // rebuildIndexesLocked reconstructs every index from heap contents, in
 // deterministic (sorted table name) order so fault-injection op counts
 // are reproducible.
@@ -1327,55 +1177,43 @@ func (db *DB) rebuildIndexesLocked() error {
 		if len(t.Indexes) == 0 {
 			continue
 		}
-		if err := db.rebuildTableIndexes(t); err != nil {
+		if err := db.buildTrees(t, t.Indexes...); err != nil {
 			return err
 		}
 		for _, ix := range t.Indexes {
-			if ix.Hash == nil {
-				if err := db.rewriteIndexRow(ix); err != nil {
-					return err
-				}
+			if err := db.rewriteIndexRow(ix); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// rebuildTableIndexes reconstructs every index of a table in a single
-// heap scan: each record is keyed once per index straight from its wire
-// bytes, hash entries insert immediately and tree runs are sorted and
-// bottom-up bulk-loaded afterwards.
-func (db *DB) rebuildTableIndexes(t *TableInfo) error {
+// buildTrees builds the given indexes of a table from its heap in a
+// single scan: each record is keyed once per index straight from its
+// wire bytes, then each run is sorted and bottom-up bulk-loaded. Keys
+// are unique (the RID is appended), so every sorted run is strictly
+// ascending as BulkLoad requires. Index creation, ResumeIndexes and the
+// rebuilds of recovery, rollback and a damaged anchor all build here.
+func (db *DB) buildTrees(t *TableInfo, ixs ...*IndexInfo) error {
 	type treeBuild struct {
 		ix    *IndexInfo
 		items []btree.Item
 	}
-	var trees []*treeBuild
-	var hashes []*IndexInfo
-	for _, ix := range t.Indexes {
-		if ix.Hash != nil {
-			ix.Hash = hash.New()
-			hashes = append(hashes, ix)
-		} else {
-			trees = append(trees, &treeBuild{ix: ix})
-		}
+	trees := make([]*treeBuild, len(ixs))
+	for i, ix := range ixs {
+		trees[i] = &treeBuild{ix: ix}
 	}
+	// Keys are encoded into a shared arena; each item's Key is a subslice
+	// and its Val aliases the RID bytes the key ends with (BulkLoad copies
+	// both into pages, so the aliasing never escapes). Arena growth
+	// strands the old block, but earlier keys keep pointing into it.
 	arena := make([]byte, 0, 1<<16)
-	var kbuf []byte
 	var serr error
 	err := t.Heap.Scan(func(rid heap.RID, rec []byte) bool {
-		for _, ix := range hashes {
-			out, kerr := ix.KeyFromRecord(kbuf[:0], rec, rid, true)
-			if kerr != nil {
-				serr = kerr
-				return false
-			}
-			kbuf = out
-			ix.Hash.Insert(kbuf[:len(kbuf)-ridLen], kbuf[len(kbuf)-ridLen:])
-		}
 		for _, tb := range trees {
 			start := len(arena)
-			out, kerr := tb.ix.KeyFromRecord(arena, rec, rid, true)
+			out, kerr := tb.ix.KeyFromRecord(arena, rec, rid)
 			if kerr != nil {
 				serr = kerr
 				return false
@@ -1408,12 +1246,8 @@ func (db *DB) rebuildTableIndexes(t *TableInfo) error {
 // indexTuple adds one heap row to every index of its table.
 func (db *DB) indexTuple(t *TableInfo, tup value.Tuple, rid heap.RID) error {
 	for _, ix := range t.Indexes {
-		if ix.Hash != nil {
-			ix.Hash.Insert(ix.Key(tup, rid, false), ridBytes(rid))
-		} else {
-			if _, err := ix.BTree.Insert(ix.Key(tup, rid, true), ridBytes(rid)); err != nil {
-				return err
-			}
+		if _, err := ix.BTree.Insert(ix.Key(tup, rid), ridBytes(rid)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1438,12 +1272,8 @@ func (db *DB) removeTuple(txn uint64, t *TableInfo, rid heap.RID, tup value.Tupl
 		return nil
 	}
 	for _, ix := range t.Indexes {
-		if ix.Hash != nil {
-			ix.Hash.Delete(ix.Key(tup, rid, false), ridBytes(rid))
-		} else {
-			if _, err := ix.BTree.Delete(ix.Key(tup, rid, true)); err != nil {
-				return err
-			}
+		if _, err := ix.BTree.Delete(ix.Key(tup, rid)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1583,16 +1413,11 @@ func (db *DB) updateRows(txn uint64, s *Update) (Result, error) {
 			continue
 		}
 		for _, ix := range t.Indexes {
-			if ix.Hash != nil {
-				ix.Hash.Delete(ix.Key(c.old, c.rid, false), ridBytes(c.rid))
-				ix.Hash.Insert(ix.Key(c.new, newRid, false), ridBytes(newRid))
-			} else {
-				if _, err := ix.BTree.Delete(ix.Key(c.old, c.rid, true)); err != nil {
-					return Result{}, err
-				}
-				if _, err := ix.BTree.Insert(ix.Key(c.new, newRid, true), ridBytes(newRid)); err != nil {
-					return Result{}, err
-				}
+			if _, err := ix.BTree.Delete(ix.Key(c.old, c.rid)); err != nil {
+				return Result{}, err
+			}
+			if _, err := ix.BTree.Insert(ix.Key(c.new, newRid), ridBytes(newRid)); err != nil {
+				return Result{}, err
 			}
 		}
 	}

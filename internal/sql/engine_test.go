@@ -55,7 +55,7 @@ func viewQuery(t *testing.T, db *DB, view *Snap, src string) *Rows {
 }
 
 // batchQuery runs a SELECT through the writer's BatchView: it sees an
-// open batch and hash indexes, which the published snapshot does not.
+// open batch, which the published snapshot does not.
 func batchQuery(t *testing.T, db *DB, src string) *Rows {
 	t.Helper()
 	return viewQuery(t, db, db.BatchView(), src)
@@ -314,66 +314,56 @@ func TestIndexScanEqualityAndRange(t *testing.T) {
 	}
 }
 
-func TestHashIndexEquality(t *testing.T) {
+// TestExplainMatchesQueryPlan: Explain plans what a query with the same
+// ExecOpts runs, so its text is the plan lines of that query's trace. By
+// default both read the published snapshot; only the BatchView shows the
+// writer's open batch.
+func TestExplainMatchesQueryPlan(t *testing.T) {
 	db := openDB(t)
 	mustExec(t, db, `CREATE TABLE kw (token TEXT, doc INT)`)
 	for i := 0; i < 100; i++ {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO kw VALUES ('tok%d', %d)`, i%7, i))
 	}
-	mustExec(t, db, `CREATE INDEX idx_kw ON kw (token) USING HASH`)
-	before := db.reg.Index.HashLookups.Load()
-	r := batchQuery(t, db, `SELECT COUNT(*) FROM kw WHERE token = 'tok3'`)
-	if rowStrings(r)[0] != "14" {
-		t.Errorf("hash index count = %v", rowStrings(r))
-	}
-	if n := db.reg.Index.HashLookups.Load() - before; n != 1 {
-		t.Errorf("hash lookups = %d, want 1", n)
-	}
-	// The published snapshot has no hash index and answers by scanning.
-	if r := mustQuery(t, db, `SELECT COUNT(*) FROM kw WHERE token = 'tok3'`); rowStrings(r)[0] != "14" {
-		t.Errorf("snapshot count = %v", rowStrings(r))
-	}
-}
-
-// TestExplainShowsWriterPlan: Explain draws the writer's plan, so it
-// names a hash index that a default query, reading the published
-// snapshot, never probes. The traced runs show what each view executes.
-func TestExplainShowsWriterPlan(t *testing.T) {
-	db := openDB(t)
-	mustExec(t, db, `CREATE TABLE kw (token TEXT, doc INT)`)
-	for i := 0; i < 100; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO kw VALUES ('tok%d', %d)`, i%7, i))
-	}
-	mustExec(t, db, `CREATE INDEX idx_kw ON kw (token) USING HASH`)
-	const q = `SELECT doc FROM kw WHERE token = 'tok3'`
-	plan, err := db.Explain(q)
-	if err != nil {
+	mustExec(t, db, `CREATE INDEX idx_kw ON kw (token)`)
+	if err := db.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "index idx_kw") {
-		t.Errorf("Explain does not show the hash index:\n%s", plan)
-	}
-	stmt, err := Parse(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced := func(view *Snap) string {
-		t.Helper()
-		qt := obs.NewQueryTrace(false)
-		rows, err := db.QueryStmtOptsContext(context.Background(), stmt.(*Select), ExecOpts{Trace: qt, Snap: view})
+	defer db.Rollback()
+	mustExec(t, db, `INSERT INTO kw VALUES ('tok3', 100)`)
+	for _, c := range []struct {
+		q    string
+		o    ExecOpts
+		want string // substring of the plan
+		rows int
+	}{
+		{`SELECT doc FROM kw WHERE token = 'tok3'`, ExecOpts{}, "index idx_kw", 14},
+		{`SELECT doc FROM kw WHERE token = 'tok3'`, ExecOpts{Snap: db.BatchView()}, "index idx_kw", 15},
+		{`SELECT doc FROM kw`, ExecOpts{}, "(est rows=100)", 100},
+		{`SELECT doc FROM kw`, ExecOpts{Snap: db.BatchView()}, "(est rows=101)", 101},
+	} {
+		plan, err := db.Explain(c.q, c.o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows.Rows) != 14 {
-			t.Errorf("%d rows, want 14", len(rows.Rows))
+		if !strings.Contains(plan, c.want) {
+			t.Errorf("%s: plan lacks %q:\n%s", c.q, c.want, plan)
 		}
-		return qt.Text()
-	}
-	if got := traced(nil); strings.Contains(got, "idx_kw") || !strings.Contains(got, "sequential") {
-		t.Errorf("default query plan should scan the heap:\n%s", got)
-	}
-	if got := traced(db.BatchView()); got != plan {
-		t.Errorf("BatchView run differs from Explain:\n%s\nwant:\n%s", got, plan)
+		stmt, err := Parse(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := c.o
+		o.Trace = obs.NewQueryTrace(false)
+		rows, err := db.QueryStmtOptsContext(context.Background(), stmt.(*Select), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows.Rows) != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.q, len(rows.Rows), c.rows)
+		}
+		if got := o.Trace.Text(); got != plan {
+			t.Errorf("%s: traced run differs from Explain:\n%s\nwant:\n%s", c.q, got, plan)
+		}
 	}
 }
 
@@ -498,9 +488,43 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if len(r.Rows) != 1 || rowStrings(r)[0] != "row-123" {
 		t.Errorf("reopened query = %v", rowStrings(r))
 	}
-	cols, n, err := db2.Table("t")
-	if err != nil || n != 300 || len(cols) != 2 {
-		t.Errorf("Table() = %v %d %v", cols, n, err)
+	if ts := db2.Stats().Tables; len(ts) != 1 || ts[0].Name != "t" || ts[0].Rows != 300 {
+		t.Errorf("Stats().Tables = %+v", ts)
+	}
+}
+
+// TestOpenRefusesHashIndexRow: a catalog index row with its hash flag
+// set, as files from when hash indexes existed may carry, is refused at
+// Open with an error that names the index.
+func TestOpenRefusesHashIndexRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "h.db")
+	db, err := Open(path, Options{PoolPages: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE kw (token TEXT)`)
+	mustExec(t, db, `CREATE INDEX idx_kw ON kw (token)`)
+	db.mu.Lock()
+	ix := db.cat.indexes["idx_kw"]
+	row, err := value.DecodeTuple(encodeIndexRow(ix))
+	if err == nil {
+		row[4] = value.NewBool(true)
+		_, err = db.catH.Update(0, ix.rid, row.Encode(nil))
+	}
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = Open(path, Options{PoolPages: 256})
+	if err == nil {
+		db.Close()
+		t.Fatal("Open accepted a hash index row")
+	}
+	if !strings.Contains(err.Error(), `"idx_kw"`) {
+		t.Errorf("error does not name the index: %v", err)
 	}
 }
 
@@ -580,8 +604,7 @@ func TestTablesListing(t *testing.T) {
 	db := openDB(t)
 	mustExec(t, db, `CREATE TABLE alpha (a INT)`)
 	mustExec(t, db, `CREATE TABLE beta (b INT)`)
-	names := db.Tables()
-	if len(names) != 2 {
-		t.Errorf("Tables() = %v", names)
+	if ts := db.Stats().Tables; len(ts) != 2 || ts[0].Name != "alpha" || ts[1].Name != "beta" {
+		t.Errorf("Stats().Tables = %+v", ts)
 	}
 }

@@ -118,23 +118,35 @@ func (es *execState) btreeSearch() {
 	}
 }
 
-// hashLookup feeds one hash-index lookup to the registry.
-func (es *execState) hashLookup() {
-	if es.reg != nil {
-		es.reg.Index.HashLookups.Inc()
-	}
-}
-
-// runSelect plans and executes a SELECT against snap; the caller holds
-// what keeps the view stable (readGate for a published snapshot, db.mu
-// for a BatchView). o.Trace, when non-nil, collects plan lines and
-// per-operator actuals (EXPLAIN ANALYZE and slow-query traces).
-// o.Workers and o.MemBudget override Options.QueryWorkers and
-// Options.QueryMemBudget for this query when positive (per-session
-// overrides ride here).
-func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, snap *Snap) (*Rows, error) {
+// runSelect plans a SELECT and, when execute is set, runs it: the query
+// path and Explain share everything up to the first row, so the plan
+// Explain renders is the plan the query runs.
+//
+// The view is o.Snap. Nil is the published snapshot, pinned for the
+// statement: the query holds only the readGate, so a concurrent load
+// commits freely while it runs, and it sees committed state only. A
+// caller-pinned snapshot holds the readGate too. A BatchView holds db.mu
+// shared instead and sees the writer's own open batch. o.Trace, when
+// non-nil, collects plan lines and per-operator actuals (EXPLAIN ANALYZE
+// and slow-query traces). o.Workers and o.MemBudget override
+// Options.QueryWorkers and Options.QueryMemBudget for this query when
+// positive (per-session overrides ride here).
+func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, execute bool) (*Rows, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires FROM")
+	}
+	snap := o.Snap
+	if snap == nil {
+		snap = db.AcquireSnapshot()
+		defer db.ReleaseSnapshot(snap)
+	}
+	if snap == batchView {
+		db.mu.RLock()
+		defer db.mu.RUnlock()
+		snap = db.batchViewLocked()
+	} else {
+		db.readGate.RLock()
+		defer db.readGate.RUnlock()
 	}
 	workers := o.Workers
 	if workers <= 0 {
@@ -159,6 +171,9 @@ func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, snap *Snap
 		return nil, err
 	}
 	sp := db.planSink(es, sel, it.Schema())
+	if !execute {
+		return nil, nil
+	}
 	if hasAggregates(sel) {
 		return db.runAggregate(es, sel, it, sp)
 	}
@@ -343,14 +358,10 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 
 // Explain plans a SELECT and renders the chosen access paths and join
 // strategies without returning rows (the "meticulous analysis of the
-// query plans" workflow of paper §3.2).
-//
-// The plan is the writer's: it is drawn against the BatchView, so it sees
-// the open batch and hash indexes. A default Query reads the published
-// snapshot, which has no hash indexes, so where Explain shows a hash
-// index that query scans a B-tree or the heap instead; EXPLAIN ANALYZE
-// (ExecOpts.Trace) reports what the query actually ran.
-func (db *DB) Explain(src string) (string, error) {
+// query plans" workflow of paper §3.2). It reads the view and applies
+// the overrides o selects, exactly as QueryStmtOptsContext with the same
+// o would, so it shows the plan that query runs; o.Trace is ignored.
+func (db *DB) Explain(src string, o ExecOpts) (string, error) {
 	stmt, err := Parse(src)
 	if err != nil {
 		return "", err
@@ -359,19 +370,11 @@ func (db *DB) Explain(src string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("sql: Explain requires a SELECT, got %T", stmt)
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	// A plan-only execState (never executed, so no done channel) lets the
-	// trace report the parallel-scan decision the real run would make.
-	qt := obs.NewQueryTrace(false)
-	es := &execState{workers: db.opts.QueryWorkers, qt: qt, memBudget: db.opts.QueryMemBudget,
-		snap: db.batchViewLocked()}
-	it, err := db.buildFrom(es, sel)
-	if err != nil {
+	o.Trace = obs.NewQueryTrace(false)
+	if _, err := db.runSelect(context.Background(), sel, o, false); err != nil {
 		return "", err
 	}
-	db.planSink(es, sel, it.Schema())
-	return qt.Text(), nil
+	return o.Trace.Text(), nil
 }
 
 // resolvesIn reports whether every column reference in e resolves
@@ -631,9 +634,9 @@ func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Ex
 		}
 	}
 	// Choose the index matching the most leading equality (or small IN)
-	// columns, with a trailing range as a tiebreaker. Hash indexes need
-	// every column bound. IN lists expand to a union of point lookups,
-	// capped so a huge list degrades to a scan instead of exploding.
+	// columns, with a trailing range as a tiebreaker. IN lists expand to
+	// a union of point lookups, capped so a huge list degrades to a scan
+	// instead of exploding.
 	const maxPrefixProduct = 512
 	var best *IndexInfo
 	bestScore := 0
@@ -663,14 +666,11 @@ func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Ex
 				score += 2
 				continue
 			}
-			if (b.lo != nil || b.hi != nil) && !ix.UsingHash {
+			if b.lo != nil || b.hi != nil {
 				rng = b
 				score++
 			}
 			break
-		}
-		if ix.UsingHash && len(prefix) != len(ix.ColPos) {
-			continue
 		}
 		if score > bestScore {
 			best, bestScore, bestPrefix, bestRange = ix, score, prefix, rng
@@ -766,21 +766,11 @@ type bound struct {
 	hiStrict bool
 }
 
-// rids collects the RIDs of an index path, in index order: one hash
-// lookup or B-tree scan per equality/IN prefix combination, the B-tree
-// scan bounded by the trailing range when there is one.
+// rids collects the RIDs of an index path, in index order: one B-tree
+// scan per equality/IN prefix combination, bounded by the trailing range
+// when there is one.
 func (a *access) rids(es *execState) ([]heap.RID, error) {
 	var rids []heap.RID
-	if a.ix.UsingHash {
-		for _, key := range prefixCombos(a.prefix) {
-			es.hashLookup()
-			a.ix.Hash.Lookup(key, func(p []byte) bool {
-				rids = append(rids, ridFromBytes(p))
-				return true
-			})
-		}
-		return rids, nil
-	}
 	var cerr error
 	collect := func(key, val []byte) bool {
 		if cerr = es.poll(); cerr != nil {

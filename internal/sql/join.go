@@ -657,20 +657,12 @@ func (j *indexJoin) match(c *chunk, _, r int) ([]value.Tuple, error) {
 		}
 	}
 	j.rids = j.rids[:0]
-	if j.ix.Hash != nil {
-		j.es.hashLookup()
-		j.ix.Hash.Lookup(key, func(p []byte) bool {
-			j.rids = append(j.rids, ridFromBytes(p))
-			return true
-		})
-	} else {
-		j.es.btreeSearch()
-		if err := j.ix.BTree.ScanPrefix(key, func(_, v []byte) bool {
-			j.rids = append(j.rids, ridFromBytes(v))
-			return true
-		}); err != nil {
-			return nil, err
-		}
+	j.es.btreeSearch()
+	if err := j.ix.BTree.ScanPrefix(key, func(_, v []byte) bool {
+		j.rids = append(j.rids, ridFromBytes(v))
+		return true
+	}); err != nil {
+		return nil, err
 	}
 	j.matches = j.matches[:0]
 rows:

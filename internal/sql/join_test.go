@@ -124,7 +124,7 @@ func FuzzJoinStrategies(f *testing.F) {
 			}
 			for _, tmpl := range joinQueries {
 				q := fmt.Sprintf(tmpl, s.eq("k", "k"), s.eq("j", "j"), s.eq("j", "k"))
-				plan, err := db.Explain(q)
+				plan, err := db.Explain(q, ExecOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +176,7 @@ func TestJoinNullKeys(t *testing.T) {
 			`SELECT a.v, b.w FROM a, b WHERE %s`,
 		} {
 			q := fmt.Sprintf(tmpl, s.eq("k", "k"))
-			plan, err := db.Explain(q)
+			plan, err := db.Explain(q, ExecOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +266,7 @@ func TestExplainRunsNoIndexScan(t *testing.T) {
 	mustExec(t, db, `CREATE INDEX idx_n_k ON n (k)`)
 	hits := func(q string) uint64 {
 		before := db.pool.Stats().Hits
-		plan, err := db.Explain(q)
+		plan, err := db.Explain(q, ExecOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func TestLegacyRecordsBesideCompact(t *testing.T) {
 		// One legacy row and one compact row through the index.
 		for _, i := range []int{6, 7} {
 			q := fmt.Sprintf(`SELECT big FROM m WHERE id = %d`, i-20)
-			if plan, err := db.Explain(q); err != nil || !strings.Contains(plan, "index idx_m") {
+			if plan, err := db.Explain(q, ExecOpts{}); err != nil || !strings.Contains(plan, "index idx_m") {
 				t.Fatalf("%s: %s does not use the index: %v\n%s", when, q, err, plan)
 			}
 			if got := rowStrings(mustQuery(t, db, q)); len(got) != 1 || got[0] != fmt.Sprint(int64(i)<<40) {

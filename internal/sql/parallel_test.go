@@ -122,7 +122,7 @@ func TestExplainReportsParallelScan(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
 	db.opts.QueryWorkers = 4
-	plan, err := db.Explain(`SELECT k FROM big WHERE grp = 'g3'`)
+	plan, err := db.Explain(`SELECT k FROM big WHERE grp = 'g3'`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExplainReportsParallelScan(t *testing.T) {
 		t.Errorf("plan missing parallel scan line:\n%s", plan)
 	}
 	db.opts.QueryWorkers = 1
-	plan, err = db.Explain(`SELECT k FROM big WHERE grp = 'g3'`)
+	plan, err = db.Explain(`SELECT k FROM big WHERE grp = 'g3'`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestExplainReportsParallelScan(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE tiny (k INT)`)
 	mustExec(t, db, `INSERT INTO tiny VALUES (1)`)
 	db.opts.QueryWorkers = 4
-	plan, err = db.Explain(`SELECT k FROM tiny WHERE k = 1`)
+	plan, err = db.Explain(`SELECT k FROM tiny WHERE k = 1`, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,12 +183,6 @@ func (p *parser) createStmt() (Statement, error) {
 		if err := p.expect(tokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		if p.acceptKeyword("USING") {
-			if err := p.expectKeyword("HASH"); err != nil {
-				return nil, err
-			}
-			st.UsingHash = true
-		}
 		return st, nil
 	}
 	return nil, fmt.Errorf("sql: expected TABLE or INDEX after CREATE, got %s", p.peek())

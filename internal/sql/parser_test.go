@@ -61,12 +61,13 @@ func TestParseCreateTable(t *testing.T) {
 
 func TestParseCreateIndex(t *testing.T) {
 	st := mustParse(t, `CREATE INDEX idx_val ON values_str (path_id, val)`).(*CreateIndex)
-	if st.Name != "idx_val" || st.Table != "values_str" || len(st.Columns) != 2 || st.UsingHash {
+	if st.Name != "idx_val" || st.Table != "values_str" || len(st.Columns) != 2 {
 		t.Fatalf("bad parse: %+v", st)
 	}
-	st2 := mustParse(t, `CREATE INDEX h ON t (a) USING HASH`).(*CreateIndex)
-	if !st2.UsingHash {
-		t.Error("USING HASH not parsed")
+	// Every index is a B-tree: an index-kind clause is trailing input.
+	if _, err := Parse(`CREATE INDEX h ON t (a) USING HASH`); err == nil ||
+		!strings.Contains(err.Error(), `unexpected "USING" after statement`) {
+		t.Errorf("USING HASH: err = %v", err)
 	}
 }
 

@@ -28,7 +28,7 @@ var updateGoldens = flag.Bool("update", false, "rewrite testdata/plans goldens f
 // against. analyze toggles the post-load ANALYZE: the stats-flip tests
 // diff plans across it.
 //
-//   - small:  20 rows, unique id (B-tree) and name (hash index)
+//   - small:  20 rows, unique id and name, each indexed
 //   - big:    4000 rows; cat is heavily skewed ("common" on 3800 rows,
 //     rare0..rare9 on 20 each, rareK = ids [20K,20K+20)); v cycles
 //     0..999; pad is unindexed filler
@@ -48,7 +48,7 @@ func newPlanFixture(t *testing.T, analyze bool) *DB {
 	ddl := []string{
 		`CREATE TABLE small (id INT, name TEXT)`,
 		`CREATE INDEX idx_small_id ON small (id)`,
-		`CREATE INDEX idx_small_name ON small (name) USING HASH`,
+		`CREATE INDEX idx_small_name ON small (name)`,
 		`CREATE TABLE big (id INT, cat TEXT, v INT, pad TEXT)`,
 		`CREATE INDEX idx_big_id ON big (id)`,
 		`CREATE INDEX idx_big_cat ON big (cat)`,
@@ -199,7 +199,7 @@ func writePlanFile(t *testing.T, path string, cases []planCase) {
 
 func explainLines(t *testing.T, db *DB, query string) []string {
 	t.Helper()
-	out, err := db.Explain(query)
+	out, err := db.Explain(query, ExecOpts{})
 	if err != nil {
 		t.Fatalf("EXPLAIN %s: %v", query, err)
 	}
@@ -245,9 +245,9 @@ func TestGoldenPlans(t *testing.T) {
 func TestStatsChangePlans(t *testing.T) {
 	db := newPlanFixture(t, false)
 	type flip struct {
-		name, query          string
-		before, after        string // required substrings
-		notBefore, notAfter  string // forbidden substrings ("" skips)
+		name, query         string
+		before, after       string // required substrings
+		notBefore, notAfter string // forbidden substrings ("" skips)
 	}
 	flips := []flip{
 		{
@@ -269,14 +269,14 @@ func TestStatsChangePlans(t *testing.T) {
 			notAfter: "idx_ev",
 		},
 		{
-			name:      "join order follows the measured rare-value count",
-			query:     `SELECT b.v, s.name FROM big b, small s WHERE s.id = b.id AND b.cat = 'rare0'`,
-			before:    "scan small as s", after: "scan big as b",
+			name:   "join order follows the measured rare-value count",
+			query:  `SELECT b.v, s.name FROM big b, small s WHERE s.id = b.id AND b.cat = 'rare0'`,
+			before: "scan small as s", after: "scan big as b",
 			notBefore: "scan big as b", notAfter: "scan small as s",
 		},
 	}
 	check := func(phase string, f flip, mustHave, mustNot string) {
-		plan, err := db.Explain(f.query)
+		plan, err := db.Explain(f.query, ExecOpts{})
 		if err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}

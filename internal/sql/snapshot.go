@@ -14,10 +14,8 @@ import "runtime"
 // the catalog as of an epoch, with every heap and B-tree frozen at that
 // epoch; it is immutable and shared — AcquireSnapshot hands the same Snap
 // to every reader of the current epoch, each holding its own epoch pin.
-// Hash indexes are excluded from published snapshots (they are in-memory
-// structures mutated in place); queries on them fall back to B-tree or
-// sequential access. The writer's BatchView is the other kind: the live
-// catalog, hash indexes included, read under db.mu.
+// The writer's BatchView is the other kind: the live catalog, read under
+// db.mu.
 type Snap struct {
 	epoch uint64
 	cat   *catalog
@@ -40,9 +38,8 @@ type Snap struct {
 func (s *Snap) Epoch() uint64 { return s.epoch }
 
 // freeze returns an immutable copy of the table bound to epoch: the heap
-// and every B-tree index frozen, hash indexes dropped. Column defs and
-// the stats block are shared — both are replaced, never mutated, under
-// db.mu.
+// and every B-tree index frozen. Column defs and the stats block are
+// shared — both are replaced, never mutated, under db.mu.
 func (t *TableInfo) freeze(epoch uint64) *TableInfo {
 	ft := &TableInfo{
 		Name:     t.Name,
@@ -52,7 +49,7 @@ func (t *TableInfo) freeze(epoch uint64) *TableInfo {
 		hasStats: t.hasStats,
 	}
 	for _, ix := range t.Indexes {
-		if ix.BTree == nil { // a hash index, or a tree retired by DeferIndexes
+		if ix.BTree == nil { // a tree retired by DeferIndexes
 			continue
 		}
 		ft.Indexes = append(ft.Indexes, &IndexInfo{
@@ -91,8 +88,8 @@ func (db *DB) publishLocked() {
 }
 
 // BatchView returns the writer's view of its open batch, for
-// ExecOpts.Snap: the live catalog — live heaps and trees, hash indexes
-// too — with indexes usable unless a DeferIndexes window is open. A
+// ExecOpts.Snap: the live catalog — live heaps and trees — with indexes
+// usable unless a DeferIndexes window is open. A
 // statement run against it holds db.mu shared and resolves the catalog
 // when it starts, so the view never goes stale; it pins no epoch and is
 // never released. Only the writer needs it: every other reader sees

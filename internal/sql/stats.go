@@ -268,17 +268,7 @@ func (db *DB) Analyze() error {
 	if db.inBatch {
 		return errors.New("sql: cannot analyze inside an open batch")
 	}
-	db.nextTxn++
-	txn := db.nextTxn
-	preMut, preSize := db.pool.Mutations(), db.log.Size()
-	err := db.analyzeLocked(txn)
-	if err == nil {
-		err = db.commitAutoLocked(txn)
-	}
-	if err != nil {
-		err = db.stmtAbortLocked(err, preMut, preSize)
-	}
-	return err
+	return db.autocommitLocked(db.analyzeLocked)
 }
 
 // analyzeLocked collects and persists stats for every table in sorted

@@ -174,7 +174,7 @@ func TestStatsSurviveReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	const q = `SELECT id FROM big WHERE cat = 'common'`
-	before, err := db.Explain(q)
+	before, err := db.Explain(q, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestStatsSurviveReopen(t *testing.T) {
 	if st.Rows != 2000 {
 		t.Fatalf("reloaded rows=%d, want 2000", st.Rows)
 	}
-	after, err := db.Explain(q)
+	after, err := db.Explain(q, ExecOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

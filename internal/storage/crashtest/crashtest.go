@@ -281,7 +281,6 @@ func runPoint(cfg Config, w Workload, snaps []string, k int64, res *Result) erro
 func openOn(cfg Config, fs *faultfs.FS) (*sql.DB, error) {
 	opts := cfg.Opts
 	opts.FS = fs
-	opts.SyncOnCommit = true
 	return sql.Open(cfg.Path, opts)
 }
 
