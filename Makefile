@@ -141,8 +141,8 @@ bench-server:
 
 check: vet build test race
 
-# Fuzz each parser target, the tuple wire format and the join-strategy
-# differential for $(FUZZTIME); crashers persist under the package's
+# Fuzz each parser target, the tuple wire format, the join-strategy
+# differential and the shred/reconstruct round trip for $(FUZZTIME); crashers persist under the package's
 # testdata/fuzz/ directory and become regression seeds.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xq/
@@ -151,6 +151,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/dtd/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmldoc/
 	$(GO) test -run xxx -fuzz FuzzTupleWire -fuzztime $(FUZZTIME) ./internal/value/
+	$(GO) test -run xxx -fuzz FuzzShredRoundTrip -fuzztime $(FUZZTIME) ./internal/shred/
 
 # Crash-point enumeration and fault-injection sweeps: every counted disk
 # op is a crash or fault site; recovery must land on a committed boundary.

@@ -487,12 +487,6 @@ func BenchmarkE12IncrementalUpdate(b *testing.B) {
 func BenchmarkE13NumericQuery(b *testing.B) {
 	f := flats(b, 10, 1000, 0)
 	eng := warehouse(b, f, nil)
-	store := eng.Store()
-	pid, ok := store.PathID("hlx_embl.inv", "/hlx_n_sequence/db_entry/feature_list/feature/@location")
-	_ = pid
-	_ = ok
-	// Use sequence lengths materialised into values_num via the
-	// numeric-looking location bounds; simplest robust target: doc ids.
 	// Compare a numeric range over values_num against the same range
 	// evaluated by coercing values_str.
 	b.Run("values_num-range", func(b *testing.B) {
@@ -538,13 +532,19 @@ func BenchmarkE14Recovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sh, err := store.NewShredder("hlx_enzyme.DEFAULT")
+		if err != nil {
+			b.Fatal(err)
+		}
+		chunk := make([]*shred.DocBatch, len(docs))
+		for j, d := range docs {
+			chunk[j] = sh.Shred(store.ReserveDocID("hlx_enzyme.DEFAULT"), d)
+		}
 		if err := db.Begin(); err != nil {
 			b.Fatal(err)
 		}
-		for _, d := range docs {
-			if _, err := store.LoadDocument("hlx_enzyme.DEFAULT", d); err != nil {
-				b.Fatal(err)
-			}
+		if err := store.InsertChunk("hlx_enzyme.DEFAULT", chunk); err != nil {
+			b.Fatal(err)
 		}
 		if err := db.Commit(); err != nil {
 			b.Fatal(err)

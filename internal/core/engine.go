@@ -422,7 +422,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 		// A pipeline that failed before calling produce leaves the
 		// transform blocked on its channel.
 		abortTransform()
-		return 0, err
+		return 0, e.loadFailed(err)
 	}
 	e.setLoadStats(LoadStats{
 		Docs: len(docs), Tuples: tuples, Bytes: cr.n,
@@ -528,14 +528,14 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	for _, name := range append(append([]string{}, cs.Removed...), cs.Modified...) {
 		if err := e.store.DeleteDocument(dbName, name); err != nil {
 			if e.txLoad == nil {
-				return cs, errors.Join(err, e.db.Rollback())
+				err = errors.Join(err, e.db.Rollback())
 			}
-			return cs, err
+			return cs, e.loadFailed(err)
 		}
 	}
 	if e.txLoad == nil {
 		if err := e.db.Commit(); err != nil {
-			return cs, err
+			return cs, e.loadFailed(err)
 		}
 	}
 	var loads []*xmldoc.Document
@@ -555,7 +555,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	}
 	docs, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, false, produce)
 	if err != nil {
-		return cs, err
+		return cs, e.loadFailed(err)
 	}
 	e.setLoadStats(LoadStats{
 		Docs: len(docs), Tuples: tuples, Bytes: cr.n,

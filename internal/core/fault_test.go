@@ -8,11 +8,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/faultfs"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/value"
 )
 
 const faultWH = "hlx_enzyme.DEFAULT"
@@ -181,6 +183,119 @@ func TestUpdateFaultSweep(t *testing.T) {
 	}
 }
 
+// TestUpdateDictionaryFaultSweep injects one I/O error at every disk op
+// of an Update whose revised entry brings two paths the warehouse has
+// never seen (prosite_reference and its attribute). Wherever the fault
+// lands, the store's in-memory dictionaries must describe what committed:
+// every nodes.path_id has a paths row, and contains() over a word every
+// entry carries finds every entry — after the failure, after the
+// documented recovery (a full re-harness) and after a reopen.
+func TestUpdateDictionaryFaultSweep(t *testing.T) {
+	entries := make([]*bio.EnzymeEntry, 5)
+	for i := range entries {
+		entries[i] = &bio.EnzymeEntry{
+			ID:          fmt.Sprintf("1.1.1.%d", i+1),
+			Description: []string{fmt.Sprintf("Alcohol oxidase %d.", i+1)},
+		}
+	}
+	flat := enzymeFlat(t, entries)
+	revised := *entries[2]
+	revised.PrositeRefs = []string{"PDOC00080"}
+	entries[2] = &revised
+	flat2 := enzymeFlat(t, entries)
+
+	setup := func(fs *faultfs.FS) *Engine {
+		e := faultEngine(t, fs)
+		src := hounds.NewSimSource("enzyme", flat)
+		if err := e.RegisterSource(faultWH, src, hounds.EnzymeTransformer{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Harness(faultWH); err != nil {
+			t.Fatal(err)
+		}
+		src.Publish(flat2)
+		return e
+	}
+	// check asserts that the dictionaries agree with the committed tables.
+	check := func(e *Engine, when string, wantDocs int) {
+		t.Helper()
+		if err := e.DB().CheckConsistency(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		known := map[int64]bool{}
+		for _, r := range sqlRows(t, e, `SELECT path_id FROM paths WHERE db = 'hlx_enzyme.DEFAULT'`) {
+			known[r[0].Int()] = true
+		}
+		for _, r := range sqlRows(t, e, `SELECT DISTINCT path_id FROM nodes WHERE db = 'hlx_enzyme.DEFAULT'`) {
+			if !known[r[0].Int()] {
+				t.Fatalf("%s: nodes reference path_id %d, which has no paths row", when, r[0].Int())
+			}
+		}
+		docs, err := e.DocCount(faultWH)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if wantDocs >= 0 && docs != wantDocs {
+			t.Fatalf("%s: DocCount = %d, want %d", when, docs, wantDocs)
+		}
+		res, err := e.Query(`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//enzyme_description, "oxidase")
+RETURN $a//enzyme_id`)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if len(res.Rows) != docs {
+			t.Fatalf("%s: contains() found %d of %d entries", when, len(res.Rows), docs)
+		}
+	}
+
+	fs := faultfs.New(31)
+	e := setup(fs)
+	start := fs.Ops()
+	if cs, err := e.Update(faultWH); err != nil || len(cs.Modified) != 1 {
+		t.Fatalf("reference update = %+v, %v; want one modified entry", cs, err)
+	}
+	updateOps := fs.Ops() - start
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if updateOps < 5 {
+		t.Fatalf("update consumed %d ops; sweep would be vacuous", updateOps)
+	}
+
+	failed := 0
+	for k := int64(0); k < updateOps; k++ {
+		fs := faultfs.New(31)
+		e := setup(fs)
+		fs.FailAt(fs.Ops()+k, faultfs.FaultErr)
+		when := fmt.Sprintf("op +%d", k)
+		_, uerr := e.Update(faultWH)
+		if uerr != nil && !errors.Is(uerr, faultfs.ErrInjected) {
+			t.Fatalf("%s: update err = %v, want ErrInjected in chain", when, uerr)
+		}
+		if uerr != nil {
+			failed++
+		}
+		check(e, when+", after the update", -1)
+		if _, err := e.Harness(faultWH); err != nil {
+			t.Fatalf("%s: re-harness: %v", when, err)
+		}
+		check(e, when+", after the re-harness", len(entries))
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: close: %v", when, err)
+		}
+		e = faultEngine(t, fs)
+		check(e, when+", after reopen", len(entries))
+		if err := e.Close(); err != nil {
+			t.Fatalf("%s: close: %v", when, err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no injected fault failed the update; the sweep is vacuous")
+	}
+	t.Logf("%d ops swept, %d failed the update", updateOps, failed)
+}
+
 // TestHarnessCrashReopen cuts power mid-harness, reboots, and reopens
 // the warehouse: recovery must land on a consistent committed prefix,
 // and a fresh harness must complete the load.
@@ -236,4 +351,14 @@ RETURN $e/enzyme_id`)
 	if len(res.Rows) == 0 {
 		t.Fatal("query after crash recovery returned no rows")
 	}
+}
+
+// sqlRows runs a SELECT against the committed warehouse.
+func sqlRows(t testing.TB, e *Engine, q string) []value.Tuple {
+	t.Helper()
+	rows, err := e.DB().Query(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return rows.Rows
 }

@@ -117,8 +117,9 @@ type loadResult struct {
 // committed before the failure stays, is reindexed, and the error is
 // returned — the next harness replaces the harvest wholesale. A failure
 // before the first chunk commits rolls the clear back with it, leaving
-// the previous harvest in place. Cancellation is honoured between
-// documents and chunks, never inside a chunk commit.
+// the previous harvest in place. The caller then rebuilds the store's
+// dictionaries from what committed (loadFailed). Cancellation is
+// honoured between documents and chunks, never inside a chunk commit.
 func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
@@ -138,10 +139,10 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 		}
 	}
 	// open: a batch is open that the next chunk joins rather than begins.
-	// clearing: the clear has not committed yet. The clear runs before the
-	// producer starts, since it resets the doc ids the producer hands out.
-	open, clearing := false, clear && !txMode
-	if clearing {
+	// The clear runs before the producer starts, since it resets the doc
+	// ids the producer hands out.
+	open := false
+	if clear && !txMode {
 		if err := e.db.Begin(); err != nil {
 			return nil, 0, errors.Join(err, e.db.ResumeIndexes())
 		}
@@ -166,7 +167,7 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 	defer stop()
 
 	// Producer: number documents in stream order. ReserveDocID runs here
-	// and nowhere else during the load, so ids match a sequential pass.
+	// and nowhere else during the load, so ids match a workers=1 load.
 	go func() {
 		seq := 0
 		err := produce(func(doc *xmldoc.Document) error {
@@ -251,10 +252,9 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 			if err := e.db.Commit(); err != nil {
 				return err
 			}
-			clearing = false
 		}
 		// Keyword shards merge only after their chunk is durable, in
-		// document order, reproducing the sequential posting order.
+		// document order, so postings are those of a workers=1 load.
 		chunkTuples := 0
 		for _, b := range chunk {
 			e.store.MergeKeywords(dbName, b)
@@ -309,11 +309,6 @@ collect:
 	if open {
 		failErr = errors.Join(failErr, e.db.Rollback())
 	}
-	if clearing {
-		// The clear rolled back: the previous harvest is the warehouse
-		// again, and the store's dictionaries must follow it there.
-		failErr = errors.Join(failErr, e.store.Reload())
-	}
 	// Rebuild the secondary indexes over whatever committed — the full
 	// load on success, the consistent prefix on failure. ResumeIndexes
 	// is a no-op when maintenance was inline (or a rollback already
@@ -342,6 +337,20 @@ collect:
 		return docs, tuples, failErr
 	}
 	return docs, tuples, nil
+}
+
+// loadFailed is the one recovery rule for a Harness or Update that fails
+// after it started writing. Whatever committed stays, but the store's
+// dictionaries ran ahead of it: path ids assigned to a chunk that rolled
+// back, postings dropped by deletions that never committed. They and the
+// native-fallback corpus cache are rebuilt from the committed tables.
+// Inside a transaction the transaction's rollback does the same. Caller
+// holds e.mu.
+func (e *Engine) loadFailed(err error) error {
+	if e.txLoad != nil {
+		return err
+	}
+	return errors.Join(err, e.resyncLocked())
 }
 
 // countingReader counts raw source bytes for throughput reporting. The

@@ -139,3 +139,100 @@ RETURN $a//enzyme_id`
 		t.Errorf("epoch churn produced no plan-cache invalidations: %+v", pcBefore)
 	}
 }
+
+// TestDocumentDuringUpdates reconstructs one entry in a loop while a
+// writer flips it between two revisions with Updates (each a deletion
+// commit followed by a load commit). Every answer must serialise to one
+// of the two published revisions, or report the entry missing (between
+// the two commits it is): a document with nodes from one commit and
+// text from another is a torn read.
+func TestDocumentDuringUpdates(t *testing.T) {
+	e := openEngine(t)
+	const db = "hlx_enzyme.DEFAULT"
+	entries := bio.GenEnzymes(4, bio.GenOptions{Seed: 21})
+	target := entries[1]
+	revise := func(note string) string {
+		rev := *target
+		rev.Comments = nil
+		for i := 0; i < 40; i++ {
+			rev.Comments = append(rev.Comments, fmt.Sprintf("%s remark %d on the catalytic site.", note, i))
+		}
+		all := append([]*bio.EnzymeEntry{}, entries...)
+		all[1] = &rev
+		return enzymeFlat(t, all)
+	}
+	flatA, flatB := revise("First"), revise("Second")
+	src := hounds.NewSimSource("enzyme", flatA)
+	if err := e.RegisterSource(db, src, hounds.EnzymeTransformer{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Harness(db); err != nil {
+		t.Fatal(err)
+	}
+	wantA, err := e.Document(db, target.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(flatB)
+	if _, err := e.Update(db); err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := e.Document(db, target.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantA == wantB {
+		t.Fatal("the two revisions serialise identically; the test cannot see a torn read")
+	}
+
+	const updates = 40
+	done := make(chan struct{})
+	var reads, missing, torn int
+	var firstTorn string
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			got, err := e.Document(db, target.ID)
+			reads++
+			switch {
+			case err != nil && (strings.Contains(err.Error(), "no document") || strings.Contains(err.Error(), "not found")):
+				missing++
+			case err != nil:
+				torn++
+				if firstTorn == "" {
+					firstTorn = err.Error()
+				}
+			case got != wantA && got != wantB:
+				torn++
+				if firstTorn == "" {
+					firstTorn = got
+				}
+			}
+		}
+	}()
+	for i := 0; i < updates; i++ {
+		if i%2 == 0 {
+			src.Publish(flatA)
+		} else {
+			src.Publish(flatB)
+		}
+		if _, err := e.Update(db); err != nil {
+			close(done)
+			wg.Wait()
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	t.Logf("%d reads during %d updates: %d missing, %d torn", reads, updates, missing, torn)
+	if torn > 0 {
+		t.Fatalf("%d of %d reads matched neither revision; first:\n%s", torn, reads, firstTorn)
+	}
+}

@@ -313,6 +313,11 @@ func (e *Engine) commitTxBatch(st *txLoadState) error {
 func (e *Engine) resyncAfterRollback() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.resyncLocked()
+}
+
+// resyncLocked is resyncAfterRollback's body. Caller holds e.mu.
+func (e *Engine) resyncLocked() error {
 	e.corpus = map[string][]*xmldoc.Document{}
 	return e.store.Reload()
 }

@@ -9,10 +9,10 @@ import (
 	"xomatiq/internal/sql"
 )
 
-// BenchmarkLoadDocument measures the sequential single-document load
-// path (run with -benchmem: the shared Dewey prefix buffer removed the
-// O(depth) per-child label garbage).
-func BenchmarkLoadDocument(b *testing.B) {
+// BenchmarkLoadOneDocument measures a one-document load through the
+// pipeline's stages on one goroutine: reserve an id, shred, insert the
+// one-batch chunk, commit, merge its keywords.
+func BenchmarkLoadOneDocument(b *testing.B) {
 	db, err := sql.OpenAsync(filepath.Join(b.TempDir(), "wh.db"), sql.Options{PoolPages: 4096})
 	if err != nil {
 		b.Fatal(err)
@@ -29,13 +29,7 @@ func BenchmarkLoadDocument(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := db.Begin(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.LoadDocument("hlx_enzyme.DEFAULT", doc); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Commit(); err != nil {
+		if _, err := shredDocs(s, "hlx_enzyme.DEFAULT", doc); err != nil {
 			b.Fatal(err)
 		}
 	}

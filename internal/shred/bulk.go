@@ -80,9 +80,9 @@ func (s *Store) NewShredder(db string) (*Shredder, error) {
 	return sh, nil
 }
 
-// ReserveDocID assigns the next document id of db, exactly as a
-// sequential LoadDocument would. The pipeline producer calls this once
-// per document before handing it to a worker.
+// ReserveDocID assigns the next document id of db. The pipeline
+// producer calls this once per document, in stream order, before handing
+// it to a worker, so ids follow the stream whatever the worker count.
 func (s *Store) ReserveDocID(db string) int {
 	s.mu.Lock()
 	id := s.nextDoc[db]
@@ -206,10 +206,10 @@ func (st *shredState) pushKey(keyLen, ord int) int {
 	return len(st.keyBuf)
 }
 
-// value emits the value rows for a text or attribute node, matching the
-// sequential insertValue: sequence paths route to seq_data only;
-// everything else lands in values_str, additionally in values_num when
-// numeric, and contributes keyword tokens.
+// value emits the value rows for a text or attribute node: sequence
+// paths route to seq_data only; everything else lands in values_str,
+// additionally in values_num when numeric, and contributes keyword
+// tokens.
 func (st *shredState) value(text string, id, parent int, pid int64, patch bool, key string, seqPath []byte) {
 	base := value.Tuple{
 		st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
@@ -244,8 +244,8 @@ func (st *shredState) value(text string, id, parent int, pid int64, patch bool, 
 }
 
 // ResolveBatch assigns global path ids to a batch's NewPaths (in batch
-// order, exactly as the sequential loader's first-encounter assignment)
-// and patches its placeholder path_ids. It returns the paths tuples for
+// order, so ids follow first encounter in document order, as a
+// workers=1 load assigns them) and patches its placeholder path_ids. It returns the paths tuples for
 // dictionary entries this merge created. Batches MUST be resolved in
 // ascending DocID order for path-id determinism.
 func (s *Store) ResolveBatch(db string, b *DocBatch) []value.Tuple {
@@ -335,7 +335,7 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 
 // MergeKeywords merges a batch's keyword shard into db's inverted index.
 // Called in ascending DocID order after the owning chunk commits, it
-// reproduces the posting order of sequential AddText calls.
+// yields the posting order of a workers=1 load.
 func (s *Store) MergeKeywords(db string, b *DocBatch) {
 	s.mu.RLock()
 	kw := s.kw[db]

@@ -1,7 +1,8 @@
 // Package shred implements the XML2Relational-Transformer and the
 // Relation2XML-Transformer (the "tagger") of the Data Hounds: XML
-// documents become tuples of a generic relational schema; query results
-// and whole documents are reconstructed back into XML.
+// documents become tuples of a generic relational schema, and whole
+// documents are reconstructed back into XML. Query results are tagged
+// by core.Result.
 //
 // The paper keeps its Oracle schema proprietary but states its design
 // requirements (§2.2), all satisfied here:
@@ -22,8 +23,6 @@ import (
 
 	"xomatiq/internal/index/inverted"
 	"xomatiq/internal/sql"
-	"xomatiq/internal/value"
-	"xomatiq/internal/xmldoc"
 )
 
 // Schema DDL for the generic shredding schema. One warehouse database
@@ -98,9 +97,9 @@ func (s *Store) bumpEpoch(db string) {
 }
 
 // BumpEpoch advances the catalog epoch of db, invalidating cached query
-// translations. LoadDocument does not bump the epoch itself — a loader
+// translations. InsertChunk does not bump the epoch itself — a loader
 // calls this once per load, so a 1000-document harness invalidates
-// concurrent readers once instead of 1000 times.
+// concurrent readers once instead of once per chunk.
 func (s *Store) BumpEpoch(db string) { s.bumpEpoch(db) }
 
 // AnalyzeStats recomputes the relational engine's optimizer statistics
@@ -296,21 +295,6 @@ func (s *Store) Keywords(db string) *inverted.Index {
 	return s.kw[db]
 }
 
-// PathCount reports the number of dictionary paths of a database.
-func (s *Store) PathCount(db string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.paths[db])
-}
-
-// PathID resolves a path to its dictionary id.
-func (s *Store) PathID(db, path string) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	id, ok := s.paths[db][path]
-	return id, ok
-}
-
 // PathsMatching returns ids of dictionary paths matching the given
 // element path pattern: an absolute /a/b/c or a descendant pattern
 // //c or /a//c (the XQ2SQL translator resolves path expressions here).
@@ -391,176 +375,9 @@ func pathMatches(pattern, path string) bool {
 	return true
 }
 
-func (s *Store) pathID(db, path string) (int, error) {
-	s.mu.Lock()
-	m := s.paths[db]
-	if m == nil {
-		m = map[string]int{}
-		s.paths[db] = m
-	}
-	if id, ok := m[path]; ok {
-		s.mu.Unlock()
-		return id, nil
-	}
-	id := s.nextPath[db]
-	s.nextPath[db] = id + 1
-	m[path] = id
-	s.mu.Unlock()
-	if err := s.DB.InsertTuple("paths", value.Tuple{
-		value.NewText(db), value.NewInt(int64(id)), value.NewText(path),
-	}); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// LoadDocument shreds one XML document into the warehouse, returning its
-// document id. The caller wraps batches in DB.Begin/Commit and calls
-// BumpEpoch once when its load completes; bulk loads go through the
-// parallel Shredder/InsertChunk path instead.
-func (s *Store) LoadDocument(db string, doc *xmldoc.Document) (int, error) {
-	if !s.HasDB(db) {
-		return 0, fmt.Errorf("shred: database %q not registered", db)
-	}
-	s.mu.Lock()
-	docID := s.nextDoc[db]
-	s.nextDoc[db] = docID + 1
-	kw := s.kw[db]
-	seqSet := s.seqPaths[db]
-	s.mu.Unlock()
-	if err := s.DB.InsertTuple("docs", value.Tuple{
-		value.NewText(db), value.NewInt(int64(docID)), value.NewText(doc.Name),
-	}); err != nil {
-		return 0, err
-	}
-	nodeID := 0
-	var shredNode func(n *xmldoc.Node, parent int, pos int, depth int, d xmldoc.Dewey) error
-	insertNode := func(n *xmldoc.Node, id, parent, kind, pos, depth int, d xmldoc.Dewey) error {
-		pid, err := s.pathID(db, nodePath(n))
-		if err != nil {
-			return err
-		}
-		return s.DB.InsertTuple("nodes", value.Tuple{
-			value.NewText(db), value.NewInt(int64(docID)), value.NewInt(int64(id)),
-			value.NewInt(int64(parent)), value.NewInt(int64(kind)), value.NewText(n.Name),
-			value.NewInt(int64(pid)), value.NewInt(int64(pos)), value.NewInt(int64(depth)),
-			value.NewText(d.SortKey()),
-		})
-	}
-	insertValue := func(n *xmldoc.Node, id, parent int, text string, d xmldoc.Dewey) error {
-		pid, err := s.pathID(db, nodePath(n))
-		if err != nil {
-			return err
-		}
-		isSeq := seqSet[valuePath(n)]
-		if isSeq {
-			return s.DB.InsertTuple("seq_data", value.Tuple{
-				value.NewText(db), value.NewInt(int64(docID)), value.NewInt(int64(id)),
-				value.NewInt(int64(parent)), value.NewInt(int64(pid)), value.NewText(text),
-				value.NewText(d.SortKey()),
-			})
-		}
-		if err := s.DB.InsertTuple("values_str", value.Tuple{
-			value.NewText(db), value.NewInt(int64(docID)), value.NewInt(int64(id)),
-			value.NewInt(int64(parent)), value.NewInt(int64(pid)), value.NewText(text),
-			value.NewText(d.SortKey()),
-		}); err != nil {
-			return err
-		}
-		if f, ok := value.NewText(text).AsNumeric(); ok {
-			if err := s.DB.InsertTuple("values_num", value.Tuple{
-				value.NewText(db), value.NewInt(int64(docID)), value.NewInt(int64(id)),
-				value.NewInt(int64(parent)), value.NewInt(int64(pid)), value.NewFloat(f),
-				value.NewText(d.SortKey()),
-			}); err != nil {
-				return err
-			}
-		}
-		if kw != nil {
-			kw.AddText(uint32(docID), uint32(id), text)
-		}
-		return nil
-	}
-	// One Dewey prefix buffer is shared across the whole walk with
-	// truncate-and-extend instead of a fresh slice per child: insertNode
-	// and insertValue render the label to a string before returning, so
-	// nothing retains the slice after the recursive call unwinds.
-	prefix := make(xmldoc.Dewey, 1, 16)
-	prefix[0] = 1
-	shredNode = func(n *xmldoc.Node, parent, pos, depth int, d xmldoc.Dewey) error {
-		id := nodeID
-		nodeID++
-		switch n.Kind {
-		case xmldoc.KindElement:
-			if err := insertNode(n, id, parent, kindElem, pos, depth, d); err != nil {
-				return err
-			}
-			ord := 1
-			base := len(d)
-			for _, a := range n.Attrs {
-				prefix = append(prefix[:base], ord)
-				if err := shredNode(a, id, ord, depth+1, prefix); err != nil {
-					return err
-				}
-				ord++
-			}
-			for _, c := range n.Children {
-				prefix = append(prefix[:base], ord)
-				if err := shredNode(c, id, ord, depth+1, prefix); err != nil {
-					return err
-				}
-				ord++
-			}
-			prefix = prefix[:base]
-		case xmldoc.KindAttr:
-			if err := insertNode(n, id, parent, kindAttr, pos, depth, d); err != nil {
-				return err
-			}
-			if err := insertValue(n, id, parent, n.Data, d); err != nil {
-				return err
-			}
-		case xmldoc.KindText:
-			if err := insertNode(n, id, parent, kindText, pos, depth, d); err != nil {
-				return err
-			}
-			if err := insertValue(n, id, parent, n.Data, d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := shredNode(doc.Root, -1, 1, 0, prefix); err != nil {
-		return 0, err
-	}
-	return docID, nil
-}
-
-// nodePath is the dictionary path of a node (text nodes share their
-// parent element's path so value lookups address the element path).
-func nodePath(n *xmldoc.Node) string { return n.Path() }
-
-// valuePath is the path used for sequence routing: the owning element.
-func valuePath(n *xmldoc.Node) string {
-	if n.Kind == xmldoc.KindText && n.Parent != nil {
-		return n.Parent.Path()
-	}
-	return n.Path()
-}
-
-// DocID resolves a document name to its id in the committed warehouse.
-func (s *Store) DocID(db, name string) (int, bool, error) {
-	return s.docID(db, name, nil)
-}
-
-// docID resolves a document name to its id through view (nil: the
-// published snapshot).
+// docID resolves a document name to its id through view.
 func (s *Store) docID(db, name string, view *sql.Snap) (int, bool, error) {
-	stmt, err := sql.Parse(fmt.Sprintf(
-		`SELECT doc_id FROM docs WHERE db = %s AND name = %s`, Quote(db), Quote(name)))
-	if err != nil {
-		return 0, false, err
-	}
-	rows, err := s.DB.QueryStmtOptsContext(context.Background(), stmt.(*sql.Select), sql.ExecOpts{Snap: view})
+	rows, err := s.query(view, `SELECT doc_id FROM docs WHERE db = %s AND name = %s`, Quote(db), Quote(name))
 	if err != nil {
 		return 0, false, err
 	}
@@ -568,6 +385,17 @@ func (s *Store) docID(db, name string, view *sql.Snap) (int, bool, error) {
 		return 0, false, nil
 	}
 	return int(rows.Rows[0][0].Int()), true, nil
+}
+
+// query runs one SELECT, built from format and args, against view: a
+// pinned snapshot, the writer's BatchView, or nil for the published
+// snapshot of the moment.
+func (s *Store) query(view *sql.Snap, format string, args ...any) (*sql.Rows, error) {
+	stmt, err := sql.Parse(fmt.Sprintf(format, args...))
+	if err != nil {
+		return nil, err
+	}
+	return s.DB.QueryStmtOptsContext(context.Background(), stmt.(*sql.Select), sql.ExecOpts{Snap: view})
 }
 
 // WarehouseInfo summarises one registered database.
@@ -578,9 +406,8 @@ type WarehouseInfo struct {
 }
 
 // Overview reports every registered database with its document and
-// dictionary-path counts, sorted by name. Unlike calling Databases +
-// DocCount + PathCount per database, the dictionary state is read under
-// ONE RLock acquisition and the document counts come from a single
+// dictionary-path counts, sorted by name. The dictionary state is read
+// under ONE RLock acquisition and the document counts come from a single
 // grouped query, so the listing cannot interleave with a concurrent
 // load's per-database mutations.
 func (s *Store) Overview() ([]WarehouseInfo, error) {
@@ -625,11 +452,7 @@ func (s *Store) ClearDatabase(db string) error {
 	// small docs table says so without a pass over the large ones (inside
 	// a deferred-index window each DELETE scans its whole heap). The
 	// writer counts in its own batch.
-	stmt, err := sql.Parse(fmt.Sprintf(`SELECT COUNT(*) FROM docs WHERE db = %s`, Quote(db)))
-	if err != nil {
-		return err
-	}
-	rows, err := s.DB.QueryStmtOptsContext(context.Background(), stmt.(*sql.Select), sql.ExecOpts{Snap: s.DB.BatchView()})
+	rows, err := s.query(s.DB.BatchView(), `SELECT COUNT(*) FROM docs WHERE db = %s`, Quote(db))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package shred
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -27,17 +28,52 @@ func openStore(t *testing.T) *Store {
 	return s
 }
 
+// shredDocs loads docs into db the way the ingest pipeline does with one
+// worker: ids reserved in stream order, every document shredded against
+// one dictionary snapshot, one chunk inserted in one batch, keyword
+// shards merged once it commits. It returns the documents' ids.
+func shredDocs(s *Store, db string, docs ...*xmldoc.Document) ([]int, error) {
+	sh, err := s.NewShredder(db)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int, len(docs))
+	chunk := make([]*DocBatch, len(docs))
+	for i, d := range docs {
+		ids[i] = s.ReserveDocID(db)
+		chunk[i] = sh.Shred(ids[i], d)
+	}
+	if err := s.DB.Begin(); err != nil {
+		return nil, err
+	}
+	if err := s.InsertChunk(db, chunk); err != nil {
+		return nil, errors.Join(err, s.DB.Rollback())
+	}
+	if err := s.DB.Commit(); err != nil {
+		return nil, err
+	}
+	for _, b := range chunk {
+		s.MergeKeywords(db, b)
+	}
+	s.BumpEpoch(db)
+	return ids, nil
+}
+
+func load(t testing.TB, s *Store, db string, docs ...*xmldoc.Document) []int {
+	t.Helper()
+	ids, err := shredDocs(s, db, docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
 func loadSample(t *testing.T, s *Store) int {
 	t.Helper()
 	if err := s.RegisterDB("hlx_enzyme.DEFAULT", nil, hounds.EnzymeDTD); err != nil {
 		t.Fatal(err)
 	}
-	doc := hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry())
-	id, err := s.LoadDocument("hlx_enzyme.DEFAULT", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return id
+	return load(t, s, "hlx_enzyme.DEFAULT", hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry()))[0]
 }
 
 func TestLoadAndReconstruct(t *testing.T) {
@@ -71,6 +107,9 @@ func TestReconstructByName(t *testing.T) {
 	if _, err := s.ReconstructByName("hlx_enzyme.DEFAULT", "absent"); err == nil {
 		t.Error("absent document should fail")
 	}
+	if _, err := s.Reconstruct("hlx_enzyme.DEFAULT", 12345); err == nil {
+		t.Error("bogus doc id should fail")
+	}
 }
 
 func TestValuesTablesAndTypes(t *testing.T) {
@@ -80,9 +119,7 @@ func TestValuesTablesAndTypes(t *testing.T) {
 	}
 	doc := xmldoc.MustParse(`<ann><name>seq1</name><length>900</length><score>8.25</score></ann>`)
 	doc.Name = "a1"
-	if _, err := s.LoadDocument("db", doc); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "db", doc)
 	// String values present for every text/attr node.
 	rows, err := s.DB.Query(`SELECT COUNT(*) FROM values_str WHERE db = 'db'`)
 	if err != nil {
@@ -97,12 +134,12 @@ func TestValuesTablesAndTypes(t *testing.T) {
 		t.Errorf("values_num count = %v", rows.Rows[0][0])
 	}
 	// Numeric range query through values_num.
-	pid, ok := s.PathID("db", "/ann/length")
-	if !ok {
-		t.Fatal("no path id for /ann/length")
+	pids := s.PathsMatching("db", "/ann/length")
+	if len(pids) != 1 {
+		t.Fatalf("path ids for /ann/length = %v", pids)
 	}
 	rows, err = s.DB.Query(fmt.Sprintf(
-		`SELECT COUNT(*) FROM values_num WHERE db = 'db' AND path_id = %d AND val > 500`, pid))
+		`SELECT COUNT(*) FROM values_num WHERE db = 'db' AND path_id = %d AND val > 500`, pids[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +157,7 @@ func TestSequenceSeparation(t *testing.T) {
 		ID: "E1", Division: "INV", Accession: "X00001",
 		Description: "test entry", Sequence: "acgtacgt",
 	}
-	doc := hounds.EMBLEntryToXML(entry)
-	id, err := s.LoadDocument("embl", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := load(t, s, "embl", hounds.EMBLEntryToXML(entry))[0]
 	rows, _ := s.DB.Query(`SELECT seq FROM seq_data WHERE db = 'embl'`)
 	if len(rows.Rows) != 1 || rows.Rows[0][0].Text() != "acgtacgt" {
 		t.Errorf("seq_data = %v", rows.Rows)
@@ -181,9 +214,7 @@ func TestKeywordIndexRebuiltOnOpen(t *testing.T) {
 	if err := s.RegisterDB("hlx_enzyme.DEFAULT", nil, hounds.EnzymeDTD); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadDocument("hlx_enzyme.DEFAULT", hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry())); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "hlx_enzyme.DEFAULT", hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry()))
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +246,7 @@ func TestDeleteDocument(t *testing.T) {
 		ID: "2.2.2.2", Description: []string{"Another enzyme with copper."},
 		Cofactors: []string{"Copper"},
 	})
-	if _, err := s.LoadDocument("hlx_enzyme.DEFAULT", doc2); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "hlx_enzyme.DEFAULT", doc2)
 	if n, _ := s.DocCount("hlx_enzyme.DEFAULT"); n != 2 {
 		t.Fatalf("DocCount = %d", n)
 	}
@@ -278,10 +307,7 @@ func TestOrderPreservedAcrossShred(t *testing.T) {
 	}
 	doc := xmldoc.MustParse(`<r><x>1</x><y>2</y><x>3</x><y>4</y><x>5</x></r>`)
 	doc.Name = "ordered"
-	id, err := s.LoadDocument("db", doc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := load(t, s, "db", doc)[0]
 	rec, err := s.Reconstruct("db", id)
 	if err != nil {
 		t.Fatal(err)
@@ -308,46 +334,10 @@ func TestOrderPreservedAcrossShred(t *testing.T) {
 	}
 }
 
-func TestTagRowsAndTable(t *testing.T) {
-	s := openStore(t)
-	loadSample(t, s)
-	rows, err := s.DB.Query(`SELECT name AS doc_name, doc_id FROM docs WHERE db = 'hlx_enzyme.DEFAULT'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := TagRows(rows, "results", "result")
-	out := doc.Serialize(xmldoc.SerializeOptions{NoDecl: true})
-	if !strings.Contains(out, "<doc_name>1.14.17.3</doc_name>") {
-		t.Errorf("tagged XML = %s", out)
-	}
-	table := TagTable(rows)
-	if !strings.Contains(table, "doc_name") || !strings.Contains(table, "1.14.17.3") {
-		t.Errorf("table = %s", table)
-	}
-	if !strings.Contains(table, "---") {
-		t.Error("table missing separator")
-	}
-}
-
-func TestSanitizeElemName(t *testing.T) {
-	cases := map[string]string{
-		"name":             "name",
-		"Accession Number": "Accession_Number",
-		"COUNT(*)":         "COUNT___",
-		"1abc":             "_abc",
-		"":                 "col_",
-	}
-	for in, want := range cases {
-		if got := sanitizeElemName(in); got != want {
-			t.Errorf("sanitizeElemName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 func TestLoadUnregisteredDB(t *testing.T) {
 	s := openStore(t)
 	doc := xmldoc.MustParse(`<r/>`)
-	if _, err := s.LoadDocument("nope", doc); err == nil {
+	if _, err := shredDocs(s, "nope", doc); err == nil {
 		t.Error("load into unregistered db should fail")
 	}
 }
@@ -366,17 +356,7 @@ func TestBatchLoadMany(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DB.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range docs {
-		if _, err := s.LoadDocument("hlx_enzyme.DEFAULT", d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.DB.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	load(t, s, "hlx_enzyme.DEFAULT", docs...)
 	if n, _ := s.DocCount("hlx_enzyme.DEFAULT"); n != len(docs) {
 		t.Errorf("DocCount = %d, want %d", n, len(docs))
 	}
@@ -389,40 +369,6 @@ func TestBatchLoadMany(t *testing.T) {
 		if !xmldoc.Equal(d.Root, rec.Root) {
 			t.Fatalf("document %q reconstruction differs", d.Name)
 		}
-	}
-}
-
-func TestReconstructSubtree(t *testing.T) {
-	s := openStore(t)
-	loadSample(t, s)
-	db := "hlx_enzyme.DEFAULT"
-	id, ok, err := s.DocID(db, "1.14.17.3")
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	// Find the node id of the cofactor element via SQL, then rebuild just
-	// that subtree.
-	rows, err := s.DB.Query(fmt.Sprintf(
-		`SELECT n.node_id FROM nodes n, paths p
-		 WHERE n.db = %s AND p.db = %s AND n.path_id = p.path_id
-		   AND p.path = '/hlx_enzyme/db_entry/cofactor_list' AND n.kind = 0 AND n.doc_id = %d`,
-		Quote(db), Quote(db), id))
-	if err != nil || len(rows.Rows) != 1 {
-		t.Fatalf("cofactor_list node lookup: %v rows=%d", err, len(rows.Rows))
-	}
-	nodeID := int(rows.Rows[0][0].Int())
-	sub, err := s.ReconstructSubtree(db, id, nodeID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Name != "cofactor_list" || sub.FirstChild("cofactor").Text() != "Copper" {
-		t.Errorf("subtree = %s", xmldoc.SerializeNode(sub, xmldoc.SerializeOptions{}))
-	}
-	if _, err := s.ReconstructSubtree(db, id, 99999); err == nil {
-		t.Error("bogus node id should fail")
-	}
-	if _, err := s.Reconstruct(db, 12345); err == nil {
-		t.Error("bogus doc id should fail")
 	}
 }
 
@@ -449,9 +395,8 @@ func TestClearDatabase(t *testing.T) {
 	}
 	// Registration and DTD survive; reloading works and doc ids restart.
 	doc := hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry())
-	docID, err := s.LoadDocument("hlx_enzyme.DEFAULT", doc)
-	if err != nil || docID != 0 {
-		t.Errorf("reload after clear: id=%d err=%v", docID, err)
+	if ids, err := shredDocs(s, "hlx_enzyme.DEFAULT", doc); err != nil || ids[0] != 0 {
+		t.Errorf("reload after clear: ids=%v err=%v", ids, err)
 	}
 	if err := s.ClearDatabase("unknown"); err == nil {
 		t.Error("clear of unregistered db should fail")
@@ -464,10 +409,11 @@ func TestHasDBAndPathCount(t *testing.T) {
 	if !s.HasDB("hlx_enzyme.DEFAULT") || s.HasDB("nope") {
 		t.Error("HasDB misbehaves")
 	}
-	if s.PathCount("hlx_enzyme.DEFAULT") < 10 {
-		t.Errorf("PathCount = %d", s.PathCount("hlx_enzyme.DEFAULT"))
+	dbs, err := s.Overview()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.PathCount("nope") != 0 {
-		t.Error("PathCount of unknown db should be 0")
+	if len(dbs) != 1 || dbs[0].DB != "hlx_enzyme.DEFAULT" || dbs[0].Paths < 10 {
+		t.Errorf("Overview = %+v, want one database with >= 10 paths", dbs)
 	}
 }

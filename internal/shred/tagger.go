@@ -3,21 +3,42 @@ package shred
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"xomatiq/internal/sql"
-	"xomatiq/internal/value"
 	"xomatiq/internal/xmldoc"
 )
 
 // Reconstruct rebuilds a whole XML document from its shredded tuples —
 // the expensive direction the paper warns about ("reconstruction of
 // entire large XML document from the tuples is expensive compared to the
-// query processing time", §3.3; measured by bench E7).
+// query processing time", §3.3; measured by bench E7). Every read of the
+// call goes through one pinned snapshot, so a reconstruction that
+// overlaps a commit sees the document entirely before it or after it.
 func (s *Store) Reconstruct(db string, docID int) (*xmldoc.Document, error) {
-	nodeRows, err := s.DB.Query(fmt.Sprintf(
+	snap := s.DB.AcquireSnapshot()
+	defer s.DB.ReleaseSnapshot(snap)
+	return s.reconstruct(db, docID, snap)
+}
+
+// ReconstructByName rebuilds a document by its entry key, looking the
+// name up in the snapshot the document is read from.
+func (s *Store) ReconstructByName(db, name string) (*xmldoc.Document, error) {
+	snap := s.DB.AcquireSnapshot()
+	defer s.DB.ReleaseSnapshot(snap)
+	id, ok, err := s.docID(db, name, snap)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("shred: no document %q in %q", name, db)
+	}
+	return s.reconstruct(db, id, snap)
+}
+
+func (s *Store) reconstruct(db string, docID int, snap *sql.Snap) (*xmldoc.Document, error) {
+	nodeRows, err := s.query(snap,
 		`SELECT node_id, parent_id, kind, name, dewey FROM nodes WHERE db = %s AND doc_id = %d`,
-		Quote(db), docID))
+		Quote(db), docID)
 	if err != nil {
 		return nil, err
 	}
@@ -57,9 +78,8 @@ func (s *Store) Reconstruct(db string, docID int) (*xmldoc.Document, error) {
 		if table == "seq_data" {
 			col = "seq"
 		}
-		rows, err := s.DB.Query(fmt.Sprintf(
-			`SELECT node_id, %s FROM %s WHERE db = %s AND doc_id = %d`,
-			col, table, Quote(db), docID))
+		rows, err := s.query(snap, `SELECT node_id, %s FROM %s WHERE db = %s AND doc_id = %d`,
+			col, table, Quote(db), docID)
 		if err != nil {
 			return nil, err
 		}
@@ -98,158 +118,12 @@ func (s *Store) Reconstruct(db string, docID int) (*xmldoc.Document, error) {
 	if root == nil {
 		return nil, fmt.Errorf("shred: document %d has no root", docID)
 	}
-	name := ""
-	if rows, err := s.DB.Query(fmt.Sprintf(
-		`SELECT name FROM docs WHERE db = %s AND doc_id = %d`, Quote(db), docID)); err == nil && len(rows.Rows) == 1 {
-		name = rows.Rows[0][0].Text()
-	}
-	return &xmldoc.Document{Name: name, Root: root}, nil
-}
-
-// ReconstructByName rebuilds a document by its entry key.
-func (s *Store) ReconstructByName(db, name string) (*xmldoc.Document, error) {
-	id, ok, err := s.DocID(db, name)
+	rows, err := s.query(snap, `SELECT name FROM docs WHERE db = %s AND doc_id = %d`, Quote(db), docID)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("shred: no document %q in %q", name, db)
+	if len(rows.Rows) != 1 {
+		return nil, fmt.Errorf("shred: document %d has %d docs rows", docID, len(rows.Rows))
 	}
-	return s.Reconstruct(db, id)
-}
-
-// ReconstructSubtree rebuilds the subtree rooted at a specific node id —
-// the tagger path for queries returning interior elements.
-func (s *Store) ReconstructSubtree(db string, docID, nodeID int) (*xmldoc.Node, error) {
-	doc, err := s.Reconstruct(db, docID)
-	if err != nil {
-		return nil, err
-	}
-	// Walk to the node by re-shredding ids in the same pre-order the
-	// loader used: attrs first, then children.
-	id := 0
-	var found *xmldoc.Node
-	var walk func(n *xmldoc.Node)
-	walk = func(n *xmldoc.Node) {
-		if found != nil {
-			return
-		}
-		if id == nodeID {
-			found = n
-			return
-		}
-		id++
-		if n.Kind == xmldoc.KindElement {
-			for _, a := range n.Attrs {
-				if found != nil {
-					return
-				}
-				if id == nodeID {
-					found = a
-					return
-				}
-				id++
-			}
-			for _, c := range n.Children {
-				walk(c)
-				if found != nil {
-					return
-				}
-			}
-		}
-	}
-	walk(doc.Root)
-	if found == nil {
-		return nil, fmt.Errorf("shred: node %d not found in document %d", nodeID, docID)
-	}
-	return found, nil
-}
-
-// TagRows renders a relational result as an XML document — the generic
-// Relation2XML tagger (inspired, as the paper notes, by efficient
-// relational-to-XML publishing). Each row becomes a <rowName> element
-// with one child per column.
-func TagRows(rows *sql.Rows, rootName, rowName string) *xmldoc.Document {
-	root := xmldoc.NewElement(rootName)
-	for _, tup := range rows.Rows {
-		re := root.AddChild(xmldoc.NewElement(rowName))
-		for i, col := range rows.Columns {
-			ce := re.AddChild(xmldoc.NewElement(sanitizeElemName(col)))
-			if !tup[i].IsNull() {
-				ce.AddText(tup[i].String())
-			}
-		}
-	}
-	return &xmldoc.Document{Name: rootName, Root: root}
-}
-
-// sanitizeElemName maps an arbitrary column label to a valid element
-// name.
-func sanitizeElemName(s string) string {
-	var sb strings.Builder
-	for i, r := range s {
-		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && (r == '-' || r == '.' || (r >= '0' && r <= '9')))
-		if ok {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteByte('_')
-		}
-	}
-	out := sb.String()
-	if out == "" || !(out[0] == '_' || (out[0] >= 'a' && out[0] <= 'z') || (out[0] >= 'A' && out[0] <= 'Z')) {
-		out = "col_" + out
-	}
-	return out
-}
-
-// TagTable renders a result as fixed-width text — the "simple table
-// format" display option of Figures 7(b) and 12.
-func TagTable(rows *sql.Rows) string {
-	widths := make([]int, len(rows.Columns))
-	for i, c := range rows.Columns {
-		widths[i] = len(c)
-	}
-	cells := make([][]string, len(rows.Rows))
-	for ri, tup := range rows.Rows {
-		cells[ri] = make([]string, len(tup))
-		for i, v := range tup {
-			cell := renderCell(v)
-			cells[ri][i] = cell
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var sb strings.Builder
-	writeRow := func(vals []string) {
-		for i, v := range vals {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(v)
-			for p := len(v); p < widths[i]; p++ {
-				sb.WriteByte(' ')
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(rows.Columns)
-	seps := make([]string, len(rows.Columns))
-	for i := range seps {
-		seps[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(seps)
-	for _, row := range cells {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-func renderCell(v value.Value) string {
-	s := v.String()
-	if len(s) > 60 {
-		s = s[:57] + "..."
-	}
-	return s
+	return &xmldoc.Document{Name: rows.Rows[0][0].Text(), Root: root}, nil
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -107,26 +108,27 @@ func (db *DB) CompactTo(path string, opts Options) error {
 			out.Close()
 			return fmt.Errorf("sql: compact: create %s: %w", t.Name, err)
 		}
-		var serr error
-		scanErr := t.Heap.Scan(func(_ heap.RID, rec []byte) bool {
-			tup, derr := value.DecodeTuple(rec)
-			if derr != nil {
-				serr = derr
-				return false
+		// One source page at a time: decoded tuples own their values,
+		// so a page's run outlives the scan callback.
+		for _, id := range t.Heap.PageIDs() {
+			var run []value.Tuple
+			var derr error
+			_, _, err := t.Heap.ScanPage(id, func(_ heap.RID, rec []byte) bool {
+				tup, err := value.DecodeTuple(rec)
+				if err != nil {
+					derr = err
+					return false
+				}
+				run = append(run, tup)
+				return true
+			})
+			if err = errors.Join(err, derr); err == nil {
+				err = out.InsertBatch(t.Name, run)
 			}
-			if derr := out.InsertTuple(t.Name, tup); derr != nil {
-				serr = derr
-				return false
+			if err != nil {
+				out.Close()
+				return err
 			}
-			return true
-		})
-		if scanErr != nil {
-			out.Close()
-			return scanErr
-		}
-		if serr != nil {
-			out.Close()
-			return serr
 		}
 	}
 	if err := out.Commit(); err != nil {

@@ -167,15 +167,27 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 			return db.Commit()
 		}}
 	}
-	load := func(ds ...*xmldoc.Document) func(*sql.DB) error {
-		return func(*sql.DB) error {
-			for _, d := range ds {
-				if _, err := store.LoadDocument(crashDBName, d); err != nil {
-					return err
-				}
-			}
-			return nil
+	// shredInto shreds ds and inserts them as one chunk into the open
+	// batch with the indexes live: Update's small-delta path.
+	shredInto := func(ds ...*xmldoc.Document) error {
+		sh, err := store.NewShredder(crashDBName)
+		if err != nil {
+			return err
 		}
+		chunk := make([]*shred.DocBatch, len(ds))
+		for i, d := range ds {
+			chunk[i] = sh.Shred(store.ReserveDocID(crashDBName), d)
+		}
+		if err := store.InsertChunk(crashDBName, chunk); err != nil {
+			return err
+		}
+		for _, b := range chunk {
+			store.MergeKeywords(crashDBName, b)
+		}
+		return nil
+	}
+	load := func(ds ...*xmldoc.Document) func(*sql.DB) error {
+		return func(*sql.DB) error { return shredInto(ds...) }
 	}
 	// bulk is the loader's shape: retire the trees (DeferIndexes), append
 	// the documents as page images in one commit, rebuild the trees into
@@ -256,8 +268,7 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 				if err := store.DeleteDocument(crashDBName, docs[2].Name); err != nil {
 					return err
 				}
-				_, err := store.LoadDocument(crashDBName, modifiedCopy(t, docs[2]))
-				return err
+				return shredInto(modifiedCopy(t, docs[2]))
 			}),
 			batch("scratch", exec(scratch...)),
 			batch("load-3", load(docs[4], docs[5])),

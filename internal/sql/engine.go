@@ -999,33 +999,9 @@ func (db *DB) insert(txn uint64, s *Insert) (Result, error) {
 	return Result{RowsAffected: n}, nil
 }
 
-// InsertTuple adds a pre-built tuple to a table, bypassing the parser.
-// The shredder uses this fast path for warehouse loads.
-func (db *DB) InsertTuple(table string, tup value.Tuple) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, err := db.cat.table(table)
-	if err != nil {
-		return err
-	}
-	if len(tup) != len(t.Columns) {
-		return fmt.Errorf("sql: tuple has %d values, table %q has %d columns", len(tup), table, len(t.Columns))
-	}
-	for i := range tup {
-		cv, err := coerce(tup[i], t.Columns[i].Type)
-		if err != nil {
-			return fmt.Errorf("sql: column %q: %w", t.Columns[i].Name, err)
-		}
-		tup[i] = cv
-	}
-	return db.autocommitLocked(func(txn uint64) error {
-		return db.insertTuple(txn, t, tup)
-	})
-}
-
 // InsertBatch bulk-appends pre-built tuples to a table, logging one WAL
 // page image per filled heap page instead of one record per tuple. The
-// shredder's parallel load path feeds whole chunks through here.
+// shredder's load path feeds whole chunks through here.
 func (db *DB) InsertBatch(table string, tuples []value.Tuple) error {
 	if len(tuples) == 0 {
 		return nil

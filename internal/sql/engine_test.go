@@ -585,14 +585,14 @@ func TestDDLErrors(t *testing.T) {
 	mustExec(t, db, `DROP INDEX IF EXISTS nothing`)
 }
 
-func TestInsertTupleFastPath(t *testing.T) {
+func TestInsertBatchFastPath(t *testing.T) {
 	db := openDB(t)
 	mustExec(t, db, `CREATE TABLE t (a INT, b TEXT)`)
-	if err := db.InsertTuple("t", value.Tuple{value.NewInt(1), value.NewText("x")}); err != nil {
+	if err := db.InsertBatch("t", []value.Tuple{{value.NewInt(1), value.NewText("x")}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertTuple("t", value.Tuple{value.NewInt(1)}); err == nil {
-		t.Error("wrong arity InsertTuple should fail")
+	if err := db.InsertBatch("t", []value.Tuple{{value.NewInt(1)}}); err == nil {
+		t.Error("wrong arity InsertBatch should fail")
 	}
 	r := mustQuery(t, db, `SELECT b FROM t WHERE a = 1`)
 	if len(r.Rows) != 1 || rowStrings(r)[0] != "x" {

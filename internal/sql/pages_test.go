@@ -63,11 +63,11 @@ func TestLegacyRecordsBesideCompact(t *testing.T) {
 		}
 	}
 	// Even rows arrive in the old form, through the heap and index the
-	// way an INSERT would put them; odd rows through INSERT itself.
+	// way an INSERT would put them; odd rows through InsertBatch.
 	tbl := db.cat.tables["m"]
 	for i := 0; i < 40; i++ {
 		if i%2 == 1 {
-			if err := db.InsertTuple("m", row(i)); err != nil {
+			if err := db.InsertBatch("m", []value.Tuple{row(i)}); err != nil {
 				t.Fatal(err)
 			}
 			continue

@@ -44,16 +44,27 @@ func (fx *fixture) loadDocs(t *testing.T, dbName string, seqPaths []string, docs
 	if err := fx.store.RegisterDB(dbName, seqPaths, ""); err != nil {
 		t.Fatal(err)
 	}
+	// The ingest pipeline's stages on one goroutine: one chunk, one batch,
+	// keyword shards merged once it commits.
+	sh, err := fx.store.NewShredder(dbName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := make([]*shred.DocBatch, len(docs))
+	for i, d := range docs {
+		chunk[i] = sh.Shred(fx.store.ReserveDocID(dbName), d)
+	}
 	if err := fx.store.DB.Begin(); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range docs {
-		if _, err := fx.store.LoadDocument(dbName, d); err != nil {
-			t.Fatal(err)
-		}
+	if err := fx.store.InsertChunk(dbName, chunk); err != nil {
+		t.Fatal(err)
 	}
 	if err := fx.store.DB.Commit(); err != nil {
 		t.Fatal(err)
+	}
+	for _, b := range chunk {
+		fx.store.MergeKeywords(dbName, b)
 	}
 	fx.corpus[dbName] = docs
 }
