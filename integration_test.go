@@ -157,14 +157,14 @@ func TestPublicAPIUpdateCycle(t *testing.T) {
 }
 
 // TestPublicAPINoIndexConfig verifies correctness is preserved with all
-// secondary indexes disabled (the E8 ablation configuration).
+// secondary indexes of the shredding schema dropped.
 func TestPublicAPINoIndexConfig(t *testing.T) {
-	eng, err := xomatiq.Open(filepath.Join(t.TempDir(), "noidx.db"),
-		xomatiq.WithoutIndexes(), xomatiq.WithoutKeywordIndex())
+	eng, err := xomatiq.Open(filepath.Join(t.TempDir(), "noidx.db"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	dropShredIndexes(t, eng.DB())
 	entries := xomatiq.GenEnzymes(20, xomatiq.GenOptions{Seed: 9})
 	src := xomatiq.NewSimSource("expasy", flatten(t, entries))
 	if err := eng.RegisterSource("hlx_enzyme.DEFAULT", src, xomatiq.EnzymeTransformer{}); err != nil {

@@ -1,6 +1,6 @@
 // Package benchutil builds the synthetic workloads shared by the
-// benchmark suite (bench_test.go, one bench per DESIGN.md experiment)
-// and the experiment driver (cmd/xqbench).
+// benchmark ledger (bench/), the demo-data generator (cmd/genload) and
+// the root tests.
 package benchutil
 
 import (
@@ -12,7 +12,6 @@ import (
 	"xomatiq/internal/core"
 	"xomatiq/internal/hounds"
 	"xomatiq/internal/nativexml"
-	"xomatiq/internal/xmldoc"
 )
 
 // Flats holds the rendered flat files of one synthetic corpus.
@@ -55,10 +54,9 @@ func BuildFlats(nEnzyme, nEMBL, nSProt int, opts bio.GenOptions) (*Flats, error)
 }
 
 // Warehouse opens an engine in dir and harnesses the corpus into it.
-// Pass cfgMod to tweak the configuration (ablations).
+// Pass cfgMod to tweak the configuration.
 func Warehouse(dir string, f *Flats, cfgMod func(*core.Config)) (*core.Engine, error) {
 	cfg := core.NewConfig(filepath.Join(dir, "bench.db"))
-	cfg.Async = true // benchmark loads; durability measured separately in E14
 	if cfgMod != nil {
 		cfgMod(&cfg)
 	}
@@ -117,18 +115,6 @@ func Corpus(f *Flats) (nativexml.Corpus, error) {
 	return out, nil
 }
 
-// CorpusBytes estimates the in-memory footprint of a native corpus by
-// summing serialised document sizes.
-func CorpusBytes(c nativexml.Corpus) int {
-	total := 0
-	for _, docs := range c {
-		for _, d := range docs {
-			total += len(d.Serialize(xmldoc.SerializeOptions{NoDecl: true}))
-		}
-	}
-	return total
-}
-
 // Queries: the paper's three figures, in canonical text.
 const (
 	Figure8Query = `FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
@@ -147,8 +133,8 @@ RETURN $Accession_Number = $a//embl_accession_number,
        $Accession_Description = $a//description`
 )
 
-// QuerySuite is the mixed workload E8/E9/E10 sweep over: the three paper
-// queries plus numeric-range and order-based forms.
+// QuerySuite is a mixed workload: the three paper queries plus an
+// equality lookup and an any-level keyword search.
 var QuerySuite = []struct {
 	Name  string
 	Query string

@@ -35,17 +35,6 @@ type Config struct {
 	Path string
 	// PoolPages is the buffer pool capacity (default 4096 pages).
 	PoolPages int
-	// WithIndexes creates the shredding schema's secondary indexes
-	// (default true via NewConfig; the E8 ablation turns it off).
-	WithIndexes bool
-	// UseKeywordIndex enables inverted-index prefilters for contains()
-	// (default true via NewConfig; the E4 ablation turns it off).
-	UseKeywordIndex bool
-	// Async skips the WAL fsync on commit (bulk benchmark loads).
-	Async bool
-	// PlanCacheSize is the entry capacity of the query plan cache:
-	// 0 means DefaultPlanCacheSize, negative disables caching.
-	PlanCacheSize int
 	// LoadWorkers is the harness ingest parallelism: the number of
 	// goroutines validating and shredding documents concurrently.
 	// 0 means runtime.GOMAXPROCS(0). Any value produces byte-identical
@@ -89,7 +78,7 @@ type Config struct {
 
 // NewConfig returns the default configuration for a warehouse at path.
 func NewConfig(path string) Config {
-	return Config{Path: path, WithIndexes: true, UseKeywordIndex: true}
+	return Config{Path: path}
 }
 
 // Engine is a XomatiQ warehouse instance.
@@ -146,17 +135,11 @@ func Open(cfg Config) (*Engine, error) {
 		QueryMemBudget: cfg.QueryMemBudget,
 		FS:             cfg.FS, Metrics: reg,
 	}
-	var db *sql.DB
-	var err error
-	if cfg.Async {
-		db, err = sql.OpenAsync(cfg.Path, opts)
-	} else {
-		db, err = sql.Open(cfg.Path, opts)
-	}
+	db, err := sql.Open(cfg.Path, opts)
 	if err != nil {
 		return nil, err
 	}
-	store, err := shred.Open(db, cfg.WithIndexes)
+	store, err := shred.Open(db)
 	if err != nil {
 		db.Close()
 		return nil, err
@@ -170,7 +153,7 @@ func Open(cfg Config) (*Engine, error) {
 		db:        db,
 		store:     store,
 		bus:       hounds.NewBus(),
-		plans:     newPlanCache(cfg.PlanCacheSize),
+		plans:     newPlanCache(DefaultPlanCacheSize),
 		reg:       reg,
 		writerTok: make(chan struct{}, 1),
 		sources:   map[string]*sourceReg{},
@@ -319,16 +302,8 @@ func (e *Engine) HarnessReaderContext(ctx context.Context, dbName string, tr hou
 		return 0, err
 	}
 	defer e.releaseWriter()
-	return e.harnessReaderContext(ctx, dbName, tr, r, version, nil)
-}
-
-// harnessReaderContext is the token-free reader-load body (caller holds
-// the writer token; st as in harnessContext).
-func (e *Engine) harnessReaderContext(ctx context.Context, dbName string, tr hounds.Transformer, r io.Reader, version string, st *txLoadState) (int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.txLoad = st
-	defer func() { e.txLoad = nil }()
 	reg, ok := e.sources[dbName]
 	if !ok {
 		if err := e.store.RegisterDB(dbName, tr.SequencePaths(), dtdText(tr)); err != nil {
@@ -698,9 +673,7 @@ func (e *Engine) translate(q *xq.Query) (*planEntry, error) {
 			entry.epochs[b.Path.Doc] = e.store.Epoch(b.Path.Doc)
 		}
 	}
-	tr, err := xq2sql.Translate(e.store, q, xq2sql.Options{
-		UseKeywordIndex: e.cfg.UseKeywordIndex,
-	})
+	tr, err := xq2sql.Translate(e.store, q, xq2sql.Options{UseKeywordIndex: true})
 	if err == nil {
 		stmt, perr := sql.Parse(tr.SQL)
 		if perr != nil {

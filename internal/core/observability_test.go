@@ -15,7 +15,20 @@ import (
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/shred"
 )
+
+// dropShredIndexes drops the shredding schema's secondary indexes, so
+// every query runs on sequential scans and hash joins.
+func dropShredIndexes(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, ddl := range shred.IndexDDL {
+		name := strings.Fields(ddl)[5] // CREATE INDEX IF NOT EXISTS <name> ON ...
+		if _, err := e.DB().Exec("DROP INDEX " + name); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func openEngineCfg(t *testing.T, mod func(*Config)) *Engine {
 	t.Helper()
@@ -91,11 +104,8 @@ WHERE $a//enzyme_id = "1.14.17.3" RETURN $a//enzyme_description`)
 }
 
 func TestExplainAnalyzeSerialScan(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) {
-		c.WithIndexes = false
-		c.UseKeywordIndex = false
-		c.QueryWorkers = 1
-	})
+	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 1 })
+	dropShredIndexes(t, e)
 	setupEnzyme(t, e, 10)
 	out := analyze(t, e, `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 WHERE contains($a//catalytic_activity, "ketone")
@@ -106,11 +116,8 @@ RETURN $a//enzyme_id`)
 }
 
 func TestExplainAnalyzeParallelScan(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) {
-		c.WithIndexes = false
-		c.UseKeywordIndex = false
-		c.QueryWorkers = 4
-	})
+	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 4 })
+	dropShredIndexes(t, e)
 	setupEnzyme(t, e, 300)
 	out := analyze(t, e, `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 WHERE contains($a//catalytic_activity, "ketone")
@@ -126,11 +133,8 @@ RETURN $a//enzyme_id`)
 }
 
 func TestExplainAnalyzeHashJoin(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) {
-		c.WithIndexes = false
-		c.UseKeywordIndex = false
-		c.QueryWorkers = 1
-	})
+	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 1 })
+	dropShredIndexes(t, e)
 	setupJoinData(t, e)
 	out := analyze(t, e, joinQuery)
 	if !regexp.MustCompile(`partitioned hash join \(\d+ keys, partitions=\d+\) \(est rows=\d+\) \(actual rows=\d+ time=[^\)]+ batches=\d+ rows/batch=\d+\)`).MatchString(out) {
@@ -360,11 +364,8 @@ func planLinesRun(t *testing.T, plan, report string) {
 // session's worker override, so it shows the serial scan a serial
 // session runs and the parallel scan a default session runs.
 func TestSessionExplainHonorsWorkers(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) {
-		c.WithIndexes = false
-		c.UseKeywordIndex = false
-		c.QueryWorkers = 4
-	})
+	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 4 })
+	dropShredIndexes(t, e)
 	setupEnzyme(t, e, 300)
 	const q = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 WHERE contains($a//catalytic_activity, "ketone")

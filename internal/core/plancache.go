@@ -10,8 +10,7 @@ import (
 	"xomatiq/internal/xq2sql"
 )
 
-// DefaultPlanCacheSize is the entry capacity used when Config leaves
-// PlanCacheSize at zero.
+// DefaultPlanCacheSize is the entry capacity of an engine's plan cache.
 const DefaultPlanCacheSize = 128
 
 // planEntry is one cached pipeline outcome: the parsed query plus either
@@ -37,8 +36,7 @@ type PlanCacheStats struct {
 	Invalidations uint64 // hits discarded because a catalog epoch moved
 }
 
-// planCache is an LRU over normalised query text. A nil *planCache is a
-// valid, always-miss cache (PlanCacheSize < 0 disables caching).
+// planCache is an LRU over normalised query text.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -54,12 +52,6 @@ type planItem struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity < 0 {
-		return nil
-	}
-	if capacity == 0 {
-		capacity = DefaultPlanCacheSize
-	}
 	return &planCache{cap: capacity, lru: list.New(), items: map[string]*list.Element{}}
 }
 
@@ -75,9 +67,6 @@ func normalizeQuery(src string) string {
 // it to most recently used. The caller validates epochs; stale entries
 // are removed with invalidate.
 func (c *planCache) get(key string) (*planEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -93,9 +82,6 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 // put inserts or replaces the entry for a key, evicting the least
 // recently used entry when over capacity.
 func (c *planCache) put(key string, e *planEntry) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -113,9 +99,6 @@ func (c *planCache) put(key string, e *planEntry) {
 
 // invalidate removes a key after its epochs were found stale.
 func (c *planCache) invalidate(key string) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -128,9 +111,6 @@ func (c *planCache) invalidate(key string) {
 
 // stats snapshots the counters.
 func (c *planCache) stats() PlanCacheStats {
-	if c == nil {
-		return PlanCacheStats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return PlanCacheStats{

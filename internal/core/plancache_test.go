@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"xomatiq/internal/bio"
@@ -31,18 +30,6 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	st := c.stats()
 	if st.Entries != 2 {
 		t.Errorf("entries = %d, want 2", st.Entries)
-	}
-}
-
-func TestPlanCacheNilSafe(t *testing.T) {
-	var c *planCache // disabled cache
-	if _, ok := c.get("x"); ok {
-		t.Error("nil cache should always miss")
-	}
-	c.put("x", &planEntry{})
-	c.invalidate("x")
-	if st := c.stats(); st != (PlanCacheStats{}) {
-		t.Errorf("nil stats = %+v", st)
 	}
 }
 
@@ -141,26 +128,6 @@ RETURN $a//enzyme_id`
 	}
 	if st := e.plans.stats(); st.Invalidations == 0 {
 		t.Errorf("expected an invalidation, stats = %+v", st)
-	}
-}
-
-func TestQueryPlanCacheDisabled(t *testing.T) {
-	cfg := NewConfig(filepath.Join(t.TempDir(), "nocache.db"))
-	cfg.PlanCacheSize = -1
-	e, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	setupEnzyme(t, e, 5)
-	if _, err := e.Query(ketoneQuery); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Query(ketoneQuery); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.plans.stats(); st != (PlanCacheStats{}) {
-		t.Errorf("disabled cache recorded activity: %+v", st)
 	}
 }
 

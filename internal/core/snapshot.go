@@ -46,7 +46,7 @@ func (e *Engine) Snapshot() (Snapshot, error) {
 }
 
 // Metrics flattens the snapshot into the canonical dotted-key map shared
-// by the console's \metrics view and benchjson's custom-metric columns:
+// by the console's \metrics view and the server's /metrics endpoint:
 // the registry keys plus plancache.* and db.* gauges.
 func (s Snapshot) Metrics() map[string]float64 {
 	m := s.RegistrySnapshot.Metrics()

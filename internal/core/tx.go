@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -196,24 +195,6 @@ func (tx *Tx) Harness(ctx context.Context, dbName string) (int, error) {
 		return 0, err
 	}
 	n, err := tx.sess.eng.harnessContext(ctx, dbName, tx.st)
-	if err != nil {
-		return 0, errors.Join(err, tx.rollbackLocked())
-	}
-	return n, nil
-}
-
-// HarnessReader is Tx.Harness from a caller-supplied flat-file stream
-// (see Engine.HarnessReaderContext).
-func (tx *Tx) HarnessReader(ctx context.Context, dbName string, tr hounds.Transformer, r io.Reader, version string) (int, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.done.Load() {
-		return 0, ErrTxClosed
-	}
-	if err := tx.escalateLocked(); err != nil {
-		return 0, err
-	}
-	n, err := tx.sess.eng.harnessReaderContext(ctx, dbName, tr, r, version, tx.st)
 	if err != nil {
 		return 0, errors.Join(err, tx.rollbackLocked())
 	}

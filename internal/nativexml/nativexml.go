@@ -2,7 +2,7 @@
 // XML documents — the "special-purpose XML query processor" the paper
 // argues against ("not mature enough to process large volumes of data",
 // §2.2). It is the semantic reference for the XQ2SQL translator and the
-// comparator for experiment E10.
+// benchmark ledger's answer oracle.
 package nativexml
 
 import (

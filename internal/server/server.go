@@ -262,6 +262,19 @@ func writeError(w http.ResponseWriter, err error) {
 	json.NewEncoder(w).Encode(we)
 }
 
+// decodeBody decodes a /v1 JSON request body of at most limit bytes
+// into v, refusing unknown fields. An empty body is io.EOF.
+func decodeBody(r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(r.Body, limit))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// writeBadBody answers a request whose body did not decode.
+func writeBadBody(w http.ResponseWriter, err error) {
+	writeError(w, &core.Error{Code: core.CodeBadQuery, Message: "bad request body: " + err.Error()})
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -286,8 +299,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, &core.Error{Code: core.CodeBadQuery, Message: "bad request body: " + err.Error()})
+	if err := decodeBody(r, 1<<20, &req); err != nil {
+		writeBadBody(w, err)
 		return
 	}
 	if strings.TrimSpace(req.Query) == "" {
@@ -383,9 +396,11 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, s.eng.Sessions())
 	case http.MethodPost:
+		// An empty body opens a session with the defaults.
 		var req sessionRequest
-		if r.Body != nil {
-			json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req)
+		if err := decodeBody(r, 1<<16, &req); err != nil && err != io.EOF {
+			writeBadBody(w, err)
+			return
 		}
 		sess, err := s.eng.NewSession(nil,
 			core.WithSessionTag(req.Tag),
@@ -443,8 +458,8 @@ func (s *Server) txSession(w http.ResponseWriter, r *http.Request) (*core.Sessio
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return nil, req, false
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, &core.Error{Code: core.CodeBadQuery, Message: "bad request body: " + err.Error()})
+	if err := decodeBody(r, 1<<16, &req); err != nil {
+		writeBadBody(w, err)
 		return nil, req, false
 	}
 	if req.Session == 0 {

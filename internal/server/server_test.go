@@ -614,3 +614,49 @@ func TestHTTPTransactions(t *testing.T) {
 		t.Fatalf("second begin body %s: want ErrTxActive", body)
 	}
 }
+
+// TestHTTPRequestBodyDecoding sends each /v1 JSON endpoint an ill-typed
+// body, a body with an unknown field and an empty body. The first two
+// are refused as bad_query; an empty body opens a session with the
+// defaults and is refused where the endpoint needs a field.
+func TestHTTPRequestBodyDecoding(t *testing.T) {
+	eng := testEngine(t, nil)
+	srv := testServer(t, eng)
+	_, body := postJSON(t, srv, "/v1/sessions", `{"tag":"decode"}`)
+	var info core.SessionInfo
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	sessions := len(eng.Sessions())
+	query, _ := json.Marshal(testQuery)
+	cases := []struct {
+		path, body string
+		status     int
+	}{
+		{"/v1/query", `{"query":5}`, http.StatusBadRequest},
+		{"/v1/query", `{"query":` + string(query) + `,"sesion":1}`, http.StatusBadRequest},
+		{"/v1/query", ``, http.StatusBadRequest},
+		{"/v1/sessions", `{"deadline_ms":"5s"}`, http.StatusBadRequest},
+		{"/v1/sessions", `{"tag":"x","deadline":5000}`, http.StatusBadRequest},
+		{"/v1/sessions", ``, http.StatusOK},
+		{"/v1/tx", fmt.Sprintf(`{"session":%d,"read_only":"yes"}`, info.ID), http.StatusBadRequest},
+		{"/v1/tx", fmt.Sprintf(`{"session":%d,"readonly":true}`, info.ID), http.StatusBadRequest},
+		{"/v1/tx", ``, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		resp, got := postJSON(t, srv, tc.path, tc.body)
+		if resp.StatusCode != tc.status {
+			t.Errorf("POST %s %q: status %d (%s), want %d", tc.path, tc.body, resp.StatusCode, got, tc.status)
+			continue
+		}
+		if tc.status == http.StatusOK {
+			continue
+		}
+		if we, err := core.ErrorFromJSON(got); err != nil || we.Code != core.CodeBadQuery {
+			t.Errorf("POST %s %q: body %s, want code %q", tc.path, tc.body, got, core.CodeBadQuery)
+		}
+	}
+	if open := len(eng.Sessions()); open != sessions+1 {
+		t.Errorf("%d sessions open, want %d: only the empty body opens one", open, sessions+1)
+	}
+}

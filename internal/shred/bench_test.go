@@ -2,12 +2,25 @@ package shred
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
 	"xomatiq/internal/sql"
 )
+
+// dropIndexes drops the schema's secondary indexes, so a benchmark
+// measures the load without index maintenance.
+func dropIndexes(tb testing.TB, db *sql.DB) {
+	tb.Helper()
+	for _, ddl := range IndexDDL {
+		name := strings.Fields(ddl)[5] // CREATE INDEX IF NOT EXISTS <name> ON ...
+		if _, err := db.Exec("DROP INDEX " + name); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkLoadOneDocument measures a one-document load through the
 // pipeline's stages on one goroutine: reserve an id, shred, insert the
@@ -18,10 +31,11 @@ func BenchmarkLoadOneDocument(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	s, err := Open(db, false)
+	s, err := Open(db)
 	if err != nil {
 		b.Fatal(err)
 	}
+	dropIndexes(b, db)
 	if err := s.RegisterDB("hlx_enzyme.DEFAULT", nil, hounds.EnzymeDTD); err != nil {
 		b.Fatal(err)
 	}
@@ -43,10 +57,11 @@ func BenchmarkShred(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer db.Close()
-	s, err := Open(db, false)
+	s, err := Open(db)
 	if err != nil {
 		b.Fatal(err)
 	}
+	dropIndexes(b, db)
 	if err := s.RegisterDB("hlx_enzyme.DEFAULT", nil, hounds.EnzymeDTD); err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func FuzzShredRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { db.Close() })
-	s, err := Open(db, true)
+	s, err := Open(db)
 	if err != nil {
 		f.Fatal(err)
 	}

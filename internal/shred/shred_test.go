@@ -21,7 +21,7 @@ func openStore(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	s, err := Open(db, true)
+	s, err := Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestKeywordIndexRebuiltOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(db, true)
+	s, err := Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestKeywordIndexRebuiltOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	s2, err := Open(db2, true)
+	s2, err := Open(db2)
 	if err != nil {
 		t.Fatal(err)
 	}

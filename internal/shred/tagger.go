@@ -11,7 +11,7 @@ import (
 // Reconstruct rebuilds a whole XML document from its shredded tuples —
 // the expensive direction the paper warns about ("reconstruction of
 // entire large XML document from the tuples is expensive compared to the
-// query processing time", §3.3; measured by bench E7). Every read of the
+// query processing time", §3.3; measured by the ledger's shred.reconstruct_over_exec). Every read of the
 // call goes through one pinned snapshot, so a reconstruction that
 // overlaps a commit sees the document entirely before it or after it.
 func (s *Store) Reconstruct(db string, docID int) (*xmldoc.Document, error) {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -31,41 +32,59 @@ func seedCounterFixture(t *testing.T, db *DB) {
 }
 
 // TestCounterParity pins the exact work counters every access path, join
-// strategy and DML path feeds for a fixed script. The ledger reads
+// strategy, sink and DML path feeds for a fixed script. The ledger reads
 // heap.pages_scanned_per_op, btree.searches_per_op and
 // sql.rows_examined_per_row from these counters, so an executor rewrite
-// must reproduce them exactly. Each statement's plan is checked too, so
-// a planner change cannot silently move a case onto another path.
+// must reproduce them exactly. The exec counters pin the group-by, top-k
+// sort and spilled-join operators the same way, and a scan at 4 workers
+// must read exactly the pages and records of the serial scan. Each
+// statement's plan is checked too, so a planner change cannot silently
+// move a case onto another path.
 func TestCounterParity(t *testing.T) {
 	db := openDB(t)
 	db.opts.QueryWorkers = 1
 	seedCounterFixture(t, db)
+	// The fixture's heaps are a few pages each; let a 4-worker scan fan
+	// out over them.
+	defer func(pages int) { parallelScanMinPages = pages }(parallelScanMinPages)
+	parallelScanMinPages = 1
 	type counters struct{ pages, records, btree uint64 }
-	read := func() counters {
+	type execCounters struct{ groups, sortRuns, spillParts, spillLoads uint64 }
+	read := func() (counters, execCounters) {
 		return counters{
-			db.reg.Heap.PagesScanned.Load(), db.reg.Heap.RecordsScanned.Load(),
-			db.reg.Index.BTreeSearches.Load(),
-		}
+				db.reg.Heap.PagesScanned.Load(), db.reg.Heap.RecordsScanned.Load(),
+				db.reg.Index.BTreeSearches.Load(),
+			}, execCounters{
+				db.reg.Exec.AggGroups.Load(), db.reg.Exec.SortRuns.Load(),
+				db.reg.Exec.JoinSpillParts.Load(), db.reg.Exec.JoinSpillLoads.Load(),
+			}
 	}
 	cases := []struct {
 		sql  string
-		plan string // substring the SELECT's plan must contain
+		opts ExecOpts // SELECT overrides; zero runs the statement through Exec
+		plan string   // substring the SELECT's plan must contain
 		want counters
+		exec execCounters
 	}{
-		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, "scan a as a: sequential", counters{3, 400, 0}},
-		{`SELECT v FROM a WHERE k < 40`, "index idx_a_k (prefix+range scan", counters{0, 0, 1}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k < 30`, "index nested loop via idx_b_k", counters{0, 0, 31}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, "partitioned hash join", counters{1, 300, 1}},
-		{`SELECT COUNT(*) FROM a JOIN b ON a.k + 0 = b.k WHERE a.k < 5`, "nested loop (cross)", counters{1, 300, 1}},
-		{`DELETE FROM b WHERE w LIKE '%-01%'`, "", counters{1, 300, 0}},
-		{`DELETE FROM a WHERE k IN (3, 4, 5)`, "", counters{0, 0, 3}},
-		{`UPDATE b SET w = 'x' WHERE j = 3`, "", counters{1, 200, 0}},
-		{`UPDATE a SET v = 'y' WHERE k = 100`, "", counters{0, 0, 1}},
-		{`DELETE FROM a WHERE v LIKE '%-03%'`, "", counters{3, 397, 0}},
+		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, ExecOpts{}, "scan a as a: sequential", counters{3, 400, 0}, execCounters{groups: 1}},
+		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, ExecOpts{Workers: 4}, "parallel scan (3 workers, 3 pages)", counters{3, 400, 0}, execCounters{groups: 1}},
+		{`SELECT v FROM a WHERE k < 40`, ExecOpts{}, "index idx_a_k (prefix+range scan", counters{0, 0, 1}, execCounters{}},
+		{`SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k < 30`, ExecOpts{}, "index nested loop via idx_b_k", counters{0, 0, 31}, execCounters{}},
+		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, ExecOpts{}, "partitioned hash join", counters{1, 300, 1}, execCounters{}},
+		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
+		{`SELECT j, COUNT(*), SUM(k) FROM a GROUP BY j`, ExecOpts{}, "hash aggregate (1 group cols, 2 aggs)", counters{3, 400, 0}, execCounters{groups: 10}},
+		{`SELECT k, v FROM a WHERE v LIKE '%1%' ORDER BY v DESC LIMIT 5`, ExecOpts{}, "sort: top-k (k=5)", counters{3, 400, 0}, execCounters{}},
+		{`SELECT k, v FROM a WHERE v LIKE '%1%' ORDER BY v DESC`, ExecOpts{}, "sort: run-merge (1 keys)", counters{3, 400, 0}, execCounters{sortRuns: 1}},
+		{`SELECT COUNT(*) FROM a JOIN b ON a.k + 0 = b.k WHERE a.k < 5`, ExecOpts{}, "nested loop (cross)", counters{1, 300, 1}, execCounters{groups: 1}},
+		{`DELETE FROM b WHERE w LIKE '%-01%'`, ExecOpts{}, "", counters{1, 300, 0}, execCounters{}},
+		{`DELETE FROM a WHERE k IN (3, 4, 5)`, ExecOpts{}, "", counters{0, 0, 3}, execCounters{}},
+		{`UPDATE b SET w = 'x' WHERE j = 3`, ExecOpts{}, "", counters{1, 200, 0}, execCounters{}},
+		{`UPDATE a SET v = 'y' WHERE k = 100`, ExecOpts{}, "", counters{0, 0, 1}, execCounters{}},
+		{`DELETE FROM a WHERE v LIKE '%-03%'`, ExecOpts{}, "", counters{3, 397, 0}, execCounters{}},
 	}
 	for _, c := range cases {
 		if c.plan != "" {
-			plan, err := db.Explain(c.sql, ExecOpts{})
+			plan, err := db.Explain(c.sql, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,15 +92,26 @@ func TestCounterParity(t *testing.T) {
 				t.Fatalf("%s: plan lacks %q:\n%s", c.sql, c.plan, plan)
 			}
 		}
-		before := read()
-		mustExec(t, db, c.sql)
-		after := read()
+		before, beforeExec := read()
+		if c.opts == (ExecOpts{}) {
+			mustExec(t, db, c.sql)
+		} else if _, err := db.QueryStmtOptsContext(context.Background(), mustParse(t, c.sql).(*Select), c.opts); err != nil {
+			t.Fatal(err)
+		}
+		after, afterExec := read()
 		got := counters{
 			after.pages - before.pages, after.records - before.records,
 			after.btree - before.btree,
 		}
 		if got != c.want {
-			t.Errorf("%s: counters {pages records btree} = %v, want %v", c.sql, got, c.want)
+			t.Errorf("%s %+v: counters {pages records btree} = %v, want %v", c.sql, c.opts, got, c.want)
+		}
+		gotExec := execCounters{
+			afterExec.groups - beforeExec.groups, afterExec.sortRuns - beforeExec.sortRuns,
+			afterExec.spillParts - beforeExec.spillParts, afterExec.spillLoads - beforeExec.spillLoads,
+		}
+		if gotExec != c.exec {
+			t.Errorf("%s %+v: exec counters {groups sortRuns spillParts spillLoads} = %v, want %v", c.sql, c.opts, gotExec, c.exec)
 		}
 	}
 }

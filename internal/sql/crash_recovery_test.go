@@ -84,7 +84,7 @@ func modifiedCopy(t testing.TB, d *xmldoc.Document) *xmldoc.Document {
 // battery's results — after checking those results against the native
 // evaluator on the reconstructed corpus.
 func crashFingerprint(db *sql.DB) (string, error) {
-	s, err := shred.Open(db, false)
+	s, err := shred.Open(db)
 	if err != nil {
 		return "", err
 	}
@@ -248,7 +248,7 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 	scratch = append(scratch, `CREATE INDEX IF NOT EXISTS idx_scratch ON scratch (k)`)
 	return crashtest.Workload{
 		Setup: func(db *sql.DB) error {
-			s, err := shred.Open(db, true)
+			s, err := shred.Open(db)
 			if err != nil {
 				return err
 			}

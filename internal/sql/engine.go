@@ -474,8 +474,7 @@ func (db *DB) rewriteIndexRow(ix *IndexInfo) error {
 
 // Crash abandons the database without flushing the buffer pool,
 // simulating a process kill. Committed transactions survive via the WAL;
-// everything since the last commit is lost. Used by recovery tests and
-// the E14 benchmark.
+// everything since the last commit is lost. Used by recovery tests.
 func (db *DB) Crash() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()

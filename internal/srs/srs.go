@@ -7,9 +7,9 @@
 // The deliberate limitations mirror the paper's critique: "Icarus is
 // less expressive in querying XML data. Searches are only permitted on
 // pre-defined indexed attributes whereas XomatiQ permits searches on
-// attributes at any level, and joins may be performed as needed." The E9
-// experiment quantifies this with an expressiveness matrix plus latency
-// on the queries both systems can answer.
+// attributes at any level, and joins may be performed as needed." On the
+// queries both systems can answer, their answers must agree
+// (TestSRSAgreesWithXomatiQ).
 package srs
 
 import (
@@ -149,7 +149,7 @@ func (s *System) Follow(bank, field, value, linkField string) ([]any, error) {
 // fieldIndexed — every searched field is pre-indexed; anyLevel — the
 // query needs arbitrary-depth element access; adHocJoin — the query
 // joins databases without a pre-defined link; theta — the query needs a
-// non-equality comparison. This drives the E9 expressiveness matrix.
+// non-equality comparison. This is the expressiveness matrix of §4.
 func (s *System) CanAnswer(bank string, fieldIndexed, anyLevel, adHocJoin, theta bool) bool {
 	if _, ok := s.banks[bank]; !ok {
 		return false

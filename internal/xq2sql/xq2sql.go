@@ -48,7 +48,7 @@ var ErrUnknownDatabase = errors.New("xq2sql: unknown database")
 // Options tune the translation.
 type Options struct {
 	// UseKeywordIndex enables inverted-index doc prefilters for
-	// contains() conditions (the E4 ablation toggles this).
+	// contains() conditions; the engine always sets it.
 	UseKeywordIndex bool
 }
 

@@ -32,7 +32,7 @@ func newFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
-	store, err := shred.Open(db, true)
+	store, err := shred.Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}

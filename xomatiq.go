@@ -246,20 +246,6 @@ func WithQueryWorkers(n int) Option { return func(c *Config) { c.QueryWorkers = 
 // byte-identical for any budget.
 func WithQueryMemBudget(n int64) Option { return func(c *Config) { c.QueryMemBudget = n } }
 
-// WithAsync skips the WAL fsync on commit (bulk loads; trades the
-// durability of the last commits for load throughput).
-func WithAsync() Option { return func(c *Config) { c.Async = true } }
-
-// WithoutIndexes skips the shredding schema's secondary indexes.
-func WithoutIndexes() Option { return func(c *Config) { c.WithIndexes = false } }
-
-// WithoutKeywordIndex disables inverted-index prefilters for contains().
-func WithoutKeywordIndex() Option { return func(c *Config) { c.UseKeywordIndex = false } }
-
-// WithPlanCacheSize sets the query plan cache capacity in entries;
-// negative disables caching.
-func WithPlanCacheSize(n int) Option { return func(c *Config) { c.PlanCacheSize = n } }
-
 // WithLoadWorkers sets the harness ingest parallelism (0 = GOMAXPROCS).
 // Warehouse contents are byte-identical for any setting.
 func WithLoadWorkers(n int) Option { return func(c *Config) { c.LoadWorkers = n } }
