@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -101,7 +100,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	sources map[string]*sourceReg
-	corpus  map[string][]*xmldoc.Document // native-fallback cache
 	// txLoad, when non-nil, marks loads running inside an escalated
 	// transaction's open batch: the pipeline skips per-chunk commits and
 	// post-load stats, and triggers are deferred into it until the
@@ -157,7 +155,6 @@ func Open(cfg Config) (*Engine, error) {
 		reg:       reg,
 		writerTok: make(chan struct{}, 1),
 		sources:   map[string]*sourceReg{},
-		corpus:    map[string][]*xmldoc.Document{},
 		slowLog:   slowLog,
 		sessions:  map[uint64]*Session{},
 	}
@@ -392,7 +389,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 	}
 	// The pipeline clears the previous harvest in the batch of the first
 	// chunk it commits.
-	docs, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), true, true, produce)
+	names, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), true, true, produce)
 	if err != nil {
 		// A pipeline that failed before calling produce leaves the
 		// transform blocked on its channel.
@@ -400,14 +397,13 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 		return 0, e.loadFailed(err)
 	}
 	e.setLoadStats(LoadStats{
-		Docs: len(docs), Tuples: tuples, Bytes: cr.n,
+		Docs: len(names), Tuples: tuples, Bytes: cr.n,
 		Elapsed: time.Since(start), Workers: e.loadWorkers(),
 	})
-	e.corpus[dbName] = docs
 	e.publishOrDefer(hounds.Trigger{Change: hounds.ChangeSet{
-		DB: dbName, Version: version, Added: docNamesOf(docs),
+		DB: dbName, Version: version, Added: names,
 	}})
-	return len(docs), nil
+	return len(names), nil
 }
 
 // publishOrDefer fires a change trigger — immediately for autocommit
@@ -422,16 +418,10 @@ func (e *Engine) publishOrDefer(tr hounds.Trigger) {
 	e.bus.Publish(tr)
 }
 
-func transformAll(tr hounds.Transformer, r io.Reader) ([]*xmldoc.Document, error) {
-	return hounds.TransformAndValidate(tr, r)
-}
-
-func docNamesOf(docs []*xmldoc.Document) []string {
-	names := make([]string, len(docs))
-	for i, d := range docs {
-		names[i] = d.Name
-	}
-	return names
+// errRepeatedEntry refuses a harvest that carries an entry name twice:
+// names key the stored digests, so a repeat could never settle.
+func errRepeatedEntry(dbName, name string) error {
+	return fmt.Errorf("core: %s entry %q: repeated in the harvest", dbName, name)
 }
 
 // Update fetches the source again, diffs against the warehoused harvest
@@ -445,10 +435,11 @@ func (e *Engine) Update(dbName string) (hounds.ChangeSet, error) {
 // UpdateContext is Update with cooperative cancellation; like
 // HarnessContext, the delta load aborts between documents and chunks.
 // The diff needs the full new harvest up front, so the transform is
-// materialised (and validated) here; the replacement loads still go
-// through the parallel shredding pipeline, with inline index
-// maintenance for small deltas and the deferred bulk path once the
-// delta reaches a full chunk.
+// materialised (and validated) here and compared against the digests
+// the warehouse stored at load time; the old harvest is never rebuilt.
+// The replacement loads still go through the parallel shredding
+// pipeline, with inline index maintenance for small deltas and the
+// deferred bulk path once the delta reaches a full chunk.
 func (e *Engine) UpdateContext(ctx context.Context, dbName string) (hounds.ChangeSet, error) {
 	if err := e.acquireWriter(ctx); err != nil {
 		return hounds.ChangeSet{}, err
@@ -474,23 +465,28 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	}
 	start := time.Now()
 	cr := &countingReader{r: rc}
-	newDocs, err := transformAll(reg.transformer, cr)
+	newDocs, err := hounds.TransformAndValidate(reg.transformer, cr)
 	rc.Close()
 	if err != nil {
 		return hounds.ChangeSet{}, err
 	}
-	oldDocs, err := e.corpusDocsLocked(dbName)
+	byName := make(map[string]*xmldoc.Document, len(newDocs))
+	for _, d := range newDocs {
+		if byName[d.Name] != nil {
+			return hounds.ChangeSet{}, errRepeatedEntry(dbName, d.Name)
+		}
+		byName[d.Name] = d
+	}
+	// The writer's view: inside a transaction the digests are those of
+	// the transaction's own loads.
+	old, err := e.store.Digests(dbName, e.db.BatchView())
 	if err != nil {
 		return hounds.ChangeSet{}, err
 	}
-	cs := hounds.DiffDocs(dbName, version, oldDocs, newDocs)
+	cs := hounds.Diff(dbName, version, old, newDocs)
 	if cs.Empty() {
 		reg.lastVersion = version
 		return cs, nil
-	}
-	byName := map[string]*xmldoc.Document{}
-	for _, d := range newDocs {
-		byName[d.Name] = d
 	}
 	// Deletions first (removed entries and the old versions of modified
 	// ones), then the replacement loads in crash-atomic chunks. Inside a
@@ -517,7 +513,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	for _, name := range append(append([]string{}, cs.Modified...), cs.Added...) {
 		loads = append(loads, byName[name])
 	}
-	// Documents were validated by transformAll, so the pipeline skips
+	// Documents were validated by the transform, so the pipeline skips
 	// DTD validation (nil DTD). Deferring index maintenance only pays
 	// for itself once the delta is bulk-sized.
 	produce := func(emit func(*xmldoc.Document) error) error {
@@ -528,33 +524,17 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 		}
 		return nil
 	}
-	docs, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, false, produce)
+	names, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, false, produce)
 	if err != nil {
 		return cs, e.loadFailed(err)
 	}
 	e.setLoadStats(LoadStats{
-		Docs: len(docs), Tuples: tuples, Bytes: cr.n,
+		Docs: len(names), Tuples: tuples, Bytes: cr.n,
 		Elapsed: time.Since(start), Workers: e.loadWorkers(),
 	})
 	reg.lastVersion = version
-	e.corpus[dbName] = newDocs
 	e.publishOrDefer(hounds.Trigger{Change: cs})
 	return cs, nil
-}
-
-// docNames lists the entry keys warehoused under a database.
-func (e *Engine) docNames(dbName string) ([]string, error) {
-	rows, err := e.db.Query(fmt.Sprintf(
-		`SELECT name FROM docs WHERE db = %s`, shred.Quote(dbName)))
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(rows.Rows))
-	for _, r := range rows.Rows {
-		names = append(names, r[0].Text())
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // Databases lists warehoused database names.
@@ -714,12 +694,25 @@ func (e *Engine) execPlan(ctx context.Context, entry *planEntry, o sql.ExecOpts)
 		}
 		return res, nil
 	}
-	// Native fallback over reconstructed documents.
-	corpus, cerr := e.corpusFor(entry.q)
-	if cerr != nil {
-		return nil, cerr
+	// Native fallback over documents rebuilt from the view the statement
+	// reads; a statement without one pins the published snapshot.
+	view := o.Snap
+	if view == nil {
+		view = e.db.AcquireSnapshot()
+		defer e.db.ReleaseSnapshot(view)
 	}
-	nres, nerr := nativexml.EvalContext(ctx, corpus, entry.q)
+	byDB := nativexml.Corpus{}
+	for _, b := range entry.q.For {
+		if _, done := byDB[b.Path.Doc]; b.Path.Doc == "" || done {
+			continue
+		}
+		docs, err := e.store.Documents(ctx, b.Path.Doc, view)
+		if err != nil {
+			return nil, err
+		}
+		byDB[b.Path.Doc] = docs
+	}
+	nres, nerr := nativexml.EvalContext(ctx, byDB, entry.q)
 	if nerr != nil {
 		return nil, nerr
 	}
@@ -790,50 +783,6 @@ func (e *Engine) logSlowQuery(src, tag string, cached bool, qt *obs.QueryTrace, 
 	e.slowMu.Lock()
 	defer e.slowMu.Unlock()
 	e.slowLog.Write(append(line, '\n'))
-}
-
-// corpusFor reconstructs (and caches) the documents of every database a
-// query references.
-func (e *Engine) corpusFor(q *xq.Query) (nativexml.Corpus, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	needed := map[string]bool{}
-	for _, b := range q.For {
-		if b.Path.Doc != "" {
-			needed[b.Path.Doc] = true
-		}
-	}
-	out := nativexml.Corpus{}
-	for db := range needed {
-		docs, err := e.corpusDocsLocked(db)
-		if err != nil {
-			return nil, err
-		}
-		out[db] = docs
-	}
-	return out, nil
-}
-
-// corpusDocsLocked returns cached documents, reconstructing from the
-// warehouse on a cold cache. Caller holds e.mu.
-func (e *Engine) corpusDocsLocked(db string) ([]*xmldoc.Document, error) {
-	if docs, ok := e.corpus[db]; ok {
-		return docs, nil
-	}
-	names, err := e.docNames(db)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]*xmldoc.Document, 0, len(names))
-	for _, n := range names {
-		d, err := e.store.ReconstructByName(db, n)
-		if err != nil {
-			return nil, err
-		}
-		docs = append(docs, d)
-	}
-	e.corpus[db] = docs
-	return docs, nil
 }
 
 // Explain translates a XomatiQ query and renders both the generated SQL

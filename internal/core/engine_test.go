@@ -440,8 +440,8 @@ func TestHarnessMalformedFlatFile(t *testing.T) {
 }
 
 func TestNativeFallbackCorpusReconstruction(t *testing.T) {
-	// After reopening (cold corpus cache), a native-fallback query must
-	// reconstruct documents from the warehouse.
+	// After reopening, a native-fallback query rebuilds the documents
+	// from the warehouse.
 	path := filepath.Join(t.TempDir(), "cold.db")
 	e, err := Open(NewConfig(path))
 	if err != nil {
@@ -475,4 +475,110 @@ RETURN $a//enzyme_id`)
 	if len(res.Rows) != 9 {
 		t.Errorf("rows = %d, want 9 (all entries)", len(res.Rows))
 	}
+}
+
+// TestRepeatedEntryRefused: a harvest that carries one entry name twice
+// cannot be diffed by name. Update refuses it before any write, every
+// time; Harness fails on it the way it fails on a DTD-invalid entry.
+// Both errors name the database and the entry.
+func TestRepeatedEntryRefused(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 5)
+	const dbName = "hlx_enzyme.DEFAULT"
+	entries := bio.GenEnzymes(5, bio.GenOptions{Seed: 5})
+	dup := *entries[3]
+	dup.Comments = append(append([]string{}, dup.Comments...), "A second copy.")
+	src.Publish(enzymeFlat(t, append(entries, &dup)))
+
+	want, err := e.Document(dbName, dup.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unchanged := func(stage string) {
+		t.Helper()
+		if n, err := e.DocCount(dbName); err != nil || n != 6 {
+			t.Errorf("%s: DocCount = %d, %v; want 6", stage, n, err)
+		}
+		if got, err := e.Document(dbName, dup.ID); err != nil || got != want {
+			t.Errorf("%s: entry %s = %v\n%s\nwant\n%s", stage, dup.ID, err, got, want)
+		}
+	}
+	refused := func(stage string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), dbName) || !strings.Contains(err.Error(), fmt.Sprintf("%q", dup.ID)) {
+			t.Errorf("%s: err = %v; want a refusal naming %s and entry %q", stage, err, dbName, dup.ID)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		epoch := e.DB().CurrentEpoch()
+		cs, err := e.Update(dbName)
+		refused(fmt.Sprintf("update %d (%+v)", i, cs), err)
+		if now := e.DB().CurrentEpoch(); now != epoch {
+			t.Errorf("update %d committed (epoch %d -> %d) before refusing", i, epoch, now)
+		}
+		unchanged(fmt.Sprintf("after update %d", i))
+	}
+	n, err := e.Harness(dbName)
+	refused(fmt.Sprintf("harness (%d docs)", n), err)
+	unchanged("after harness")
+}
+
+// TestUpdateAfterReopenCostsTheSame: the same delta (one entry removed,
+// one modified) applied to two identical warehouses, one of them closed
+// and reopened first, costs the same B-tree searches. Update diffs by the
+// digests stored at load time, so a reopen leaves it nothing to rebuild.
+func TestUpdateAfterReopenCostsTheSame(t *testing.T) {
+	const dbName = "hlx_enzyme.DEFAULT"
+	entries := bio.GenEnzymes(50, bio.GenOptions{Seed: 5})
+	delta := append(append([]*bio.EnzymeEntry{}, entries[:10]...), entries[11:]...)
+	changed := *delta[20]
+	changed.Comments = append([]string{"Updated curator note."}, changed.Comments...)
+	delta[20] = &changed
+
+	dir := t.TempDir()
+	open := func(name string) (*Engine, *hounds.SimSource) {
+		t.Helper()
+		e, err := Open(NewConfig(filepath.Join(dir, name)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := hounds.NewSimSource("expasy-enzyme", enzymeFlat(t, entries))
+		if err := e.RegisterSource(dbName, src, hounds.EnzymeTransformer{}); err != nil {
+			t.Fatal(err)
+		}
+		return e, src
+	}
+	harness := func(e *Engine) {
+		t.Helper()
+		if _, err := e.Harness(dbName); err != nil {
+			t.Fatal(err)
+		}
+	}
+	update := func(e *Engine, src *hounds.SimSource) uint64 {
+		t.Helper()
+		src.Publish(enzymeFlat(t, delta))
+		before := e.Registry().Index.BTreeSearches.Load()
+		cs, err := e.Update(dbName)
+		if err != nil || len(cs.Removed) != 1 || len(cs.Modified) != 1 || len(cs.Added) != 0 {
+			t.Fatalf("update = %+v, %v; want one removal and one modification", cs, err)
+		}
+		return e.Registry().Index.BTreeSearches.Load() - before
+	}
+
+	direct, src := open("direct.db")
+	defer direct.Close()
+	harness(direct)
+	want := update(direct, src)
+
+	first, _ := open("reopened.db")
+	harness(first)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, src := open("reopened.db")
+	defer reopened.Close()
+	if got := update(reopened, src); got != want {
+		t.Errorf("update after a reopen made %d B-tree searches, without one %d", got, want)
+	}
+	t.Logf("B-tree searches per update: %d", want)
 }

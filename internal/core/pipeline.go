@@ -96,16 +96,18 @@ type loadJob struct {
 
 type loadResult struct {
 	seq   int
-	doc   *xmldoc.Document
 	batch *shred.DocBatch
 	err   error
 }
 
 // runLoadPipeline shreds every document produce emits into dbName and
-// returns the documents in emit order plus the tuple count written.
+// returns the entry names in emit order plus the tuple count written.
+// No document outlives its shredding: a load holds at most a chunk of
+// batches, whatever the harvest's size.
 // produce runs on its own goroutine; emit returns an error once the
 // pipeline aborts, which produce must propagate. When d is non-nil each
-// document is DTD-validated on a worker before shredding. deferIdx
+// document is DTD-validated on a worker before shredding; an entry name
+// the load already carried fails the load the same way. deferIdx
 // elects the bulk index path: maintenance off during the load, bulk
 // rebuild from sorted runs at the end (small delta loads keep inline
 // maintenance instead, which is cheaper than a full rebuild). clear
@@ -120,7 +122,7 @@ type loadResult struct {
 // the previous harvest in place. The caller then rebuilds the store's
 // dictionaries from what committed (loadFailed). Cancellation is
 // honoured between documents and chunks, never inside a chunk commit.
-func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
+func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]string, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
 		return nil, 0, err
@@ -195,7 +197,7 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 		go func() {
 			defer wg.Done()
 			for job := range jobCh {
-				res := loadResult{seq: job.seq, doc: job.doc}
+				res := loadResult{seq: job.seq}
 				if d != nil {
 					if errs := d.Validate(job.doc); len(errs) > 0 {
 						res.err = fmt.Errorf("core: %s entry %q: %w", dbName, job.doc.Name, errs[0])
@@ -219,7 +221,8 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 	// crash-atomic chunks. All disk I/O happens on this goroutine, in
 	// deterministic order.
 	var (
-		docs    []*xmldoc.Document
+		names   []string
+		seen    = map[string]bool{}
 		tuples  int
 		chunk   []*shred.DocBatch
 		pending = map[int]loadResult{}
@@ -277,12 +280,16 @@ collect:
 			}
 			delete(pending, next)
 			next++
+			if r.err == nil && seen[r.batch.Name] {
+				r.err = errRepeatedEntry(dbName, r.batch.Name)
+			}
 			if r.err != nil {
 				failErr = r.err
 				stop()
 				break collect
 			}
-			docs = append(docs, r.doc)
+			seen[r.batch.Name] = true
+			names = append(names, r.batch.Name)
 			chunk = append(chunk, r.batch)
 			if len(chunk) >= loadChunkSize {
 				if err := flush(); err != nil {
@@ -333,24 +340,20 @@ collect:
 	// One epoch bump per load (not per document) invalidates cached
 	// plans exactly once, after the data they would read has changed.
 	e.store.BumpEpoch(dbName)
-	if failErr != nil {
-		return docs, tuples, failErr
-	}
-	return docs, tuples, nil
+	return names, tuples, failErr
 }
 
 // loadFailed is the one recovery rule for a Harness or Update that fails
 // after it started writing. Whatever committed stays, but the store's
 // dictionaries ran ahead of it: path ids assigned to a chunk that rolled
-// back, postings dropped by deletions that never committed. They and the
-// native-fallback corpus cache are rebuilt from the committed tables.
-// Inside a transaction the transaction's rollback does the same. Caller
-// holds e.mu.
+// back, postings dropped by deletions that never committed. They are
+// reloaded from the committed tables. Inside a transaction the
+// transaction's rollback does the same. Caller holds e.mu.
 func (e *Engine) loadFailed(err error) error {
 	if e.txLoad != nil {
 		return err
 	}
-	return errors.Join(err, e.resyncLocked())
+	return errors.Join(err, e.store.Reload())
 }
 
 // countingReader counts raw source bytes for throughput reporting. The

@@ -25,7 +25,7 @@ func pagesOwned(st sql.Stats) (heap, index int) {
 
 // TestHarnessThriceLeaksNothing loads the three paper databases one
 // after the other, the way a warehouse is filled. Every harness rebuilds
-// all eight trees; the file must end with the heaps, one generation of
+// all nine trees; the file must end with the heaps, one generation of
 // index and a small constant — not one generation per harness.
 func TestHarnessThriceLeaksNothing(t *testing.T) {
 	opts := bio.GenOptions{Seed: 42, Cdc6Rate: 0.02, ECLinkRate: 0.3}

@@ -18,7 +18,6 @@ import (
 
 	"xomatiq/internal/hounds"
 	"xomatiq/internal/sql"
-	"xomatiq/internal/xmldoc"
 )
 
 // TxOptions tunes a transaction at Begin.
@@ -257,7 +256,8 @@ func (tx *Tx) rollbackLocked() error {
 	e := tx.sess.eng
 	var err error
 	if tx.escalated {
-		err = errors.Join(e.db.Rollback(), e.resyncAfterRollback())
+		// The store's dictionaries ran ahead with the discarded writes.
+		err = errors.Join(e.db.Rollback(), e.store.Reload())
 		e.releaseWriter()
 	}
 	e.db.ReleaseSnapshot(tx.snap)
@@ -268,11 +268,11 @@ func (tx *Tx) rollbackLocked() error {
 // commitTxBatch finishes an escalated transaction: commit the open
 // batch, refresh stats, fire deferred triggers, release the writer
 // token. A commit failure already rolled the batch back inside the sql
-// layer, so only the engine-level caches need resyncing.
+// layer, so only the store's dictionaries need reloading.
 func (e *Engine) commitTxBatch(st *txLoadState) error {
 	defer e.releaseWriter()
 	if err := e.db.Commit(); err != nil {
-		return errors.Join(err, e.resyncAfterRollback())
+		return errors.Join(err, e.store.Reload())
 	}
 	var err error
 	if len(st.dbs) > 0 {
@@ -284,21 +284,4 @@ func (e *Engine) commitTxBatch(st *txLoadState) error {
 		e.bus.Publish(tr)
 	}
 	return err
-}
-
-// resyncAfterRollback re-derives the engine- and store-level caches from
-// the post-rollback warehouse: the native-fallback corpus cache is
-// dropped (rebuilt lazily from committed rows) and the shredded store's
-// in-memory dictionaries reload from their tables, with every database
-// epoch bumped so cached plans re-validate.
-func (e *Engine) resyncAfterRollback() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.resyncLocked()
-}
-
-// resyncLocked is resyncAfterRollback's body. Caller holds e.mu.
-func (e *Engine) resyncLocked() error {
-	e.corpus = map[string][]*xmldoc.Document{}
-	return e.store.Reload()
 }

@@ -20,6 +20,12 @@ import (
 const countQuery = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 RETURN $a//enzyme_id`
 
+// nativeAllQuery returns every entry id, like countQuery, through the
+// native fallback: XQ2SQL does not translate NOT.
+const nativeAllQuery = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE NOT $a//enzyme_id = "none"
+RETURN $a//enzyme_id`
+
 // querier is the shared read surface of Session and Tx.
 type querier interface {
 	Query(context.Context, string) (*Result, error)
@@ -32,6 +38,28 @@ func txRows(t *testing.T, q querier, ctx context.Context, src string) int {
 		t.Fatal(err)
 	}
 	return len(res.Rows)
+}
+
+// nativeQuery runs nativeAllQuery and returns its row count, or an
+// error if it fails or the native fallback did not answer it.
+func nativeQuery(q querier, ctx context.Context) (int, error) {
+	res, err := q.Query(ctx, nativeAllQuery)
+	if err != nil {
+		return 0, err
+	}
+	if res.Mode != ModeNative {
+		return 0, fmt.Errorf("%q ran in mode %s, want %s", nativeAllQuery, res.Mode, ModeNative)
+	}
+	return len(res.Rows), nil
+}
+
+func nativeRows(t *testing.T, q querier, ctx context.Context) int {
+	t.Helper()
+	n, err := nativeQuery(q, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestTxSnapshotIsolation is the acceptance check: a transaction opened
@@ -316,8 +344,8 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 	const readers = 8
 	const iters = 15
 	var wg sync.WaitGroup
-	errs := make(chan error, readers*iters+iters)
-	counts := make(chan int, readers*iters)
+	errs := make(chan error, (readers+1)*iters+iters)
+	counts := make(chan int, (readers+1)*iters)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
@@ -338,6 +366,26 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 			}
 		}()
 	}
+	// One more reader runs the native fallback, which rebuilds the
+	// documents of the snapshot its statement pinned.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sess, err := e.NewSession(ctx)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer sess.Close()
+		for i := 0; i < iters; i++ {
+			n, err := nativeQuery(sess, ctx)
+			if err != nil {
+				errs <- err
+				return
+			}
+			counts <- n
+		}
+	}()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -377,9 +425,9 @@ func enzymeIDs(entries []*bio.EnzymeEntry) map[string]bool {
 
 // TestTxReadersNeverSeeOpenBatch: while an escalated transaction holds an
 // uncommitted update, every reader outside it — document counts, the
-// metrics snapshot, plain sessions, document reconstruction — reports
-// the last commit, before and after a rollback; the new state appears
-// at Commit and not before.
+// metrics snapshot, plain sessions (translated and native queries),
+// document reconstruction — reports the last commit, before and after a
+// rollback; the new state appears at Commit and not before.
 func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 	e := openEngine(t)
 	src := setupEnzyme(t, e, 10)
@@ -420,6 +468,9 @@ func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 		if n := txRows(t, plain, ctx, countQuery); n != want {
 			t.Errorf("%s: plain session sees %d rows, want %d", stage, n, want)
 		}
+		if n := nativeRows(t, plain, ctx); n != want {
+			t.Errorf("%s: plain session's native query sees %d rows, want %d", stage, n, want)
+		}
 		_, err = e.Document(dbName, added)
 		if visible := err == nil; visible != (want == len(bigger)) {
 			t.Errorf("%s: Document(%s) = %v, want visible=%v", stage, added, err, want == len(bigger))
@@ -458,6 +509,50 @@ func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after commit", len(bigger))
+}
+
+// TestTxNativeReadsItsSnapshot: the native fallback answers from the
+// view its statement reads. A transaction pinned before a committed
+// re-harness keeps answering from its snapshot, while a plain session
+// sees the new harvest.
+func TestTxNativeReadsItsSnapshot(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := nativeRows(t, tx, ctx); n != 11 {
+		t.Fatalf("tx native query sees %d rows before the harness, want 11", n)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(3, bio.GenOptions{Seed: 5})))
+	if _, err := e.Harness("hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if n := nativeRows(t, plain, ctx); n != 4 {
+		t.Errorf("plain session's native query sees %d rows after the harness, want 4", n)
+	}
+	if n := nativeRows(t, tx, ctx); n != 11 {
+		t.Errorf("tx native query sees %d rows after the harness, want its snapshot's 11", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := nativeRows(t, sess, ctx); n != 4 {
+		t.Errorf("session's native query sees %d rows after commit, want 4", n)
+	}
 }
 
 // TestTxWriterSeesOwnBatch: one transaction re-harnesses a database in a

@@ -1,6 +1,8 @@
 package hounds
 
 import (
+	"crypto/sha256"
+	"sort"
 	"sync"
 
 	"xomatiq/internal/xmldoc"
@@ -26,33 +28,41 @@ func (c ChangeSet) Empty() bool {
 // Total reports the number of changed entries.
 func (c ChangeSet) Total() int { return len(c.Added) + len(c.Modified) + len(c.Removed) }
 
-// DiffDocs compares two harvests entry by entry (documents keyed by
-// Name) and reports the delta. Content comparison uses the serialised
-// canonical form, so reordered but identical entries are unchanged.
-func DiffDocs(db, version string, old, new []*xmldoc.Document) ChangeSet {
+// Diff compares a new harvest against the warehoused one, given as entry
+// name -> xmldoc.Document.Digest, and reports the delta. Added and
+// Modified follow the new harvest's order, Removed is sorted by name.
+// Entry names must be unique within new: the caller refuses a harvest
+// that repeats one.
+func Diff(db, version string, old map[string][sha256.Size]byte, new []*xmldoc.Document) ChangeSet {
 	cs := ChangeSet{DB: db, Version: version}
-	oldByKey := make(map[string]string, len(old))
-	for _, d := range old {
-		oldByKey[d.Name] = d.Serialize(xmldoc.SerializeOptions{NoDecl: true})
-	}
 	seen := make(map[string]bool, len(new))
 	for _, d := range new {
 		seen[d.Name] = true
-		ser := d.Serialize(xmldoc.SerializeOptions{NoDecl: true})
-		prev, existed := oldByKey[d.Name]
+		prev, existed := old[d.Name]
 		switch {
 		case !existed:
 			cs.Added = append(cs.Added, d.Name)
-		case prev != ser:
+		case prev != d.Digest():
 			cs.Modified = append(cs.Modified, d.Name)
 		}
 	}
-	for _, d := range old {
-		if !seen[d.Name] {
-			cs.Removed = append(cs.Removed, d.Name)
+	for name := range old {
+		if !seen[name] {
+			cs.Removed = append(cs.Removed, name)
 		}
 	}
+	sort.Strings(cs.Removed)
 	return cs
+}
+
+// DiffDocs is Diff with the old harvest given as documents: it digests
+// them, so reordered but identical entries are unchanged.
+func DiffDocs(db, version string, old, new []*xmldoc.Document) ChangeSet {
+	digests := make(map[string][sha256.Size]byte, len(old))
+	for _, d := range old {
+		digests[d.Name] = d.Digest()
+	}
+	return Diff(db, version, digests, new)
 }
 
 // Trigger is a warehouse-change notification. "Once the changes have

@@ -11,6 +11,7 @@
 package shred
 
 import (
+	"crypto/sha256"
 	"fmt"
 
 	"xomatiq/internal/index/inverted"
@@ -30,6 +31,9 @@ type TokenSet struct {
 type DocBatch struct {
 	DocID int
 	Name  string
+	// Digest is the document's xmldoc.Document.Digest, stored in the
+	// digests table for Update to diff against.
+	Digest [sha256.Size]byte
 
 	// NewPaths lists dictionary paths absent from the Shredder's
 	// snapshot, in first-encounter order. Tuples referencing one carry
@@ -48,9 +52,9 @@ type DocBatch struct {
 }
 
 // Tuples counts the relational tuples the batch contributes, including
-// its docs row (paths rows are counted by the merge).
+// its docs and digests rows (paths rows are counted by the merge).
 func (b *DocBatch) Tuples() int {
-	return 1 + len(b.Nodes) + len(b.Str) + len(b.Num) + len(b.Seq)
+	return 2 + len(b.Nodes) + len(b.Str) + len(b.Num) + len(b.Seq)
 }
 
 // Shredder is the immutable per-load state for parallel shredding. One
@@ -108,7 +112,7 @@ type shredState struct {
 // Shred converts one document into a DocBatch without touching the
 // store. Pure CPU: safe to run on any goroutine.
 func (sh *Shredder) Shred(docID int, doc *xmldoc.Document) *DocBatch {
-	b := &DocBatch{DocID: docID, Name: doc.Name}
+	b := &DocBatch{DocID: docID, Name: doc.Name, Digest: doc.Digest()}
 	st := &shredState{
 		sh:      sh,
 		b:       b,
@@ -292,9 +296,9 @@ func (s *Store) ResolveBatch(db string, b *DocBatch) []value.Tuple {
 
 // InsertChunk writes a run of shredded batches (ascending DocID) into
 // the relational engine as one bulk insert per table: path dictionary
-// rows first, then docs, nodes and the value tables. The caller brackets
-// the call in DB.Begin/Commit and merges keyword shards (MergeKeywords)
-// after the chunk commits.
+// rows first, then docs, digests, nodes and the value tables. The
+// caller brackets the call in DB.Begin/Commit and merges keyword shards
+// (MergeKeywords) after the chunk commits.
 func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 	var nNodes, nStr, nNum, nSeq int
 	for _, b := range batches {
@@ -305,6 +309,7 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 	}
 	var paths []value.Tuple
 	docs := make([]value.Tuple, 0, len(batches))
+	digests := make([]value.Tuple, 0, len(batches))
 	nodes := make([]value.Tuple, 0, nNodes)
 	str := make([]value.Tuple, 0, nStr)
 	num := make([]value.Tuple, 0, nNum)
@@ -313,6 +318,9 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 		paths = append(paths, s.ResolveBatch(db, b)...)
 		docs = append(docs, value.Tuple{
 			value.NewText(db), value.NewInt(int64(b.DocID)), value.NewText(b.Name),
+		})
+		digests = append(digests, value.Tuple{
+			value.NewText(db), value.NewInt(int64(b.DocID)), value.NewBytes(b.Digest[:]),
 		})
 		nodes = append(nodes, b.Nodes...)
 		str = append(str, b.Str...)
@@ -323,7 +331,7 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 		table  string
 		tuples []value.Tuple
 	}{
-		{"paths", paths}, {"docs", docs}, {"nodes", nodes},
+		{"paths", paths}, {"docs", docs}, {"digests", digests}, {"nodes", nodes},
 		{"values_str", str}, {"values_num", num}, {"seq_data", seq},
 	} {
 		if err := s.DB.InsertBatch(run.table, run.tuples); err != nil {

@@ -1,6 +1,7 @@
 package shred
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -16,8 +17,10 @@ import (
 // FuzzShredRoundTrip pins the paper's losslessness requirement on the
 // shipping shredder: any document xmldoc.Parse accepts, shredded and
 // inserted the way the ingest pipeline does it and rebuilt from its
-// tuples, serialises byte-identically. The database has sequence paths,
-// so text under them takes the seq_data route.
+// tuples, serialises byte-identically, and the digest the load stored
+// is the digest of the rebuild (what Digests computes for a document
+// stored without one). The database has sequence paths, so text under
+// them takes the seq_data route.
 func FuzzShredRoundTrip(f *testing.F) {
 	compact := xmldoc.SerializeOptions{NoDecl: true}
 	f.Add(hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry()).Serialize(compact))
@@ -58,7 +61,8 @@ func FuzzShredRoundTrip(f *testing.F) {
 		n++
 		doc.Name = fmt.Sprintf("doc%d", n)
 		want := doc.Serialize(compact)
-		if _, err := shredDocs(s, "fz", doc); err != nil {
+		ids, err := shredDocs(s, "fz", doc)
+		if err != nil {
 			if errors.Is(err, heap.ErrTooLarge) {
 				// A value past the heap's one-page record limit is the
 				// storage engine's documented bound, not a lost node.
@@ -72,6 +76,13 @@ func FuzzShredRoundTrip(f *testing.F) {
 		}
 		if out := got.Serialize(compact); out != want {
 			t.Fatalf("round trip differs\nwant %s\ngot  %s", want, out)
+		}
+		rows, err := db.Query(fmt.Sprintf(`SELECT digest FROM digests WHERE db = 'fz' AND doc_id = %d`, ids[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest := got.Digest(); len(rows.Rows) != 1 || !bytes.Equal(rows.Rows[0][0].Bytes(), digest[:]) {
+			t.Fatalf("stored digest %v, want the rebuild's %x", rows.Rows, digest)
 		}
 		if err := s.DeleteDocument("fz", doc.Name); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package shred
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -400,6 +401,111 @@ func TestClearDatabase(t *testing.T) {
 	}
 	if err := s.ClearDatabase("unknown"); err == nil {
 		t.Error("clear of unregistered db should fail")
+	}
+}
+
+// TestDigests: a load stores each document's digest in its own batch;
+// Digests reads them back by name, rebuilds the digest of a document
+// that has no row (a warehouse written before digests were stored), and
+// DeleteDocument and ClearDatabase drop the rows with the documents.
+func TestDigests(t *testing.T) {
+	s := openStore(t)
+	const db = "hlx_enzyme.DEFAULT"
+	if err := s.RegisterDB(db, nil, hounds.EnzymeDTD); err != nil {
+		t.Fatal(err)
+	}
+	var docs []*xmldoc.Document
+	for _, en := range bio.GenEnzymes(3, bio.GenOptions{Seed: 5}) {
+		docs = append(docs, hounds.EnzymeEntryToXML(en))
+	}
+	ids := load(t, s, db, docs...)
+	digestRows := func() int64 {
+		t.Helper()
+		rows, err := s.DB.Query(`SELECT COUNT(*) FROM digests WHERE db = 'hlx_enzyme.DEFAULT'`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Rows[0][0].Int()
+	}
+	check := func(stage string, want []*xmldoc.Document) {
+		t.Helper()
+		got, err := s.Digests(db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d digests, want %d", stage, len(got), len(want))
+		}
+		for _, d := range want {
+			if got[d.Name] != d.Digest() {
+				t.Errorf("%s: digest of %s = %x, want %x", stage, d.Name, got[d.Name], d.Digest())
+			}
+		}
+	}
+	check("loaded", docs)
+	if n := digestRows(); n != int64(len(docs)) {
+		t.Errorf("%d digests rows after loading %d documents", n, len(docs))
+	}
+
+	if _, err := s.DB.Exec(fmt.Sprintf(`DELETE FROM digests WHERE db = 'hlx_enzyme.DEFAULT' AND doc_id = %d`, ids[1])); err != nil {
+		t.Fatal(err)
+	}
+	check("one row missing", docs)
+
+	if err := s.DeleteDocument(db, docs[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	check("one deleted", docs[1:])
+	if n, want := digestRows(), int64(len(docs)-2); n != want {
+		t.Errorf("%d digests rows with one missing and one document deleted, want %d", n, want)
+	}
+	if err := s.ClearDatabase(db); err != nil {
+		t.Fatal(err)
+	}
+	check("cleared", nil)
+	if n := digestRows(); n != 0 {
+		t.Errorf("%d digests rows after clearing, want 0", n)
+	}
+}
+
+// TestDocuments: Documents rebuilds a database in doc_id order through
+// the view it is given and stops at a cancelled context.
+func TestDocuments(t *testing.T) {
+	s := openStore(t)
+	const db = "hlx_enzyme.DEFAULT"
+	if err := s.RegisterDB(db, nil, hounds.EnzymeDTD); err != nil {
+		t.Fatal(err)
+	}
+	var docs []*xmldoc.Document
+	for _, en := range bio.GenEnzymes(4, bio.GenOptions{Seed: 9}) {
+		docs = append(docs, hounds.EnzymeEntryToXML(en))
+	}
+	load(t, s, db, docs[:3]...)
+	snap := s.DB.AcquireSnapshot()
+	defer s.DB.ReleaseSnapshot(snap)
+	load(t, s, db, docs[3:]...)
+
+	for _, tc := range []struct {
+		view *sql.Snap
+		want []*xmldoc.Document
+	}{{snap, docs[:3]}, {s.DB.BatchView(), docs}} {
+		got, err := s.Documents(context.Background(), db, tc.view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("Documents = %d documents, want %d", len(got), len(tc.want))
+		}
+		for i, d := range tc.want {
+			if got[i].Name != d.Name || !xmldoc.Equal(got[i].Root, d.Root) {
+				t.Errorf("document %d = %s, want %s", i, got[i].Name, d.Name)
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := s.Documents(ctx, db, snap); !errors.Is(err, context.Canceled) {
+		t.Errorf("Documents under a cancelled context: %v", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package shred
 
 import (
+	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -33,6 +35,65 @@ func (s *Store) ReconstructByName(db, name string) (*xmldoc.Document, error) {
 		return nil, fmt.Errorf("shred: no document %q in %q", name, db)
 	}
 	return s.reconstruct(db, id, snap)
+}
+
+// Documents rebuilds every document of db through view — a pinned
+// snapshot or the writer's BatchView — in doc_id order, checking ctx
+// between documents. It keeps nothing: the native evaluator reads the
+// documents for one statement.
+func (s *Store) Documents(ctx context.Context, db string, view *sql.Snap) ([]*xmldoc.Document, error) {
+	rows, err := s.query(view, `SELECT doc_id FROM docs WHERE db = %s ORDER BY doc_id`, Quote(db))
+	if err != nil {
+		return nil, err
+	}
+	docs := make([]*xmldoc.Document, 0, len(rows.Rows))
+	for _, r := range rows.Rows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		d, err := s.reconstruct(db, int(r[0].Int()), view)
+		if err != nil {
+			return nil, err
+		}
+		docs = append(docs, d)
+	}
+	return docs, nil
+}
+
+// Digests reads the stored digest of every document of db through view,
+// keyed by entry name. A document with no digests row was loaded before
+// digests were stored; it is rebuilt through the same view and digested,
+// which yields the digest its load would have stored, since the round
+// trip is lossless.
+func (s *Store) Digests(db string, view *sql.Snap) (map[string][sha256.Size]byte, error) {
+	rows, err := s.query(view, `SELECT doc_id, digest FROM digests WHERE db = %s`, Quote(db))
+	if err != nil {
+		return nil, err
+	}
+	stored := make(map[int64][]byte, len(rows.Rows))
+	for _, r := range rows.Rows {
+		stored[r[0].Int()] = r[1].Bytes()
+	}
+	if rows, err = s.query(view, `SELECT doc_id, name FROM docs WHERE db = %s`, Quote(db)); err != nil {
+		return nil, err
+	}
+	out := make(map[string][sha256.Size]byte, len(rows.Rows))
+	for _, r := range rows.Rows {
+		id, name := r[0].Int(), r[1].Text()
+		if d, ok := stored[id]; ok {
+			if len(d) != sha256.Size {
+				return nil, fmt.Errorf("shred: digest of %q in %q has %d bytes", name, db, len(d))
+			}
+			out[name] = [sha256.Size]byte(d)
+			continue
+		}
+		doc, err := s.reconstruct(db, int(id), view)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = doc.Digest()
+	}
+	return out, nil
 }
 
 func (s *Store) reconstruct(db string, docID int, snap *sql.Snap) (*xmldoc.Document, error) {

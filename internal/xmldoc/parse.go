@@ -1,6 +1,7 @@
 package xmldoc
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"strconv"
 	"strings"
@@ -368,6 +369,14 @@ func (doc *Document) Serialize(opts SerializeOptions) string {
 	}
 	writeNode(&sb, doc.Root, opts.Indent, 0)
 	return sb.String()
+}
+
+// Digest is the SHA-256 of the document's compact serialisation (no
+// declaration, no indentation): two entries with equal digests carry
+// the same content. Update diffs a new harvest against the digests
+// stored at load time instead of rebuilding the old one.
+func (doc *Document) Digest() [sha256.Size]byte {
+	return sha256.Sum256([]byte(doc.Serialize(SerializeOptions{NoDecl: true})))
 }
 
 // SerializeNode renders one subtree.
