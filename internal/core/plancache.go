@@ -55,12 +55,36 @@ func newPlanCache(capacity int) *planCache {
 	return &planCache{cap: capacity, lru: list.New(), items: map[string]*list.Element{}}
 }
 
-// normalizeQuery collapses whitespace so reformatted copies of the same
-// query share a cache entry. Text inside quoted literals is preserved
-// conservatively: queries whose literals contain runs of spaces simply
-// get their own entries.
+// normalizeQuery collapses each run of whitespace outside string
+// literals to one space and drops it at the ends, so reformatted copies
+// of the same query share a cache entry. A literal ("…" or '…'; xq's
+// have no escapes) is copied byte for byte: two queries that differ
+// inside one ask different questions.
 func normalizeQuery(src string) string {
-	return strings.Join(strings.Fields(src), " ")
+	var b strings.Builder
+	b.Grow(len(src))
+	var quote byte // the open literal's quote, or 0
+	space := false
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r': // what xq skips
+			space = true
+			continue
+		case c == '"' || c == '\'':
+			quote = c
+		}
+		if space && b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		space = false
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 // get returns the entry for a key and whether it was present, promoting

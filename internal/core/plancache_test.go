@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
@@ -38,6 +39,42 @@ func TestNormalizeQuery(t *testing.T) {
 	b := normalizeQuery("FOR $a IN document(\"db\")/r RETURN $a//x")
 	if a != b {
 		t.Errorf("normalisation differs: %q vs %q", a, b)
+	}
+	// A literal's spaces are part of the question.
+	if got, want := normalizeQuery("FOR  $a IN\n document('a  b')  "), "FOR $a IN document('a  b')"; got != want {
+		t.Errorf("normalizeQuery = %q, want %q", got, want)
+	}
+}
+
+// TestPlanCacheKeepsLiteralWhitespace: a literal's spaces are part of
+// the question. Collapsing them let a warm cache answer a literal with
+// two spaces from the plan of one with a single space: 1 row where a
+// fresh engine finds none.
+func TestPlanCacheKeepsLiteralWhitespace(t *testing.T) {
+	const one = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE $a//enzyme_description = "Peptidylglycine monooxygenase."
+RETURN $a//enzyme_id`
+	two := strings.Replace(one, "Peptidylglycine monooxygenase", "Peptidylglycine  monooxygenase", 1)
+
+	warm := openEngine(t)
+	setupEnzyme(t, warm, 20)
+	first, err := warm.Query(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Rows) != 1 {
+		t.Fatalf("%d rows for the one-space literal, want 1", len(first.Rows))
+	}
+	cold := openEngine(t)
+	setupEnzyme(t, cold, 20)
+	for name, e := range map[string]*Engine{"warm": warm, "cold": cold} {
+		res, err := e.Query(two)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 0 {
+			t.Errorf("%s engine: %d rows for the two-space literal, want 0", name, len(res.Rows))
+		}
 	}
 }
 

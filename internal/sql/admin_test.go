@@ -107,6 +107,14 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(plan, "hash join") {
 		t.Errorf("plan should hash join (refs has no index):\n%s", plan)
 	}
+	// The filter line prints the predicate the query runs, NOT included.
+	q := `SELECT name FROM enzymes WHERE score NOT BETWEEN 6 AND 9`
+	if got := rowStrings(mustQuery(t, db, q)); len(got) != 2 {
+		t.Errorf("%s = %v, want the two scores outside [6, 9]", q, got)
+	}
+	if plan, err = db.Explain(q, ExecOpts{}); err != nil || !strings.Contains(plan, "filter score NOT BETWEEN 6 AND 9") {
+		t.Errorf("plan should filter score NOT BETWEEN 6 AND 9: %v\n%s", err, plan)
+	}
 	if _, err := db.Explain(`DELETE FROM refs`, ExecOpts{}); err == nil {
 		t.Error("Explain of non-SELECT should fail")
 	}

@@ -313,8 +313,7 @@ type outSrc struct {
 // through the shared result sink (HAVING, DISTINCT, ORDER BY, LIMIT).
 func (db *DB) runAggregate(es *execState, sel *Select, it batchIter, sp *sinkPlan) (*Rows, error) {
 	in := it.Schema()
-	aggCalls := collectAggs(sel, sp.exprs)
-	h := newHashAgg(sel, in, aggCalls, sp.estGroups)
+	h := newHashAgg(sel, in, sp.aggCalls, sp.estGroups)
 	start := time.Now()
 	rows := make([]int, 0, defaultChunkCap)
 	slots := make([]int, 0, defaultChunkCap)

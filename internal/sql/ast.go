@@ -61,30 +61,6 @@ type Delete struct {
 	Where Expr
 }
 
-// Update modifies rows matching Where.
-type Update struct {
-	Table string
-	Set   []Assignment
-	Where Expr
-}
-
-// BeginTx, CommitTx and RollbackTx are the explicit transaction
-// statements: BEGIN opens a batch (statements until COMMIT share one
-// WAL transaction), COMMIT makes it durable atomically, ROLLBACK
-// discards it. They map onto DB.Begin/Commit/Rollback; the session
-// layer above intercepts them for its own Tx lifecycle.
-type (
-	BeginTx    struct{}
-	CommitTx   struct{}
-	RollbackTx struct{}
-)
-
-// Assignment is one SET column = expr clause.
-type Assignment struct {
-	Column string
-	Expr   Expr
-}
-
 // Select is a query.
 type Select struct {
 	Distinct bool
@@ -133,11 +109,7 @@ func (*DropTable) stmt()   {}
 func (*DropIndex) stmt()   {}
 func (*Insert) stmt()      {}
 func (*Delete) stmt()      {}
-func (*Update) stmt()      {}
 func (*Select) stmt()      {}
-func (*BeginTx) stmt()     {}
-func (*CommitTx) stmt()    {}
-func (*RollbackTx) stmt()  {}
 
 // Expr is any expression node.
 type Expr interface{ expr() }
@@ -263,42 +235,47 @@ func (*IsNullExpr) expr()  {}
 func (*FuncCall) expr()    {}
 
 // ExprString renders an expression for error messages and plan output.
+// The text parses back to the same tree (FuzzParse checks it).
 func ExprString(e Expr) string {
 	switch e := e.(type) {
 	case *Literal:
-		if e.Val.Kind() == value.KindText {
+		switch e.Val.Kind() {
+		case value.KindText:
 			return "'" + strings.ReplaceAll(e.Val.Text(), "'", "''") + "'"
+		case value.KindFloat:
+			// A float that prints like an integer ("2") reads back as INT.
+			if s := e.Val.String(); !strings.ContainsAny(s, ".e") {
+				return s + ".0"
+			}
 		}
 		return e.Val.String()
 	case *ColumnRef:
-		return e.String()
-	case *BinaryExpr:
-		return "(" + ExprString(e.Left) + " " + e.Op + " " + ExprString(e.Right) + ")"
-	case *UnaryExpr:
-		return e.Op + " " + ExprString(e.Expr)
-	case *LikeExpr:
-		not := ""
-		if e.Not {
-			not = " NOT"
+		if e.Table == "" {
+			return identString(e.Column)
 		}
-		return ExprString(e.Expr) + not + " LIKE " + ExprString(e.Pattern)
+		return identString(e.Table) + "." + identString(e.Column)
+	case *BinaryExpr:
+		if e.Op == OpAnd || e.Op == OpOr {
+			return "(" + ExprString(e.Left) + " " + e.Op + " " + ExprString(e.Right) + ")"
+		}
+		return "(" + operandString(e.Left) + " " + e.Op + " " + operandString(e.Right) + ")"
+	case *UnaryExpr:
+		if e.Op == "NOT" {
+			return "NOT " + ExprString(e.Expr)
+		}
+		return e.Op + " " + operandString(e.Expr)
+	case *LikeExpr:
+		return operandString(e.Expr) + notString(e.Not) + " LIKE " + operandString(e.Pattern)
 	case *InExpr:
 		parts := make([]string, len(e.List))
 		for i, x := range e.List {
 			parts[i] = ExprString(x)
 		}
-		not := ""
-		if e.Not {
-			not = " NOT"
-		}
-		return ExprString(e.Expr) + not + " IN (" + strings.Join(parts, ", ") + ")"
+		return operandString(e.Expr) + notString(e.Not) + " IN (" + strings.Join(parts, ", ") + ")"
 	case *BetweenExpr:
-		return ExprString(e.Expr) + " BETWEEN " + ExprString(e.Lo) + " AND " + ExprString(e.Hi)
+		return operandString(e.Expr) + notString(e.Not) + " BETWEEN " + operandString(e.Lo) + " AND " + operandString(e.Hi)
 	case *IsNullExpr:
-		if e.Not {
-			return ExprString(e.Expr) + " IS NOT NULL"
-		}
-		return ExprString(e.Expr) + " IS NULL"
+		return operandString(e.Expr) + " IS" + notString(e.Not) + " NULL"
 	case *FuncCall:
 		if e.Star {
 			return e.Name + "(*)"
@@ -310,4 +287,78 @@ func ExprString(e Expr) string {
 		return e.Name + "(" + strings.Join(parts, ", ") + ")"
 	}
 	return "?"
+}
+
+// operandString renders an operand of a comparison, an arithmetic
+// operator, unary minus or a LIKE/IN/BETWEEN/IS test. The grammar reads
+// those operands below the NOT and predicate level, so a NOT or a
+// predicate there needs parentheses.
+func operandString(e Expr) string {
+	switch e := e.(type) {
+	case *UnaryExpr:
+		if e.Op == "NOT" {
+			return "(" + ExprString(e) + ")"
+		}
+	case *LikeExpr, *InExpr, *BetweenExpr, *IsNullExpr:
+		return "(" + ExprString(e) + ")"
+	}
+	return ExprString(e)
+}
+
+func notString(not bool) string {
+	if not {
+		return " NOT"
+	}
+	return ""
+}
+
+// identString renders a table or column name, double-quoted when it
+// would not lex back as the same plain identifier.
+func identString(name string) string {
+	plain := name != "" && isIdentStart(rune(name[0])) && !keywords[strings.ToUpper(name)]
+	for i := 1; plain && i < len(name); i++ {
+		plain = isIdentPart(rune(name[i]))
+	}
+	if plain {
+		return name
+	}
+	return `"` + name + `"`
+}
+
+// walkExpr calls visit on e and, while visit returns true, on each of
+// its operands in turn, depth first. It is the package's one generic
+// traversal of the expression tree: a node kind's operands are listed
+// here and nowhere else, so every analysis built on it (predCols,
+// resolvesIn, bindingsOf, collectAggs, the reference check) sees a new
+// kind's operands without being edited. Per-kind semantics keep their own
+// switches: Eval, ExprString, conjSelectivity and the rewriter bindAggs.
+func walkExpr(e Expr, visit func(Expr) bool) {
+	if e == nil || !visit(e) {
+		return
+	}
+	switch e := e.(type) {
+	case *BinaryExpr:
+		walkExpr(e.Left, visit)
+		walkExpr(e.Right, visit)
+	case *UnaryExpr:
+		walkExpr(e.Expr, visit)
+	case *LikeExpr:
+		walkExpr(e.Expr, visit)
+		walkExpr(e.Pattern, visit)
+	case *InExpr:
+		walkExpr(e.Expr, visit)
+		for _, x := range e.List {
+			walkExpr(x, visit)
+		}
+	case *BetweenExpr:
+		walkExpr(e.Expr, visit)
+		walkExpr(e.Lo, visit)
+		walkExpr(e.Hi, visit)
+	case *IsNullExpr:
+		walkExpr(e.Expr, visit)
+	case *FuncCall:
+		for _, a := range e.Args {
+			walkExpr(a, visit)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"slices"
 	"time"
 
 	"xomatiq/internal/obs"
@@ -203,57 +204,21 @@ func (f *chunkFilterIter) NextChunk() (*chunk, error) {
 	}
 }
 
-// predCols lists the schema columns a predicate reads. ok is false when
-// the expression contains something unresolvable (the filter then copies
+// predCols lists the schema columns an expression reads. ok is false
+// when some column reference does not resolve (the filter then copies
 // the full row per candidate).
 func predCols(e Expr, schema *Schema) (cols []int, ok bool) {
 	ok = true
-	seen := map[int]bool{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if !ok {
-			return
-		}
-		switch e := e.(type) {
-		case *Literal:
-		case *ColumnRef:
-			i, err := schema.Find(e)
-			if err != nil {
-				ok = false
-				return
-			}
-			if !seen[i] {
-				seen[i] = true
+	walkExpr(e, func(e Expr) bool {
+		if c, isRef := e.(*ColumnRef); isRef && ok {
+			i, err := schema.Find(c)
+			ok = err == nil
+			if ok && !slices.Contains(cols, i) {
 				cols = append(cols, i)
 			}
-		case *BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *UnaryExpr:
-			walk(e.Expr)
-		case *LikeExpr:
-			walk(e.Expr)
-			walk(e.Pattern)
-		case *InExpr:
-			walk(e.Expr)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.Expr)
-		case *FuncCall:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		default:
-			ok = false
 		}
-	}
-	walk(e)
+		return ok
+	})
 	if !ok {
 		return nil, false
 	}

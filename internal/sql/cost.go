@@ -334,58 +334,24 @@ func estRowsInt(est float64) int64 {
 func bindingsOf(c Expr, entries []fromEntry) (map[string]bool, bool) {
 	set := map[string]bool{}
 	ok := true
-	var walk func(Expr)
-	resolve := func(cr *ColumnRef) {
-		var hit string
-		n := 0
-		for _, en := range entries {
-			if refersTo(cr, en.ref.Binding(), en.t) {
-				hit = lowerBinding(en.ref)
-				n++
+	walkExpr(c, func(e Expr) bool {
+		if cr, isRef := e.(*ColumnRef); isRef && ok {
+			var hit string
+			n := 0
+			for _, en := range entries {
+				if refersTo(cr, en.ref.Binding(), en.t) {
+					hit = lowerBinding(en.ref)
+					n++
+				}
+			}
+			if n == 1 {
+				set[hit] = true
+			} else {
+				ok = false
 			}
 		}
-		if n != 1 {
-			ok = false
-			return
-		}
-		set[hit] = true
-	}
-	walk = func(e Expr) {
-		if !ok {
-			return
-		}
-		switch e := e.(type) {
-		case *Literal:
-		case *ColumnRef:
-			resolve(e)
-		case *BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *UnaryExpr:
-			walk(e.Expr)
-		case *LikeExpr:
-			walk(e.Expr)
-			walk(e.Pattern)
-		case *InExpr:
-			walk(e.Expr)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.Expr)
-		case *FuncCall:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		default:
-			ok = false
-		}
-	}
-	walk(c)
+		return ok
+	})
 	return set, ok
 }
 

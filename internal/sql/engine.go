@@ -690,12 +690,6 @@ func (db *DB) ExecStmt(stmt Statement) (Result, error) {
 			return Result{}, err
 		}
 		return Result{RowsAffected: len(rows.Rows)}, nil
-	case *BeginTx:
-		return Result{}, db.Begin()
-	case *CommitTx:
-		return Result{}, db.Commit()
-	case *RollbackTx:
-		return Result{}, db.Rollback()
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -714,8 +708,6 @@ func (db *DB) ExecStmt(stmt Statement) (Result, error) {
 			res, err = db.insert(txn, s)
 		case *Delete:
 			res, err = db.deleteRows(txn, s)
-		case *Update:
-			res, err = db.updateRows(txn, s)
 		default:
 			err = fmt.Errorf("sql: unsupported statement %T", stmt)
 		}
@@ -1340,63 +1332,6 @@ func (db *DB) deleteRows(txn uint64, s *Delete) (Result, error) {
 		}
 	}
 	return Result{RowsAffected: len(victims)}, nil
-}
-
-func (db *DB) updateRows(txn uint64, s *Update) (Result, error) {
-	t, err := db.cat.table(s.Table)
-	if err != nil {
-		return Result{}, err
-	}
-	setPos := make([]int, len(s.Set))
-	for i, a := range s.Set {
-		pos := t.ColIndex(a.Column)
-		if pos < 0 {
-			return Result{}, fmt.Errorf("sql: no column %q in %q", a.Column, s.Table)
-		}
-		setPos[i] = pos
-	}
-	schema := t.Schema(t.Name)
-	type change struct {
-		rid      heap.RID
-		old, new value.Tuple
-	}
-	var changes []change
-	if err := db.matchingRows(t, s.Where, func(rid heap.RID, tup value.Tuple) error {
-		newTup := tup.Clone()
-		for i, a := range s.Set {
-			v, err := Eval(a.Expr, Row{Schema: schema, Values: tup})
-			if err != nil {
-				return err
-			}
-			cv, err := coerce(v, t.Columns[setPos[i]].Type)
-			if err != nil {
-				return fmt.Errorf("sql: column %q: %w", a.Column, err)
-			}
-			newTup[setPos[i]] = cv
-		}
-		changes = append(changes, change{rid, tup, newTup})
-		return nil
-	}); err != nil {
-		return Result{}, err
-	}
-	for _, c := range changes {
-		newRid, err := t.Heap.Update(txn, c.rid, c.new.Encode(nil))
-		if err != nil {
-			return Result{}, err
-		}
-		if db.indexesDeferred {
-			continue
-		}
-		for _, ix := range t.Indexes {
-			if _, err := ix.BTree.Delete(ix.Key(c.old, c.rid)); err != nil {
-				return Result{}, err
-			}
-			if _, err := ix.BTree.Insert(ix.Key(c.new, newRid), ridBytes(newRid)); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	return Result{RowsAffected: len(changes)}, nil
 }
 
 // coerce converts v to the column kind, allowing the numeric/text

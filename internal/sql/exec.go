@@ -174,20 +174,23 @@ func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, execute bo
 	if !execute {
 		return nil, nil
 	}
-	if hasAggregates(sel) {
+	if sp.grouped {
 		return db.runAggregate(es, sel, it, sp)
 	}
 	return db.project(es, sel, it, sp)
 }
 
 // sinkPlan carries the planned result-sink shape of one SELECT: the
-// resolved output expressions/names, the order spec, the cost model's
-// group estimate, and the plan-line operator handles the executor feeds
-// with actuals (EXPLAIN ANALYZE "groups=G" / "runs=R" annotations).
+// resolved output expressions/names, the order spec, the aggregate
+// calls and whether the SELECT groups at all, the cost model's group
+// estimate, and the plan-line operator handles the executor feeds with
+// actuals (EXPLAIN ANALYZE "groups=G" / "runs=R" annotations).
 type sinkPlan struct {
 	exprs     []Expr
 	names     []string
 	spec      *orderSpec
+	aggCalls  []*FuncCall
+	grouped   bool
 	estGroups int64
 	aggOp     *obs.OpStats
 	sortOp    *obs.OpStats
@@ -202,10 +205,12 @@ func (db *DB) planSink(es *execState, sel *Select, in *Schema) *sinkPlan {
 	sp := &sinkPlan{}
 	sp.exprs, sp.names = expandItems(sel, in)
 	sp.spec = newOrderSpec(sel, in, sp.names)
-	if hasAggregates(sel) {
+	sp.aggCalls = collectAggs(sel, sp.exprs)
+	sp.grouped = len(sel.GroupBy) > 0 || sel.Having != nil || len(sp.aggCalls) > 0
+	if sp.grouped {
 		sp.estGroups = db.estGroupsFor(es, sel)
 		sp.aggOp = es.tracef("hash aggregate (%d group cols, %d aggs) (est groups=%d)",
-			len(sel.GroupBy), len(collectAggs(sel, sp.exprs)), sp.estGroups)
+			len(sel.GroupBy), len(sp.aggCalls), sp.estGroups)
 		if sel.Having != nil {
 			es.plainf("  having %s", ExprString(sel.Having))
 		}
@@ -248,42 +253,12 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	}
 	checkRefs := func(e Expr) error {
 		var ferr error
-		var walk func(Expr)
-		walk = func(e Expr) {
-			if ferr != nil {
-				return
+		walkExpr(e, func(e Expr) bool {
+			if c, isRef := e.(*ColumnRef); isRef && ferr == nil {
+				_, ferr = full.Find(c)
 			}
-			switch e := e.(type) {
-			case *ColumnRef:
-				if _, err := full.Find(e); err != nil {
-					ferr = err
-				}
-			case *BinaryExpr:
-				walk(e.Left)
-				walk(e.Right)
-			case *UnaryExpr:
-				walk(e.Expr)
-			case *LikeExpr:
-				walk(e.Expr)
-				walk(e.Pattern)
-			case *InExpr:
-				walk(e.Expr)
-				for _, x := range e.List {
-					walk(x)
-				}
-			case *BetweenExpr:
-				walk(e.Expr)
-				walk(e.Lo)
-				walk(e.Hi)
-			case *IsNullExpr:
-				walk(e.Expr)
-			case *FuncCall:
-				for _, a := range e.Args {
-					walk(a)
-				}
-			}
-		}
-		walk(e)
+			return ferr == nil
+		})
 		return ferr
 	}
 	for _, c := range conjs {
@@ -311,9 +286,10 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	pushdown := map[string][]Expr{}
 	var residual []Expr
 	for _, c := range conjs {
-		owner := db.soleBinding(c, entries)
-		if owner != "" {
-			pushdown[owner] = append(pushdown[owner], c)
+		if set, ok := bindingsOf(c, entries); ok && len(set) == 1 {
+			for owner := range set {
+				pushdown[owner] = append(pushdown[owner], c)
+			}
 		} else {
 			residual = append(residual, c)
 		}
@@ -378,48 +354,18 @@ func (db *DB) Explain(src string, o ExecOpts) (string, error) {
 }
 
 // resolvesIn reports whether every column reference in e resolves
-// unambiguously in the schema.
+// unambiguously in the schema: predCols's ok, without the column list
+// that predCols allocates (the planner asks this per conjunct and per
+// join step of every execution).
 func resolvesIn(e Expr, schema *Schema) bool {
 	ok := true
-	var walk func(Expr)
-	walk = func(e Expr) {
-		if !ok {
-			return
+	walkExpr(e, func(e Expr) bool {
+		if c, isRef := e.(*ColumnRef); isRef && ok {
+			_, err := schema.Find(c)
+			ok = err == nil
 		}
-		switch e := e.(type) {
-		case *Literal:
-		case *ColumnRef:
-			if _, err := schema.Find(e); err != nil {
-				ok = false
-			}
-		case *BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *UnaryExpr:
-			walk(e.Expr)
-		case *LikeExpr:
-			walk(e.Expr)
-			walk(e.Pattern)
-		case *InExpr:
-			walk(e.Expr)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.Expr)
-		case *FuncCall:
-			for _, a := range e.Args {
-				walk(a)
-			}
-		default:
-			ok = false
-		}
-	}
-	walk(e)
+		return ok
+	})
 	return ok
 }
 
@@ -427,72 +373,6 @@ func resolvesIn(e Expr, schema *Schema) bool {
 type fromEntry struct {
 	ref TableRef
 	t   *TableInfo
-}
-
-// soleBinding returns the binding name (lowercased) that every column
-// reference in e resolves to, or "" when the expression spans bindings,
-// is ambiguous, or references nothing.
-func (db *DB) soleBinding(e Expr, entries []fromEntry) string {
-	owner := ""
-	ok := true
-	var walkExpr func(Expr)
-	resolve := func(c *ColumnRef) {
-		var hits []string
-		for _, en := range entries {
-			if refersTo(c, en.ref.Binding(), en.t) {
-				hits = append(hits, strings.ToLower(en.ref.Binding()))
-			}
-		}
-		if len(hits) != 1 {
-			ok = false
-			return
-		}
-		if owner == "" {
-			owner = hits[0]
-		} else if owner != hits[0] {
-			ok = false
-		}
-	}
-	walkExpr = func(e Expr) {
-		if !ok {
-			return
-		}
-		switch e := e.(type) {
-		case *Literal:
-		case *ColumnRef:
-			resolve(e)
-		case *BinaryExpr:
-			walkExpr(e.Left)
-			walkExpr(e.Right)
-		case *UnaryExpr:
-			walkExpr(e.Expr)
-		case *LikeExpr:
-			walkExpr(e.Expr)
-			walkExpr(e.Pattern)
-		case *InExpr:
-			walkExpr(e.Expr)
-			for _, x := range e.List {
-				walkExpr(x)
-			}
-		case *BetweenExpr:
-			walkExpr(e.Expr)
-			walkExpr(e.Lo)
-			walkExpr(e.Hi)
-		case *IsNullExpr:
-			walkExpr(e.Expr)
-		case *FuncCall:
-			for _, a := range e.Args {
-				walkExpr(a)
-			}
-		default:
-			ok = false
-		}
-	}
-	walkExpr(e)
-	if !ok || owner == "" {
-		return ""
-	}
-	return owner
 }
 
 // conjuncts flattens an AND tree into its conjuncts.

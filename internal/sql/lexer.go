@@ -36,8 +36,8 @@ func (t token) String() string {
 // insensitively) lex as keywords.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "DELETE": true, "UPDATE": true,
-	"SET": true, "CREATE": true, "TABLE": true, "INDEX": true,
+	"INTO": true, "VALUES": true, "DELETE": true,
+	"CREATE": true, "TABLE": true, "INDEX": true,
 	"ON": true, "DROP": true, "AND": true, "OR": true, "NOT": true,
 	"NULL": true, "TRUE": true, "FALSE": true, "AS": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true,
@@ -47,7 +47,7 @@ var keywords = map[string]bool{
 	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true, "BYTES": true,
 	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
 	"USING": true, "HASH": true, "UNIQUE": true, "PRIMARY": true, "KEY": true,
-	"IF": true, "EXISTS": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
+	"IF": true, "EXISTS": true,
 }
 
 type lexer struct {

@@ -46,8 +46,8 @@ func mustCheck(t *testing.T, db *DB, when string) {
 // before the compact format holds them, into the same heap page as
 // records the engine writes now, and runs everything that parses heap
 // records over the mix: chunk scan, index lookup and range, a bulk index
-// rebuild (keys cut straight from the wire bytes), UPDATE, ANALYZE, the
-// consistency check, recovery and a reopen.
+// rebuild (keys cut straight from the wire bytes), DELETE and re-INSERT
+// of the same ids, ANALYZE, the consistency check, recovery and a reopen.
 func TestLegacyRecordsBesideCompact(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mixed.db")
 	db, err := Open(path, Options{PoolPages: 256})
@@ -137,15 +137,25 @@ func TestLegacyRecordsBesideCompact(t *testing.T) {
 	}
 	verify("after an index rebuild", false)
 
-	// UPDATE rewrites what it touches in the compact form — every fifth
-	// row, half of them legacy — and ANALYZE decodes every record.
-	if res := mustExec(t, db, `UPDATE m SET name = 'renamed' WHERE id IN (-20, -15, -10, -5, 0, 5, 10, 15)`); res.RowsAffected != 8 {
-		t.Fatalf("UPDATE touched %d rows, want 8", res.RowsAffected)
+	// Rewrite every fifth row, half of them legacy, the way the
+	// warehouse rewrites a document: DELETE, then INSERT the same id in
+	// the compact form. ANALYZE then decodes every record.
+	if res := mustExec(t, db, `DELETE FROM m WHERE id IN (-20, -15, -10, -5, 0, 5, 10, 15)`); res.RowsAffected != 8 {
+		t.Fatalf("DELETE removed %d rows, want 8", res.RowsAffected)
+	}
+	var renamed []value.Tuple
+	for i := 0; i < 40; i += 5 {
+		r := row(i)
+		r[1] = value.NewText("renamed")
+		renamed = append(renamed, r)
+	}
+	if err := db.InsertBatch("m", renamed); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Analyze(); err != nil {
 		t.Fatal(err)
 	}
-	verify("after UPDATE and ANALYZE", true)
+	verify("after DELETE + INSERT and ANALYZE", true)
 
 	// The log now holds inserts of both forms; recover from it.
 	if err := db.Crash(); err != nil {

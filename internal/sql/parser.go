@@ -84,21 +84,10 @@ func (p *parser) statement() (Statement, error) {
 		return p.insertStmt()
 	case "DELETE":
 		return p.deleteStmt()
-	case "UPDATE":
-		return p.updateStmt()
 	case "CREATE":
 		return p.createStmt()
 	case "DROP":
 		return p.dropStmt()
-	case "BEGIN":
-		p.advance()
-		return &BeginTx{}, nil
-	case "COMMIT":
-		p.advance()
-		return &CommitTx{}, nil
-	case "ROLLBACK":
-		p.advance()
-		return &RollbackTx{}, nil
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %s", t)
 	}
@@ -303,43 +292,6 @@ func (p *parser) deleteStmt() (Statement, error) {
 		return nil, err
 	}
 	st.Table = name
-	if p.acceptKeyword("WHERE") {
-		st.Where, err = p.expression()
-		if err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-func (p *parser) updateStmt() (Statement, error) {
-	p.advance() // UPDATE
-	st := &Update{}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Table = name
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(tokSymbol, "="); err != nil {
-			return nil, err
-		}
-		e, err := p.expression()
-		if err != nil {
-			return nil, err
-		}
-		st.Set = append(st.Set, Assignment{Column: col, Expr: e})
-		if !p.accept(tokSymbol, ",") {
-			break
-		}
-	}
 	if p.acceptKeyword("WHERE") {
 		st.Where, err = p.expression()
 		if err != nil {

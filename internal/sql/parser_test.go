@@ -169,9 +169,10 @@ func TestParseNegativeNumbers(t *testing.T) {
 }
 
 func TestParseUpdateDelete(t *testing.T) {
-	up := mustParse(t, `UPDATE t SET a = a + 1, b = 'x' WHERE id = 3`).(*Update)
-	if up.Table != "t" || len(up.Set) != 2 || up.Where == nil {
-		t.Fatalf("bad update: %+v", up)
+	// The warehouse rewrites a document by DELETE and INSERT; the
+	// dialect has no UPDATE.
+	if _, err := Parse(`UPDATE t SET a = a + 1, b = 'x' WHERE id = 3`); err == nil {
+		t.Error("UPDATE parsed; the dialect has no UPDATE")
 	}
 	del := mustParse(t, `DELETE FROM t`).(*Delete)
 	if del.Where != nil {

@@ -7,58 +7,6 @@ import (
 	"xomatiq/internal/value"
 )
 
-// hasAggregates reports whether the SELECT needs grouping.
-func hasAggregates(sel *Select) bool {
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return true
-	}
-	for _, it := range sel.Items {
-		if it.Expr != nil && containsAggregate(it.Expr) {
-			return true
-		}
-	}
-	for _, o := range sel.OrderBy {
-		if containsAggregate(o.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAggregate(e Expr) bool {
-	switch e := e.(type) {
-	case *FuncCall:
-		if e.IsAggregate() {
-			return true
-		}
-		for _, a := range e.Args {
-			if containsAggregate(a) {
-				return true
-			}
-		}
-	case *BinaryExpr:
-		return containsAggregate(e.Left) || containsAggregate(e.Right)
-	case *UnaryExpr:
-		return containsAggregate(e.Expr)
-	case *LikeExpr:
-		return containsAggregate(e.Expr) || containsAggregate(e.Pattern)
-	case *InExpr:
-		if containsAggregate(e.Expr) {
-			return true
-		}
-		for _, x := range e.List {
-			if containsAggregate(x) {
-				return true
-			}
-		}
-	case *BetweenExpr:
-		return containsAggregate(e.Expr) || containsAggregate(e.Lo) || containsAggregate(e.Hi)
-	case *IsNullExpr:
-		return containsAggregate(e.Expr)
-	}
-	return false
-}
-
 // expandItems resolves SELECT items against the input schema, expanding *
 // into all input columns. Returns the output expressions and names.
 func expandItems(sel *Select, in *Schema) (exprs []Expr, names []string) {
@@ -118,49 +66,24 @@ func newOrderSpec(sel *Select, in *Schema, names []string) *orderSpec {
 	return spec
 }
 
-// collectAggs gathers the aggregate calls appearing in the SELECT.
+// collectAggs gathers the aggregate calls appearing in the SELECT
+// (output expressions, HAVING, ORDER BY). An aggregate's own arguments
+// are not searched.
 func collectAggs(sel *Select, exprs []Expr) []*FuncCall {
 	var aggs []*FuncCall
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch e := e.(type) {
-		case *FuncCall:
-			if e.IsAggregate() {
-				aggs = append(aggs, e)
-				return
-			}
-			for _, a := range e.Args {
-				walk(a)
-			}
-		case *BinaryExpr:
-			walk(e.Left)
-			walk(e.Right)
-		case *UnaryExpr:
-			walk(e.Expr)
-		case *LikeExpr:
-			walk(e.Expr)
-			walk(e.Pattern)
-		case *InExpr:
-			walk(e.Expr)
-			for _, x := range e.List {
-				walk(x)
-			}
-		case *BetweenExpr:
-			walk(e.Expr)
-			walk(e.Lo)
-			walk(e.Hi)
-		case *IsNullExpr:
-			walk(e.Expr)
+	visit := func(e Expr) bool {
+		if f, ok := e.(*FuncCall); ok && f.IsAggregate() {
+			aggs = append(aggs, f)
+			return false
 		}
+		return true
 	}
 	for _, e := range exprs {
-		walk(e)
+		walkExpr(e, visit)
 	}
-	if sel.Having != nil {
-		walk(sel.Having)
-	}
+	walkExpr(sel.Having, visit)
 	for _, o := range sel.OrderBy {
-		walk(o.Expr)
+		walkExpr(o.Expr, visit)
 	}
 	return aggs
 }

@@ -105,7 +105,12 @@ func TestRecoveryDeletesAndUpdates(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, 'v')`, i))
 	}
 	mustExec(t, db, `DELETE FROM t WHERE a < 50`)
-	mustExec(t, db, `UPDATE t SET b = 'updated' WHERE a >= 90`)
+	// An update, the way the warehouse issues one: DELETE, then INSERT
+	// the same keys with the new value.
+	mustExec(t, db, `DELETE FROM t WHERE a >= 90`)
+	for i := 90; i < 100; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES (%d, 'updated')`, i))
+	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
