@@ -7,14 +7,17 @@ FUZZTIME ?= 30s
 
 all: check
 
+# bench/ is a module of its own (the ledger driver), which the root
+# `go build/vet/test ./...` does not reach: each target runs it too, so
+# a change under internal/ that breaks the ledger fails here.
 build:
 	$(GO) build ./...
+	$(GO) build -C bench ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
-# bench/ is a module of its own (the ledger driver), which the root
-# `go test ./...` does not reach.
 test: test-plans
 	$(GO) test ./...
 	$(GO) test -C bench ./...

@@ -34,8 +34,8 @@ func bindAggs(e Expr, idx map[*FuncCall]int, binds *[]aggBinding) Expr {
 		return ne
 	case *BinaryExpr:
 		return &BinaryExpr{Op: e.Op, Left: bindAggs(e.Left, idx, binds), Right: bindAggs(e.Right, idx, binds)}
-	case *UnaryExpr:
-		return &UnaryExpr{Op: e.Op, Expr: bindAggs(e.Expr, idx, binds)}
+	case *NotExpr:
+		return &NotExpr{Expr: bindAggs(e.Expr, idx, binds)}
 	case *LikeExpr:
 		return &LikeExpr{Expr: bindAggs(e.Expr, idx, binds), Pattern: bindAggs(e.Pattern, idx, binds), Not: e.Not}
 	case *InExpr:
@@ -44,10 +44,6 @@ func bindAggs(e Expr, idx map[*FuncCall]int, binds *[]aggBinding) Expr {
 			ne.List = append(ne.List, bindAggs(x, idx, binds))
 		}
 		return ne
-	case *BetweenExpr:
-		return &BetweenExpr{Expr: bindAggs(e.Expr, idx, binds), Lo: bindAggs(e.Lo, idx, binds), Hi: bindAggs(e.Hi, idx, binds), Not: e.Not}
-	case *IsNullExpr:
-		return &IsNullExpr{Expr: bindAggs(e.Expr, idx, binds), Not: e.Not}
 	}
 	return e
 }
@@ -190,7 +186,7 @@ func (h *hashAgg) accumulateChunk(c *chunk, rows, slots []int) error {
 			return src.eval(c, rows[k], h.row)
 		}
 		switch h.fname[a] {
-		case "SUM", "AVG":
+		case "SUM":
 			sumF, sumI, allInt := h.sumF[a], h.sumI[a], h.allInt[a]
 			for k, s := range slots {
 				v, err := arg(k)
@@ -270,11 +266,6 @@ func (h *hashAgg) result(a, slot int) value.Value {
 			return value.NewInt(h.sumI[a][slot])
 		}
 		return value.NewFloat(h.sumF[a][slot])
-	case "AVG":
-		if h.counts[a][slot] == 0 {
-			return value.Null
-		}
-		return value.NewFloat(h.sumF[a][slot] / float64(h.counts[a][slot]))
 	case "MIN", "MAX":
 		if h.counts[a][slot] == 0 {
 			return value.Null
@@ -310,7 +301,7 @@ type outSrc struct {
 
 // runAggregate executes grouped/aggregated SELECTs: one vectorized
 // accumulation pass over the batch stream, then per-group emission
-// through the shared result sink (HAVING, DISTINCT, ORDER BY, LIMIT).
+// through the shared result sink (DISTINCT, ORDER BY, LIMIT).
 func (db *DB) runAggregate(es *execState, sel *Select, it batchIter, sp *sinkPlan) (*Rows, error) {
 	in := it.Schema()
 	h := newHashAgg(sel, in, sp.aggCalls, sp.estGroups)
@@ -361,8 +352,8 @@ func (db *DB) runAggregate(es *execState, sel *Select, it batchIter, sp *sinkPla
 }
 
 // emitAggregate walks the group slots in first-appearance order,
-// applies HAVING, evaluates the output row and sort keys via
-// precompiled sources, and pushes into the result sink.
+// evaluates the output row and sort keys via precompiled sources, and
+// pushes into the result sink.
 func (db *DB) emitAggregate(es *execState, sel *Select, h *hashAgg, sp *sinkPlan) (*Rows, error) {
 	aggIdx := make(map[*FuncCall]int, len(h.aggCalls))
 	for i, fc := range h.aggCalls {
@@ -387,11 +378,6 @@ func (db *DB) emitAggregate(es *execState, sel *Select, h *hashAgg, sp *sinkPlan
 		}
 		s.expr = bindAggs(e, aggIdx, &s.binds)
 		srcs[i] = s
-	}
-	var having Expr
-	var havingBinds []aggBinding
-	if sel.Having != nil {
-		having = bindAggs(sel.Having, aggIdx, &havingBinds)
 	}
 	// Order keys that are not output columns evaluate their own bound
 	// clones against the representative row.
@@ -427,16 +413,6 @@ func (db *DB) emitAggregate(es *execState, sel *Select, h *hashAgg, sp *sinkPlan
 			aggRes[a] = h.result(a, slot)
 		}
 		row := Row{Schema: h.in, Values: h.reprs[slot]}
-		if having != nil {
-			setBinds(havingBinds)
-			hv, err := Eval(having, row)
-			if err != nil {
-				return nil, err
-			}
-			if !truthy(hv) {
-				continue
-			}
-		}
 		vals := make(value.Tuple, len(srcs))
 		for i := range srcs {
 			s := &srcs[i]

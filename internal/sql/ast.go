@@ -61,17 +61,16 @@ type Delete struct {
 	Where Expr
 }
 
-// Select is a query.
+// Select is a query. Its FROM list is a comma join: every join
+// condition is a WHERE conjunct.
 type Select struct {
 	Distinct bool
 	Items    []SelectItem
-	From     []TableRef // first entry plus JOINed tables
+	From     []TableRef
 	Where    Expr
 	GroupBy  []Expr
-	Having   Expr
 	OrderBy  []OrderItem
 	Limit    int // -1 when absent
-	Offset   int
 }
 
 // SelectItem is one output expression; Star marks "*".
@@ -81,12 +80,10 @@ type SelectItem struct {
 	Star  bool
 }
 
-// TableRef names a table with an optional alias and, for joined tables,
-// the ON condition.
+// TableRef names a table with an optional alias.
 type TableRef struct {
 	Table string
 	Alias string
-	On    Expr // nil for the first table
 }
 
 // Binding returns the name the table is referenced by in expressions.
@@ -154,10 +151,6 @@ const (
 	OpGe  = ">="
 	OpAnd = "AND"
 	OpOr  = "OR"
-	OpAdd = "+"
-	OpSub = "-"
-	OpMul = "*"
-	OpDiv = "/"
 	OpCat = "||"
 )
 
@@ -167,9 +160,9 @@ type BinaryExpr struct {
 	Left, Right Expr
 }
 
-// UnaryExpr is NOT or unary minus.
-type UnaryExpr struct {
-	Op   string // "NOT" or "-"
+// NotExpr is NOT Expr. A minus sign is not an operator: it folds into
+// the numeric literal it precedes.
+type NotExpr struct {
 	Expr Expr
 }
 
@@ -195,19 +188,6 @@ type InExpr struct {
 	litSet atomic.Pointer[map[string]bool]
 }
 
-// BetweenExpr is e BETWEEN lo AND hi.
-type BetweenExpr struct {
-	Expr   Expr
-	Lo, Hi Expr
-	Not    bool
-}
-
-// IsNullExpr is e IS [NOT] NULL.
-type IsNullExpr struct {
-	Expr Expr
-	Not  bool
-}
-
 // FuncCall is a scalar or aggregate function application.
 type FuncCall struct {
 	Name string // uppercased
@@ -218,21 +198,19 @@ type FuncCall struct {
 // IsAggregate reports whether the call is an aggregate function.
 func (f *FuncCall) IsAggregate() bool {
 	switch f.Name {
-	case "COUNT", "SUM", "MIN", "MAX", "AVG":
+	case "COUNT", "SUM", "MIN", "MAX":
 		return true
 	}
 	return false
 }
 
-func (*Literal) expr()     {}
-func (*ColumnRef) expr()   {}
-func (*BinaryExpr) expr()  {}
-func (*UnaryExpr) expr()   {}
-func (*LikeExpr) expr()    {}
-func (*InExpr) expr()      {}
-func (*BetweenExpr) expr() {}
-func (*IsNullExpr) expr()  {}
-func (*FuncCall) expr()    {}
+func (*Literal) expr()    {}
+func (*ColumnRef) expr()  {}
+func (*BinaryExpr) expr() {}
+func (*NotExpr) expr()    {}
+func (*LikeExpr) expr()   {}
+func (*InExpr) expr()     {}
+func (*FuncCall) expr()   {}
 
 // ExprString renders an expression for error messages and plan output.
 // The text parses back to the same tree (FuzzParse checks it).
@@ -259,11 +237,8 @@ func ExprString(e Expr) string {
 			return "(" + ExprString(e.Left) + " " + e.Op + " " + ExprString(e.Right) + ")"
 		}
 		return "(" + operandString(e.Left) + " " + e.Op + " " + operandString(e.Right) + ")"
-	case *UnaryExpr:
-		if e.Op == "NOT" {
-			return "NOT " + ExprString(e.Expr)
-		}
-		return e.Op + " " + operandString(e.Expr)
+	case *NotExpr:
+		return "NOT " + ExprString(e.Expr)
 	case *LikeExpr:
 		return operandString(e.Expr) + notString(e.Not) + " LIKE " + operandString(e.Pattern)
 	case *InExpr:
@@ -272,10 +247,6 @@ func ExprString(e Expr) string {
 			parts[i] = ExprString(x)
 		}
 		return operandString(e.Expr) + notString(e.Not) + " IN (" + strings.Join(parts, ", ") + ")"
-	case *BetweenExpr:
-		return operandString(e.Expr) + notString(e.Not) + " BETWEEN " + operandString(e.Lo) + " AND " + operandString(e.Hi)
-	case *IsNullExpr:
-		return operandString(e.Expr) + " IS" + notString(e.Not) + " NULL"
 	case *FuncCall:
 		if e.Star {
 			return e.Name + "(*)"
@@ -289,17 +260,12 @@ func ExprString(e Expr) string {
 	return "?"
 }
 
-// operandString renders an operand of a comparison, an arithmetic
-// operator, unary minus or a LIKE/IN/BETWEEN/IS test. The grammar reads
-// those operands below the NOT and predicate level, so a NOT or a
-// predicate there needs parentheses.
+// operandString renders an operand of a comparison, of || or of a
+// LIKE/IN test. The grammar reads those operands below the NOT and
+// predicate level, so a NOT or a predicate there needs parentheses.
 func operandString(e Expr) string {
-	switch e := e.(type) {
-	case *UnaryExpr:
-		if e.Op == "NOT" {
-			return "(" + ExprString(e) + ")"
-		}
-	case *LikeExpr, *InExpr, *BetweenExpr, *IsNullExpr:
+	switch e.(type) {
+	case *NotExpr, *LikeExpr, *InExpr:
 		return "(" + ExprString(e) + ")"
 	}
 	return ExprString(e)
@@ -315,9 +281,9 @@ func notString(not bool) string {
 // identString renders a table or column name, double-quoted when it
 // would not lex back as the same plain identifier.
 func identString(name string) string {
-	plain := name != "" && isIdentStart(rune(name[0])) && !keywords[strings.ToUpper(name)]
+	plain := name != "" && isIdentStart(name[0]) && !keywords[strings.ToUpper(name)]
 	for i := 1; plain && i < len(name); i++ {
-		plain = isIdentPart(rune(name[i]))
+		plain = isIdentPart(name[i])
 	}
 	if plain {
 		return name
@@ -340,7 +306,7 @@ func walkExpr(e Expr, visit func(Expr) bool) {
 	case *BinaryExpr:
 		walkExpr(e.Left, visit)
 		walkExpr(e.Right, visit)
-	case *UnaryExpr:
+	case *NotExpr:
 		walkExpr(e.Expr, visit)
 	case *LikeExpr:
 		walkExpr(e.Expr, visit)
@@ -350,12 +316,6 @@ func walkExpr(e Expr, visit func(Expr) bool) {
 		for _, x := range e.List {
 			walkExpr(x, visit)
 		}
-	case *BetweenExpr:
-		walkExpr(e.Expr, visit)
-		walkExpr(e.Lo, visit)
-		walkExpr(e.Hi, visit)
-	case *IsNullExpr:
-		walkExpr(e.Expr, visit)
 	case *FuncCall:
 		for _, a := range e.Args {
 			walkExpr(a, visit)

@@ -9,7 +9,6 @@ package sql
 
 import (
 	"math"
-	"strings"
 
 	"xomatiq/internal/value"
 )
@@ -149,34 +148,8 @@ func conjSelectivity(t *TableInfo, binding string, c Expr) float64 {
 			}
 			return clampSel(s)
 		}
-	case *BetweenExpr:
-		if col, ok := e.Expr.(*ColumnRef); ok && refersTo(col, binding, t) {
-			lo, okLo := e.Lo.(*Literal)
-			hi, okHi := e.Hi.(*Literal)
-			if okLo && okHi {
-				pos := t.ColIndex(col.Column)
-				s := combineRange(rangeSelectivity(t, pos, OpGe, lo.Val),
-					rangeSelectivity(t, pos, OpLe, hi.Val))
-				if e.Not {
-					s = 1 - s
-				}
-				return clampSel(s)
-			}
-		}
-		return defaultRangeSel
 	case *LikeExpr:
 		return defaultLikeSel
-	case *IsNullExpr:
-		if col, ok := e.Expr.(*ColumnRef); ok && refersTo(col, binding, t) {
-			if cs := statsFor(t, t.ColIndex(col.Column)); cs != nil {
-				s := clampSel(float64(cs.Nulls) / statsPopulation(t))
-				if e.Not {
-					s = 1 - s
-				}
-				return clampSel(s)
-			}
-		}
-		return defaultEqSel
 	case *FuncCall:
 		return defaultFuncSel
 	case *BinaryExpr:
@@ -328,56 +301,56 @@ func estRowsInt(est float64) int64 {
 	return int64(est + 0.5)
 }
 
-// bindingsOf returns the set of FROM bindings (lowercased) a conjunct's
-// column references resolve to, and whether every reference resolved
-// uniquely.
-func bindingsOf(c Expr, entries []fromEntry) (map[string]bool, bool) {
-	set := map[string]bool{}
-	ok := true
-	walkExpr(c, func(e Expr) bool {
-		if cr, isRef := e.(*ColumnRef); isRef && ok {
-			var hit string
-			n := 0
+// bindingMasks returns, per conjunct, the FROM entries its column
+// references resolve to, as the union of their bits. It is 0 for a
+// conjunct without references and for one with a reference that does
+// not resolve to exactly one entry. The planner computes it once per
+// statement, and join ordering, join estimates and pushdown read it.
+func bindingMasks(conjs []Expr, entries []fromEntry) []uint64 {
+	masks := make([]uint64, len(conjs))
+	for i, c := range conjs {
+		var m uint64
+		walkExpr(c, func(e Expr) bool {
+			cr, isRef := e.(*ColumnRef)
+			if !isRef {
+				return true
+			}
+			var hit uint64
 			for _, en := range entries {
 				if refersTo(cr, en.ref.Binding(), en.t) {
-					hit = lowerBinding(en.ref)
-					n++
+					if hit != 0 {
+						hit = 0
+						break
+					}
+					hit = en.bit()
 				}
 			}
-			if n == 1 {
-				set[hit] = true
-			} else {
-				ok = false
+			if hit == 0 {
+				m = 0
+				return false
 			}
-		}
-		return ok
-	})
-	return set, ok
+			m |= hit
+			return true
+		})
+		masks[i] = m
+	}
+	return masks
 }
 
 // joinStep estimates the selectivity the cross-binding conjuncts apply
-// when binding j joins the already-placed set, and whether any conjunct
-// connects them (an unconnected pick is a cross product).
-func joinStep(entries []fromEntry, j int, placed map[string]bool, conjs []Expr) (sel float64, connected bool) {
-	jb := lowerBinding(entries[j].ref)
+// when entry j joins the already-placed entries (a mask of their bits),
+// and whether any conjunct connects them (an unconnected pick is a cross
+// product). A conjunct applies when it reads j, some placed entry, and
+// nothing else.
+func joinStep(entries []fromEntry, j int, placed uint64, conjs []Expr, masks []uint64) (sel float64, connected bool) {
+	jbit := entries[j].bit()
 	sel = 1.0
-	for _, c := range conjs {
-		set, ok := bindingsOf(c, entries)
-		if !ok || !set[jb] || len(set) < 2 {
-			continue
-		}
-		applies := true
-		for b := range set {
-			if b != jb && !placed[b] {
-				applies = false
-				break
-			}
-		}
-		if !applies {
+	for i, m := range masks {
+		if m&jbit == 0 || m == jbit || m&^(placed|jbit) != 0 {
 			continue
 		}
 		connected = true
-		sel *= crossConjSel(entries, j, c)
+		sel *= crossConjSel(entries, j, conjs[i])
 	}
 	return sel, connected
 }
@@ -408,18 +381,14 @@ func crossConjSel(entries []fromEntry, j int, c Expr) float64 {
 	return defaultJoinSel
 }
 
-func lowerBinding(ref TableRef) string {
-	return strings.ToLower(ref.Binding())
-}
-
 // orderJoins reorders FROM entries greedily by estimated output
 // cardinality: start from the smallest filtered binding, then repeatedly
 // add the binding whose join produces the fewest estimated rows,
-// preferring connected joins over cross products. Entries carrying an ON
-// clause pin the syntactic order (ON binds to a position), as does a
-// SELECT * (output column order follows FROM order). Ties keep the
-// syntactic order, so the reorder is deterministic for fixed statistics.
-func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
+// preferring connected joins over cross products. A SELECT * pins the
+// syntactic order (output column order follows FROM order). Ties keep
+// the syntactic order, so the reorder is deterministic for fixed
+// statistics.
+func orderJoins(sel *Select, entries []fromEntry, conjs []Expr, masks []uint64) []fromEntry {
 	if len(entries) < 2 {
 		return entries
 	}
@@ -428,17 +397,11 @@ func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
 			return entries
 		}
 	}
-	for _, e := range entries {
-		if e.ref.On != nil {
-			return entries
-		}
-	}
 	base := make([]float64, len(entries))
 	for i, e := range entries {
 		base[i] = estScanRows(e.t, e.ref.Binding(), conjs)
 	}
 	used := make([]bool, len(entries))
-	placed := map[string]bool{}
 	out := make([]fromEntry, 0, len(entries))
 	// Seed with the smallest filtered binding.
 	first := 0
@@ -449,7 +412,7 @@ func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
 	}
 	out = append(out, entries[first])
 	used[first] = true
-	placed[lowerBinding(entries[first].ref)] = true
+	placed := entries[first].bit()
 	cur := base[first]
 	for len(out) < len(entries) {
 		best, bestConn := -1, false
@@ -458,7 +421,7 @@ func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
 			if used[j] {
 				continue
 			}
-			s, conn := joinStep(entries, j, placed, conjs)
+			s, conn := joinStep(entries, j, placed, conjs, masks)
 			cost := cur * base[j] * s
 			if best == -1 || (conn && !bestConn) || (conn == bestConn && cost < bestCost) {
 				best, bestConn, bestCost = j, conn, cost
@@ -466,7 +429,7 @@ func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
 		}
 		out = append(out, entries[best])
 		used[best] = true
-		placed[lowerBinding(entries[best].ref)] = true
+		placed |= entries[best].bit()
 		cur = bestCost
 	}
 	return out
@@ -474,8 +437,8 @@ func orderJoins(sel *Select, entries []fromEntry, conjs []Expr) []fromEntry {
 
 // estJoinRows estimates the output of joining the current stream (est
 // leftEst rows) with one more binding, for the EXPLAIN line.
-func estJoinRows(entries []fromEntry, j int, placed map[string]bool, conjs []Expr, leftEst float64) float64 {
-	s, _ := joinStep(entries, j, placed, conjs)
+func estJoinRows(entries []fromEntry, j int, placed uint64, conjs []Expr, masks []uint64, leftEst float64) float64 {
+	s, _ := joinStep(entries, j, placed, conjs, masks)
 	return leftEst * estScanRows(entries[j].t, entries[j].ref.Binding(), conjs) * s
 }
 

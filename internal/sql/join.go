@@ -63,36 +63,20 @@ func probeSrcs(pairs []equiPair, cols []int) []keySrc {
 	return srcs
 }
 
-// buildJoin adds one table to the join tree. It prefers, in order: index
-// nested-loop join (right table has an index whose columns are all join
-// keys), partitioned hash join (any equi keys), and cross join
-// (everything else). The ON residual is applied at the join; WHERE
-// conjuncts are re-checked by the outer filter.
+// buildJoin adds the table rt, read as binding, to the join tree. It
+// prefers, in order: index nested-loop join (right table has an index
+// whose columns are all join keys), partitioned hash join (any equi
+// keys), and cross join (everything else). The keys come from the WHERE
+// conjuncts linking the right table to the left stream; buildFrom's
+// filters re-check every conjunct once both sides are in scope.
 // est is the cost model's output-cardinality estimate for this join,
 // rendered on the plan line (EXPLAIN ANALYZE pairs it with actuals).
-func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableRef, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
-	binding := ref.Binding()
+func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding string, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
 	rightSchema := rt.Schema(binding)
-
-	// Candidate equality conjuncts: the ON clause plus WHERE conjuncts
-	// linking the right table to the left stream.
-	on := conjuncts(ref.On)
 	var pairs []equiPair
-	var residual []Expr
-	for i, c := range append(on, whereConjs...) {
-		fromOn := i < len(on)
+	for _, c := range whereConjs {
 		if p, ok := db.asEquiPair(c, left.Schema(), binding, rt); ok {
-			// A key holds one component per right column, so an ON
-			// equality on a column an earlier pair already keys is
-			// checked as a residual.
-			if fromOn && slices.ContainsFunc(pairs, func(q equiPair) bool { return q.rightCol == p.rightCol }) {
-				residual = append(residual, c)
-			}
 			pairs = append(pairs, p)
-			continue
-		}
-		if fromOn {
-			residual = append(residual, c)
 		}
 	}
 
@@ -127,11 +111,7 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableR
 			rt.Name, binding, estRowsInt(est))
 		m = &crossJoin{rightSrc: rightSrc}
 	}
-	join := tracedBatchIf(op, &joinIter{es: es, left: left, schema: left.Schema().Concat(rightSchema), m: m})
-	for _, r := range residual {
-		join = newChunkFilter(join, r)
-	}
-	return join
+	return tracedBatchIf(op, &joinIter{es: es, left: left, schema: left.Schema().Concat(rightSchema), m: m})
 }
 
 // asEquiPair matches expr as left = right.col (either orientation) where

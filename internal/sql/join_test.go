@@ -15,9 +15,9 @@ import (
 
 // Join-strategy tests: the index nested loop, the partitioned hash join
 // and the cross join must agree on every query — NULL keys, duplicate
-// keys, keys the index covers only in part, pushed-down filters, ON and
-// WHERE forms — and each must be deterministic across worker counts,
-// safe under chunk recycling, and cancellable mid-join.
+// keys, keys the index covers only in part, pushed-down filters — and
+// each must be deterministic across worker counts, safe under chunk
+// recycling, and cancellable mid-join.
 
 // joinStrategy names one way of running an equi-join and the plan line
 // that proves the planner took it.
@@ -25,7 +25,7 @@ type joinStrategy struct {
 	name  string
 	plan  string
 	index bool // create indexes on a.k and b.k
-	cross bool // write every equality as a.x + 0 = b.y
+	cross bool // write every equality a.x = b.y as a.x <= b.y AND a.x >= b.y
 }
 
 var joinStrategies = []joinStrategy{
@@ -35,27 +35,25 @@ var joinStrategies = []joinStrategy{
 }
 
 // eq renders the join equality a.l = b.r for a strategy; the cross form
-// hides the left column in an expression so no equi-pair is detected.
+// writes it as two range comparisons, which no join key uses.
 func (s joinStrategy) eq(l, r string) string {
 	if s.cross {
-		return fmt.Sprintf("a.%s + 0 = b.%s", l, r)
+		return fmt.Sprintf("a.%[1]s <= b.%[2]s AND a.%[1]s >= b.%[2]s", l, r)
 	}
 	return fmt.Sprintf("a.%s = b.%s", l, r)
 }
 
 // joinQueries are the probe shapes, with %[1]s the k equality, %[2]s the
 // j equality and %[3]s a second equality on b.k (a.j = b.k) of the
-// strategy at hand.
+// strategy at hand. Every j is NULL or at least 0, so a.j >= 0 keeps the
+// non-NULL rows of a.
 var joinQueries = []string{
-	`SELECT a.v, b.w FROM a JOIN b ON %[1]s`,
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s`,
-	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND %[2]s`,
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[2]s`,
-	`SELECT a.v, b.w FROM a JOIN b ON %[1]s WHERE b.j <> 1`,
-	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.w > 'b3' AND a.j IS NOT NULL`,
-	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND b.j IS NULL`,
-	`SELECT a.v, b.w, b.j FROM a JOIN b ON %[1]s AND %[2]s WHERE a.v < 'a5'`,
-	`SELECT a.v, b.w FROM a JOIN b ON %[1]s AND %[3]s`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.j <> 1`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.w > 'b3' AND a.j >= 0`,
+	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.j < 2`,
+	`SELECT a.v, b.w, b.j FROM a, b WHERE %[1]s AND %[2]s AND a.v < 'a5'`,
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[3]s`,
 }
 
@@ -95,10 +93,10 @@ func runJoinQuery(t *testing.T, db *DB, q string, workers int) []string {
 // FuzzJoinStrategies is the differential test of the three join
 // strategies. Every query runs as an index nested loop (indexes on a.k
 // and b.k; the j equality is the uncovered pair), as a partitioned hash
-// join (no index) and as a cross join (a.x + 0 = b.y defeats equi-pair
-// detection). All three must return the same multiset; each must return
-// byte-identical rows in the same order for QueryWorkers 1 and 4 and
-// under chunkPoison.
+// join (no index) and as a cross join (each equality written as a pair
+// of range comparisons). All three must return the same multiset; each
+// must return byte-identical rows in the same order for QueryWorkers 1
+// and 4 and under chunkPoison.
 func FuzzJoinStrategies(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(9))
 	f.Add(int64(2), uint8(40), uint8(40))
@@ -158,8 +156,8 @@ func FuzzJoinStrategies(f *testing.F) {
 }
 
 // TestJoinNullKeys pins SQL's NULL semantics for equi-joins: NULL equals
-// nothing, not even NULL, so neither the ON nor the WHERE form pairs the
-// NULL-keyed rows, under any strategy.
+// nothing, not even NULL, so the join does not pair the NULL-keyed rows,
+// under any strategy.
 func TestJoinNullKeys(t *testing.T) {
 	for _, s := range joinStrategies {
 		db := openDB(t)
@@ -171,21 +169,16 @@ func TestJoinNullKeys(t *testing.T) {
 			mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
 			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
 		}
-		for _, tmpl := range []string{
-			`SELECT a.v, b.w FROM a JOIN b ON %s`,
-			`SELECT a.v, b.w FROM a, b WHERE %s`,
-		} {
-			q := fmt.Sprintf(tmpl, s.eq("k", "k"))
-			plan, err := db.Explain(q, ExecOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(plan, s.plan) {
-				t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
-			}
-			if got := rowStrings(mustQuery(t, db, q)); strings.Join(got, ";") != "a1|b1" {
-				t.Errorf("%s: %s = %v, want [a1|b1]", s.name, q, got)
-			}
+		q := fmt.Sprintf(`SELECT a.v, b.w FROM a, b WHERE %s`, s.eq("k", "k"))
+		plan, err := db.Explain(q, ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, s.plan) {
+			t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
+		}
+		if got := rowStrings(mustQuery(t, db, q)); strings.Join(got, ";") != "a1|b1" {
+			t.Errorf("%s: %s = %v, want [a1|b1]", s.name, q, got)
 		}
 	}
 }
@@ -227,7 +220,7 @@ func TestJoinStrategiesCancel(t *testing.T) {
 		if s.index {
 			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
 		}
-		stmt, err := Parse(fmt.Sprintf(`SELECT a.v, b.w FROM a JOIN b ON %s`, s.eq("k", "k")))
+		stmt, err := Parse(fmt.Sprintf(`SELECT a.v, b.w FROM a, b WHERE %s`, s.eq("k", "k")))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,7 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens.
@@ -33,7 +33,9 @@ func (t token) String() string {
 }
 
 // keywords recognised by the parser. Identifiers matching these (case-
-// insensitively) lex as keywords.
+// insensitively) lex as keywords. JOIN has no clause of its own (joins
+// are comma joins), but it stays reserved so that "a JOIN b" is refused
+// at JOIN instead of reading JOIN as the alias of a.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "INSERT": true,
 	"INTO": true, "VALUES": true, "DELETE": true,
@@ -41,12 +43,10 @@ var keywords = map[string]bool{
 	"ON": true, "DROP": true, "AND": true, "OR": true, "NOT": true,
 	"NULL": true, "TRUE": true, "FALSE": true, "AS": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "OFFSET": true, "GROUP": true, "HAVING": true,
-	"DISTINCT": true, "JOIN": true, "INNER": true, "LEFT": true,
-	"LIKE": true, "IN": true, "BETWEEN": true, "IS": true,
+	"LIMIT": true, "GROUP": true, "DISTINCT": true, "JOIN": true,
+	"LIKE": true, "IN": true,
 	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true, "BYTES": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
-	"USING": true, "HASH": true, "UNIQUE": true, "PRIMARY": true, "KEY": true,
+	"COUNT": true, "SUM": true, "MIN": true, "MAX": true,
 	"IF": true, "EXISTS": true,
 }
 
@@ -102,7 +102,7 @@ scan:
 		return l.lexNumber(start)
 	case c == '.' && l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9':
 		return l.lexNumber(start)
-	case isIdentStart(rune(c)):
+	case isIdentStart(c):
 		return l.lexIdent(start)
 	case c == '"':
 		return l.lexQuotedIdent(start)
@@ -111,16 +111,19 @@ scan:
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// An unquoted identifier is ASCII letters, digits and '_', not starting
+// with a digit: all that XQ2SQL emits. Any other name is double-quoted
+// (identString does so when printing).
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
-func isIdentPart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r)
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9'
 }
 
 func (l *lexer) lexIdent(start int) (token, error) {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
@@ -208,9 +211,10 @@ func (l *lexer) lexSymbol(start int) (token, error) {
 	}
 	c := l.src[l.pos]
 	switch c {
-	case '(', ')', ',', '*', '+', '-', '/', '=', '<', '>', '.', ';', '%':
+	case '(', ')', ',', '*', '-', '=', '<', '>', '.', ';':
 		l.pos++
 		return token{kind: tokSymbol, text: string(c), pos: start}, nil
 	}
-	return token{}, l.error(start, "unexpected character %q", string(c))
+	_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	return token{}, l.error(start, "unexpected character %q", l.src[l.pos:l.pos+size])
 }

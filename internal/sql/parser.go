@@ -323,38 +323,13 @@ func (p *parser) selectStmt() (Statement, error) {
 		return nil, err
 	}
 	st.From = append(st.From, first)
-	for {
-		// JOIN t ON cond | INNER JOIN | , t (cross join with WHERE)
-		switch {
-		case p.acceptKeyword("JOIN"):
-		case p.acceptKeyword("INNER"):
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-		case p.accept(tokSymbol, ","):
-			ref, err := p.tableRef()
-			if err != nil {
-				return nil, err
-			}
-			st.From = append(st.From, ref)
-			continue
-		default:
-			goto afterFrom
-		}
+	for p.accept(tokSymbol, ",") {
 		ref, err := p.tableRef()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("ON"); err != nil {
-			return nil, err
-		}
-		ref.On, err = p.expression()
 		if err != nil {
 			return nil, err
 		}
 		st.From = append(st.From, ref)
 	}
-afterFrom:
 	if p.acceptKeyword("WHERE") {
 		st.Where, err = p.expression()
 		if err != nil {
@@ -373,12 +348,6 @@ afterFrom:
 			st.GroupBy = append(st.GroupBy, e)
 			if !p.accept(tokSymbol, ",") {
 				break
-			}
-		}
-		if p.acceptKeyword("HAVING") {
-			st.Having, err = p.expression()
-			if err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -409,12 +378,6 @@ afterFrom:
 			return nil, err
 		}
 		st.Limit = n
-		if p.acceptKeyword("OFFSET") {
-			st.Offset, err = p.intLiteral()
-			if err != nil {
-				return nil, err
-			}
-		}
 	}
 	return st, nil
 }
@@ -474,12 +437,11 @@ func (p *parser) tableRef() (TableRef, error) {
 //	expression  = orExpr
 //	orExpr      = andExpr { OR andExpr }
 //	andExpr     = notExpr { AND notExpr }
-//	notExpr     = [NOT] predicate
-//	predicate   = addExpr [compOp addExpr | LIKE | IN | BETWEEN | IS NULL]
-//	addExpr     = mulExpr { (+|-|'||') mulExpr }
-//	mulExpr     = unary { (*|/) unary }
-//	unary       = [-] primary
-//	primary     = literal | columnRef | funcCall | ( expression )
+//	notExpr     = NOT notExpr | predicate
+//	predicate   = catExpr [compOp catExpr | [NOT] LIKE catExpr | [NOT] IN ( expression {, expression} )]
+//	catExpr     = primary { '||' primary }
+//	primary     = ['-'] number | string | NULL | TRUE | FALSE
+//	            | funcCall | columnRef | ( expression )
 func (p *parser) expression() (Expr, error) { return p.orExpr() }
 
 func (p *parser) orExpr() (Expr, error) {
@@ -518,21 +480,21 @@ func (p *parser) notExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "NOT", Expr: e}, nil
+		return &NotExpr{Expr: e}, nil
 	}
 	return p.predicate()
 }
 
 func (p *parser) predicate() (Expr, error) {
-	left, err := p.addExpr()
+	left, err := p.catExpr()
 	if err != nil {
 		return nil, err
 	}
-	// Optional NOT before LIKE/IN/BETWEEN.
+	// Optional NOT before LIKE/IN.
 	not := false
 	if p.peek().kind == tokKeyword && p.peek().text == "NOT" {
 		nt := p.toks[p.pos+1]
-		if nt.kind == tokKeyword && (nt.text == "LIKE" || nt.text == "IN" || nt.text == "BETWEEN") {
+		if nt.kind == tokKeyword && (nt.text == "LIKE" || nt.text == "IN") {
 			p.advance()
 			not = true
 		}
@@ -541,7 +503,7 @@ func (p *parser) predicate() (Expr, error) {
 	switch {
 	case t.kind == tokSymbol && isCompOp(t.text):
 		p.advance()
-		right, err := p.addExpr()
+		right, err := p.catExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -552,7 +514,7 @@ func (p *parser) predicate() (Expr, error) {
 		return &BinaryExpr{Op: op, Left: left, Right: right}, nil
 	case t.kind == tokKeyword && t.text == "LIKE":
 		p.advance()
-		pat, err := p.addExpr()
+		pat, err := p.catExpr()
 		if err != nil {
 			return nil, err
 		}
@@ -577,27 +539,6 @@ func (p *parser) predicate() (Expr, error) {
 			return nil, err
 		}
 		return &InExpr{Expr: left, List: list, Not: not}, nil
-	case t.kind == tokKeyword && t.text == "BETWEEN":
-		p.advance()
-		lo, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &BetweenExpr{Expr: left, Lo: lo, Hi: hi, Not: not}, nil
-	case t.kind == tokKeyword && t.text == "IS":
-		p.advance()
-		isNot := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNullExpr{Expr: left, Not: isNot}, nil
 	}
 	if not {
 		return nil, fmt.Errorf("sql: dangling NOT at %s", t)
@@ -613,86 +554,33 @@ func isCompOp(s string) bool {
 	return false
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	left, err := p.mulExpr()
+func (p *parser) catExpr() (Expr, error) {
+	left, err := p.primary()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		t := p.peek()
-		if t.kind != tokSymbol || (t.text != "+" && t.text != "-" && t.text != "||") {
-			return left, nil
-		}
-		p.advance()
-		right, err := p.mulExpr()
+	for p.accept(tokSymbol, "||") {
+		right, err := p.primary()
 		if err != nil {
 			return nil, err
 		}
-		left = &BinaryExpr{Op: t.text, Left: left, Right: right}
+		left = &BinaryExpr{Op: OpCat, Left: left, Right: right}
 	}
+	return left, nil
 }
 
-func (p *parser) mulExpr() (Expr, error) {
-	left, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind != tokSymbol || (t.text != "*" && t.text != "/") {
-			return left, nil
-		}
-		p.advance()
-		right, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: t.text, Left: left, Right: right}
-	}
-}
-
-func (p *parser) unary() (Expr, error) {
-	if p.accept(tokSymbol, "-") {
-		e, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		if lit, ok := e.(*Literal); ok {
-			switch lit.Val.Kind() {
-			case value.KindInt:
-				return &Literal{Val: value.NewInt(-lit.Val.Int())}, nil
-			case value.KindFloat:
-				return &Literal{Val: value.NewFloat(-lit.Val.Float())}, nil
-			}
-		}
-		return &UnaryExpr{Op: "-", Expr: e}, nil
-	}
-	return p.primary()
-}
-
-// scalar functions usable in expressions (beyond aggregates).
-var scalarFuncs = map[string]int{
-	"LENGTH": 1, "LOWER": 1, "UPPER": 1, "ABS": 1, "SUBSTR": 3,
+// funcArgs are the functions the dialect has, with their argument
+// counts. COUNT also takes *.
+var funcArgs = map[string]int{
+	"COUNT": 1, "SUM": 1, "MIN": 1, "MAX": 1,
 	"CONTAINS": 2, "KWCONTAINS": 2,
 }
 
 func (p *parser) primary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
-		p.advance()
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad integer %q", t.text)
-		}
-		return &Literal{Val: value.NewInt(n)}, nil
-	case tokFloat:
-		p.advance()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, fmt.Errorf("sql: bad float %q", t.text)
-		}
-		return &Literal{Val: value.NewFloat(f)}, nil
+	case tokInt, tokFloat:
+		return p.number("")
 	case tokString:
 		p.advance()
 		return &Literal{Val: value.NewText(t.text)}, nil
@@ -707,11 +595,18 @@ func (p *parser) primary() (Expr, error) {
 		case "FALSE":
 			p.advance()
 			return &Literal{Val: value.NewBool(false)}, nil
-		case "COUNT", "SUM", "MIN", "MAX", "AVG":
+		case "COUNT", "SUM", "MIN", "MAX":
 			return p.funcCall()
 		}
 		return nil, fmt.Errorf("sql: unexpected %s in expression", t)
 	case tokSymbol:
+		if t.text == "-" {
+			p.advance()
+			if k := p.peek().kind; k != tokInt && k != tokFloat {
+				return nil, fmt.Errorf(`sql: "-" must precede a number, got %s`, p.peek())
+			}
+			return p.number("-")
+		}
 		if t.text == "(" {
 			p.advance()
 			e, err := p.expression()
@@ -727,7 +622,7 @@ func (p *parser) primary() (Expr, error) {
 	case tokIdent:
 		// Function call or column reference.
 		if p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
-			if _, ok := scalarFuncs[strings.ToUpper(t.text)]; ok {
+			if _, ok := funcArgs[strings.ToUpper(t.text)]; ok {
 				return p.funcCall()
 			}
 			return nil, fmt.Errorf("sql: unknown function %q", t.text)
@@ -743,6 +638,23 @@ func (p *parser) primary() (Expr, error) {
 		return &ColumnRef{Column: t.text}, nil
 	}
 	return nil, fmt.Errorf("sql: unexpected %s in expression", t)
+}
+
+// number consumes a numeric literal token, sign prefixed.
+func (p *parser) number(sign string) (Expr, error) {
+	t := p.advance()
+	if t.kind == tokInt {
+		n, err := strconv.ParseInt(sign+t.text, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("sql: bad integer %q", sign+t.text)
+		}
+		return &Literal{Val: value.NewInt(n)}, nil
+	}
+	f, err := strconv.ParseFloat(sign+t.text, 64)
+	if err != nil {
+		return nil, fmt.Errorf("sql: bad float %q", sign+t.text)
+	}
+	return &Literal{Val: value.NewFloat(f)}, nil
 }
 
 func (p *parser) funcCall() (Expr, error) {
@@ -776,13 +688,8 @@ func (p *parser) funcCall() (Expr, error) {
 			return nil, err
 		}
 	}
-	if want, ok := scalarFuncs[name]; ok && !call.IsAggregate() {
-		if name == "SUBSTR" && (len(call.Args) == 2 || len(call.Args) == 3) {
-			return call, nil
-		}
-		if len(call.Args) != want {
-			return nil, fmt.Errorf("sql: %s takes %d argument(s), got %d", name, want, len(call.Args))
-		}
+	if want := funcArgs[name]; len(call.Args) != want {
+		return nil, fmt.Errorf("sql: %s takes %d argument(s), got %d", name, want, len(call.Args))
 	}
 	return call, nil
 }

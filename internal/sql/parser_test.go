@@ -42,6 +42,20 @@ func TestLexerErrors(t *testing.T) {
 	}
 }
 
+// TestLexerNonASCIINames: an unquoted name is ASCII, and the lexer
+// refuses any other character by its whole UTF-8 sequence, not by its
+// first byte. Quoted, the same name parses and prints back quoted.
+func TestLexerNonASCIINames(t *testing.T) {
+	_, err := Parse("SELECT é FROM t")
+	if err == nil || !strings.Contains(err.Error(), `unexpected character "é"`) {
+		t.Errorf(`Parse("SELECT é FROM t"): err = %v, want unexpected character "é"`, err)
+	}
+	st := mustParse(t, `SELECT "é" FROM t`).(*Select)
+	if got := ExprString(st.Items[0].Expr); got != `"é"` {
+		t.Errorf(`quoted é prints as %s`, got)
+	}
+}
+
 func TestParseCreateTable(t *testing.T) {
 	st := mustParse(t, `CREATE TABLE nodes (doc_id INT, name TEXT, score FLOAT, ok BOOL, blob BYTES)`).(*CreateTable)
 	if st.Name != "nodes" || len(st.Columns) != 5 {
@@ -86,30 +100,30 @@ func TestParseInsert(t *testing.T) {
 }
 
 func TestParseSelectFull(t *testing.T) {
-	src := `SELECT DISTINCT a.x AS col, COUNT(*) FROM t1 a JOIN t2 b ON a.id = b.id
-	        WHERE a.x > 3 AND b.y LIKE 'ket%' GROUP BY a.x HAVING COUNT(*) > 1
-	        ORDER BY col DESC, a.x LIMIT 10 OFFSET 5`
+	src := `SELECT DISTINCT a.x AS col, COUNT(*) FROM t1 a, t2 b
+	        WHERE a.id = b.id AND a.x > 3 AND b.y LIKE 'ket%' GROUP BY a.x
+	        ORDER BY col DESC, a.x LIMIT 10`
 	st := mustParse(t, src).(*Select)
 	if !st.Distinct || len(st.Items) != 2 || len(st.From) != 2 {
 		t.Fatalf("bad parse: %+v", st)
 	}
-	if st.From[1].On == nil || st.From[1].Binding() != "b" {
+	if st.From[1].Binding() != "b" {
 		t.Error("join not parsed")
 	}
-	if st.Where == nil || len(st.GroupBy) != 1 || st.Having == nil {
-		t.Error("where/group/having not parsed")
+	if len(conjuncts(st.Where)) != 3 || len(st.GroupBy) != 1 {
+		t.Error("where/group not parsed")
 	}
 	if len(st.OrderBy) != 2 || !st.OrderBy[0].Desc || st.OrderBy[1].Desc {
 		t.Error("order by not parsed")
 	}
-	if st.Limit != 10 || st.Offset != 5 {
-		t.Error("limit/offset not parsed")
+	if st.Limit != 10 {
+		t.Error("limit not parsed")
 	}
 }
 
 func TestParseCommaJoin(t *testing.T) {
 	st := mustParse(t, `SELECT * FROM a, b WHERE a.x = b.y`).(*Select)
-	if len(st.From) != 2 || st.From[1].On != nil {
+	if len(st.From) != 2 || st.From[1].Binding() != "b" {
 		t.Fatalf("comma join parse: %+v", st.From)
 	}
 }
@@ -124,21 +138,25 @@ func TestParseExpressionPrecedence(t *testing.T) {
 	if !ok || and.Op != OpAnd {
 		t.Error("AND should bind tighter than OR")
 	}
-	// Arithmetic precedence: 1 + 2 * 3
-	st2 := mustParse(t, `SELECT 1 + 2 * 3 FROM t`).(*Select)
-	add := st2.Items[0].Expr.(*BinaryExpr)
-	if add.Op != OpAdd {
-		t.Fatalf("top arith op = %s", add.Op)
+	// || binds tighter than a comparison: the Dewey-prefix test.
+	st2 := mustParse(t, `SELECT * FROM t WHERE w.dewey LIKE b.dewey || '.%' AND NOT a = 1`).(*Select)
+	conjs := conjuncts(st2.Where)
+	like, ok := conjs[0].(*LikeExpr)
+	if !ok {
+		t.Fatalf("first conjunct = %s, want LIKE", ExprString(conjs[0]))
 	}
-	if mul, ok := add.Right.(*BinaryExpr); !ok || mul.Op != OpMul {
-		t.Error("* should bind tighter than +")
+	if cat, ok := like.Pattern.(*BinaryExpr); !ok || cat.Op != OpCat {
+		t.Errorf("LIKE pattern = %s, want a || concatenation", ExprString(like.Pattern))
+	}
+	if not, ok := conjs[1].(*NotExpr); !ok || not.Expr.(*BinaryExpr).Op != OpEq {
+		t.Errorf("NOT should bind looser than =: %s", ExprString(conjs[1]))
 	}
 }
 
 func TestParsePredicates(t *testing.T) {
-	st := mustParse(t, `SELECT * FROM t WHERE a NOT LIKE 'x%' AND b IN (1,2,3) AND c BETWEEN 1 AND 5 AND d IS NOT NULL AND NOT e = 1`).(*Select)
+	st := mustParse(t, `SELECT * FROM t WHERE a NOT LIKE 'x%' AND b IN (1,2,3) AND NOT e = 1`).(*Select)
 	conjs := conjuncts(st.Where)
-	if len(conjs) != 5 {
+	if len(conjs) != 3 {
 		t.Fatalf("got %d conjuncts", len(conjs))
 	}
 	if l, ok := conjs[0].(*LikeExpr); !ok || !l.Not {
@@ -147,13 +165,7 @@ func TestParsePredicates(t *testing.T) {
 	if in, ok := conjs[1].(*InExpr); !ok || len(in.List) != 3 {
 		t.Error("IN not parsed")
 	}
-	if _, ok := conjs[2].(*BetweenExpr); !ok {
-		t.Error("BETWEEN not parsed")
-	}
-	if n, ok := conjs[3].(*IsNullExpr); !ok || !n.Not {
-		t.Error("IS NOT NULL not parsed")
-	}
-	if _, ok := conjs[4].(*UnaryExpr); !ok {
+	if _, ok := conjs[2].(*NotExpr); !ok {
 		t.Error("NOT not parsed")
 	}
 }
@@ -165,6 +177,42 @@ func TestParseNegativeNumbers(t *testing.T) {
 	}
 	if v := st.Items[1].Expr.(*Literal).Val; v.Float() != -2.5 {
 		t.Errorf("got %v", v)
+	}
+	// XQ2SQL writes a negative literal as it stands in the query.
+	w := mustParse(t, `SELECT * FROM t n WHERE n.val > -5`).(*Select).Where.(*BinaryExpr)
+	if v := w.Right.(*Literal).Val; v.Int() != -5 {
+		t.Errorf("n.val > -5: right operand = %v", v)
+	}
+}
+
+// TestParseRefusesRemovedSyntax: the dialect is what XQ2SQL, the
+// shredding store and the ledger's probes write. Each construct outside
+// it is refused with an error that names its token.
+func TestParseRefusesRemovedSyntax(t *testing.T) {
+	for _, c := range []struct{ src, token string }{
+		{`SELECT a.v FROM a JOIN b ON a.k = b.k`, `"JOIN"`},
+		{`SELECT a.v FROM a INNER JOIN b ON a.k = b.k`, `"JOIN"`},
+		{`SELECT g FROM t GROUP BY g HAVING COUNT(*) > 1`, `"HAVING"`},
+		{`SELECT a FROM t ORDER BY a LIMIT 5 OFFSET 5`, `"OFFSET"`},
+		{`SELECT AVG(a) FROM t`, `"AVG"`},
+		{`SELECT a FROM t WHERE a BETWEEN 1 AND 5`, `"BETWEEN"`},
+		{`SELECT a FROM t WHERE a IS NULL`, `"IS"`},
+		{`SELECT a FROM t WHERE a IS NOT NULL`, `"IS"`},
+		{`SELECT LENGTH(a) FROM t`, `"LENGTH"`},
+		{`SELECT LOWER(a) FROM t`, `"LOWER"`},
+		{`SELECT UPPER(a) FROM t`, `"UPPER"`},
+		{`SELECT ABS(a) FROM t`, `"ABS"`},
+		{`SELECT SUBSTR(a, 1, 2) FROM t`, `"SUBSTR"`},
+		{`SELECT a FROM t WHERE a + 1 = 2`, `"+"`},
+		{`SELECT a FROM t WHERE a - 1 = 2`, `"-"`},
+		{`SELECT a FROM t WHERE a * 2 = 2`, `"*"`},
+		{`SELECT a FROM t WHERE a / 2 = 2`, `"/"`},
+		{`SELECT a FROM t WHERE -a = 2`, `"-"`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.token) {
+			t.Errorf("Parse(%q): err = %v, want one naming %s", c.src, err, c.token)
+		}
 	}
 }
 
@@ -213,6 +261,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM t; SELECT * FROM t",
 		"SELECT a NOT 5 FROM t",
 		"SELECT SUM(*) FROM t",
+		"SELECT COUNT() FROM t",
+		"SELECT SUM(a, b) FROM t",
+		"SELECT CONTAINS(a) FROM t",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -222,9 +273,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestExprString(t *testing.T) {
-	st := mustParse(t, `SELECT * FROM t WHERE a = 'it''s' AND b IN (1,2) AND c IS NULL`).(*Select)
+	st := mustParse(t, `SELECT * FROM t WHERE a = 'it''s' AND b IN (1,2) AND c NOT LIKE 'x%'`).(*Select)
 	s := ExprString(st.Where)
-	if !strings.Contains(s, "'it''s'") || !strings.Contains(s, "IN (1, 2)") || !strings.Contains(s, "IS NULL") {
+	if !strings.Contains(s, "'it''s'") || !strings.Contains(s, "IN (1, 2)") || !strings.Contains(s, "c NOT LIKE 'x%'") {
 		t.Errorf("ExprString = %q", s)
 	}
 }

@@ -67,8 +67,8 @@ func newOrderSpec(sel *Select, in *Schema, names []string) *orderSpec {
 }
 
 // collectAggs gathers the aggregate calls appearing in the SELECT
-// (output expressions, HAVING, ORDER BY). An aggregate's own arguments
-// are not searched.
+// (output expressions, ORDER BY). An aggregate's own arguments are not
+// searched.
 func collectAggs(sel *Select, exprs []Expr) []*FuncCall {
 	var aggs []*FuncCall
 	visit := func(e Expr) bool {
@@ -81,7 +81,6 @@ func collectAggs(sel *Select, exprs []Expr) []*FuncCall {
 	for _, e := range exprs {
 		walkExpr(e, visit)
 	}
-	walkExpr(sel.Having, visit)
 	for _, o := range sel.OrderBy {
 		walkExpr(o.Expr, visit)
 	}

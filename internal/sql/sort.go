@@ -78,32 +78,30 @@ func topKEligible(sel *Select) bool {
 }
 
 // resultSink terminates the SELECT pipeline: it absorbs output rows
-// from project or the hash aggregate and applies DISTINCT, ORDER BY,
-// OFFSET and LIMIT. Three modes, chosen at plan time:
+// from project or the hash aggregate and applies DISTINCT, ORDER BY
+// and LIMIT. Three modes, chosen at plan time:
 //
 //   - top-K: ORDER BY + LIMIT without DISTINCT keeps a bounded max-heap
-//     of the best offset+limit rows — the table never materialises.
+//     of the best limit rows — the table never materialises.
 //   - run-merge: any other ORDER BY sorts fixed-size runs as they fill
 //     and k-way merges them at the end.
 //   - plain: no ORDER BY accumulates in arrival order and stops early
-//     once OFFSET+LIMIT rows are kept.
+//     once LIMIT rows are kept.
 //
 // DISTINCT always dedups streamingly at push (first occurrence wins,
 // matching dedup-before-sort semantics), which is what makes the plain
 // early exit safe even for SELECT DISTINCT ... LIMIT.
 type resultSink struct {
-	es     *execState
-	names  []string
-	desc   []bool // per-key descending flags; nil when no ORDER BY
-	limit  int    // -1 when absent
-	offset int
+	es    *execState
+	names []string
+	desc  []bool // per-key descending flags; nil when no ORDER BY
+	limit int    // -1 when absent; the top-K heap's bound
 
 	distinct bool
 	seen     map[string]struct{}
 	encBuf   []byte
 
 	topK bool
-	k    int // offset+limit rows retained by the heap
 
 	heap []sortRow // top-K mode: max-heap, worst retained row at [0]
 
@@ -113,7 +111,7 @@ type resultSink struct {
 	rows []value.Tuple // plain mode
 
 	seq    int64
-	filled bool // plain mode reached OFFSET+LIMIT (or top-K k == 0)
+	filled bool // plain mode reached LIMIT (or top-K LIMIT 0)
 
 	sortOp    *obs.OpStats
 	sortStart time.Time
@@ -124,13 +122,9 @@ func newResultSink(es *execState, sel *Select, names []string, spec *orderSpec, 
 		es:        es,
 		names:     names,
 		limit:     sel.Limit,
-		offset:    sel.Offset,
 		distinct:  sel.Distinct,
 		sortOp:    sortOp,
 		sortStart: time.Now(),
-	}
-	if s.offset < 0 {
-		s.offset = 0
 	}
 	if s.distinct {
 		s.seen = map[string]struct{}{}
@@ -139,10 +133,7 @@ func newResultSink(es *execState, sel *Select, names []string, spec *orderSpec, 
 		s.desc = spec.desc
 		if topKEligible(sel) {
 			s.topK = true
-			s.k = s.offset + s.limit
-			if s.k == 0 {
-				s.filled = true
-			}
+			s.filled = s.limit == 0
 		}
 	}
 	return s
@@ -191,7 +182,7 @@ func (s *resultSink) wouldAccept(keys value.Tuple) bool {
 	if s.filled {
 		return false
 	}
-	return len(s.heap) < s.k || s.keysBeatRoot(keys)
+	return len(s.heap) < s.limit || s.keysBeatRoot(keys)
 }
 
 // full reports that no future push can change the result, so producers
@@ -225,7 +216,7 @@ func (s *resultSink) push(vals, keys value.Tuple) {
 		}
 	default:
 		s.rows = append(s.rows, row.vals)
-		if s.limit >= 0 && len(s.rows) >= s.offset+s.limit {
+		if s.limit >= 0 && len(s.rows) >= s.limit {
 			s.filled = true
 		}
 	}
@@ -234,7 +225,7 @@ func (s *resultSink) push(vals, keys value.Tuple) {
 // offer inserts a row into the bounded top-K max-heap, displacing the
 // worst retained row once the heap is full.
 func (s *resultSink) offer(row sortRow) {
-	if len(s.heap) < s.k {
+	if len(s.heap) < s.limit {
 		s.heap = append(s.heap, row)
 		s.siftUp(len(s.heap) - 1)
 		return
@@ -351,7 +342,7 @@ func (s *resultSink) mergeRuns() []sortRow {
 	return out
 }
 
-// finish applies the terminal OFFSET/LIMIT and renders the Rows.
+// finish applies the terminal LIMIT and renders the Rows.
 func (s *resultSink) finish() *Rows {
 	var ordered []sortRow
 	switch {
@@ -367,25 +358,11 @@ func (s *resultSink) finish() *Rows {
 		s.sortOp.Notef("runs=%d", len(s.runs))
 	default:
 		rows := s.rows
-		if s.offset > 0 {
-			if s.offset >= len(rows) {
-				rows = nil
-			} else {
-				rows = rows[s.offset:]
-			}
-		}
 		if s.limit >= 0 && s.limit < len(rows) {
 			rows = rows[:s.limit]
 		}
 		out := &Rows{Columns: s.names, Rows: rows}
 		return out
-	}
-	if s.offset > 0 {
-		if s.offset >= len(ordered) {
-			ordered = nil
-		} else {
-			ordered = ordered[s.offset:]
-		}
 	}
 	if s.limit >= 0 && s.limit < len(ordered) {
 		ordered = ordered[:s.limit]

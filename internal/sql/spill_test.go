@@ -118,9 +118,9 @@ func TestSinkPoisonedReuse(t *testing.T) {
 	seedBig(t, db, 1500)
 	queries := []string{
 		`SELECT grp, COUNT(*), MIN(v), MAX(v) FROM big GROUP BY grp ORDER BY grp`,
-		`SELECT grp, COUNT(*) AS n FROM big GROUP BY grp HAVING COUNT(*) > 100 ORDER BY n DESC, grp`,
+		`SELECT grp, COUNT(*) AS n FROM big GROUP BY grp ORDER BY n DESC, grp`,
 		`SELECT v FROM big ORDER BY v DESC LIMIT 25`,
-		`SELECT v, grp FROM big ORDER BY grp, v LIMIT 30 OFFSET 5`,
+		`SELECT v, grp FROM big ORDER BY grp, v LIMIT 30`,
 		`SELECT v FROM big WHERE k < 600 ORDER BY v`,
 		`SELECT DISTINCT grp FROM big ORDER BY grp`,
 	}
