@@ -27,9 +27,11 @@ test: test-plans
 # intentional planner change, regenerate with:
 #   $(GO) test -run TestGoldenPlans ./internal/sql/ -update
 # The counter-parity and Explain tests ride along: the plan shown must be
-# the plan run, with the work counters it pins.
+# the plan run, with the work counters it pins. So do the join-strategy
+# tests (the fuzz target on its seed corpus): every strategy, and an
+# index join at every switch point, returns the same rows.
 test-plans:
-	$(GO) test -run 'TestGoldenPlans|TestCounterParity|TestExplain' ./internal/sql/
+	$(GO) test -run 'TestGoldenPlans|TestCounterParity|TestExplain|TestJoin|FuzzJoinStrategies' ./internal/sql/
 	$(GO) test -run 'Explain' ./internal/core/
 
 race:

@@ -151,6 +151,32 @@ func TestExplainAnalyzeIndexJoin(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeJoinSwitch: Fig. 9 probes idx_vs_node on its
+// (db, doc_id) prefix for each matching entry, and a join whose probes
+// outgrow its build side's estimate switches to a hash build. EXPLAIN
+// ANALYZE says where, and exec.join_switches counts it in the metrics
+// that /metrics serves.
+func TestExplainAnalyzeJoinSwitch(t *testing.T) {
+	e := openEngine(t)
+	setupEnzyme(t, e, 300)
+	out := analyze(t, e, `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//catalytic_activity, "ketone")
+RETURN $a//enzyme_id, $a//enzyme_description`)
+	if !regexp.MustCompile(`index nested loop via idx_vs_node \(2 of 3 cols, 3 keys\), hash past \d+ rows`).MatchString(out) {
+		t.Errorf("no prefix probe on idx_vs_node:\n%s", out)
+	}
+	if !regexp.MustCompile(`hash past \d+ rows \(est rows=\d+\) \(actual rows=\d+ time=[^\)]+\) \(hash after \d+ probes \(\d+ rows fetched\)\)`).MatchString(out) {
+		t.Errorf("no join switched to its hash build:\n%s", out)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := snap.Metrics()["exec.join_switches"]; n < 1 {
+		t.Errorf("exec.join_switches = %v, want >= 1", n)
+	}
+}
+
 // TestDeprecatedAccessorsMatchSnapshot pins the one-release compatibility
 // contract: every deprecated accessor returns exactly the matching
 // Snapshot field on a quiescent engine.

@@ -314,6 +314,7 @@ type ExecMetrics struct {
 	JoinSpillParts Counter // join partitions spilled to temp files
 	JoinSpillBytes Counter // bytes written to join spill files
 	JoinSpillLoads Counter // spilled partitions loaded back for probing
+	JoinSwitches   Counter // index joins that switched to a hash build
 }
 
 // ExecSnapshot is the executor section of a registry snapshot.
@@ -323,6 +324,7 @@ type ExecSnapshot struct {
 	JoinSpillParts uint64
 	JoinSpillBytes uint64
 	JoinSpillLoads uint64
+	JoinSwitches   uint64
 }
 
 // IngestMetrics counts bulk-load pipeline throughput.
@@ -412,6 +414,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 			JoinSpillParts: r.Exec.JoinSpillParts.Load(),
 			JoinSpillBytes: r.Exec.JoinSpillBytes.Load(),
 			JoinSpillLoads: r.Exec.JoinSpillLoads.Load(),
+			JoinSwitches:   r.Exec.JoinSwitches.Load(),
 		},
 		Ingest: IngestSnapshot{
 			Loads:       r.Ingest.Loads.Load(),
@@ -461,6 +464,7 @@ func (s RegistrySnapshot) Metrics() map[string]float64 {
 		"exec.join_spill_parts": float64(s.Exec.JoinSpillParts),
 		"exec.join_spill_bytes": float64(s.Exec.JoinSpillBytes),
 		"exec.join_spill_loads": float64(s.Exec.JoinSpillLoads),
+		"exec.join_switches":    float64(s.Exec.JoinSwitches),
 		"ingest.loads":          float64(s.Ingest.Loads),
 		"ingest.docs":           float64(s.Ingest.Docs),
 		"ingest.tuples":         float64(s.Ingest.Tuples),

@@ -118,6 +118,7 @@ func TestRegistrySnapshotAndMetrics(t *testing.T) {
 	r.Query.Queries.Add(2)
 	r.Query.Latency.Observe(time.Millisecond)
 	r.Ingest.Docs.Add(11)
+	r.Exec.JoinSwitches.Add(3)
 
 	s := r.Snapshot()
 	if s.Pool.Shards != 2 || s.Pool.Hits != 4 || s.Pool.Misses != 2 || s.Pool.Evictions != 1 {
@@ -139,6 +140,7 @@ func TestRegistrySnapshotAndMetrics(t *testing.T) {
 		"index.btree_searches": 1,
 		"query.count":          2,
 		"ingest.docs":          11,
+		"exec.join_switches":   3,
 	}
 	for k, v := range want {
 		if m[k] != v {

@@ -116,6 +116,7 @@ type chunkRIDIter struct {
 	rids []heap.RID
 	pos  int
 	out  *chunk
+	rec  []byte // the record being appended; the chunk copies it
 }
 
 func (r *chunkRIDIter) Schema() *Schema { return r.a.schema }
@@ -136,11 +137,11 @@ func (r *chunkRIDIter) NextChunk() (*chunk, error) {
 		if err := r.es.poll(); err != nil {
 			return nil, err
 		}
-		rec, err := r.a.t.Heap.Get(r.rids[r.pos])
-		if err != nil {
+		var err error
+		if r.rec, err = r.a.t.Heap.AppendRecord(r.rec[:0], r.rids[r.pos]); err != nil {
 			return nil, err
 		}
-		if err := r.out.AppendRecord(rec); err != nil {
+		if err := r.out.AppendRecord(r.rec); err != nil {
 			return nil, err
 		}
 		r.pos++

@@ -8,8 +8,9 @@ import (
 )
 
 // seedCounterFixture builds the fixed tables of the counter parity test:
-// a B-tree index on a.k and b.k, duplicate keys in b, and no NULL in any
-// join column.
+// a B-tree index on a.k and b.k, a 3-column index on b (k, j, w) that a
+// k and j equi-join probes on a 2-column prefix, duplicate keys in b,
+// and no NULL in any join column.
 func seedCounterFixture(t *testing.T, db *DB) {
 	t.Helper()
 	mustExec(t, db, `CREATE TABLE a (k INT, j INT, v TEXT)`)
@@ -29,6 +30,7 @@ func seedCounterFixture(t *testing.T, db *DB) {
 	}
 	mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
 	mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+	mustExec(t, db, `CREATE INDEX idx_b_kjw ON b (k, j, w)`)
 }
 
 // TestCounterParity pins the exact work counters every access path, join
@@ -36,7 +38,7 @@ func seedCounterFixture(t *testing.T, db *DB) {
 // heap.pages_scanned_per_op, btree.searches_per_op and
 // sql.rows_examined_per_row from these counters, so an executor rewrite
 // must reproduce them exactly. The exec counters pin the group-by, top-k
-// sort and spilled-join operators the same way, and a scan at 4 workers
+// sort, spilled-join and join-switch operators the same way, and a scan at 4 workers
 // must read exactly the pages and records of the serial scan. Each
 // statement's plan is checked too, so a planner change cannot silently
 // move a case onto another path.
@@ -49,7 +51,7 @@ func TestCounterParity(t *testing.T) {
 	defer func(pages int) { parallelScanMinPages = pages }(parallelScanMinPages)
 	parallelScanMinPages = 1
 	type counters struct{ pages, records, btree uint64 }
-	type execCounters struct{ groups, sortRuns, spillParts, spillLoads uint64 }
+	type execCounters struct{ groups, sortRuns, spillParts, spillLoads, switches uint64 }
 	read := func() (counters, execCounters) {
 		return counters{
 				db.reg.Heap.PagesScanned.Load(), db.reg.Heap.RecordsScanned.Load(),
@@ -57,6 +59,7 @@ func TestCounterParity(t *testing.T) {
 			}, execCounters{
 				db.reg.Exec.AggGroups.Load(), db.reg.Exec.SortRuns.Load(),
 				db.reg.Exec.JoinSpillParts.Load(), db.reg.Exec.JoinSpillLoads.Load(),
+				db.reg.Exec.JoinSwitches.Load(),
 			}
 	}
 	cases := []struct {
@@ -70,6 +73,9 @@ func TestCounterParity(t *testing.T) {
 		{`SELECT COUNT(*) FROM a WHERE v LIKE '%7%'`, ExecOpts{Workers: 4}, "parallel scan (3 workers, 3 pages)", counters{3, 400, 0}, execCounters{groups: 1}},
 		{`SELECT v FROM a WHERE k < 40`, ExecOpts{}, "index idx_a_k (prefix+range scan", counters{0, 0, 1}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_k", counters{0, 0, 31}, execCounters{}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.j = b.j AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_kjw (2 of 3 cols, 2 keys), hash past 300 rows", counters{0, 0, 31}, execCounters{}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 200`, ExecOpts{}, "index nested loop via idx_b_k (1 of 1 cols, 1 keys), hash past 300 rows", counters{1, 300, 151}, execCounters{switches: 1}},
+		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 200`, ExecOpts{MemBudget: 1 << 10}, "index nested loop via idx_b_k", counters{1, 300, 151}, execCounters{spillParts: 54, spillLoads: 10, switches: 1}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{}, "partitioned hash join", counters{1, 300, 1}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
 		{`SELECT j, COUNT(*), SUM(k) FROM a GROUP BY j`, ExecOpts{}, "hash aggregate (1 group cols, 2 aggs)", counters{3, 400, 0}, execCounters{groups: 10}},
@@ -107,9 +113,10 @@ func TestCounterParity(t *testing.T) {
 		gotExec := execCounters{
 			afterExec.groups - beforeExec.groups, afterExec.sortRuns - beforeExec.sortRuns,
 			afterExec.spillParts - beforeExec.spillParts, afterExec.spillLoads - beforeExec.spillLoads,
+			afterExec.switches - beforeExec.switches,
 		}
 		if gotExec != c.exec {
-			t.Errorf("%s %+v: exec counters {groups sortRuns spillParts spillLoads} = %v, want %v", c.sql, c.opts, gotExec, c.exec)
+			t.Errorf("%s %+v: exec counters {groups sortRuns spillParts spillLoads switches} = %v, want %v", c.sql, c.opts, gotExec, c.exec)
 		}
 	}
 }

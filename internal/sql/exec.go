@@ -441,38 +441,73 @@ func (db *DB) indexesUsable(es *execState) bool {
 	return es.snap.indexesOK && es.snap.rollbackGen == db.rollbackGen.Load()
 }
 
-// access is the access path chosen for one table: the table and the
-// schema it is read under, the chunk size the cost model picked, the
-// plan line's operator handle and, for an index path, the index with
-// the equality/IN prefix values and optional trailing range to probe it
-// with. Choosing it reads nothing: the scan operator collects an index
-// path's RIDs when it first runs (DML calls the same collector), so a
-// plain EXPLAIN never touches the index.
+// access is the access path chosen for one table: the table, the
+// binding and schema it is read under, the chunk size the cost model
+// picked, the rows it is expected to emit, the plan line's operator
+// handle and, for an index path, the index with the equality/IN prefix
+// values and optional trailing range to probe it with. Choosing it reads
+// nothing: the scan operator collects an index path's RIDs when it first
+// runs (DML calls the same collector), so a plain EXPLAIN never touches
+// the index.
 type access struct {
-	t      *TableInfo
-	schema *Schema
-	batch  int
-	op     *obs.OpStats
+	t       *TableInfo
+	binding string
+	schema  *Schema
+	batch   int
+	// est is the plan line's est rows: the live row count for a
+	// sequential scan, the rows its consumed bounds select for an index
+	// path. An index join over the binding hashes past this many fetched
+	// rows (indexJoin).
+	est      float64
+	deferred bool // sequential because index maintenance is deferred
+	op       *obs.OpStats
 	// ix is nil for a sequential heap scan.
 	ix     *IndexInfo
 	prefix [][]value.Value
 	rng    *bound
 }
 
-// accessPath chooses between a sequential scan and an index scan for one
-// table, based on the WHERE conjuncts. The full predicate is re-checked
-// by the surrounding filter, so index selection is purely an access-path
-// optimisation.
+// accessPath chooses the access path of one table and adds its plan line.
 func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) *access {
-	a := &access{t: t, schema: t.Schema(binding), batch: defaultChunkCap}
+	a := db.chooseAccess(es, t, binding, conjs)
+	a.trace(es)
+	return a
+}
+
+// trace adds the access path's plan line and keeps its operator handle.
+// A join's build side traces only when the build runs, so its line
+// appears in EXPLAIN ANALYZE and not in a plain EXPLAIN.
+func (a *access) trace(es *execState) {
+	switch {
+	case a.deferred:
+		a.op = es.tracef("scan %s as %s: sequential (index maintenance deferred) (batch=%d) (est rows=%d)",
+			a.t.Name, a.binding, a.batch, estRowsInt(a.est))
+	case a.ix == nil:
+		a.op = es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)",
+			a.t.Name, a.binding, a.batch, estRowsInt(a.est))
+	default:
+		how := "prefix lookup"
+		if a.rng != nil {
+			how = "prefix+range scan"
+		}
+		a.op = es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
+			a.t.Name, a.binding, a.ix.Name, how, len(a.prefix), a.batch, estRowsInt(a.est))
+	}
+}
+
+// chooseAccess chooses between a sequential scan and an index scan for
+// one table, based on the WHERE conjuncts, and traces nothing. The full
+// predicate is re-checked by the surrounding filter, so index selection
+// is purely an access-path optimisation.
+func (db *DB) chooseAccess(es *execState, t *TableInfo, binding string, conjs []Expr) *access {
+	a := &access{t: t, binding: binding, schema: t.Schema(binding), batch: defaultChunkCap}
 	if !db.indexesUsable(es) {
 		// Bulk load in progress: the secondary indexes miss the freshly
 		// loaded rows until ResumeIndexes rebuilds them, so only the
 		// heaps are trustworthy. The plan still carries its estimate.
-		rows := t.Heap.Count()
-		a.batch = batchSizeFor(float64(rows))
-		a.op = es.tracef("scan %s as %s: sequential (index maintenance deferred) (batch=%d) (est rows=%d)",
-			t.Name, binding, a.batch, rows)
+		a.est = float64(t.Heap.Count())
+		a.batch = batchSizeFor(a.est)
+		a.deferred = true
 		return a
 	}
 	bounds := map[int]*bound{} // column position -> constraints
@@ -576,17 +611,12 @@ func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Ex
 	if best == nil {
 		// The batch annotation is part of the plan: the cost model picks
 		// the chunk size from the scan's row estimate.
-		a.batch = batchSizeFor(float64(rows))
-		a.op = es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)", t.Name, binding, a.batch, rows)
+		a.est = float64(rows)
+		a.batch = batchSizeFor(a.est)
 		return a
 	}
-	how := "prefix lookup"
-	if bestRange != nil {
-		how = "prefix+range scan"
-	}
+	a.est = estIdx
 	a.batch = batchSizeFor(estIdx)
-	a.op = es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
-		t.Name, binding, best.Name, how, len(bestPrefix), a.batch, estRowsInt(estIdx))
 	a.ix, a.prefix, a.rng = best, bestPrefix, bestRange
 	return a
 }

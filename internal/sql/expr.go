@@ -57,9 +57,11 @@ func (s *Schema) Concat(o *Schema) *Schema {
 	return out
 }
 
-// Eval evaluates e against row. Comparison and logical operators use SQL
-// three-valued logic collapsed to two values: any comparison with NULL is
-// false, NOT NULL-result is false. Comparisons order values by
+// Eval evaluates e against row. Predicates use SQL three-valued logic:
+// a comparison, LIKE, IN or keyword test with a NULL operand is NULL,
+// NOT NULL is NULL, and AND/OR are NULL unless the other side decides
+// them. A filter keeps only TRUE rows (truthy), so a NULL result drops
+// the row with or without a NOT around it. Comparisons order values by
 // value.Compare, the rule the indexes, join keys, IN lists and sort use,
 // so a predicate means the same under every plan: TEXT never equals a
 // number, and numbers compare with each other whatever their kind.
@@ -84,6 +86,9 @@ func Eval(e Expr, row Row) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
+		if v.IsNull() {
+			return value.Null, nil
+		}
 		return value.NewBool(!truthy(v)), nil
 	case *LikeExpr:
 		v, err := Eval(e.Expr, row)
@@ -95,7 +100,7 @@ func Eval(e Expr, row Row) (value.Value, error) {
 			return value.Null, err
 		}
 		if v.IsNull() || pat.IsNull() {
-			return value.NewBool(false), nil
+			return value.Null, nil
 		}
 		m := likeMatch(asText(v), asText(pat))
 		if e.Not {
@@ -107,34 +112,41 @@ func Eval(e Expr, row Row) (value.Value, error) {
 		if err != nil {
 			return value.Null, err
 		}
+		if v.IsNull() {
+			return value.Null, nil
+		}
 		litSet := e.litSet.Load()
 		if litSet == nil && allLiterals(e.List) {
+			// A NULL literal enters the set under nullKey, which no
+			// non-NULL value encodes to.
 			set := make(map[string]bool, len(e.List))
 			for _, le := range e.List {
-				lv := le.(*Literal).Val
-				if !lv.IsNull() {
-					set[string(lv.EncodeKey(nil))] = true
-				}
+				set[string(le.(*Literal).Val.EncodeKey(nil))] = true
 			}
 			e.litSet.Store(&set)
 			litSet = &set
 		}
-		found := false
+		found, sawNull := false, false
 		if litSet != nil {
-			if !v.IsNull() {
-				found = (*litSet)[string(v.EncodeKey(nil))]
-			}
+			found = (*litSet)[string(v.EncodeKey(nil))]
+			sawNull = !found && (*litSet)[nullKey]
 		} else {
 			for _, le := range e.List {
 				lv, err := Eval(le, row)
 				if err != nil {
 					return value.Null, err
 				}
-				if !v.IsNull() && !lv.IsNull() && value.Compare(v, lv) == 0 {
+				if lv.IsNull() {
+					sawNull = true
+				} else if value.Compare(v, lv) == 0 {
 					found = true
 					break
 				}
 			}
+		}
+		if !found && sawNull {
+			// x IN (…, NULL) is NULL, not false, when nothing else matched.
+			return value.Null, nil
 		}
 		if e.Not {
 			found = !found
@@ -149,35 +161,35 @@ func Eval(e Expr, row Row) (value.Value, error) {
 	return value.Null, fmt.Errorf("sql: cannot evaluate %T", e)
 }
 
+// nullKey is the EncodeKey form of NULL: an IN list's literal set holds
+// a NULL literal under it.
+var nullKey = string(value.Null.EncodeKey(nil))
+
 func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 	// Short-circuit logical operators.
 	switch e.Op {
-	case OpAnd:
+	case OpAnd, OpOr:
+		// The side equal to decides the result (FALSE for AND, TRUE for
+		// OR); otherwise a NULL side makes it NULL.
+		decides := e.Op == OpOr
 		l, err := Eval(e.Left, row)
 		if err != nil {
 			return value.Null, err
 		}
-		if !truthy(l) {
-			return value.NewBool(false), nil
+		if !l.IsNull() && truthy(l) == decides {
+			return value.NewBool(decides), nil
 		}
 		r, err := Eval(e.Right, row)
 		if err != nil {
 			return value.Null, err
 		}
-		return value.NewBool(truthy(r)), nil
-	case OpOr:
-		l, err := Eval(e.Left, row)
-		if err != nil {
-			return value.Null, err
+		if !r.IsNull() && truthy(r) == decides {
+			return value.NewBool(decides), nil
 		}
-		if truthy(l) {
-			return value.NewBool(true), nil
+		if l.IsNull() || r.IsNull() {
+			return value.Null, nil
 		}
-		r, err := Eval(e.Right, row)
-		if err != nil {
-			return value.Null, err
-		}
-		return value.NewBool(truthy(r)), nil
+		return value.NewBool(!decides), nil
 	}
 	l, err := Eval(e.Left, row)
 	if err != nil {
@@ -190,7 +202,7 @@ func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 	switch e.Op {
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		if l.IsNull() || r.IsNull() {
-			return value.NewBool(false), nil
+			return value.Null, nil
 		}
 		c := value.Compare(l, r)
 		var out bool
@@ -231,7 +243,7 @@ func evalScalarFunc(e *FuncCall, row Row) (value.Value, error) {
 	case "CONTAINS":
 		// Substring containment (case-insensitive).
 		if args[0].IsNull() || args[1].IsNull() {
-			return value.NewBool(false), nil
+			return value.Null, nil
 		}
 		hay := strings.ToLower(asText(args[0]))
 		needle := strings.ToLower(asText(args[1]))
@@ -242,7 +254,7 @@ func evalScalarFunc(e *FuncCall, row Row) (value.Value, error) {
 		// SQL realisation of the XomatiQ contains() extension, and it is
 		// exactly the predicate the inverted keyword index accelerates.
 		if args[0].IsNull() || args[1].IsNull() {
-			return value.NewBool(false), nil
+			return value.Null, nil
 		}
 		have := map[string]bool{}
 		for _, tok := range inverted.Tokenize(asText(args[0])) {

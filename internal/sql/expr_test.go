@@ -44,13 +44,47 @@ func TestEvalComparisons(t *testing.T) {
 		{"TRUE AND TRUE", true},
 		{"TRUE AND FALSE", false},
 		{"FALSE OR TRUE", true},
-		{"NULL = NULL", false}, // SQL semantics: NULL compares false
-		{"NULL = 1", false},
+		{"NULL AND FALSE", false}, // the FALSE side decides
+		{"TRUE OR NULL", true},    // the TRUE side decides
+		{"1 IN (NULL, 1)", true},
 	}
 	for _, c := range cases {
 		got := evalConst(t, c.src)
 		if got.Kind() != value.KindBool || got.Bool() != c.want {
 			t.Errorf("%s = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestEvalNullLogic pins SQL's three-valued logic: a predicate with a
+// NULL operand is NULL, not FALSE, so NOT around it stays NULL, and a
+// filter drops the row either way.
+func TestEvalNullLogic(t *testing.T) {
+	for _, src := range []string{
+		"NULL = NULL", "NULL = 1", "NULL <> 1", "NOT NULL = 1",
+		"NULL LIKE 'a%'", "NOT NULL LIKE 'a%'",
+		"NULL IN (1, 2)", "NULL NOT IN (1, 2)", "3 IN (1, NULL)", "3 NOT IN (1, NULL)",
+		"NULL AND TRUE", "NOT (NULL AND TRUE)", "NULL OR FALSE", "NOT (NULL OR FALSE)",
+		"CONTAINS(NULL, 'xyz')", "NOT CONTAINS(NULL, 'xyz')",
+	} {
+		if got := evalConst(t, src); !got.IsNull() {
+			t.Errorf("%s = %v, want NULL", src, got)
+		}
+	}
+	db := openDB(t)
+	mustExec(t, db, `CREATE TABLE t (a INT, b INT)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 2), (NULL, 3)`)
+	for q, want := range map[string]string{
+		`SELECT b FROM t WHERE NOT a = 1`:             "",
+		`SELECT b FROM t WHERE a != 1`:                "",
+		`SELECT b FROM t WHERE NOT (a = 1 AND b = 3)`: "2",
+		`SELECT b FROM t WHERE NOT (a = 1 OR b = 3)`:  "",
+		`SELECT b FROM t WHERE NOT a IN (1)`:          "",
+		`SELECT b FROM t WHERE a NOT IN (1)`:          "",
+		`SELECT b FROM t WHERE NOT a = 2`:             "2",
+	} {
+		if got := strings.Join(rowStrings(mustQuery(t, db, q)), ";"); got != want {
+			t.Errorf("%s = [%s], want [%s]", q, got, want)
 		}
 	}
 }
@@ -107,7 +141,6 @@ func TestEvalScalarFunctions(t *testing.T) {
 	}{
 		{"CONTAINS('Catalytic KETONE activity', 'ketone')", value.NewBool(true)},
 		{"CONTAINS('abc', 'xyz')", value.NewBool(false)},
-		{"CONTAINS(NULL, 'xyz')", value.NewBool(false)},
 		{"KWCONTAINS('a ketone body', 'ketone body')", value.NewBool(true)},
 		{"KWCONTAINS('ketones', 'ketone')", value.NewBool(false)},
 	}

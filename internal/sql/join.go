@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -63,14 +64,15 @@ func probeSrcs(pairs []equiPair, cols []int) []keySrc {
 	return srcs
 }
 
-// buildJoin adds the table rt, read as binding, to the join tree. It
-// prefers, in order: index nested-loop join (right table has an index
-// whose columns are all join keys), partitioned hash join (any equi
-// keys), and cross join (everything else). The keys come from the WHERE
-// conjuncts linking the right table to the left stream; buildFrom's
-// filters re-check every conjunct once both sides are in scope.
-// est is the cost model's output-cardinality estimate for this join,
-// rendered on the plan line (EXPLAIN ANALYZE pairs it with actuals).
+// buildJoin adds the table rt, read as binding, to the join tree. With
+// equi keys it prefers an index nested loop over the index whose leading
+// columns the keys cover longest (pickJoinIndex), which hashes once its
+// probes stop paying (indexJoin), then a partitioned hash join; with no
+// keys it is a cross join. The keys come from the WHERE conjuncts
+// linking the right table to the left stream; buildFrom's filters
+// re-check every conjunct once both sides are in scope. est is the cost
+// model's output-cardinality estimate for this join, rendered on the
+// plan line (EXPLAIN ANALYZE pairs it with actuals).
 func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding string, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
 	rightSchema := rt.Schema(binding)
 	var pairs []equiPair
@@ -84,28 +86,35 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding st
 	// use an index for pushed-down equality/range conjuncts) with the
 	// remaining single-binding filters applied inline. A large sequential
 	// right side parallelises just like a driving scan, so hash-join and
-	// cross-join builds also scale with QueryWorkers.
-	// rightSrc runs lazily inside the join's first NextChunk (on the
-	// caller's goroutine), so its scan/parallel-scan trace lines appear
-	// only when the build actually executes — plain EXPLAIN never reaches
-	// it.
+	// cross-join builds also scale with QueryWorkers. The path is chosen
+	// here, since its est rows is an index join's switch budget, but
+	// rightSrc runs lazily inside the join (on the caller's goroutine),
+	// so its scan/parallel-scan trace lines appear only when the build
+	// actually executes — plain EXPLAIN never reaches it.
+	ra := db.chooseAccess(es, rt, binding, whereConjs)
 	rightSrc := func() batchIter {
-		return scanWith(es, db.accessPath(es, rt, binding, whereConjs), rightFilter, false)
+		ra.trace(es)
+		return scanWith(es, ra, rightFilter, false)
+	}
+	// The partition count is a plan decision: deterministic in the
+	// statistics-backed build-side estimate (and the memory budget, which
+	// raises it so one partition fits the budget).
+	newHash := func() *partHashJoin {
+		parts := partitionsFor(estScanRows(rt, binding, whereConjs), es.memBudget, len(rightSchema.Cols))
+		return newPartHashJoin(es, pairs, rightSrc, parts)
 	}
 	var m matcher
 	var op *obs.OpStats
-	if ix := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
-		op = es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",
-			rt.Name, binding, ix.Name, len(pairs), estRowsInt(est))
-		m = newIndexJoin(es, rt, rightSchema, ix, pairs, rightFilter)
+	if ix, width := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
+		op = es.tracef("join %s as %s: index nested loop via %s (%d of %d cols, %d keys), hash past %d rows (est rows=%d)",
+			rt.Name, binding, ix.Name, width, len(ix.ColPos), len(pairs), estRowsInt(ra.est), estRowsInt(est))
+		m = newIndexJoin(es, rt, rightSchema, ix, width, pairs, rightFilter, ra.est, newHash, op)
 	} else if len(pairs) > 0 {
-		// The partition count is a plan decision: deterministic in the
-		// statistics-backed build-side estimate (and the memory budget,
-		// which raises it so one partition fits the budget).
-		parts := partitionsFor(estScanRows(rt, binding, whereConjs), es.memBudget, len(rightSchema.Cols))
+		h := newHash()
 		op = es.tracef("join %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
-			rt.Name, binding, len(pairs), parts, estRowsInt(est))
-		m = newPartHashJoin(es, pairs, rightSrc, parts, op)
+			rt.Name, binding, len(pairs), h.parts, estRowsInt(est))
+		h.op = op
+		m = h
 	} else {
 		op = es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
 			rt.Name, binding, estRowsInt(est))
@@ -158,39 +167,31 @@ func (db *DB) asEquiPair(e Expr, leftSchema *Schema, binding string, rt *TableIn
 	return equiPair{}, false
 }
 
-// pickJoinIndex returns an index on rt whose columns are all join keys
-// and whose probe key actually depends on the left row (at least one
-// non-literal pair). A probe built purely from literal equalities would
-// fetch the same rows for every left tuple — a degenerate nested loop —
-// where a hash join with an indexed build is strictly better.
-func pickJoinIndex(rt *TableInfo, pairs []equiPair) *IndexInfo {
+// pickJoinIndex returns the index on rt whose leading columns are join
+// keys for the longest run, and the length of that run: the prefix an
+// index join probes. Pairs past the prefix stay residuals. The prefix
+// must depend on the left row (at least one non-literal pair): a probe
+// built purely from literal equalities would fetch the same rows for
+// every left tuple, where a hash join with an indexed build is strictly
+// better. Ties go to the index created first.
+func pickJoinIndex(rt *TableInfo, pairs []equiPair) (*IndexInfo, int) {
+	var best *IndexInfo
+	bestWidth := 0
 	for _, ix := range rt.Indexes {
-		if len(ix.ColPos) > len(pairs) {
-			continue
-		}
-		ok := true
-		leftDependent := false
+		width, leftDependent := 0, false
 		for _, pos := range ix.ColPos {
-			found := false
-			for _, p := range pairs {
-				if p.rightCol == pos {
-					found = true
-					if p.left.col >= 0 {
-						leftDependent = true
-					}
-					break
-				}
-			}
-			if !found {
-				ok = false
+			i := slices.IndexFunc(pairs, func(p equiPair) bool { return p.rightCol == pos })
+			if i < 0 {
 				break
 			}
+			width++
+			leftDependent = leftDependent || pairs[i].left.col >= 0
 		}
-		if ok && leftDependent {
-			return ix
+		if leftDependent && width > bestWidth {
+			best, bestWidth = ix, width
 		}
 	}
-	return nil
+	return best, bestWidth
 }
 
 // pairCols extracts the distinct right column positions of the pairs, in
@@ -330,7 +331,7 @@ type partHashJoin struct {
 	probe    []keySrc // the left side of each key column
 	rightSrc func() batchIter
 	parts    int
-	op       *obs.OpStats // the join's trace line (spill annotation)
+	op       *obs.OpStats // the join's trace line (spill annotation); nil under an index join
 
 	partitions []joinPartition
 	resident   int64 // estimated bytes buffered across unspilled partitions
@@ -353,14 +354,14 @@ type spillProbe struct {
 	key string
 }
 
-func newPartHashJoin(es *execState, pairs []equiPair, rightSrc func() batchIter, parts int, op *obs.OpStats) *partHashJoin {
+func newPartHashJoin(es *execState, pairs []equiPair, rightSrc func() batchIter, parts int) *partHashJoin {
 	if parts < 1 {
 		parts = 1
 	}
 	cols := pairCols(pairs)
 	return &partHashJoin{
 		es: es, cols: cols, probe: probeSrcs(pairs, cols),
-		rightSrc: rightSrc, parts: parts, op: op,
+		rightSrc: rightSrc, parts: parts,
 	}
 }
 
@@ -520,14 +521,16 @@ func (h *partHashJoin) spillLargest() error {
 	return nil
 }
 
-// probeChunkSpilled probes every row of a new left chunk up front: rows
-// landing in resident partitions resolve against the in-memory tables
-// immediately, rows landing in spilled partitions are grouped per
-// partition so each touched spill file is read back exactly once per
-// chunk (ascending partition order — deterministic I/O), then match
-// lists are recorded per logical row. match then serves rows in left
-// stream order, so results are byte-identical to an unspilled run.
-func (h *partHashJoin) probeChunkSpilled(c *chunk) error {
+// probeChunkSpilled probes every row of a left chunk from logical row
+// from on, up front: rows landing in resident partitions resolve against
+// the in-memory tables immediately, rows landing in spilled partitions
+// are grouped per partition so each touched spill file is read back
+// exactly once per chunk (ascending partition order — deterministic
+// I/O), then match lists are recorded per logical row. match then serves
+// rows in left stream order, so results are byte-identical to an
+// unspilled run. from is 0 for a new chunk, and the switch row when an
+// index join hashes the rest of its current chunk.
+func (h *partHashJoin) probeChunkSpilled(c *chunk, from int) error {
 	n := c.Rows()
 	if cap(h.rowMatches) < n {
 		h.rowMatches = make([][]value.Tuple, n)
@@ -536,7 +539,7 @@ func (h *partHashJoin) probeChunkSpilled(c *chunk) error {
 	if h.spillProbes == nil {
 		h.spillProbes = make([][]spillProbe, h.parts)
 	}
-	for k := 0; k < n; k++ {
+	for k := from; k < n; k++ {
 		if err := h.es.poll(); err != nil {
 			return err
 		}
@@ -579,7 +582,7 @@ func (h *partHashJoin) match(c *chunk, k, r int) ([]value.Tuple, error) {
 	if h.anySpilled {
 		// Match lists are resolved for the whole chunk up front.
 		if k == 0 {
-			if err := h.probeChunkSpilled(c); err != nil {
+			if err := h.probeChunkSpilled(c, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -593,48 +596,126 @@ func (h *partHashJoin) match(c *chunk, k, r int) ([]value.Tuple, error) {
 	return h.partitions[h.partition(key)].table[string(key)], nil
 }
 
-// indexJoin probes a right-table index once per left row and fetches the
-// rows behind the matching entries. The right side's pushed-down filters
-// and the pairs on columns the index does not cover are checked per
-// fetched row.
+// indexJoin is the index nested loop. Per left row it probes the index
+// on the prefix its join keys cover and fetches the rows behind the
+// matching entries. The pairs past the prefix are tested on each fetched
+// record's wire form, so only their survivors are decoded and checked
+// against the right side's pushed-down filters.
+//
+// A probe costs a descent plus a heap fetch per entry, so the join
+// probes only while its probes have fetched fewer rows than the right
+// side's access path would read whole (budget, that path's est rows).
+// From then on — from the very next left row, mid-chunk included — it
+// builds the partitioned hash join over the right side and matches every
+// remaining left row by hash. The switch point depends only on the left
+// stream and the index, never on chunk size, worker count or memory
+// budget, so the result is the same under all of them. It is not a cost
+// decision made up front: join estimates can be off by orders of
+// magnitude, while the fetched-row count is measured.
 type indexJoin struct {
 	es      *execState
 	rt      *TableInfo
 	schema  *Schema // the right table's
 	ix      *IndexInfo
-	probe   []keySrc   // the left side of each index column
-	extra   []equiPair // pairs on columns the index does not cover
+	probe   []keySrc   // the left side of each prefix column
+	extra   []equiPair // pairs on columns past the prefix
 	filters []Expr
+	budget  float64
+	newHash func() *partHashJoin
+	op      *obs.OpStats
 
-	key     []byte
-	extraV  []value.Value
-	rids    []heap.RID
-	matches []value.Tuple
+	probed  int64         // left rows matched by probing
+	fetched int64         // index entries the probes returned
+	hash    *partHashJoin // non-nil once the join has switched
+
+	key      []byte
+	extraKey []byte // the left keys of extra, concatenated
+	extraEnd []int  // end of each extra pair's key in extraKey
+	fieldKey []byte
+	rec      []byte
+	rids     []heap.RID
+	matches  []value.Tuple
 }
 
-func newIndexJoin(es *execState, rt *TableInfo, schema *Schema, ix *IndexInfo, pairs []equiPair, filters []Expr) *indexJoin {
-	j := &indexJoin{es: es, rt: rt, schema: schema, ix: ix, probe: probeSrcs(pairs, ix.ColPos), filters: filters}
+// switchAfterProbes, when not negative, forces every index join to hash
+// after that many probed left rows instead of at its fetch budget, so
+// tests can place the switch before the first row, mid-chunk or never.
+var switchAfterProbes = -1
+
+func newIndexJoin(es *execState, rt *TableInfo, schema *Schema, ix *IndexInfo, width int, pairs []equiPair, filters []Expr,
+	budget float64, newHash func() *partHashJoin, op *obs.OpStats) *indexJoin {
+	prefix := ix.ColPos[:width]
+	j := &indexJoin{
+		es: es, rt: rt, schema: schema, ix: ix, probe: probeSrcs(pairs, prefix), filters: filters,
+		budget: budget, newHash: newHash, op: op,
+	}
 	for _, p := range pairs {
-		if !slices.Contains(ix.ColPos, p.rightCol) {
+		if !slices.Contains(prefix, p.rightCol) {
 			j.extra = append(j.extra, p)
 		}
 	}
-	j.extraV = make([]value.Value, len(j.extra))
+	j.extraEnd = make([]int, len(j.extra))
 	return j
 }
 
 func (j *indexJoin) build() error { return nil }
 
-func (j *indexJoin) match(c *chunk, _, r int) ([]value.Tuple, error) {
+func (j *indexJoin) match(c *chunk, k, r int) ([]value.Tuple, error) {
+	if j.hash == nil {
+		switched := float64(j.fetched) >= j.budget
+		if switchAfterProbes >= 0 {
+			switched = j.probed >= int64(switchAfterProbes)
+		}
+		if !switched {
+			j.probed++
+			return j.probeRow(c, r)
+		}
+		if err := j.switchToHash(c, k); err != nil {
+			return nil, err
+		}
+	}
+	return j.hash.match(c, k, r)
+}
+
+// switchToHash builds the hash join that matches the rest of the left
+// stream, starting at logical row k of the current chunk.
+func (j *indexJoin) switchToHash(c *chunk, k int) error {
+	h := j.newHash()
+	if err := h.build(); err != nil {
+		return err
+	}
+	j.hash = h
+	if j.es.reg != nil {
+		j.es.reg.Exec.JoinSwitches.Inc()
+	}
+	if h.spilledN > 0 {
+		j.op.Notef("hash after %d probes (%d rows fetched), spilled=%d parts", j.probed, j.fetched, h.spilledN)
+	} else {
+		j.op.Notef("hash after %d probes (%d rows fetched)", j.probed, j.fetched)
+	}
+	if h.anySpilled && k > 0 {
+		// The hash resolves a spilled build a chunk at a time from row 0;
+		// the rows before k were matched by probing.
+		return h.probeChunkSpilled(c, k)
+	}
+	return nil
+}
+
+// probeRow matches physical row r of c through the index.
+func (j *indexJoin) probeRow(c *chunk, r int) ([]value.Tuple, error) {
 	key, ok := encodeKey(j.key[:0], j.probe, c, r)
 	j.key = key
 	if !ok {
 		return nil, nil
 	}
+	j.extraKey = j.extraKey[:0]
 	for i, p := range j.extra {
-		if j.extraV[i] = p.left.value(c, r); j.extraV[i].IsNull() {
+		v := p.left.value(c, r)
+		if v.IsNull() {
 			return nil, nil
 		}
+		j.extraKey = v.EncodeKey(j.extraKey)
+		j.extraEnd[i] = len(j.extraKey)
 	}
 	j.rids = j.rids[:0]
 	j.es.btreeSearch()
@@ -644,12 +725,28 @@ func (j *indexJoin) match(c *chunk, _, r int) ([]value.Tuple, error) {
 	}); err != nil {
 		return nil, err
 	}
+	j.fetched += int64(len(j.rids))
 	j.matches = j.matches[:0]
 rows:
 	for _, rid := range j.rids {
-		rec, err := j.rt.Heap.Get(rid)
+		// Decoding copies every payload out, so one buffer serves every
+		// fetched record.
+		rec, err := j.rt.Heap.AppendRecord(j.rec[:0], rid)
+		j.rec = rec
 		if err != nil {
 			return nil, err
+		}
+		// Key equality is EncodeKey equality, exactly as the hash join
+		// keys both sides, so probe and hash match the same rows.
+		start := 0
+		for i, p := range j.extra {
+			if j.fieldKey, err = value.AppendFieldKey(j.fieldKey[:0], rec, p.rightCol); err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(j.fieldKey, j.extraKey[start:j.extraEnd[i]]) {
+				continue rows
+			}
+			start = j.extraEnd[i]
 		}
 		tup, err := value.DecodeTuple(rec)
 		if err != nil {
@@ -659,11 +756,6 @@ rows:
 			return nil, err
 		} else if !keep {
 			continue
-		}
-		for i, p := range j.extra {
-			if rv := tup[p.rightCol]; rv.IsNull() || value.Compare(j.extraV[i], rv) != 0 {
-				continue rows
-			}
 		}
 		j.matches = append(j.matches, tup)
 	}

@@ -17,22 +17,44 @@ import (
 // and the cross join must agree on every query — NULL keys, duplicate
 // keys, keys the index covers only in part, pushed-down filters — and
 // each must be deterministic across worker counts, safe under chunk
-// recycling, and cancellable mid-join.
+// recycling, and cancellable mid-join. An index join that switches to
+// its hash build must agree with them wherever the switch falls.
 
 // joinStrategy names one way of running an equi-join and the plan line
 // that proves the planner took it.
 type joinStrategy struct {
-	name  string
-	plan  string
-	index bool // create indexes on a.k and b.k
-	cross bool // write every equality a.x = b.y as a.x <= b.y AND a.x >= b.y
+	name   string
+	plan   string
+	index  bool // create indexes on a.k and b.k
+	prefix bool // create indexes on a (k, v) and b (k, w): probes on a 1-column prefix
+	cross  bool // write every equality a.x = b.y as a.x <= b.y AND a.x >= b.y
 }
 
 var joinStrategies = []joinStrategy{
 	{name: "index nested loop", plan: "index nested loop via", index: true},
 	{name: "hash join", plan: "partitioned hash join"},
 	{name: "cross join", plan: "nested loop (cross)", cross: true},
+	{name: "prefix probe", plan: "(1 of 2 cols", prefix: true},
 }
+
+// createJoinIndexes creates the indexes a strategy probes.
+func (s joinStrategy) createJoinIndexes(t *testing.T, db *DB) {
+	t.Helper()
+	if s.index {
+		mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
+		mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+	}
+	if s.prefix {
+		mustExec(t, db, `CREATE INDEX idx_a_kv ON a (k, v)`)
+		mustExec(t, db, `CREATE INDEX idx_b_kw ON b (k, w)`)
+	}
+}
+
+// joinSwitchPoints are the switch points the index joins run at, as
+// switchAfterProbes values: at the fetch budget, before the first left
+// row, mid-chunk in the first and in the second 64-row chunk, and never
+// (past the last left row, where no row is left to hash).
+var joinSwitchPoints = []int{-1, 0, 3, 70, 1 << 30}
 
 // eq renders the join equality a.l = b.r for a strategy; the cross form
 // writes it as two range comparisons, which no join key uses.
@@ -90,13 +112,16 @@ func runJoinQuery(t *testing.T, db *DB, q string, workers int) []string {
 	return rowStrings(mustQuery(t, db, q))
 }
 
-// FuzzJoinStrategies is the differential test of the three join
-// strategies. Every query runs as an index nested loop (indexes on a.k
-// and b.k; the j equality is the uncovered pair), as a partitioned hash
-// join (no index) and as a cross join (each equality written as a pair
-// of range comparisons). All three must return the same multiset; each
-// must return byte-identical rows in the same order for QueryWorkers 1
-// and 4 and under chunkPoison.
+// FuzzJoinStrategies is the differential test of the join strategies.
+// Every query runs as an index nested loop (indexes on a.k and b.k; the
+// j equality is the uncovered pair), as a prefix probe (indexes on
+// a (k, v) and b (k, w), of which the k equality covers the first
+// column), as a partitioned hash join (no index) and as a cross join
+// (each equality written as a pair of range comparisons). Both index
+// strategies run at every switch point of joinSwitchPoints. All runs
+// must return the same multiset; each must return byte-identical rows
+// in the same order for QueryWorkers 1 and 4, under chunkPoison, and
+// under a 1 KiB memory budget (a spilled build, switched into mid-chunk).
 func FuzzJoinStrategies(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(9))
 	f.Add(int64(2), uint8(40), uint8(40))
@@ -111,44 +136,59 @@ func FuzzJoinStrategies(f *testing.F) {
 			parallelScanMinPages, parallelOverhead = pages, overhead
 		}(parallelScanMinPages, parallelOverhead)
 		parallelScanMinPages, parallelOverhead = 1, 0
+		defer func() { switchAfterProbes = -1 }()
 
-		results := make([][][]string, len(joinStrategies))
-		for si, s := range joinStrategies {
+		type run struct {
+			name string
+			rows [][]string // sorted rows, per query
+		}
+		var runs []run
+		for _, s := range joinStrategies {
 			db := openDB(t)
 			seedJoinTables(t, db, rand.New(rand.NewSource(seed)), int(na), int(nb))
-			if s.index {
-				mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
-				mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+			s.createJoinIndexes(t, db)
+			switchPoints := []int{-1}
+			if s.index || s.prefix {
+				switchPoints = joinSwitchPoints
 			}
-			for _, tmpl := range joinQueries {
-				q := fmt.Sprintf(tmpl, s.eq("k", "k"), s.eq("j", "j"), s.eq("j", "k"))
-				plan, err := db.Explain(q, ExecOpts{})
-				if err != nil {
-					t.Fatal(err)
+			for _, at := range switchPoints {
+				switchAfterProbes = at
+				r := run{name: fmt.Sprintf("%s (switch at %d)", s.name, at)}
+				for _, tmpl := range joinQueries {
+					q := fmt.Sprintf(tmpl, s.eq("k", "k"), s.eq("j", "j"), s.eq("j", "k"))
+					plan, err := db.Explain(q, ExecOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !strings.Contains(plan, s.plan) {
+						t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
+					}
+					serial := runJoinQuery(t, db, q, 1)
+					same := func(what string, got []string) {
+						t.Helper()
+						if strings.Join(got, "\n") != strings.Join(serial, "\n") {
+							t.Fatalf("%s: %s: %s diverged:\n%v\n%v", r.name, q, what, got, serial)
+						}
+					}
+					same("workers=4", runJoinQuery(t, db, q, 4))
+					chunkPoison = true
+					same("chunkPoison", runJoinQuery(t, db, q, 1))
+					chunkPoison = false
+					db.opts.QueryMemBudget = 1 << 10
+					same("1 KiB memory budget", runJoinQuery(t, db, q, 1))
+					db.opts.QueryMemBudget = 0
+					sort.Strings(serial)
+					r.rows = append(r.rows, serial)
 				}
-				if !strings.Contains(plan, s.plan) {
-					t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
-				}
-				serial := runJoinQuery(t, db, q, 1)
-				if parallel := runJoinQuery(t, db, q, 4); strings.Join(parallel, "\n") != strings.Join(serial, "\n") {
-					t.Fatalf("%s: %s: workers=4 diverged from workers=1:\n%v\n%v", s.name, q, parallel, serial)
-				}
-				chunkPoison = true
-				poisoned := runJoinQuery(t, db, q, 1)
-				chunkPoison = false
-				if strings.Join(poisoned, "\n") != strings.Join(serial, "\n") {
-					t.Fatalf("%s: %s: chunkPoison rerun diverged:\n%v\n%v", s.name, q, poisoned, serial)
-				}
-				sort.Strings(serial)
-				results[si] = append(results[si], serial)
+				runs = append(runs, r)
 			}
 		}
 		for qi, tmpl := range joinQueries {
-			want := strings.Join(results[0][qi], "\n")
-			for si := 1; si < len(joinStrategies); si++ {
-				if got := strings.Join(results[si][qi], "\n"); got != want {
+			want := strings.Join(runs[0].rows[qi], "\n")
+			for _, r := range runs[1:] {
+				if got := strings.Join(r.rows[qi], "\n"); got != want {
 					t.Errorf("%s: %s returned\n%s\nbut %s returned\n%s",
-						tmpl, joinStrategies[si].name, got, joinStrategies[0].name, want)
+						tmpl, r.name, got, runs[0].name, want)
 				}
 			}
 		}
@@ -165,10 +205,7 @@ func TestJoinNullKeys(t *testing.T) {
 		mustExec(t, db, `CREATE TABLE b (k INT, j INT, w TEXT)`)
 		mustExec(t, db, `INSERT INTO a VALUES (1, 0, 'a1'), (NULL, 0, 'anull')`)
 		mustExec(t, db, `INSERT INTO b VALUES (1, 0, 'b1'), (NULL, 0, 'bnull')`)
-		if s.index {
-			mustExec(t, db, `CREATE INDEX idx_a_k ON a (k)`)
-			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
-		}
+		s.createJoinIndexes(t, db)
 		q := fmt.Sprintf(`SELECT a.v, b.w FROM a, b WHERE %s`, s.eq("k", "k"))
 		plan, err := db.Explain(q, ExecOpts{})
 		if err != nil {
@@ -219,6 +256,9 @@ func TestJoinStrategiesCancel(t *testing.T) {
 		}
 		if s.index {
 			mustExec(t, db, `CREATE INDEX idx_b_k ON b (k)`)
+		}
+		if s.prefix {
+			mustExec(t, db, `CREATE INDEX idx_b_kw ON b (k, w)`)
 		}
 		stmt, err := Parse(fmt.Sprintf(`SELECT a.v, b.w FROM a, b WHERE %s`, s.eq("k", "k")))
 		if err != nil {
@@ -271,5 +311,34 @@ func TestExplainRunsNoIndexScan(t *testing.T) {
 	few, many := hits(`SELECT v FROM n WHERE k < 5`), hits(`SELECT v FROM n WHERE k < 3000`)
 	if many != few {
 		t.Errorf("EXPLAIN pool hits grow with matching keys: %d for k < 5, %d for k < 3000", few, many)
+	}
+}
+
+// TestExplainAnalyzeJoinSwitch runs the golden switch case: the plain
+// plan names the fetch budget, and EXPLAIN ANALYZE shows where the join
+// switched and its build side's scan line, while the prefix probe case
+// of the goldens never switches.
+func TestExplainAnalyzeJoinSwitch(t *testing.T) {
+	db := newPlanFixture(t, true)
+	analyze := func(q string) string {
+		t.Helper()
+		qt := obs.NewQueryTrace(true)
+		if _, err := db.QueryStmtOptsContext(context.Background(), mustParse(t, q).(*Select), ExecOpts{Trace: qt}); err != nil {
+			t.Fatal(err)
+		}
+		return qt.Render(true)
+	}
+	switches := db.reg.Exec.JoinSwitches.Load()
+	out := analyze(`SELECT d.label, e.val FROM dim d, ev e WHERE e.db = 'main' AND e.pid = d.k`)
+	if !strings.Contains(out, "hash past 1000 rows (est rows=2500) (actual rows=1000 ") ||
+		!strings.Contains(out, "(hash after 20 probes (1000 rows fetched))") ||
+		!strings.Contains(out, "scan ev as e: sequential") {
+		t.Errorf("switch case did not switch after 20 probes:\n%s", out)
+	}
+	if got := db.reg.Exec.JoinSwitches.Load() - switches; got != 1 {
+		t.Errorf("exec.join_switches grew by %d, want 1", got)
+	}
+	if out := analyze(`SELECT s.name, e.val FROM small s, ev e WHERE e.db = s.name`); strings.Contains(out, "hash after") {
+		t.Errorf("prefix probe case switched:\n%s", out)
 	}
 }

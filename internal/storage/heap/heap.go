@@ -287,19 +287,23 @@ func (h *Heap) InsertBatch(txn uint64, recs [][]byte) ([]RID, error) {
 }
 
 // Get returns a copy of the record at rid.
-func (h *Heap) Get(rid RID) ([]byte, error) {
+func (h *Heap) Get(rid RID) ([]byte, error) { return h.AppendRecord(nil, rid) }
+
+// AppendRecord appends the record at rid to dst, so a reader that
+// fetches records one at a time can reuse one buffer for all of them.
+func (h *Heap) AppendRecord(dst []byte, rid RID) ([]byte, error) {
 	ref, err := h.fetchRead(rid.Page)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	rec, err := ref.Page().Get(int(rid.Slot))
 	if err != nil {
 		ref.Release()
-		return nil, err
+		return dst, err
 	}
-	out := append([]byte(nil), rec...)
+	dst = append(dst, rec...)
 	ref.Release()
-	return out, nil
+	return dst, nil
 }
 
 // Delete removes the record at rid.
