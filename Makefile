@@ -32,7 +32,7 @@ test: test-plans
 # index join at every switch point, returns the same rows.
 test-plans:
 	$(GO) test -run 'TestGoldenPlans|TestCounterParity|TestExplain|TestJoin|FuzzJoinStrategies' ./internal/sql/
-	$(GO) test -run 'Explain' ./internal/core/
+	$(GO) test -run 'Explain|Legacy' ./internal/core/
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/...

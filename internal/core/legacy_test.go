@@ -3,6 +3,7 @@ package core
 import (
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"xomatiq/internal/bio"
+	"xomatiq/internal/faultfs"
 	"xomatiq/internal/hounds"
 )
 
@@ -181,4 +183,86 @@ func TestLegacyLogRecovers(t *testing.T) {
 	}
 	checkAllBTrees(t, e)
 	checkLegacyAnswers(t, e, legacyAnswers(t, "crashed"))
+}
+
+// TestLegacyMigrationCrashSweep cuts the power at every counted disk
+// operation of opening clean.db, whose tables still end in Dewey sort
+// keys, so that every point of the migration to pre-order intervals is
+// a crash point. Whatever the cut, the rebooted file opens consistent,
+// with no dewey column left, and answers as the legacy build did.
+func TestLegacyMigrationCrashSweep(t *testing.T) {
+	dir := t.TempDir()
+	unpackLegacy(t, dir, "clean.db")
+	image, err := os.ReadFile(filepath.Join(dir, "clean.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := legacyAnswers(t, "clean")
+	// seeded returns a disk holding clean.db and the op count it took.
+	seeded := func() (*faultfs.FS, int64) {
+		fs := faultfs.New(1)
+		f, err := fs.OpenFile("clean.db")
+		if err == nil {
+			_, err = f.WriteAt(image, 0)
+		}
+		if err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, fs.Ops()
+	}
+	open := func(fs *faultfs.FS) (*Engine, error) {
+		cfg := NewConfig("clean.db")
+		cfg.FS = fs
+		return Open(cfg)
+	}
+	fs, start := seeded()
+	e, err := open(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := fs.Ops() - start
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered := 0
+	for k := int64(0); k < total; k++ {
+		fs, start := seeded()
+		fs.CrashAt(start + k)
+		if _, err := open(fs); !errors.Is(err, faultfs.ErrCrashed) {
+			t.Fatalf("open with the power cut at op %d of %d: err = %v, want ErrCrashed", k, total, err)
+		}
+		e, err := open(fs.Reboot())
+		if err != nil {
+			t.Fatalf("reopen after the cut at op %d of %d: %v", k, total, err)
+		}
+		if e.DB().Recovered() {
+			recovered++
+		}
+		if err := e.DB().CheckConsistency(); err != nil {
+			t.Fatalf("cut at op %d of %d: %v", k, total, err)
+		}
+		rows, err := e.DB().Query(`SELECT * FROM nodes LIMIT 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cols := rows.Columns; cols[len(cols)-1] != "last_desc" {
+			t.Fatalf("cut at op %d of %d: nodes columns after reopen %v", k, total, cols)
+		}
+		checkLegacyAnswers(t, e, want)
+		if t.Failed() {
+			t.Fatalf("cut at op %d of %d", k, total)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A cut before the migration's commit record reopens the legacy
+	// file and migrates it again; a later one replays the log.
+	if recovered == 0 || recovered == int(total) {
+		t.Errorf("%d of %d cuts replayed a log: the sweep does not straddle the migration's commit", recovered, total)
+	}
+	t.Logf("%d crash points, %d after the migration's commit", total, recovered)
 }

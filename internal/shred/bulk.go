@@ -95,15 +95,14 @@ func (s *Store) ReserveDocID(db string) int {
 	return id
 }
 
-// shredState is the reusable walk state for one document. The path and
-// sort-key buffers grow by truncate-and-extend, so labelling a node
-// allocates nothing beyond the strings stored in tuples.
+// shredState is the reusable walk state for one document. The path
+// buffer grows by truncate-and-extend, so labelling a node allocates
+// nothing beyond the strings stored in tuples.
 type shredState struct {
 	sh      *Shredder
 	b       *DocBatch
 	local   map[string]int32
 	pathBuf []byte
-	keyBuf  []byte
 	nodeID  int
 	dbv     value.Value
 	docv    value.Value
@@ -117,14 +116,12 @@ func (sh *Shredder) Shred(docID int, doc *xmldoc.Document) *DocBatch {
 		sh:      sh,
 		b:       b,
 		pathBuf: make([]byte, 0, 128),
-		keyBuf:  make([]byte, 0, 64),
 		dbv:     value.NewText(sh.db),
 		docv:    value.NewInt(int64(docID)),
 	}
 	st.pathBuf = append(st.pathBuf, '/')
 	st.pathBuf = append(st.pathBuf, doc.Root.Name...)
-	st.keyBuf = xmldoc.AppendSortKeyComponent(st.keyBuf, 1)
-	st.walk(doc.Root, -1, 1, 0, len(st.pathBuf), len(st.keyBuf))
+	st.walk(doc.Root, -1, 1, 0, len(st.pathBuf))
 	return b
 }
 
@@ -148,9 +145,10 @@ func (st *shredState) pathID(buf []byte) (int64, bool) {
 	return int64(idx), true
 }
 
-// walk shreds the subtree at n. pathLen bounds the node's dictionary
-// path in pathBuf; keyLen bounds its Dewey sort key in keyBuf.
-func (st *shredState) walk(n *xmldoc.Node, parent, pos, depth, pathLen, keyLen int) {
+// walk shreds the subtree at n, numbering its nodes in pre-order,
+// attributes first. pathLen bounds the node's dictionary path in
+// pathBuf.
+func (st *shredState) walk(n *xmldoc.Node, parent, pos, depth, pathLen int) {
 	id := st.nodeID
 	st.nodeID++
 	kind := kindElem
@@ -160,15 +158,15 @@ func (st *shredState) walk(n *xmldoc.Node, parent, pos, depth, pathLen, keyLen i
 	case xmldoc.KindText:
 		kind = kindText
 	}
-	key := string(st.keyBuf[:keyLen])
 	pid, patch := st.pathID(st.pathBuf[:pathLen])
+	row := len(st.b.Nodes)
 	st.b.Nodes = append(st.b.Nodes, value.Tuple{
 		st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
 		value.NewInt(int64(kind)), value.NewText(n.Name), value.NewInt(pid),
-		value.NewInt(int64(pos)), value.NewInt(int64(depth)), value.NewText(key),
+		value.NewInt(int64(pos)), value.NewInt(int64(depth)), value.NewInt(int64(id)),
 	})
 	if patch {
-		st.b.nodesPatch = append(st.b.nodesPatch, int32(len(st.b.Nodes)-1))
+		st.b.nodesPatch = append(st.b.nodesPatch, int32(row))
 	}
 
 	if n.Kind != xmldoc.KindElement {
@@ -176,48 +174,41 @@ func (st *shredState) walk(n *xmldoc.Node, parent, pos, depth, pathLen, keyLen i
 		// the sequence routing path is the owning element for text,
 		// the attribute path for attributes — pathBuf[:pathLen] is
 		// exactly that in both cases (see the recursion below).
-		st.value(n.Data, id, parent, pid, patch, key, st.pathBuf[:pathLen])
+		st.value(n.Data, id, parent, pid, patch, st.pathBuf[:pathLen])
 		return
 	}
 
 	ord := 1
 	for _, a := range n.Attrs {
-		ckLen := st.pushKey(keyLen, ord)
 		st.pathBuf = append(st.pathBuf[:pathLen], '/', '@')
 		st.pathBuf = append(st.pathBuf, a.Name...)
-		st.walk(a, id, ord, depth+1, len(st.pathBuf), ckLen)
+		st.walk(a, id, ord, depth+1, len(st.pathBuf))
 		ord++
 	}
 	for _, c := range n.Children {
-		ckLen := st.pushKey(keyLen, ord)
 		if c.Kind == xmldoc.KindElement {
 			st.pathBuf = append(st.pathBuf[:pathLen], '/')
 			st.pathBuf = append(st.pathBuf, c.Name...)
-			st.walk(c, id, ord, depth+1, len(st.pathBuf), ckLen)
+			st.walk(c, id, ord, depth+1, len(st.pathBuf))
 		} else {
 			// Text child: same dictionary path as this element.
-			st.walk(c, id, ord, depth+1, pathLen, ckLen)
+			st.walk(c, id, ord, depth+1, pathLen)
 		}
 		ord++
 	}
-}
-
-// pushKey extends the sort-key buffer with one ordinal component and
-// returns the child's key length.
-func (st *shredState) pushKey(keyLen, ord int) int {
-	st.keyBuf = append(st.keyBuf[:keyLen], '.')
-	st.keyBuf = xmldoc.AppendSortKeyComponent(st.keyBuf, ord)
-	return len(st.keyBuf)
+	// An element's last_desc is its subtree's highest id; a leaf keeps
+	// its own, set above.
+	st.b.Nodes[row][9] = value.NewInt(int64(st.nodeID - 1))
 }
 
 // value emits the value rows for a text or attribute node: sequence
 // paths route to seq_data only; everything else lands in values_str,
 // additionally in values_num when numeric, and contributes keyword
 // tokens.
-func (st *shredState) value(text string, id, parent int, pid int64, patch bool, key string, seqPath []byte) {
+func (st *shredState) value(text string, id, parent int, pid int64, patch bool, seqPath []byte) {
 	base := value.Tuple{
 		st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
-		value.NewInt(pid), value.NewText(text), value.NewText(key),
+		value.NewInt(pid), value.NewText(text),
 	}
 	if st.sh.seqSet[string(seqPath)] {
 		st.b.Seq = append(st.b.Seq, base)
@@ -233,7 +224,7 @@ func (st *shredState) value(text string, id, parent int, pid int64, patch bool, 
 	if f, ok := value.NewText(text).AsNumeric(); ok {
 		num := value.Tuple{
 			st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
-			value.NewInt(pid), value.NewFloat(f), value.NewText(key),
+			value.NewInt(pid), value.NewFloat(f),
 		}
 		st.b.Num = append(st.b.Num, num)
 		if patch {

@@ -17,10 +17,11 @@ import (
 // FuzzShredRoundTrip pins the paper's losslessness requirement on the
 // shipping shredder: any document xmldoc.Parse accepts, shredded and
 // inserted the way the ingest pipeline does it and rebuilt from its
-// tuples, serialises byte-identically, and the digest the load stored
-// is the digest of the rebuild (what Digests computes for a document
-// stored without one). The database has sequence paths, so text under
-// them takes the seq_data route.
+// tuples, serialises byte-identically, every node's interval
+// (node_id, last_desc] holds exactly its descendants, and the digest the
+// load stored is the digest of the rebuild (what Digests computes for a
+// document stored without one). The database has sequence paths, so
+// text under them takes the seq_data route.
 func FuzzShredRoundTrip(f *testing.F) {
 	compact := xmldoc.SerializeOptions{NoDecl: true}
 	f.Add(hounds.EnzymeEntryToXML(bio.SampleEnzymeEntry()).Serialize(compact))
@@ -77,6 +78,7 @@ func FuzzShredRoundTrip(f *testing.F) {
 		if out := got.Serialize(compact); out != want {
 			t.Fatalf("round trip differs\nwant %s\ngot  %s", want, out)
 		}
+		checkIntervals(t, db, ids[0], doc)
 		rows, err := db.Query(fmt.Sprintf(`SELECT digest FROM digests WHERE db = 'fz' AND doc_id = %d`, ids[0]))
 		if err != nil {
 			t.Fatal(err)
@@ -88,4 +90,51 @@ func FuzzShredRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// checkIntervals checks the structural encoding of one stored document
+// against its tree: in node_id order the nodes rows are the tree's
+// nodes in pre-order, attributes first, and for every node the rows with
+// node_id in (node_id, last_desc] are exactly its descendants.
+func checkIntervals(t *testing.T, db *sql.DB, docID int, doc *xmldoc.Document) {
+	t.Helper()
+	var pre []*xmldoc.Node
+	var end []int // end[i]: pre-order index of the last node under pre[i]
+	var walk func(n *xmldoc.Node)
+	walk = func(n *xmldoc.Node) {
+		i := len(pre)
+		pre = append(pre, n)
+		end = append(end, 0)
+		for _, a := range n.Attrs {
+			walk(a)
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+		end[i] = len(pre) - 1
+	}
+	walk(doc.Root)
+	rows, err := db.Query(fmt.Sprintf(
+		`SELECT node_id, last_desc, kind, name FROM nodes WHERE db = 'fz' AND doc_id = %d ORDER BY node_id`, docID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows.Rows) != len(pre) {
+		t.Fatalf("%d nodes rows for a %d-node tree", len(rows.Rows), len(pre))
+	}
+	kinds := map[xmldoc.NodeKind]int64{xmldoc.KindElement: kindElem, xmldoc.KindAttr: kindAttr, xmldoc.KindText: kindText}
+	for i, r := range rows.Rows {
+		if r[2].Int() != kinds[pre[i].Kind] || r[3].Text() != pre[i].Name {
+			t.Fatalf("node_id %d is kind %d %q; pre-order node %d is kind %d %q",
+				r[0].Int(), r[2].Int(), r[3].Text(), i, kinds[pre[i].Kind], pre[i].Name)
+		}
+		id, last := r[0].Int(), r[1].Int()
+		for j, o := range rows.Rows {
+			in := o[0].Int() > id && o[0].Int() <= last
+			if desc := j > i && j <= end[i]; in != desc {
+				t.Fatalf("node_id %d in (%d, %d] is %v; node %d under node %d in the tree is %v",
+					o[0].Int(), id, last, in, j, i, desc)
+			}
+		}
+	}
 }

@@ -8,7 +8,11 @@
 // requirements (§2.2), all satisfied here:
 //
 //   - generic, instance-independent schema (edge/path tables below),
-//   - document order preserved as a data value (Dewey sort keys),
+//   - document order preserved as a data value: node_id numbers a
+//     document's nodes in pre-order (attributes first), and last_desc
+//     is the highest node_id in the node's subtree, so the descendants
+//     of n are exactly the rows with node_id in (n.node_id, n.last_desc]
+//     (structure by reference, after XRecursive),
 //   - sequence vs non-sequence data separated (seq_data table),
 //   - string vs numeric values distinguished (values_str / values_num),
 //   - efficient keyword-based search (inverted index over text values).
@@ -33,13 +37,13 @@ var schemaDDL = []string{
 	`CREATE TABLE IF NOT EXISTS digests (db TEXT, doc_id INT, digest BYTES)`,
 	`CREATE TABLE IF NOT EXISTS paths (db TEXT, path_id INT, path TEXT)`,
 	`CREATE TABLE IF NOT EXISTS nodes (db TEXT, doc_id INT, node_id INT, parent_id INT,
-	   kind INT, name TEXT, path_id INT, sib_pos INT, depth INT, dewey TEXT)`,
+	   kind INT, name TEXT, path_id INT, sib_pos INT, depth INT, last_desc INT)`,
 	`CREATE TABLE IF NOT EXISTS values_str (db TEXT, doc_id INT, node_id INT, parent_id INT,
-	   path_id INT, val TEXT, dewey TEXT)`,
+	   path_id INT, val TEXT)`,
 	`CREATE TABLE IF NOT EXISTS values_num (db TEXT, doc_id INT, node_id INT, parent_id INT,
-	   path_id INT, val FLOAT, dewey TEXT)`,
+	   path_id INT, val FLOAT)`,
 	`CREATE TABLE IF NOT EXISTS seq_data (db TEXT, doc_id INT, node_id INT, parent_id INT,
-	   path_id INT, seq TEXT, dewey TEXT)`,
+	   path_id INT, seq TEXT)`,
 }
 
 // IndexDDL creates the access-path indexes the paper tuned "by
@@ -111,13 +115,17 @@ func (s *Store) BumpEpoch(db string) { s.bumpEpoch(db) }
 // reads always describe the current harvest.
 func (s *Store) AnalyzeStats() error { return s.DB.Analyze() }
 
-// Open attaches the shredding schema to db, creating tables on first use
-// and rebuilding the in-memory path cache and keyword indexes.
+// Open attaches the shredding schema to db, creating tables on first
+// use, migrating a file written with Dewey sort keys (migrateDewey), and
+// rebuilding the in-memory path cache and keyword indexes.
 func Open(db *sql.DB) (*Store, error) {
 	for _, ddl := range schemaDDL {
 		if _, err := db.Exec(ddl); err != nil {
 			return nil, fmt.Errorf("shred: schema: %w", err)
 		}
+	}
+	if err := migrateDewey(db); err != nil {
+		return nil, fmt.Errorf("shred: migrating sort keys: %w", err)
 	}
 	for _, ddl := range IndexDDL {
 		if _, err := db.Exec(ddl); err != nil {

@@ -320,18 +320,22 @@ func TestOrderPreservedAcrossShred(t *testing.T) {
 	if strings.Join(names, ",") != "x1,y2,x3,y4,x5" {
 		t.Errorf("order broken: %v", names)
 	}
-	// Dewey sort keys in the nodes table follow document order via plain
-	// string ORDER BY.
-	rows, err := s.DB.Query(`SELECT name, dewey FROM nodes WHERE db = 'db' AND kind = 0 ORDER BY dewey`)
+	// node_id is document order: ORDER BY node_id lists every node,
+	// text included, as the document reads.
+	rows, err := s.DB.Query(`SELECT name, kind FROM nodes WHERE db = 'db' ORDER BY node_id`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seq []string
 	for _, r := range rows.Rows {
+		if r[1].Int() == kindText {
+			seq = append(seq, "#")
+			continue
+		}
 		seq = append(seq, r[0].Text())
 	}
-	if strings.Join(seq, ",") != "r,x,y,x,y,x" {
-		t.Errorf("dewey ORDER BY order = %v", seq)
+	if strings.Join(seq, ",") != "r,x,#,y,#,x,#,y,#,x,#" {
+		t.Errorf("node_id ORDER BY order = %v", seq)
 	}
 }
 
@@ -522,4 +526,83 @@ func TestHasDBAndPathCount(t *testing.T) {
 	if len(dbs) != 1 || dbs[0].DB != "hlx_enzyme.DEFAULT" || dbs[0].Paths < 10 {
 		t.Errorf("Overview = %+v, want one database with >= 10 paths", dbs)
 	}
+}
+
+// TestLegacyDeweyMigration: Open rewrites tables that still end in a
+// Dewey sort key, keeping every row and id and deriving last_desc from
+// parent_id, and refuses, leaving the file as it was, a document whose
+// node ids do not follow its sort keys.
+func TestLegacyDeweyMigration(t *testing.T) {
+	legacy := func(t *testing.T, xKey, aKey string) *sql.DB {
+		db, err := sql.Open(filepath.Join(t.TempDir(), "old.db"), sql.Options{PoolPages: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		// <r a="1"><x>t</x></r>, numbered as the shredder always has.
+		for _, stmt := range []string{
+			`CREATE TABLE nodes (db TEXT, doc_id INT, node_id INT, parent_id INT,
+			   kind INT, name TEXT, path_id INT, sib_pos INT, depth INT, dewey TEXT)`,
+			`CREATE TABLE values_str (db TEXT, doc_id INT, node_id INT, parent_id INT, path_id INT, val TEXT, dewey TEXT)`,
+			`CREATE TABLE values_num (db TEXT, doc_id INT, node_id INT, parent_id INT, path_id INT, val FLOAT, dewey TEXT)`,
+			`CREATE TABLE seq_data (db TEXT, doc_id INT, node_id INT, parent_id INT, path_id INT, seq TEXT, dewey TEXT)`,
+			`INSERT INTO nodes VALUES ('d', 0, 0, -1, 0, 'r', 0, 1, 0, '000001'),
+			   ('d', 0, 1, 0, 1, 'a', 1, 1, 1, '` + aKey + `'),
+			   ('d', 0, 2, 0, 0, 'x', 2, 2, 1, '` + xKey + `'),
+			   ('d', 0, 3, 2, 2, '', 2, 1, 2, '000001.000002.000001')`,
+			`INSERT INTO values_str VALUES ('d', 0, 1, 0, 1, '1', '000001.000001'), ('d', 0, 3, 2, 2, 't', '000001.000002.000001')`,
+			`INSERT INTO values_num VALUES ('d', 0, 1, 0, 1, 1.0, '000001.000001')`,
+		} {
+			if _, err := db.Exec(stmt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	dump := func(t *testing.T, db *sql.DB, q string) string {
+		rows, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, r := range rows.Rows {
+			var f []string
+			for _, v := range r {
+				f = append(f, v.String())
+			}
+			out = append(out, strings.Join(f, " "))
+		}
+		return strings.Join(rows.Columns, " ") + ": " + strings.Join(out, "; ")
+	}
+
+	t.Run("migrates", func(t *testing.T) {
+		db := legacy(t, "000001.000002", "000001.000001")
+		if _, err := Open(db); err != nil {
+			t.Fatal(err)
+		}
+		for q, want := range map[string]string{
+			`SELECT node_id, last_desc FROM nodes`:        "node_id last_desc: 0 3; 1 1; 2 3; 3 3",
+			`SELECT * FROM values_str`:                    "db doc_id node_id parent_id path_id val: d 0 1 0 1 1; d 0 3 2 2 t",
+			`SELECT * FROM values_num`:                    "db doc_id node_id parent_id path_id val: d 0 1 0 1 1",
+			`SELECT node_id FROM seq_data`:                "node_id: ",
+			`SELECT COUNT(*) FROM nodes WHERE doc_id = 0`: "COUNT(*): 4",
+		} {
+			if got := dump(t, db, q); got != want {
+				t.Errorf("%s after migration = %q, want %q", q, got, want)
+			}
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("refuses disorder", func(t *testing.T) {
+		// x's sort key puts it before the attribute that has the lower id.
+		db := legacy(t, "000001.000001", "000001.000002")
+		if _, err := Open(db); !errors.Is(err, ErrLegacyOrder) {
+			t.Fatalf("Open of a disordered legacy file: %v, want ErrLegacyOrder", err)
+		}
+		if got := dump(t, db, `SELECT node_id, dewey FROM nodes WHERE node_id = 2`); got != "node_id dewey: 2 000001.000001" {
+			t.Errorf("the refused file changed: %s", got)
+		}
+	})
 }

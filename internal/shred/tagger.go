@@ -98,7 +98,7 @@ func (s *Store) Digests(db string, view *sql.Snap) (map[string][sha256.Size]byte
 
 func (s *Store) reconstruct(db string, docID int, snap *sql.Snap) (*xmldoc.Document, error) {
 	nodeRows, err := s.query(snap,
-		`SELECT node_id, parent_id, kind, name, dewey FROM nodes WHERE db = %s AND doc_id = %d`,
+		`SELECT node_id, parent_id, kind, name FROM nodes WHERE db = %s AND doc_id = %d`,
 		Quote(db), docID)
 	if err != nil {
 		return nil, err
@@ -109,28 +109,22 @@ func (s *Store) reconstruct(db string, docID int, snap *sql.Snap) (*xmldoc.Docum
 	type shredded struct {
 		id, parent, kind int
 		name             string
-		dewey            xmldoc.Dewey
 		node             *xmldoc.Node
 	}
 	items := make([]*shredded, 0, len(nodeRows.Rows))
 	byID := map[int]*shredded{}
 	for _, r := range nodeRows.Rows {
-		d, err := xmldoc.ParseSortKey(r[4].Text())
-		if err != nil {
-			return nil, err
-		}
 		it := &shredded{
 			id:     int(r[0].Int()),
 			parent: int(r[1].Int()),
 			kind:   int(r[2].Int()),
 			name:   r[3].Text(),
-			dewey:  d,
 		}
 		items = append(items, it)
 		byID[it.id] = it
 	}
-	// Document order from the Dewey labels ("order as a data value").
-	sort.Slice(items, func(i, j int) bool { return items[i].dewey.Compare(items[j].dewey) < 0 })
+	// Document order is node_id order ("order as a data value").
+	sort.Slice(items, func(i, j int) bool { return items[i].id < items[j].id })
 
 	// Text payloads.
 	text := map[int]string{}

@@ -36,10 +36,8 @@ func bindAggs(e Expr, idx map[*FuncCall]int, binds *[]aggBinding) Expr {
 		return &BinaryExpr{Op: e.Op, Left: bindAggs(e.Left, idx, binds), Right: bindAggs(e.Right, idx, binds)}
 	case *NotExpr:
 		return &NotExpr{Expr: bindAggs(e.Expr, idx, binds)}
-	case *LikeExpr:
-		return &LikeExpr{Expr: bindAggs(e.Expr, idx, binds), Pattern: bindAggs(e.Pattern, idx, binds), Not: e.Not}
 	case *InExpr:
-		ne := &InExpr{Expr: bindAggs(e.Expr, idx, binds), Not: e.Not}
+		ne := &InExpr{Expr: bindAggs(e.Expr, idx, binds)}
 		for _, x := range e.List {
 			ne.List = append(ne.List, bindAggs(x, idx, binds))
 		}

@@ -151,7 +151,6 @@ const (
 	OpGe  = ">="
 	OpAnd = "AND"
 	OpOr  = "OR"
-	OpCat = "||"
 )
 
 // BinaryExpr applies Op to Left and Right.
@@ -166,18 +165,10 @@ type NotExpr struct {
 	Expr Expr
 }
 
-// LikeExpr is string pattern matching with % and _ wildcards.
-type LikeExpr struct {
-	Expr    Expr
-	Pattern Expr
-	Not     bool
-}
-
 // InExpr tests membership in a literal list.
 type InExpr struct {
 	Expr Expr
 	List []Expr
-	Not  bool
 
 	// litSet memoises an all-literal list as encoded keys for O(1)
 	// membership tests. Built lazily on first evaluation. The pointer is
@@ -208,7 +199,6 @@ func (*Literal) expr()    {}
 func (*ColumnRef) expr()  {}
 func (*BinaryExpr) expr() {}
 func (*NotExpr) expr()    {}
-func (*LikeExpr) expr()   {}
 func (*InExpr) expr()     {}
 func (*FuncCall) expr()   {}
 
@@ -239,14 +229,12 @@ func ExprString(e Expr) string {
 		return "(" + operandString(e.Left) + " " + e.Op + " " + operandString(e.Right) + ")"
 	case *NotExpr:
 		return "NOT " + ExprString(e.Expr)
-	case *LikeExpr:
-		return operandString(e.Expr) + notString(e.Not) + " LIKE " + operandString(e.Pattern)
 	case *InExpr:
 		parts := make([]string, len(e.List))
 		for i, x := range e.List {
 			parts[i] = ExprString(x)
 		}
-		return operandString(e.Expr) + notString(e.Not) + " IN (" + strings.Join(parts, ", ") + ")"
+		return operandString(e.Expr) + " IN (" + strings.Join(parts, ", ") + ")"
 	case *FuncCall:
 		if e.Star {
 			return e.Name + "(*)"
@@ -260,22 +248,15 @@ func ExprString(e Expr) string {
 	return "?"
 }
 
-// operandString renders an operand of a comparison, of || or of a
-// LIKE/IN test. The grammar reads those operands below the NOT and
-// predicate level, so a NOT or a predicate there needs parentheses.
+// operandString renders an operand of a comparison or of an IN test.
+// The grammar reads those operands below the NOT and predicate level,
+// so a NOT or a predicate there needs parentheses.
 func operandString(e Expr) string {
 	switch e.(type) {
-	case *NotExpr, *LikeExpr, *InExpr:
+	case *NotExpr, *InExpr:
 		return "(" + ExprString(e) + ")"
 	}
 	return ExprString(e)
-}
-
-func notString(not bool) string {
-	if not {
-		return " NOT"
-	}
-	return ""
 }
 
 // identString renders a table or column name, double-quoted when it
@@ -308,9 +289,6 @@ func walkExpr(e Expr, visit func(Expr) bool) {
 		walkExpr(e.Right, visit)
 	case *NotExpr:
 		walkExpr(e.Expr, visit)
-	case *LikeExpr:
-		walkExpr(e.Expr, visit)
-		walkExpr(e.Pattern, visit)
 	case *InExpr:
 		walkExpr(e.Expr, visit)
 		for _, x := range e.List {

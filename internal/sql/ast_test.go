@@ -70,7 +70,6 @@ func TestWalkExprVisitsEveryOperand(t *testing.T) {
 		col(),
 		&BinaryExpr{Op: OpEq, Left: col(), Right: col()},
 		&NotExpr{Expr: col()},
-		&LikeExpr{Expr: col(), Pattern: col()},
 		&InExpr{Expr: col(), List: []Expr{col(), col()}},
 		&FuncCall{Name: "CONTAINS", Args: []Expr{col(), col()}},
 	}

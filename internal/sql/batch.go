@@ -212,8 +212,8 @@ func predCols(e Expr, schema *Schema) (cols []int, ok bool) {
 	ok = true
 	walkExpr(e, func(e Expr) bool {
 		if c, isRef := e.(*ColumnRef); isRef && ok {
-			i, err := schema.Find(c)
-			ok = err == nil
+			i, n := schema.lookup(c)
+			ok = n == 1
 			if ok && !slices.Contains(cols, i) {
 				cols = append(cols, i)
 			}

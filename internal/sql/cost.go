@@ -9,6 +9,7 @@ package sql
 
 import (
 	"math"
+	"slices"
 
 	"xomatiq/internal/value"
 )
@@ -18,7 +19,6 @@ import (
 const (
 	defaultEqSel    = 0.1
 	defaultRangeSel = 1.0 / 3
-	defaultLikeSel  = 0.25
 	defaultFuncSel  = 0.25
 	defaultJoinSel  = 0.2
 )
@@ -143,13 +143,8 @@ func conjSelectivity(t *TableInfo, binding string, c Expr) float64 {
 			for _, le := range e.List {
 				s += eqSelectivity(t, t.ColIndex(col.Column), le.(*Literal).Val)
 			}
-			if e.Not {
-				s = 1 - s
-			}
 			return clampSel(s)
 		}
-	case *LikeExpr:
-		return defaultLikeSel
 	case *FuncCall:
 		return defaultFuncSel
 	case *BinaryExpr:
@@ -341,15 +336,25 @@ func bindingMasks(conjs []Expr, entries []fromEntry) []uint64 {
 // when entry j joins the already-placed entries (a mask of their bits),
 // and whether any conjunct connects them (an unconnected pick is a cross
 // product). A conjunct applies when it reads j, some placed entry, and
-// nothing else.
+// nothing else. The non-equality conjuncts over one set of entries are
+// priced once, as one flat default: the two bounds of a descendant
+// interval (x.node_id > b.node_id AND x.node_id <= b.last_desc) are one
+// range, not two independent halvings.
 func joinStep(entries []fromEntry, j int, placed uint64, conjs []Expr, masks []uint64) (sel float64, connected bool) {
 	jbit := entries[j].bit()
 	sel = 1.0
+	var ranged []uint64
 	for i, m := range masks {
 		if m&jbit == 0 || m == jbit || m&^(placed|jbit) != 0 {
 			continue
 		}
 		connected = true
+		if b, ok := conjs[i].(*BinaryExpr); !ok || b.Op != OpEq {
+			if slices.Contains(ranged, m) {
+				continue
+			}
+			ranged = append(ranged, m)
+		}
 		sel *= crossConjSel(entries, j, conjs[i])
 	}
 	return sel, connected
@@ -357,7 +362,7 @@ func joinStep(entries []fromEntry, j int, placed uint64, conjs []Expr, masks []u
 
 // crossConjSel estimates one cross-binding conjunct. Equality between
 // two columns uses the classic 1/NDV of the new side; everything else
-// (Dewey-prefix LIKEs, order comparisons) gets a flat default.
+// (descendant intervals, order comparisons) gets a flat default.
 func crossConjSel(entries []fromEntry, j int, c Expr) float64 {
 	b, ok := c.(*BinaryExpr)
 	if !ok || b.Op != OpEq {

@@ -177,8 +177,8 @@ func TestOrderByAlias(t *testing.T) {
 	db := openDB(t)
 	seedEnzymes(t, db)
 	// Neither ec nor name orders the rows the way the alias does.
-	r := mustQuery(t, db, `SELECT cofactor || ' ' || ec AS n, name FROM enzymes ORDER BY n DESC, name LIMIT 1`)
-	if rowStrings(r)[0] != "Zinc 1.1.1.1|Alcohol dehydrogenase" {
+	r := mustQuery(t, db, `SELECT CONTAINS(name, 'oxidase') AS n, ec FROM enzymes ORDER BY n DESC, ec LIMIT 1`)
+	if rowStrings(r)[0] != "TRUE|1.2.3.4" {
 		t.Errorf("got %v", rowStrings(r))
 	}
 }
@@ -446,11 +446,11 @@ func TestIndexMaintenanceAcrossDML(t *testing.T) {
 func TestLikeAndContains(t *testing.T) {
 	db := openDB(t)
 	seedEnzymes(t, db)
-	r := mustQuery(t, db, `SELECT ec FROM enzymes WHERE name LIKE '%oxidase'`)
-	if len(r.Rows) != 1 || rowStrings(r)[0] != "1.2.3.4" {
-		t.Errorf("LIKE = %v", rowStrings(r))
+	// LIKE is not in the dialect: CONTAINS is its substring test.
+	if _, err := db.Query(`SELECT ec FROM enzymes WHERE name LIKE '%oxidase'`); err == nil {
+		t.Error("LIKE parsed")
 	}
-	r = mustQuery(t, db, `SELECT ec FROM enzymes WHERE CONTAINS(name, 'polymerase')`)
+	r := mustQuery(t, db, `SELECT ec FROM enzymes WHERE CONTAINS(name, 'polymerase')`)
 	if len(r.Rows) != 1 || rowStrings(r)[0] != "2.7.7.7" {
 		t.Errorf("CONTAINS = %v", rowStrings(r))
 	}
@@ -484,7 +484,7 @@ func TestMixedKindComparisonSameUnderEveryPlan(t *testing.T) {
 	db := openDB(t)
 	mustExec(t, db, `CREATE TABLE t (db TEXT, k INT)`)
 	for i := 0; i < 30; i++ {
-		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES ('d' || '%d', %d)`, i%3, i))
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t VALUES ('d%d', %d)`, i%3, i))
 	}
 	cases := []struct {
 		q       string

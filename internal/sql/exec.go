@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"xomatiq/internal/obs"
 	"xomatiq/internal/storage/disk"
@@ -31,6 +32,10 @@ type execState struct {
 	// LIMIT cut). Parallel scan workers select on it when handing off
 	// page batches, so an abandoned iterator never strands goroutines.
 	done chan struct{}
+	// scans counts the running parallel scan workers. finish waits for
+	// them: a worker still decoding a page after the statement released
+	// its snapshot could read a page the writer has since recycled.
+	scans sync.WaitGroup
 	// reg receives the work counters (heap pages, index probes) of this
 	// execution; nil skips them (plan-only walks).
 	reg *obs.Registry
@@ -65,14 +70,15 @@ func newExecState(ctx context.Context, workers int) *execState {
 	return &execState{ctx: ctx, workers: workers, done: make(chan struct{})}
 }
 
-// finish releases every goroutine still working for the query and
-// removes its spill files. Cleanup failures are swallowed: the query's
-// result (or error) is already determined, and an undeletable scratch
-// file must not turn it into a failure.
+// finish releases every goroutine still working for the query, waits
+// for them to stop, and removes its spill files. Cleanup failures are
+// swallowed: the query's result (or error) is already determined, and
+// an undeletable scratch file must not turn it into a failure.
 func (es *execState) finish() {
 	if es.done != nil {
 		close(es.done)
 	}
+	es.scans.Wait()
 	for _, f := range es.spillFiles {
 		_ = f.Close()
 	}
@@ -354,8 +360,8 @@ func resolvesIn(e Expr, schema *Schema) bool {
 	ok := true
 	walkExpr(e, func(e Expr) bool {
 		if c, isRef := e.(*ColumnRef); isRef && ok {
-			_, err := schema.Find(c)
-			ok = err == nil
+			_, n := schema.lookup(c)
+			ok = n == 1
 		}
 		return ok
 	})
@@ -522,7 +528,7 @@ func (db *DB) chooseAccess(es *execState, t *TableInfo, binding string, conjs []
 	for _, c := range conjs {
 		// IN over literals at an index's leading column becomes a union
 		// of point lookups.
-		if in, ok := c.(*InExpr); ok && !in.Not && allLiterals(in.List) {
+		if in, ok := c.(*InExpr); ok && allLiterals(in.List) {
 			if col, ok := in.Expr.(*ColumnRef); ok && refersTo(col, binding, t) {
 				b := boundFor(t.ColIndex(col.Column))
 				for _, le := range in.List {

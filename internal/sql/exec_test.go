@@ -32,8 +32,8 @@ func TestInListUsesIndexAndIsCorrect(t *testing.T) {
 	if got := rowStrings(r); strings.Join(got, ";") != strings.Join(want, ";") {
 		t.Errorf("IN query = %v", got)
 	}
-	// NOT IN must not use the point-lookup path.
-	r = mustQuery(t, db, `SELECT COUNT(*) FROM nums WHERE k NOT IN (3, 100)`)
+	// NOT around IN must not use the point-lookup path.
+	r = mustQuery(t, db, `SELECT COUNT(*) FROM nums WHERE NOT k IN (3, 100)`)
 	if rowStrings(r)[0] != "498" {
 		t.Errorf("NOT IN count = %v", rowStrings(r))
 	}

@@ -30,23 +30,26 @@ type SchemaCol struct {
 // Find resolves a column reference to its position. Ambiguous or missing
 // references return an error.
 func (s *Schema) Find(ref *ColumnRef) (int, error) {
-	found := -1
-	for i, c := range s.Cols {
-		if !strings.EqualFold(c.Name, ref.Column) {
-			continue
-		}
-		if ref.Table != "" && !strings.EqualFold(c.Table, ref.Table) {
-			continue
-		}
-		if found != -1 {
-			return 0, fmt.Errorf("sql: ambiguous column %q", ref.String())
-		}
-		found = i
-	}
-	if found == -1 {
+	switch pos, n := s.lookup(ref); n {
+	case 0:
 		return 0, fmt.Errorf("sql: unknown column %q", ref.String())
+	case 1:
+		return pos, nil
 	}
-	return found, nil
+	return 0, fmt.Errorf("sql: ambiguous column %q", ref.String())
+}
+
+// lookup returns how many columns ref names and the position of the
+// last. The planner probes every conjunct against every binding's
+// schema, so a reference that does not resolve there must cost no
+// error value.
+func (s *Schema) lookup(ref *ColumnRef) (pos, n int) {
+	for i, c := range s.Cols {
+		if strings.EqualFold(c.Name, ref.Column) && (ref.Table == "" || strings.EqualFold(c.Table, ref.Table)) {
+			pos, n = i, n+1
+		}
+	}
+	return pos, n
 }
 
 // Concat returns a schema with s's columns followed by o's.
@@ -58,7 +61,7 @@ func (s *Schema) Concat(o *Schema) *Schema {
 }
 
 // Eval evaluates e against row. Predicates use SQL three-valued logic:
-// a comparison, LIKE, IN or keyword test with a NULL operand is NULL,
+// a comparison, IN or keyword test with a NULL operand is NULL,
 // NOT NULL is NULL, and AND/OR are NULL unless the other side decides
 // them. A filter keeps only TRUE rows (truthy), so a NULL result drops
 // the row with or without a NOT around it. Comparisons order values by
@@ -90,23 +93,6 @@ func Eval(e Expr, row Row) (value.Value, error) {
 			return value.Null, nil
 		}
 		return value.NewBool(!truthy(v)), nil
-	case *LikeExpr:
-		v, err := Eval(e.Expr, row)
-		if err != nil {
-			return value.Null, err
-		}
-		pat, err := Eval(e.Pattern, row)
-		if err != nil {
-			return value.Null, err
-		}
-		if v.IsNull() || pat.IsNull() {
-			return value.Null, nil
-		}
-		m := likeMatch(asText(v), asText(pat))
-		if e.Not {
-			m = !m
-		}
-		return value.NewBool(m), nil
 	case *InExpr:
 		v, err := Eval(e.Expr, row)
 		if err != nil {
@@ -147,9 +133,6 @@ func Eval(e Expr, row Row) (value.Value, error) {
 		if !found && sawNull {
 			// x IN (…, NULL) is NULL, not false, when nothing else matched.
 			return value.Null, nil
-		}
-		if e.Not {
-			found = !found
 		}
 		return value.NewBool(found), nil
 	case *FuncCall:
@@ -221,11 +204,6 @@ func evalBinary(e *BinaryExpr, row Row) (value.Value, error) {
 			out = c >= 0
 		}
 		return value.NewBool(out), nil
-	case OpCat:
-		if l.IsNull() || r.IsNull() {
-			return value.Null, nil
-		}
-		return value.NewText(asText(l) + asText(r)), nil
 	}
 	return value.Null, fmt.Errorf("sql: unknown operator %q", e.Op)
 }
@@ -304,33 +282,4 @@ func asText(v value.Value) string {
 		return v.Text()
 	}
 	return v.String()
-}
-
-// likeMatch implements SQL LIKE: % matches any run, _ any single byte.
-func likeMatch(s, pat string) bool {
-	// Dynamic programming over positions, iterative two-pointer with
-	// backtracking on the last %.
-	si, pi := 0, 0
-	star, sBack := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pat) && (pat[pi] == '_' || pat[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pat) && pat[pi] == '%':
-			star = pi
-			sBack = si
-			pi++
-		case star != -1:
-			sBack++
-			si = sBack
-			pi = star + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pat) && pat[pi] == '%' {
-		pi++
-	}
-	return pi == len(pat)
 }

@@ -3,7 +3,6 @@ package sql
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"xomatiq/internal/value"
 )
@@ -37,9 +36,8 @@ func TestEvalComparisons(t *testing.T) {
 		{"'2' = 2", false},    // TEXT never equals a number
 		{"'10' < '9'", true},  // text compares as text
 		{"'2' IN (2)", false}, // IN keeps the same rule
-		{"'a' || 'b' = 'ab'", true},
 		{"2 IN (1, 2, 3)", true},
-		{"5 NOT IN (1, 2, 3)", true},
+		{"NOT 5 IN (1, 2, 3)", true},
 		{"NOT FALSE", true},
 		{"TRUE AND TRUE", true},
 		{"TRUE AND FALSE", false},
@@ -62,8 +60,7 @@ func TestEvalComparisons(t *testing.T) {
 func TestEvalNullLogic(t *testing.T) {
 	for _, src := range []string{
 		"NULL = NULL", "NULL = 1", "NULL <> 1", "NOT NULL = 1",
-		"NULL LIKE 'a%'", "NOT NULL LIKE 'a%'",
-		"NULL IN (1, 2)", "NULL NOT IN (1, 2)", "3 IN (1, NULL)", "3 NOT IN (1, NULL)",
+		"NULL IN (1, 2)", "NOT NULL IN (1, 2)", "3 IN (1, NULL)", "NOT 3 IN (1, NULL)",
 		"NULL AND TRUE", "NOT (NULL AND TRUE)", "NULL OR FALSE", "NOT (NULL OR FALSE)",
 		"CONTAINS(NULL, 'xyz')", "NOT CONTAINS(NULL, 'xyz')",
 	} {
@@ -80,57 +77,11 @@ func TestEvalNullLogic(t *testing.T) {
 		`SELECT b FROM t WHERE NOT (a = 1 AND b = 3)`: "2",
 		`SELECT b FROM t WHERE NOT (a = 1 OR b = 3)`:  "",
 		`SELECT b FROM t WHERE NOT a IN (1)`:          "",
-		`SELECT b FROM t WHERE a NOT IN (1)`:          "",
 		`SELECT b FROM t WHERE NOT a = 2`:             "2",
 	} {
 		if got := strings.Join(rowStrings(mustQuery(t, db, q)), ";"); got != want {
 			t.Errorf("%s = [%s], want [%s]", q, got, want)
 		}
-	}
-}
-
-func TestEvalLike(t *testing.T) {
-	cases := []struct {
-		s, pat string
-		want   bool
-	}{
-		{"ketone", "ket%", true},
-		{"ketone", "%one", true},
-		{"ketone", "%eto%", true},
-		{"ketone", "k_tone", true},
-		{"ketone", "ketone", true},
-		{"ketone", "keto", false},
-		{"ketone", "%x%", false},
-		{"", "%", true},
-		{"", "_", false},
-		{"abc", "%%", true},
-		{"a%b", "a%b", true}, // % in subject matched by literal path too
-		{"peptidylglycine monooxygenase", "%glycine%genase", true},
-	}
-	for _, c := range cases {
-		if got := likeMatch(c.s, c.pat); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v, want %v", c.s, c.pat, got, c.want)
-		}
-	}
-}
-
-func TestQuickLikeAgainstReference(t *testing.T) {
-	// Property: pattern with no wildcards matches iff equal; '%' alone
-	// matches everything; pattern 'prefix%' matches iff HasPrefix.
-	f := func(s, prefix string) bool {
-		if strings.ContainsAny(s, "%_") || strings.ContainsAny(prefix, "%_") {
-			return true
-		}
-		if likeMatch(s, s) != true {
-			return false
-		}
-		if likeMatch(s, "%") != true {
-			return false
-		}
-		return likeMatch(s, prefix+"%") == strings.HasPrefix(s, prefix)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // EXPLAIN shows that text as the predicate the plan runs.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
-		`SELECT a, b FROM t WHERE a = 1 AND b LIKE '%x%'`,
+		`SELECT a, b FROM t WHERE a = 1 AND CONTAINS(b, 'x')`,
 		`SELECT COUNT(*) FROM t`,
 		`SELECT d.name, v.val FROM docs d, values_str v WHERE d.id = v.doc_id ORDER BY d.name`,
 		`CREATE TABLE t (a INT, b TEXT, c FLOAT)`,
@@ -28,13 +28,13 @@ func FuzzParse(f *testing.F) {
 		`SELECT`,
 		`'unterminated`,
 		`SELECT * FROM t WHERE a = 1e999`,
-		`SELECT a FROM t WHERE b NOT LIKE 'x%'`,
-		`DELETE FROM t WHERE a NOT IN (1, 2)`,
-		`SELECT a || 'x' FROM t WHERE b || c = 'x'`,
+		`SELECT a FROM t WHERE NOT CONTAINS(b, 'x')`,
+		`DELETE FROM t WHERE NOT a IN (1, 2)`,
+		`SELECT w.a FROM t w, t b WHERE w.n > b.n AND w.n <= b.last`,
 		// Printer bugs the round trip found: quoted names, and a NOT or
 		// a predicate as the operand of another operator.
 		`SELECT "a b", "select", x."1" FROM t WHERE (NOT a) = 1`,
-		`SELECT (a IN (1)) || 'x' FROM t WHERE (a LIKE 'x') = (b NOT IN (1, 2))`,
+		`SELECT (a IN (1)) = 'x' FROM t WHERE (a IN (3)) = (NOT b IN (1, 2))`,
 		// An unquoted name is ASCII; quoted, any name is one.
 		`SELECT é FROM t`,
 		`SELECT "é" FROM t`,

@@ -43,8 +43,7 @@ var keywords = map[string]bool{
 	"ON": true, "DROP": true, "AND": true, "OR": true, "NOT": true,
 	"NULL": true, "TRUE": true, "FALSE": true, "AS": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true,
-	"LIMIT": true, "GROUP": true, "DISTINCT": true, "JOIN": true,
-	"LIKE": true, "IN": true,
+	"LIMIT": true, "GROUP": true, "DISTINCT": true, "JOIN": true, "IN": true,
 	"INT": true, "FLOAT": true, "TEXT": true, "BOOL": true, "BYTES": true,
 	"COUNT": true, "SUM": true, "MIN": true, "MAX": true,
 	"IF": true, "EXISTS": true,
@@ -205,7 +204,7 @@ func (l *lexer) lexSymbol(start int) (token, error) {
 		two = l.src[l.pos : l.pos+2]
 	}
 	switch two {
-	case "<=", ">=", "<>", "!=", "||":
+	case "<=", ">=", "<>", "!=":
 		l.pos += 2
 		return token{kind: tokSymbol, text: two, pos: start}, nil
 	}

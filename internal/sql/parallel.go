@@ -123,8 +123,12 @@ func (p *parallelScanIter) start() {
 	p.stop = make(chan struct{})
 	p.pending = make(map[int]pageBatch, p.workers)
 	var cursor atomic.Int64
+	p.es.scans.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
-		go p.worker(&cursor)
+		go func() {
+			defer p.es.scans.Done()
+			p.worker(&cursor)
+		}()
 	}
 }
 
@@ -135,6 +139,13 @@ func (p *parallelScanIter) start() {
 func (p *parallelScanIter) worker(cursor *atomic.Int64) {
 	scratch := make(value.Tuple, len(p.schema.Cols))
 	for {
+		select {
+		case <-p.stop:
+			return
+		case <-p.es.done:
+			return
+		default:
+		}
 		i := int(cursor.Add(1)) - 1
 		if i >= len(p.pages) {
 			return

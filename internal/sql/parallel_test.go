@@ -36,7 +36,7 @@ func seedBig(t *testing.T, db *DB, n int) {
 var parallelProbeQueries = []string{
 	`SELECT k, v FROM big WHERE grp = 'g3'`,
 	`SELECT k FROM big WHERE k >= 700 AND k < 2200 AND grp = 'g5'`,
-	`SELECT v FROM big WHERE v LIKE '%0013%'`,
+	`SELECT v FROM big WHERE CONTAINS(v, '0013')`,
 	`SELECT COUNT(*), MIN(k), MAX(k) FROM big WHERE grp = 'g7'`,
 	`SELECT k FROM big LIMIT 5`,
 	`SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.grp = 'g1' AND b.grp = 'g1'`,

@@ -438,8 +438,7 @@ func (p *parser) tableRef() (TableRef, error) {
 //	orExpr      = andExpr { OR andExpr }
 //	andExpr     = notExpr { AND notExpr }
 //	notExpr     = NOT notExpr | predicate
-//	predicate   = catExpr [compOp catExpr | [NOT] LIKE catExpr | [NOT] IN ( expression {, expression} )]
-//	catExpr     = primary { '||' primary }
+//	predicate   = primary [compOp primary | IN ( expression {, expression} )]
 //	primary     = ['-'] number | string | NULL | TRUE | FALSE
 //	            | funcCall | columnRef | ( expression )
 func (p *parser) expression() (Expr, error) { return p.orExpr() }
@@ -486,24 +485,15 @@ func (p *parser) notExpr() (Expr, error) {
 }
 
 func (p *parser) predicate() (Expr, error) {
-	left, err := p.catExpr()
+	left, err := p.primary()
 	if err != nil {
 		return nil, err
-	}
-	// Optional NOT before LIKE/IN.
-	not := false
-	if p.peek().kind == tokKeyword && p.peek().text == "NOT" {
-		nt := p.toks[p.pos+1]
-		if nt.kind == tokKeyword && (nt.text == "LIKE" || nt.text == "IN") {
-			p.advance()
-			not = true
-		}
 	}
 	t := p.peek()
 	switch {
 	case t.kind == tokSymbol && isCompOp(t.text):
 		p.advance()
-		right, err := p.catExpr()
+		right, err := p.primary()
 		if err != nil {
 			return nil, err
 		}
@@ -512,13 +502,6 @@ func (p *parser) predicate() (Expr, error) {
 			op = OpNe
 		}
 		return &BinaryExpr{Op: op, Left: left, Right: right}, nil
-	case t.kind == tokKeyword && t.text == "LIKE":
-		p.advance()
-		pat, err := p.catExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &LikeExpr{Expr: left, Pattern: pat, Not: not}, nil
 	case t.kind == tokKeyword && t.text == "IN":
 		p.advance()
 		if err := p.expect(tokSymbol, "("); err != nil {
@@ -538,10 +521,7 @@ func (p *parser) predicate() (Expr, error) {
 		if err := p.expect(tokSymbol, ")"); err != nil {
 			return nil, err
 		}
-		return &InExpr{Expr: left, List: list, Not: not}, nil
-	}
-	if not {
-		return nil, fmt.Errorf("sql: dangling NOT at %s", t)
+		return &InExpr{Expr: left, List: list}, nil
 	}
 	return left, nil
 }
@@ -552,21 +532,6 @@ func isCompOp(s string) bool {
 		return true
 	}
 	return false
-}
-
-func (p *parser) catExpr() (Expr, error) {
-	left, err := p.primary()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tokSymbol, "||") {
-		right, err := p.primary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: OpCat, Left: left, Right: right}
-	}
-	return left, nil
 }
 
 // funcArgs are the functions the dialect has, with their argument

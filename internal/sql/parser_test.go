@@ -101,7 +101,7 @@ func TestParseInsert(t *testing.T) {
 
 func TestParseSelectFull(t *testing.T) {
 	src := `SELECT DISTINCT a.x AS col, COUNT(*) FROM t1 a, t2 b
-	        WHERE a.id = b.id AND a.x > 3 AND b.y LIKE 'ket%' GROUP BY a.x
+	        WHERE a.id = b.id AND a.x > 3 AND CONTAINS(b.y, 'ket') GROUP BY a.x
 	        ORDER BY col DESC, a.x LIMIT 10`
 	st := mustParse(t, src).(*Select)
 	if !st.Distinct || len(st.Items) != 2 || len(st.From) != 2 {
@@ -138,29 +138,32 @@ func TestParseExpressionPrecedence(t *testing.T) {
 	if !ok || and.Op != OpAnd {
 		t.Error("AND should bind tighter than OR")
 	}
-	// || binds tighter than a comparison: the Dewey-prefix test.
-	st2 := mustParse(t, `SELECT * FROM t WHERE w.dewey LIKE b.dewey || '.%' AND NOT a = 1`).(*Select)
+	// Comparisons bind tighter than AND: the descendant-interval test.
+	st2 := mustParse(t, `SELECT * FROM t WHERE w.node_id > b.node_id AND w.node_id <= b.last_desc AND NOT a = 1`).(*Select)
 	conjs := conjuncts(st2.Where)
-	like, ok := conjs[0].(*LikeExpr)
-	if !ok {
-		t.Fatalf("first conjunct = %s, want LIKE", ExprString(conjs[0]))
+	if len(conjs) != 3 {
+		t.Fatalf("got %d conjuncts, want 3", len(conjs))
 	}
-	if cat, ok := like.Pattern.(*BinaryExpr); !ok || cat.Op != OpCat {
-		t.Errorf("LIKE pattern = %s, want a || concatenation", ExprString(like.Pattern))
+	for i, op := range []string{OpGt, OpLe} {
+		if c, ok := conjs[i].(*BinaryExpr); !ok || c.Op != op {
+			t.Errorf("conjunct %d = %s, want a %s comparison", i, ExprString(conjs[i]), op)
+		}
 	}
-	if not, ok := conjs[1].(*NotExpr); !ok || not.Expr.(*BinaryExpr).Op != OpEq {
-		t.Errorf("NOT should bind looser than =: %s", ExprString(conjs[1]))
+	if not, ok := conjs[2].(*NotExpr); !ok || not.Expr.(*BinaryExpr).Op != OpEq {
+		t.Errorf("NOT should bind looser than =: %s", ExprString(conjs[2]))
 	}
 }
 
 func TestParsePredicates(t *testing.T) {
-	st := mustParse(t, `SELECT * FROM t WHERE a NOT LIKE 'x%' AND b IN (1,2,3) AND NOT e = 1`).(*Select)
+	st := mustParse(t, `SELECT * FROM t WHERE NOT a IN (4) AND b IN (1,2,3) AND NOT e = 1`).(*Select)
 	conjs := conjuncts(st.Where)
 	if len(conjs) != 3 {
 		t.Fatalf("got %d conjuncts", len(conjs))
 	}
-	if l, ok := conjs[0].(*LikeExpr); !ok || !l.Not {
-		t.Error("NOT LIKE not parsed")
+	if n, ok := conjs[0].(*NotExpr); !ok {
+		t.Error("NOT IN not parsed")
+	} else if _, ok := n.Expr.(*InExpr); !ok {
+		t.Error("NOT around IN not parsed")
 	}
 	if in, ok := conjs[1].(*InExpr); !ok || len(in.List) != 3 {
 		t.Error("IN not parsed")
@@ -264,6 +267,13 @@ func TestParseErrors(t *testing.T) {
 		"SELECT COUNT() FROM t",
 		"SELECT SUM(a, b) FROM t",
 		"SELECT CONTAINS(a) FROM t",
+		// Neither pattern matching nor concatenation is in the dialect,
+		// and NOT goes before a predicate, not inside it.
+		"SELECT * FROM t WHERE a LIKE 'x%'",
+		"SELECT * FROM t WHERE a NOT LIKE 'x%'",
+		"SELECT a || 'x' FROM t",
+		"SELECT * FROM t WHERE a = b || 'x'",
+		"SELECT * FROM t WHERE a NOT IN (1, 2)",
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -273,9 +283,9 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestExprString(t *testing.T) {
-	st := mustParse(t, `SELECT * FROM t WHERE a = 'it''s' AND b IN (1,2) AND c NOT LIKE 'x%'`).(*Select)
+	st := mustParse(t, `SELECT * FROM t WHERE a = 'it''s' AND b IN (1,2) AND NOT c IN (3)`).(*Select)
 	s := ExprString(st.Where)
-	if !strings.Contains(s, "'it''s'") || !strings.Contains(s, "IN (1, 2)") || !strings.Contains(s, "c NOT LIKE 'x%'") {
+	if !strings.Contains(s, "'it''s'") || !strings.Contains(s, "IN (1, 2)") || !strings.Contains(s, "NOT c IN (3)") {
 		t.Errorf("ExprString = %q", s)
 	}
 }

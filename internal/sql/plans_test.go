@@ -311,7 +311,7 @@ func TestEstimatesWithinBounds(t *testing.T) {
 		`SELECT id FROM big WHERE v >= 10 AND v < 990`,
 		`SELECT val FROM ev WHERE db = 'main'`,
 		`SELECT b.v, s.name FROM big b, small s WHERE s.id = b.id AND b.cat = 'rare0'`,
-		`SELECT pad FROM big WHERE pad LIKE '%1%'`,
+		`SELECT pad FROM big WHERE CONTAINS(pad, '1')`,
 	}
 	for _, q := range queries {
 		stmt, err := Parse(q)

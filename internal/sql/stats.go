@@ -10,7 +10,6 @@ package sql
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -26,7 +25,7 @@ const (
 	// space and hence the distinct count, with ~1/sqrt(k) relative error.
 	kmvK = 256
 	// statsFreqCap bounds the exact frequency map per column. Columns
-	// with more distinct values (free text, Dewey keys) drop the map and
+	// with more distinct values (free text, node ids) drop the map and
 	// keep only the sketch estimate; dictionary-coded columns (path_id,
 	// kind, db) stay under it, which is what gives the planner its
 	// per-path row counts.
@@ -261,13 +260,12 @@ func decodeStatsRow(tup value.Tuple) (table string, st *tableStats, err error) {
 // them in the catalog, so they survive reopen. Queries planned after
 // Analyze returns use the fresh statistics immediately (plans are built
 // per execution); queries in flight keep the snapshot they started with.
-// The load pipeline calls this after each bulk load.
+// Inside a batch the statistics describe the batch and commit with it;
+// snapshot readers keep the statistics their snapshot was published
+// with. The load pipeline calls this after each bulk load.
 func (db *DB) Analyze() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.inBatch {
-		return errors.New("sql: cannot analyze inside an open batch")
-	}
 	return db.autocommitLocked(db.analyzeLocked)
 }
 

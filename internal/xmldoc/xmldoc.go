@@ -1,7 +1,9 @@
 // Package xmldoc provides the ordered XML document model used throughout
 // XomatiQ: a node tree with stable document order, Dewey order labels
 // (Tatarinov et al., SIGMOD 2002 — the order-encoding the paper cites for
-// "treating order as a data value"), parsing and serialisation.
+// "treating order as a data value"; the native evaluator compares them,
+// the warehouse stores pre-order node ids instead), parsing and
+// serialisation.
 package xmldoc
 
 import (
@@ -207,23 +209,6 @@ func (d Dewey) String() string {
 	return strings.Join(parts, ".")
 }
 
-// ParseDewey parses the String form.
-func ParseDewey(s string) (Dewey, error) {
-	if s == "" {
-		return Dewey{}, nil
-	}
-	parts := strings.Split(s, ".")
-	d := make(Dewey, len(parts))
-	for i, p := range parts {
-		var n int
-		if _, err := fmt.Sscanf(p, "%d", &n); err != nil {
-			return nil, fmt.Errorf("xmldoc: bad dewey %q", s)
-		}
-		d[i] = n
-	}
-	return d, nil
-}
-
 // Compare orders two Dewey labels in document order.
 func (d Dewey) Compare(o Dewey) int {
 	n := len(d)
@@ -245,76 +230,6 @@ func (d Dewey) Compare(o Dewey) int {
 		return 1
 	}
 	return 0
-}
-
-// IsAncestorOf reports whether d labels a proper ancestor of o.
-func (d Dewey) IsAncestorOf(o Dewey) bool {
-	if len(d) >= len(o) {
-		return false
-	}
-	for i := range d {
-		if d[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SortKey renders the Dewey as a fixed-width dotted string so plain
-// string comparison in SQL ORDER BY matches document order (each
-// component is zero-padded to 6 digits). This is how "order as a data
-// value" reaches the relational engine.
-func (d Dewey) SortKey() string {
-	if len(d) == 0 {
-		return ""
-	}
-	return string(d.AppendSortKey(make([]byte, 0, len(d)*7-1)))
-}
-
-// AppendSortKey appends the SortKey rendering of d to dst and returns the
-// extended slice, without intermediate allocations. The shredder uses a
-// reused buffer here, so labelling a node costs no garbage beyond the
-// final string.
-func (d Dewey) AppendSortKey(dst []byte) []byte {
-	for i, c := range d {
-		if i > 0 {
-			dst = append(dst, '.')
-		}
-		dst = AppendSortKeyComponent(dst, c)
-	}
-	return dst
-}
-
-// AppendSortKeyComponent appends one zero-padded 6-digit component.
-// Components ≥ 10^6 fall back to full decimal rendering (longer strings
-// still compare after any 6-digit sibling, preserving order).
-func AppendSortKeyComponent(dst []byte, c int) []byte {
-	if c < 0 || c >= 1000000 {
-		return fmt.Appendf(dst, "%06d", c)
-	}
-	var tmp [6]byte
-	for i := 5; i >= 0; i-- {
-		tmp[i] = byte('0' + c%10)
-		c /= 10
-	}
-	return append(dst, tmp[:]...)
-}
-
-// ParseSortKey recovers a Dewey from its SortKey form.
-func ParseSortKey(s string) (Dewey, error) { return ParseDewey(trimZeros(s)) }
-
-func trimZeros(s string) string {
-	if s == "" {
-		return s
-	}
-	parts := strings.Split(s, ".")
-	for i, p := range parts {
-		parts[i] = strings.TrimLeft(p, "0")
-		if parts[i] == "" {
-			parts[i] = "0"
-		}
-	}
-	return strings.Join(parts, ".")
 }
 
 // AssignDeweys walks the document assigning a Dewey label to every node

@@ -342,3 +342,60 @@ func randomQuery(rng *rand.Rand) string {
 	}
 	return sb.String()
 }
+
+// TestIntervalBoundEquivalence binds elements that repeat in every
+// document, so both ends of the descendant interval
+// (node_id, last_desc] decide rows: without the lower bound a binding
+// also sees the values of the siblings before it, without the upper
+// bound those after it. Bindings over the document root, which the
+// random suite uses, cannot tell.
+func TestIntervalBoundEquivalence(t *testing.T) {
+	fx := newFixture(t)
+	loadPaperCorpus(t, fx, 12, 0, 0)
+	// A reference that is not the first of its list, so that references
+	// on both sides of it share its document.
+	var acc string
+	for _, d := range fx.corpus["hlx_enzyme.DEFAULT"] {
+		refs := d.Root.FirstChild("db_entry").FirstChild("swissprot_reference_list").ChildElements("reference")
+		if len(refs) >= 3 {
+			acc, _ = refs[1].Attr("swissprot_accession_number")
+			break
+		}
+	}
+	if acc == "" {
+		t.Fatal("no enzyme entry with three Swiss-Prot references")
+	}
+	// Sibling elements in both orders, so BEFORE and AFTER hold for some
+	// bindings of a document and not for their neighbours.
+	var docs []*xmldoc.Document
+	for i, src := range []string{
+		`<r><e><v>1</v><k>a</k></e><e><k>b</k><v>2</v></e><e><v>3</v><k>c</k></e></r>`,
+		`<r><e><k>d</k><v>4</v></e><e><v>5</v><k>e</k></e><e><k>f</k><v>6</v></e></r>`,
+	} {
+		docs = append(docs, named(xmldoc.MustParse(src), fmt.Sprintf("d%d", i)))
+	}
+	fx.loadDocs(t, "db", nil, docs)
+
+	for _, c := range []struct {
+		query string
+		want  string
+	}{
+		{fmt.Sprintf(`FOR $r IN document("hlx_enzyme.DEFAULT")//reference
+WHERE $r/@swissprot_accession_number = %q
+RETURN $r/@name, $r/@swissprot_accession_number`, acc), ""},
+		{`FOR $r IN document("hlx_enzyme.DEFAULT")/hlx_enzyme/db_entry/swissprot_reference_list/reference
+WHERE $r/@swissprot_accession_number >= "P5"
+RETURN $r/@swissprot_accession_number`, ""},
+		{`FOR $e IN document("db")//e WHERE $e/k = "b" RETURN $e/v`, "2"},
+		{`FOR $e IN document("db")//e WHERE $e/v >= 3 AND $e/v < 5 RETURN $e/k`, "c;d"},
+		{`FOR $e IN document("db")//e WHERE $e/k BEFORE $e/v RETURN $e/k, $e/v`, "b|2;d|4;f|6"},
+		{`FOR $e IN document("db")/r/e WHERE $e/k AFTER $e/v RETURN $e/k`, "a;c;e"},
+	} {
+		for _, useIndex := range []bool{false, true} {
+			rows := assertAgree(t, fx, c.query, useIndex, true)
+			if c.want != "" && strings.Join(rows, ";") != c.want {
+				t.Errorf("%s\n= %v, want %s", c.query, rows, c.want)
+			}
+		}
+	}
+}

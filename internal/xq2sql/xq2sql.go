@@ -8,12 +8,15 @@
 //     constrained to the binding path's dictionary ids;
 //   - each WHERE condition on a path under $v becomes an instance of
 //     values_str (or values_num for numeric comparisons), linked to the
-//     binding by document id and a Dewey-prefix descendant test;
+//     binding by document id and the descendant test
+//     x.node_id > b.node_id AND x.node_id <= b.last_desc (a pre-order
+//     interval: the shredder numbers nodes in document order and keeps
+//     each subtree's highest id in last_desc);
 //   - contains() becomes KWCONTAINS over the value, optionally
 //     pre-filtered through the inverted keyword index (doc_id IN ...);
 //   - step predicates join a sibling (attribute) or child (element)
 //     value instance through the shared parent node;
-//   - BEFORE/AFTER compare Dewey sort keys lexicographically;
+//   - BEFORE/AFTER compare node_id within one document;
 //   - RETURN items join further value instances and project their val.
 //
 // The result is a single SELECT DISTINCT (existential semantics). A few
@@ -252,7 +255,8 @@ func (t *translator) valueInstance(p *xq.PathExpr, numeric, under, forReturn boo
 	t.where = append(t.where,
 		alias+".db = "+shred.Quote(b.db),
 		alias+".doc_id = "+b.alias+".doc_id",
-		alias+".dewey LIKE "+b.alias+".dewey || '.%'",
+		alias+".node_id > "+b.alias+".node_id",
+		alias+".node_id <= "+b.alias+".last_desc",
 		inList(alias+".path_id", ids))
 	// Predicates on the final step: sibling attribute or child element
 	// instances sharing structure with this value instance.
@@ -416,7 +420,8 @@ func (t *translator) addSeqContains(e *xq.SeqContains) error {
 	t.where = append(t.where,
 		alias+".db = "+shred.Quote(b.db),
 		alias+".doc_id = "+b.alias+".doc_id",
-		alias+".dewey LIKE "+b.alias+".dewey || '.%'",
+		alias+".node_id > "+b.alias+".node_id",
+		alias+".node_id <= "+b.alias+".last_desc",
 		inList(alias+".path_id", ids),
 		fmt.Sprintf("CONTAINS(%s.seq, %s)", alias, shred.Quote(e.Motif)))
 	return nil
@@ -463,7 +468,7 @@ func (t *translator) addOrder(e *xq.Order) error {
 	}
 	t.where = append(t.where,
 		left+".doc_id = "+right+".doc_id",
-		fmt.Sprintf("%s.dewey %s %s.dewey", left, op, right))
+		fmt.Sprintf("%s.node_id %s %s.node_id", left, op, right))
 	return nil
 }
 
@@ -497,7 +502,8 @@ func (t *translator) nodeInstance(p *xq.PathExpr) (string, error) {
 		alias+".db = "+shred.Quote(b.db),
 		alias+".kind = "+kind,
 		alias+".doc_id = "+b.alias+".doc_id",
-		alias+".dewey LIKE "+b.alias+".dewey || '.%'",
+		alias+".node_id > "+b.alias+".node_id",
+		alias+".node_id <= "+b.alias+".last_desc",
 		inList(alias+".path_id", ids))
 	return alias, nil
 }

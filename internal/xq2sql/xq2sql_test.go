@@ -377,10 +377,14 @@ RETURN $a//enzyme_id`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"SELECT DISTINCT", "FROM nodes b1", "values_str", "KWCONTAINS", "dewey LIKE"} {
+	for _, frag := range []string{"SELECT DISTINCT", "FROM nodes b1", "values_str", "KWCONTAINS",
+		"w2.node_id > b1.node_id AND w2.node_id <= b1.last_desc"} {
 		if !strings.Contains(tr.SQL, frag) {
 			t.Errorf("SQL missing %q:\n%s", frag, tr.SQL)
 		}
+	}
+	if strings.Contains(tr.SQL, "LIKE") {
+		t.Errorf("SQL tests structure with LIKE:\n%s", tr.SQL)
 	}
 }
 
