@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -174,6 +175,73 @@ RETURN $a//enzyme_id, $a//enzyme_description`)
 	}
 	if n := snap.Metrics()["exec.join_switches"]; n < 1 {
 		t.Errorf("exec.join_switches = %v, want >= 1", n)
+	}
+}
+
+// TestExplainSemiJoins: Fig. 8's two contains() aliases are existence
+// tests that nothing after them reads, so under the translation's
+// DISTINCT they join as semi joins; the lookup and Fig. 9 return every
+// alias past their driving scan, so they plan none.
+func TestExplainSemiJoins(t *testing.T) {
+	opts := bio.GenOptions{Seed: 42, Cdc6Rate: 0.2, ECLinkRate: 0.3}
+	enzymes := bio.GenEnzymes(100, opts)
+	ids := make([]string, len(enzymes))
+	for i, en := range enzymes {
+		ids[i] = en.ID
+	}
+	var embl, sprot bytes.Buffer
+	if err := bio.WriteEMBL(&embl, bio.GenEMBL(60, "inv", ids, opts)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bio.WriteSProt(&sprot, bio.GenSProt(60, opts)); err != nil {
+		t.Fatal(err)
+	}
+	e := openEngine(t)
+	for _, s := range []struct {
+		db, flat string
+		tr       hounds.Transformer
+	}{
+		{"hlx_enzyme.DEFAULT", enzymeFlat(t, enzymes), hounds.EnzymeTransformer{}},
+		{"hlx_embl.inv", embl.String(), hounds.EMBLTransformer{}},
+		{"hlx_sprot.all", sprot.String(), hounds.SProtTransformer{}},
+	} {
+		if err := e.RegisterSource(s.db, hounds.NewSimSource(s.db, s.flat), s.tr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Harness(s.db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	semiLines := func(query string) []string {
+		t.Helper()
+		plan, err := e.Explain(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return regexp.MustCompile(`semi join \S+ as \S+:`).FindAllString(plan, -1)
+	}
+	fig8 := `FOR $a IN document("hlx_embl.inv")/hlx_n_sequence,
+    $b IN document("hlx_sprot.all")/hlx_n_sequence
+WHERE contains($a, "cdc6", any) AND contains($b, "cdc6", any)
+RETURN $b//sprot_accession_number, $a//embl_accession_number`
+	got := semiLines(fig8)
+	slices.Sort(got)
+	if want := []string{"semi join values_str as w3:", "semi join values_str as w4:"}; !slices.Equal(got, want) {
+		t.Errorf("Fig. 8 semi joins = %q, want %q", got, want)
+	}
+	if res, err := e.Query(fig8); err != nil || len(res.Rows) == 0 {
+		t.Fatalf("Fig. 8 = %v, %v; want rows", res, err)
+	}
+	for name, query := range map[string]string{
+		"lookup": `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE $a//enzyme_id = "` + ids[7] + `" RETURN $a//enzyme_id, $a//enzyme_description`,
+		"Fig. 9": `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//catalytic_activity, "ketone")
+RETURN $a//enzyme_id, $a//enzyme_description`,
+	} {
+		if got := semiLines(query); len(got) > 0 {
+			t.Errorf("%s plans semi joins %q, want none", name, got)
+		}
 	}
 }
 

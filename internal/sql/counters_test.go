@@ -38,8 +38,9 @@ func seedCounterFixture(t *testing.T, db *DB) {
 // heap.pages_scanned_per_op, btree.searches_per_op and
 // sql.rows_examined_per_row from these counters, so an executor rewrite
 // must reproduce them exactly. The exec counters pin the group-by, top-k
-// sort, spilled-join and join-switch operators the same way, and a scan at 4 workers
-// must read exactly the pages and records of the serial scan. Each
+// sort, spilled-join and join-switch operators the same way, a semi join
+// must do the work of its inner join, and a scan at 4 workers must read
+// exactly the pages and records of the serial scan. Each
 // statement's plan is checked too, so a planner change cannot silently
 // move a case onto another path.
 func TestCounterParity(t *testing.T) {
@@ -76,6 +77,9 @@ func TestCounterParity(t *testing.T) {
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.j = b.j AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_kjw (2 of 3 cols, 2 keys), hash past 300 rows", counters{0, 0, 31}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 200`, ExecOpts{}, "index nested loop via idx_b_k (1 of 1 cols, 1 keys), hash past 300 rows", counters{1, 300, 151}, execCounters{switches: 1}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 200`, ExecOpts{MemBudget: 1 << 10}, "index nested loop via idx_b_k", counters{1, 300, 151}, execCounters{spillParts: 54, spillLoads: 10, switches: 1}},
+		// The semi join asks its matcher for every left row as the inner
+		// join above does: the same probes and the same switch.
+		{`SELECT DISTINCT a.v FROM a, b WHERE a.k = b.k AND a.k < 200`, ExecOpts{}, "semi join b as b: index nested loop via idx_b_k (1 of 1 cols, 1 keys), hash past 300 rows", counters{1, 300, 151}, execCounters{switches: 1}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{}, "partitioned hash join", counters{1, 300, 1}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
 		{`SELECT j, COUNT(*), SUM(k) FROM a GROUP BY j`, ExecOpts{}, "hash aggregate (1 group cols, 2 aggs)", counters{3, 400, 0}, execCounters{groups: 10}},

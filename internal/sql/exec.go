@@ -276,9 +276,9 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	masks := bindingMasks(conjs, entries)
 
 	// Greedy cost-based join ordering: smallest estimated stream first.
-	// Result SETS are order-insensitive here (no ORDER BY handling depends
-	// on FROM order), and orderJoins keeps the syntactic order whenever a
-	// SELECT * pins it.
+	// Without ORDER BY the rows come in this order's stream order, which
+	// is deterministic for fixed statistics; orderJoins keeps the
+	// syntactic order whenever a SELECT * pins it.
 	entries = orderJoins(sel, entries, conjs, masks)
 
 	// Classify conjuncts by the single entry they constrain (if any);
@@ -302,24 +302,39 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	// in scope, so selective cross-binding predicates (join conditions,
 	// structural tests) prune intermediate results early.
 	pending := residual
-	applyReady := func(it batchIter) batchIter {
+	takeReady := func(schema *Schema) []Expr {
+		var ready []Expr
 		kept := pending[:0]
 		for _, c := range pending {
-			if resolvesIn(c, it.Schema()) {
-				it = newChunkFilter(it, c)
+			if resolvesIn(c, schema) {
+				ready = append(ready, c)
 			} else {
 				kept = append(kept, c)
 			}
 		}
 		pending = kept
+		return ready
+	}
+	applyReady := func(it batchIter) batchIter {
+		for _, c := range takeReady(it.Schema()) {
+			it = newChunkFilter(it, c)
+		}
 		return it
 	}
 	it = applyReady(it)
+	semi := semiJoins(sel, entries, masks)
 	placed := first.bit()
 	leftEst := estScanRows(first.t, first.ref.Binding(), conjs)
 	for i, e := range entries[1:] {
 		jest := estJoinRows(entries, i+1, placed, conjs, masks, leftEst)
-		it = db.buildJoin(es, it, e.t, e.ref.Binding(), conjs, pushdown[e.pos], jest)
+		var conds []Expr
+		if semi[i+1] {
+			// Each left row passes at most once; the conjuncts that read the
+			// entry are all ready here and run inside the join.
+			jest = min(jest, leftEst)
+			conds = takeReady(it.Schema().Concat(e.t.Schema(e.ref.Binding())))
+		}
+		it = db.buildJoin(es, it, e.t, e.ref.Binding(), conjs, pushdown[e.pos], jest, semi[i+1], conds)
 		it = applyReady(it)
 		placed |= e.bit()
 		leftEst = jest
@@ -329,6 +344,61 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 		it = tracedBatchIf(rop, newChunkFilter(it, c))
 	}
 	return it, nil
+}
+
+// semiJoins marks, per FROM entry in join order, the entries that join
+// as semi-joins. Only a SELECT DISTINCT without GROUP BY, aggregate or *
+// has them: its result is the set of projected rows, and the copies of
+// a left row that a join adds for each of its matches are rows DISTINCT
+// drops. An entry after the first qualifies when no SELECT item and no
+// ORDER BY term reads its columns and every conjunct that reads it
+// reads no entry placed after it, so the semi-join can evaluate them
+// all and nothing downstream reads the entry.
+func semiJoins(sel *Select, entries []fromEntry, masks []uint64) []bool {
+	semi := make([]bool, len(entries))
+	if !sel.Distinct || len(sel.GroupBy) > 0 {
+		return semi
+	}
+	var reads []Expr
+	for _, it := range sel.Items {
+		if it.Star {
+			return semi
+		}
+		reads = append(reads, it.Expr)
+	}
+	if len(collectAggs(sel, reads)) > 0 {
+		return semi
+	}
+	for _, o := range sel.OrderBy {
+		reads = append(reads, o.Expr)
+	}
+	// A reference counts against every entry it could bind to: an ORDER
+	// BY term may name an output alias that is also some table's column.
+	var read uint64
+	for _, e := range reads {
+		walkExpr(e, func(e Expr) bool {
+			if c, ok := e.(*ColumnRef); ok {
+				for _, en := range entries {
+					if refersTo(c, en.ref.Binding(), en.t) {
+						read |= en.bit()
+					}
+				}
+			}
+			return true
+		})
+	}
+	placed := entries[0].bit()
+	for j := 1; j < len(entries); j++ {
+		b := entries[j].bit()
+		semi[j] = read&b == 0
+		for _, m := range masks {
+			if m&b != 0 && m&^(placed|b) != 0 {
+				semi[j] = false
+			}
+		}
+		placed |= b
+	}
+	return semi
 }
 
 // Explain plans a SELECT and renders the chosen access paths and join

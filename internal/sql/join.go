@@ -72,8 +72,11 @@ func probeSrcs(pairs []equiPair, cols []int) []keySrc {
 // linking the right table to the left stream; buildFrom's filters
 // re-check every conjunct once both sides are in scope. est is the cost
 // model's output-cardinality estimate for this join, rendered on the
-// plan line (EXPLAIN ANALYZE pairs it with actuals).
-func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding string, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
+// plan line (EXPLAIN ANALYZE pairs it with actuals). A semi-join
+// (semiJoinIter) runs the same matcher and evaluates conds, the
+// conjuncts that become ready at this step, inside the join.
+func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding string, whereConjs []Expr, rightFilter []Expr,
+	est float64, semi bool, conds []Expr) batchIter {
 	rightSchema := rt.Schema(binding)
 	var pairs []equiPair
 	for _, c := range whereConjs {
@@ -103,24 +106,32 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding st
 		parts := partitionsFor(estScanRows(rt, binding, whereConjs), es.memBudget, len(rightSchema.Cols))
 		return newPartHashJoin(es, pairs, rightSrc, parts)
 	}
+	kind := "join"
+	if semi {
+		kind = "semi join"
+	}
 	var m matcher
 	var op *obs.OpStats
 	if ix, width := pickJoinIndex(rt, pairs); ix != nil && db.indexesUsable(es) {
-		op = es.tracef("join %s as %s: index nested loop via %s (%d of %d cols, %d keys), hash past %d rows (est rows=%d)",
-			rt.Name, binding, ix.Name, width, len(ix.ColPos), len(pairs), estRowsInt(ra.est), estRowsInt(est))
+		op = es.tracef("%s %s as %s: index nested loop via %s (%d of %d cols, %d keys), hash past %d rows (est rows=%d)",
+			kind, rt.Name, binding, ix.Name, width, len(ix.ColPos), len(pairs), estRowsInt(ra.est), estRowsInt(est))
 		m = newIndexJoin(es, rt, rightSchema, ix, width, pairs, rightFilter, ra.est, newHash, op)
 	} else if len(pairs) > 0 {
 		h := newHash()
-		op = es.tracef("join %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
-			rt.Name, binding, len(pairs), h.parts, estRowsInt(est))
+		op = es.tracef("%s %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
+			kind, rt.Name, binding, len(pairs), h.parts, estRowsInt(est))
 		h.op = op
 		m = h
 	} else {
-		op = es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
-			rt.Name, binding, estRowsInt(est))
+		op = es.tracef("%s %s as %s: nested loop (cross) (est rows=%d)",
+			kind, rt.Name, binding, estRowsInt(est))
 		m = &crossJoin{rightSrc: rightSrc}
 	}
-	return tracedBatchIf(op, &joinIter{es: es, left: left, schema: left.Schema().Concat(rightSchema), m: m})
+	joined := left.Schema().Concat(rightSchema)
+	if semi {
+		return tracedBatchIf(op, newSemiJoin(es, left, joined, m, conds))
+	}
+	return tracedBatchIf(op, &joinIter{es: es, left: left, schema: joined, m: m})
 }
 
 // asEquiPair matches expr as left = right.col (either orientation) where
@@ -287,6 +298,110 @@ func (j *joinIter) NextChunk() (*chunk, error) {
 		j.matches, j.mpos = matches, 0
 		j.curPos++
 	}
+}
+
+// semiJoinIter is the semi-join. It asks its matcher for each left row's
+// matches exactly as joinIter does, so probes, switch points and spills
+// are the inner join's, but it passes the left row itself, at most once:
+// when some match, in match order, satisfies conds against (left row ++
+// match). Like chunkFilterIter it narrows the left chunk's selection
+// vector, so the left schema passes through and no column moves. Its
+// output is the inner join's with each left row's run of copies
+// collapsed to one row.
+type semiJoinIter struct {
+	es     *execState
+	left   batchIter
+	m      matcher
+	conds  []Expr
+	joined *Schema // left ++ right: the schema conds evaluate against
+	nLeft  int
+	cols   []int // columns of joined that conds read
+	// scratch holds the columns conds read: the left row's once per row,
+	// each candidate's right side in turn.
+	scratch value.Tuple
+	sel     []int
+	built   bool
+}
+
+func newSemiJoin(es *execState, left batchIter, joined *Schema, m matcher, conds []Expr) *semiJoinIter {
+	s := &semiJoinIter{
+		es: es, left: left, m: m, conds: conds, joined: joined,
+		nLeft: len(left.Schema().Cols), scratch: make(value.Tuple, len(joined.Cols)),
+	}
+	for _, c := range conds {
+		cols, _ := predCols(c, joined)
+		for _, i := range cols {
+			if !slices.Contains(s.cols, i) {
+				s.cols = append(s.cols, i)
+			}
+		}
+	}
+	return s
+}
+
+func (s *semiJoinIter) Schema() *Schema { return s.left.Schema() }
+
+func (s *semiJoinIter) NextChunk() (*chunk, error) {
+	if !s.built {
+		if err := s.m.build(); err != nil {
+			return nil, err
+		}
+		s.built = true
+	}
+	for {
+		c, err := s.left.NextChunk()
+		if err != nil || c == nil {
+			return nil, err
+		}
+		s.sel = s.sel[:0]
+		for k, n := 0, c.Rows(); k < n; k++ {
+			if err := s.es.poll(); err != nil {
+				return nil, err
+			}
+			r := c.RowIdx(k)
+			matches, err := s.m.match(c, k, r)
+			if err != nil {
+				return nil, err
+			}
+			if ok, err := s.anyPasses(c, r, matches); err != nil {
+				return nil, err
+			} else if ok {
+				s.sel = append(s.sel, r)
+			}
+		}
+		if len(s.sel) == 0 {
+			continue // nothing survived; pull the next batch
+		}
+		c.sel = s.sel
+		return c, nil
+	}
+}
+
+// anyPasses reports whether some match satisfies every cond against
+// (physical row r of c ++ match), stopping at the first that does.
+func (s *semiJoinIter) anyPasses(c *chunk, r int, matches []value.Tuple) (bool, error) {
+	if len(matches) == 0 || len(s.conds) == 0 {
+		return len(matches) > 0, nil
+	}
+	for _, i := range s.cols {
+		if i < s.nLeft {
+			s.scratch[i] = c.Value(i, r)
+		}
+	}
+	for _, tup := range matches {
+		for _, i := range s.cols {
+			if j := i - s.nLeft; j >= 0 {
+				s.scratch[i] = value.Null
+				if j < len(tup) {
+					s.scratch[i] = tup[j]
+				}
+			}
+		}
+		if ok, err := passes(s.conds, s.joined, s.scratch); err != nil || ok {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 // fnvHash is FNV-1a, the partition function of the partitioned hash

@@ -68,7 +68,8 @@ func (s joinStrategy) eq(l, r string) string {
 // joinQueries are the probe shapes, with %[1]s the k equality, %[2]s the
 // j equality and %[3]s a second equality on b.k (a.j = b.k) of the
 // strategy at hand. Every j is NULL or at least 0, so a.j >= 0 keeps the
-// non-NULL rows of a.
+// non-NULL rows of a. The SELECT DISTINCT shapes project a alone, so b,
+// when it joins second, joins as a semi join.
 var joinQueries = []string{
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s`,
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[2]s`,
@@ -77,6 +78,32 @@ var joinQueries = []string{
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND b.j < 2`,
 	`SELECT a.v, b.w, b.j FROM a, b WHERE %[1]s AND %[2]s AND a.v < 'a5'`,
 	`SELECT a.v, b.w FROM a, b WHERE %[1]s AND %[3]s`,
+	`SELECT DISTINCT a.v FROM a, b WHERE %[1]s AND a.j <> b.j`,
+	`SELECT DISTINCT a.v, a.j FROM a, b WHERE %[1]s AND b.w > 'b3' LIMIT 7`,
+}
+
+// distinctOracle returns the rows SELECT DISTINCT q must return: those of
+// q without DISTINCT and without its LIMIT, first occurrences kept in
+// order, then the LIMIT. A semi join must not change which rows come
+// first.
+func distinctOracle(t *testing.T, db *DB, q string) []string {
+	t.Helper()
+	sel := mustParse(t, q).(*Select)
+	limit := sel.Limit
+	sel.Distinct, sel.Limit = false, -1
+	all, err := db.QueryStmtOptsContext(context.Background(), sel, ExecOpts{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	seen := map[string]bool{}
+	for _, r := range rowStrings(all) {
+		if !seen[r] && (limit < 0 || len(rows) < limit) {
+			seen[r] = true
+			rows = append(rows, r)
+		}
+	}
+	return rows
 }
 
 // seedJoinTables creates a(k, j, v) and b(k, j, w) with the given row
@@ -122,6 +149,9 @@ func runJoinQuery(t *testing.T, db *DB, q string, workers int) []string {
 // must return the same multiset; each must return byte-identical rows
 // in the same order for QueryWorkers 1 and 4, under chunkPoison, and
 // under a 1 KiB memory budget (a spilled build, switched into mid-chunk).
+// A SELECT DISTINCT shape must also return exactly its distinctOracle
+// rows. Under a LIMIT only the row count must agree across strategies:
+// which rows come first follows the driving side's match order.
 func FuzzJoinStrategies(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(9))
 	f.Add(int64(2), uint8(40), uint8(40))
@@ -163,12 +193,19 @@ func FuzzJoinStrategies(f *testing.F) {
 					if !strings.Contains(plan, s.plan) {
 						t.Fatalf("%s: %s plan lacks %q:\n%s", s.name, q, s.plan, plan)
 					}
+					distinct := strings.HasPrefix(q, "SELECT DISTINCT")
+					if distinct && !strings.Contains(plan, "semi join b as b") && !strings.Contains(plan, "join a as a") {
+						t.Fatalf("%s: %s: b joins second but not as a semi join:\n%s", s.name, q, plan)
+					}
 					serial := runJoinQuery(t, db, q, 1)
 					same := func(what string, got []string) {
 						t.Helper()
 						if strings.Join(got, "\n") != strings.Join(serial, "\n") {
 							t.Fatalf("%s: %s: %s diverged:\n%v\n%v", r.name, q, what, got, serial)
 						}
+					}
+					if distinct {
+						same("without DISTINCT, deduplicated", distinctOracle(t, db, q))
 					}
 					same("workers=4", runJoinQuery(t, db, q, 4))
 					chunkPoison = true
@@ -186,6 +223,12 @@ func FuzzJoinStrategies(f *testing.F) {
 		for qi, tmpl := range joinQueries {
 			want := strings.Join(runs[0].rows[qi], "\n")
 			for _, r := range runs[1:] {
+				if strings.Contains(tmpl, "LIMIT") {
+					if got, want := len(r.rows[qi]), len(runs[0].rows[qi]); got != want {
+						t.Errorf("%s: %s returned %d rows but %s returned %d", tmpl, r.name, got, runs[0].name, want)
+					}
+					continue
+				}
 				if got := strings.Join(r.rows[qi], "\n"); got != want {
 					t.Errorf("%s: %s returned\n%s\nbut %s returned\n%s",
 						tmpl, r.name, got, runs[0].name, want)

@@ -18,7 +18,8 @@ import (
 // TestRandomQueryEquivalence generates random queries over a random
 // document corpus and checks that the XQ2SQL translation (with and
 // without the keyword index) and the native evaluator produce identical
-// results. Queries outside the translatable subset are skipped (the
+// results, and that the translation returns its SQL's rows without
+// DISTINCT, deduplicated in first-occurrence order. Queries outside the translatable subset are skipped (the
 // engine layer falls back for those).
 func TestRandomQueryEquivalence(t *testing.T) {
 	if testing.Short() {
@@ -96,6 +97,31 @@ func TestRandomQueryEquivalence(t *testing.T) {
 				if w1, w4 := render(1), render(4); w1 != w4 {
 					t.Fatalf("worker count changed results\nquery:\n%s\nSQL: %s\nworkers=1: %s\nworkers=4: %s",
 						src, tr.SQL, w1, w4)
+				}
+				// Row order: the translation returns the rows of its SQL
+				// without DISTINCT, first occurrences kept in order, so no
+				// semi join may change which copy of a row comes first.
+				plain := *sel
+				plain.Distinct = false
+				all, err := fx.store.DB.QueryStmtOptsContext(context.Background(), &plain, sql.ExecOpts{})
+				if err != nil {
+					t.Fatalf("execute without DISTINCT: %v\nSQL: %s", err, tr.SQL)
+				}
+				var deduped []string
+				seen := map[string]bool{}
+				for _, row := range all.Rows {
+					parts := make([]string, len(row))
+					for i, v := range row {
+						parts[i] = v.String()
+					}
+					if r := strings.Join(parts, "|"); !seen[r] {
+						seen[r] = true
+						deduped = append(deduped, r)
+					}
+				}
+				if got, want := strings.Join(sqlRows, ";"), strings.Join(deduped, ";"); got != want {
+					t.Fatalf("DISTINCT changed row order\nquery:\n%s\nSQL: %s\ntranslated: %s\nwithout DISTINCT, deduplicated: %s",
+						src, tr.SQL, got, want)
 				}
 				nres, err := nativexml.Eval(fx.corpus, query)
 				if err != nil {

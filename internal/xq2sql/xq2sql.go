@@ -19,7 +19,12 @@
 //   - BEFORE/AFTER compare node_id within one document;
 //   - RETURN items join further value instances and project their val.
 //
-// The result is a single SELECT DISTINCT (existential semantics). A few
+// The result is a single SELECT DISTINCT. Conditions are existential: a
+// condition instance matching several values would copy its binding's
+// row once per match, and DISTINCT drops the copies. The SQL layer joins
+// an instance that nothing after it reads as a semi join, so it makes
+// no copies; either way rows come back in the plan's stream order,
+// first occurrences kept, and nothing re-sorts them. A few
 // shapes have no single-SELECT equivalent — top-level NOT and
 // disjunctions across different paths; Translate returns ErrUnsupported
 // for those and the engine falls back to the native evaluator.
