@@ -34,13 +34,16 @@ test-plans:
 	$(GO) test -run 'TestGoldenPlans|TestCounterParity|TestExplain|TestJoin|FuzzJoinStrategies' ./internal/sql/
 	$(GO) test -run 'Explain|Legacy' ./internal/core/
 
+# The keyword index has no lock of its own (the writer changes a copy
+# that is published with the snapshot), so it runs here too.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/...
+	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/... ./internal/index/...
 
 # Transaction suite: the MVCC/Tx API tests (snapshot isolation, write
-# visibility, conflicts, admission) under the race detector, plus the
-# crash sweep that pins a reader snapshot across every crash point of a
-# concurrent load.
+# visibility, conflicts, admission, keyword queries answered from the
+# dictionary of a pinned snapshot or beside an open batch) under the race
+# detector, plus the crash sweep that pins a reader snapshot across every
+# crash point of a concurrent load.
 test-tx:
 	$(GO) test -race -count=1 -run 'TestTx|TestQueryDuringLoadConsistency|TestHTTPTransactions|TestREPLTransaction' \
 		./internal/core/ ./internal/server/ ./internal/console/

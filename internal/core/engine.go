@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -394,7 +395,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 		// A pipeline that failed before calling produce leaves the
 		// transform blocked on its channel.
 		abortTransform()
-		return 0, e.loadFailed(err)
+		return 0, err
 	}
 	e.setLoadStats(LoadStats{
 		Docs: len(names), Tuples: tuples, Bytes: cr.n,
@@ -501,12 +502,12 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 			if e.txLoad == nil {
 				err = errors.Join(err, e.db.Rollback())
 			}
-			return cs, e.loadFailed(err)
+			return cs, err
 		}
 	}
 	if e.txLoad == nil {
 		if err := e.db.Commit(); err != nil {
-			return cs, e.loadFailed(err)
+			return cs, err
 		}
 	}
 	var loads []*xmldoc.Document
@@ -526,7 +527,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	}
 	names, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, false, produce)
 	if err != nil {
-		return cs, e.loadFailed(err)
+		return cs, err
 	}
 	e.setLoadStats(LoadStats{
 		Docs: len(names), Tuples: tuples, Bytes: cr.n,
@@ -538,7 +539,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 }
 
 // Databases lists warehoused database names.
-func (e *Engine) Databases() []string { return e.store.Databases() }
+func (e *Engine) Databases() []string { return e.store.Dict(nil).Databases() }
 
 // DocCount reports the number of entries warehoused under a database.
 func (e *Engine) DocCount(dbName string) (int, error) { return e.store.DocCount(dbName) }
@@ -546,7 +547,7 @@ func (e *Engine) DocCount(dbName string) (int, error) { return e.store.DocCount(
 // DTDTree renders the database's DTD as the indented structure tree the
 // GUI's left panel shows (Fig. 7a).
 func (e *Engine) DTDTree(dbName string) (string, error) {
-	text, ok := e.store.DTD(dbName)
+	text, ok := e.store.Dict(nil).DTD(dbName)
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownDatabase, dbName)
 	}
@@ -594,7 +595,7 @@ func (e *Engine) Query(src string) (*Result, error) {
 // aborts row production in the relational executor (or the native
 // fallback) and returns ctx.Err(). Repeated queries hit the plan cache,
 // skipping the XQ parse, the XQ2SQL translation and the SQL parse while
-// the catalog epochs of every referenced database are unchanged.
+// the dictionary entries of every referenced database are unchanged.
 //
 // QueryContext is a thin wrapper over the engine's implicit default
 // session (Session.Query on an explicit session is the primary API).
@@ -602,58 +603,42 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 	return e.defaultSess.Query(ctx, src)
 }
 
-// plan returns a usable plan entry for a query text, consulting the
-// cache first. A cached entry is served only while every catalog epoch
-// it captured still matches; otherwise it is dropped and rebuilt.
-// cached reports whether the entry came from the cache (observability:
-// EXPLAIN ANALYZE and the slow-query log surface it).
-func (e *Engine) plan(src string) (entry *planEntry, cached bool, err error) {
-	key := normalizeQuery(src)
-	if entry, ok := e.plans.get(key); ok {
-		if e.planFresh(entry) {
+// plan returns a plan entry for a query text, translated against the
+// dictionary of view. Only translations against a published dictionary
+// are cached: the writer's working copy (BatchView) has no version.
+// cached reports whether the entry came from the cache (EXPLAIN ANALYZE
+// and the slow-query log surface it).
+func (e *Engine) plan(src string, view *sql.Snap) (entry *planEntry, cached bool, err error) {
+	dict := e.store.Dict(view)
+	key, shared := normalizeQuery(src), view != e.db.BatchView()
+	if shared {
+		if entry, ok := e.plans.get(key, dict); ok {
 			return entry, true, nil
 		}
-		e.plans.invalidate(key)
 	}
 	q, err := xq.Parse(src)
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrBadQuery, err)
 	}
-	entry, err = e.translate(q)
+	entry, err = e.translate(q, dict)
 	if err != nil {
 		return nil, false, err
 	}
-	e.plans.put(key, entry)
+	if shared {
+		e.plans.put(key, entry)
+	}
 	return entry, false, nil
 }
 
-// planFresh reports whether every epoch the entry captured is current.
-func (e *Engine) planFresh(entry *planEntry) bool {
-	for db, ep := range entry.epochs {
-		if e.store.Epoch(db) != ep {
-			return false
-		}
-	}
-	return true
-}
-
-// translate builds a plan entry for a parsed query. Epochs are captured
-// BEFORE translation: if a concurrent load mutates a referenced database
-// mid-translation, the entry fails its next freshness check instead of
-// serving a half-new plan.
-func (e *Engine) translate(q *xq.Query) (*planEntry, error) {
-	entry := &planEntry{q: q, epochs: map[string]uint64{}}
-	for _, b := range q.For {
+// translate builds a plan entry for a parsed query against dict.
+func (e *Engine) translate(q *xq.Query, dict *shred.Dict) (*planEntry, error) {
+	entry := &planEntry{q: q, version: dict.Version(), versions: map[string]uint64{}}
+	for _, b := range slices.Concat(q.For, q.Let) {
 		if b.Path.Doc != "" {
-			entry.epochs[b.Path.Doc] = e.store.Epoch(b.Path.Doc)
+			entry.versions[b.Path.Doc] = dict.DBVersion(b.Path.Doc)
 		}
 	}
-	for _, b := range q.Let {
-		if b.Path.Doc != "" {
-			entry.epochs[b.Path.Doc] = e.store.Epoch(b.Path.Doc)
-		}
-	}
-	tr, err := xq2sql.Translate(e.store, q, xq2sql.Options{UseKeywordIndex: true})
+	tr, err := xq2sql.TranslateDict(dict, q, xq2sql.Options{UseKeywordIndex: true})
 	if err == nil {
 		stmt, perr := sql.Parse(tr.SQL)
 		if perr != nil {
@@ -676,8 +661,8 @@ func (e *Engine) translate(q *xq.Query) (*planEntry, error) {
 
 // execPlan runs a plan entry: the translated statement over the
 // relational engine with the session's execution options (trace, worker
-// and memory-budget overrides, the view it reads), or the native
-// fallback for unsupported shapes.
+// and memory-budget overrides, the view it reads, which the caller
+// pinned), or the native fallback for unsupported shapes.
 func (e *Engine) execPlan(ctx context.Context, entry *planEntry, o sql.ExecOpts) (*Result, error) {
 	if !entry.unsupported {
 		rows, qerr := e.db.QueryStmtOptsContext(ctx, entry.stmt, o)
@@ -695,18 +680,13 @@ func (e *Engine) execPlan(ctx context.Context, entry *planEntry, o sql.ExecOpts)
 		return res, nil
 	}
 	// Native fallback over documents rebuilt from the view the statement
-	// reads; a statement without one pins the published snapshot.
-	view := o.Snap
-	if view == nil {
-		view = e.db.AcquireSnapshot()
-		defer e.db.ReleaseSnapshot(view)
-	}
+	// reads.
 	byDB := nativexml.Corpus{}
 	for _, b := range entry.q.For {
 		if _, done := byDB[b.Path.Doc]; b.Path.Doc == "" || done {
 			continue
 		}
-		docs, err := e.store.Documents(ctx, b.Path.Doc, view)
+		docs, err := e.store.Documents(ctx, b.Path.Doc, o.Snap)
 		if err != nil {
 			return nil, err
 		}
@@ -805,32 +785,6 @@ func (e *Engine) Explain(src string) (string, error) {
 // Session.ExplainAnalyze applies per-session deadlines and overrides.
 func (e *Engine) ExplainAnalyze(ctx context.Context, src string) (string, error) {
 	return e.defaultSess.ExplainAnalyze(ctx, src)
-}
-
-// WarehouseStats summarises one warehoused database.
-type WarehouseStats struct {
-	DB    string
-	Docs  int
-	Paths int
-}
-
-// warehouseStats snapshots per-warehouse counts via shred.Store.Overview:
-// one dictionary-lock acquisition plus one grouped count query, so the
-// listing cannot interleave with a concurrent Harness the way the old
-// per-database Databases/DocCount/PathCount loop could.
-func (e *Engine) warehouseStats() ([]WarehouseStats, error) {
-	infos, err := e.store.Overview()
-	if err != nil {
-		return nil, err
-	}
-	if len(infos) == 0 {
-		return nil, nil
-	}
-	whs := make([]WarehouseStats, len(infos))
-	for i, in := range infos {
-		whs[i] = WarehouseStats{DB: in.DB, Docs: in.Docs, Paths: in.Paths}
-	}
-	return whs, nil
 }
 
 // Compact rewrites the warehouse into a fresh file at path, reclaiming

@@ -296,6 +296,47 @@ RETURN $a//enzyme_id`)
 	t.Logf("%d ops swept, %d failed the update", updateOps, failed)
 }
 
+// TestRegisterFaultLeavesNoDatabase: a registration whose warehouses
+// row fails to commit (its first disk op, the WAL write) leaves the
+// database unregistered in memory too, so a retry writes the row and the
+// database survives a reopen with its harvest.
+func TestRegisterFaultLeavesNoDatabase(t *testing.T) {
+	flat := enzymeFlat(t, bio.GenEnzymes(3, bio.GenOptions{Seed: 5}))
+	fs := faultfs.New(5)
+	e := faultEngine(t, fs)
+	fs.FailAt(fs.Ops(), faultfs.FaultErr)
+	src := hounds.NewSimSource("enzyme", flat)
+	if err := e.RegisterSource(faultWH, src, hounds.EnzymeTransformer{}); !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("registration through the fault = %v, want ErrInjected in chain", err)
+	}
+	if dbs := e.Databases(); len(dbs) != 0 {
+		t.Errorf("Databases after the failed registration = %v, want none", dbs)
+	}
+	registerEnzyme(t, e, flat)
+	n, err := e.Harness(faultWH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e = faultEngine(t, fs)
+	defer e.Close()
+	if dbs := e.Databases(); len(dbs) != 1 || dbs[0] != faultWH {
+		t.Errorf("Databases after reopen = %v, want [%s]", dbs, faultWH)
+	}
+	if got, err := e.DocCount(faultWH); err != nil || got != n {
+		t.Errorf("DocCount after reopen = %d, %v; want %d", got, err, n)
+	}
+	res, err := e.Query(`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme RETURN $a//enzyme_id`)
+	if err != nil {
+		t.Fatalf("query after reopen: %v", err)
+	}
+	if len(res.Rows) != n {
+		t.Errorf("query after reopen returned %d rows, want %d", len(res.Rows), n)
+	}
+}
+
 // TestHarnessCrashReopen cuts power mid-harness, reboots, and reopens
 // the warehouse: recovery must land on a consistent committed prefix,
 // and a fresh harness must complete the load.

@@ -265,8 +265,8 @@ WHERE contains($a//catalytic_activity, "ketone") RETURN $a//enzyme_id`); err != 
 	if phys := e.db.Stats(); !reflect.DeepEqual(phys, snap.DB) {
 		t.Errorf("db.Stats() = %+v\nSnapshot().DB = %+v", phys, snap.DB)
 	}
-	if whs, err := e.warehouseStats(); err != nil || !reflect.DeepEqual(whs, snap.Warehouses) {
-		t.Errorf("warehouseStats() = %+v, %v\nSnapshot().Warehouses = %+v", whs, err, snap.Warehouses)
+	if whs, err := e.store.Overview(); err != nil || !reflect.DeepEqual(whs, snap.Warehouses) {
+		t.Errorf("store.Overview() = %+v, %v\nSnapshot().Warehouses = %+v", whs, err, snap.Warehouses)
 	}
 	if pc := e.plans.stats(); !reflect.DeepEqual(pc, snap.PlanCache) {
 		t.Errorf("plans.stats() = %+v\nSnapshot().PlanCache = %+v", pc, snap.PlanCache)

@@ -119,9 +119,9 @@ type loadResult struct {
 // committed before the failure stays, is reindexed, and the error is
 // returned — the next harness replaces the harvest wholesale. A failure
 // before the first chunk commits rolls the clear back with it, leaving
-// the previous harvest in place. The caller then rebuilds the store's
-// dictionaries from what committed (loadFailed). Cancellation is
-// honoured between documents and chunks, never inside a chunk commit.
+// the previous harvest in place. The store's dictionary commits and rolls
+// back with the rows. Cancellation is honoured between documents and
+// chunks, never inside a chunk commit.
 func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]string, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
@@ -256,11 +256,8 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 				return err
 			}
 		}
-		// Keyword shards merge only after their chunk is durable, in
-		// document order, so postings are those of a workers=1 load.
 		chunkTuples := 0
 		for _, b := range chunk {
-			e.store.MergeKeywords(dbName, b)
 			chunkTuples += b.Tuples()
 		}
 		tuples += chunkTuples
@@ -337,23 +334,7 @@ collect:
 			failErr = errors.Join(failErr, aerr)
 		}
 	}
-	// One epoch bump per load (not per document) invalidates cached
-	// plans exactly once, after the data they would read has changed.
-	e.store.BumpEpoch(dbName)
 	return names, tuples, failErr
-}
-
-// loadFailed is the one recovery rule for a Harness or Update that fails
-// after it started writing. Whatever committed stays, but the store's
-// dictionaries ran ahead of it: path ids assigned to a chunk that rolled
-// back, postings dropped by deletions that never committed. They are
-// reloaded from the committed tables. Inside a transaction the
-// transaction's rollback does the same. Caller holds e.mu.
-func (e *Engine) loadFailed(err error) error {
-	if e.txLoad != nil {
-		return err
-	}
-	return errors.Join(err, e.store.Reload())
 }
 
 // countingReader counts raw source bytes for throughput reporting. The

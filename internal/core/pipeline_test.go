@@ -9,6 +9,7 @@ import (
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/shred"
 	"xomatiq/internal/xmldoc"
 )
 
@@ -89,8 +90,8 @@ func TestParallelLoadDeterminism(t *testing.T) {
 
 	// Keyword postings must match in content AND order (insertion order
 	// feeds posting iteration).
-	kseq := seq.Store().Keywords("hlx_enzyme.DEFAULT")
-	kpar := par.Store().Keywords("hlx_enzyme.DEFAULT")
+	kseq := seq.Store().Dict(nil).Keywords("hlx_enzyme.DEFAULT")
+	kpar := par.Store().Dict(nil).Keywords("hlx_enzyme.DEFAULT")
 	if kseq.Len() != kpar.Len() || kseq.DistinctTokens() != kpar.DistinctTokens() {
 		t.Errorf("keyword index differs: len %d vs %d, tokens %d vs %d",
 			kseq.Len(), kpar.Len(), kseq.DistinctTokens(), kpar.DistinctTokens())
@@ -172,35 +173,53 @@ func TestParallelUpdateDeterminism(t *testing.T) {
 	}
 }
 
-// TestLoadEpochConstant guards the epoch-churn fix: a harness bumps the
-// catalog epoch a constant number of times regardless of corpus size,
-// so cached query plans survive until the load commits instead of being
-// invalidated once per document.
-func TestLoadEpochConstant(t *testing.T) {
+// TestLoadPublishesOneVersionPerChunk: each commit that changes the
+// dictionary publishes one new version of it, and a publish that changes
+// nothing publishes none. A harness commits once per chunk, with the
+// clear in the first; an update with an empty delta commits nothing, and
+// the commits of the index rebuild and of ANALYZE change nothing. The
+// version is the one published with the current snapshot.
+func TestLoadPublishesOneVersionPerChunk(t *testing.T) {
 	const db = "hlx_enzyme.DEFAULT"
 	e := openEngineWorkers(t, 2)
 	src := setupEnzyme(t, e, 5)
-	e0 := e.Store().Epoch(db)
-	src.Publish(enzymeFlat(t, bio.GenEnzymes(10, bio.GenOptions{Seed: 5})))
-	if _, err := e.Harness(db); err != nil {
+	version := func() uint64 {
+		t.Helper()
+		snap := e.DB().AcquireSnapshot()
+		defer e.DB().ReleaseSnapshot(snap)
+		if d := shred.DictOf(snap); d != e.Store().Dict(nil) {
+			t.Fatalf("snapshot carries dictionary version %d, the store published %d", d.Version(), e.Store().Dict(nil).Version())
+		}
+		return e.Store().Dict(nil).Version()
+	}
+	for _, tc := range []struct {
+		docs   int
+		chunks uint64
+	}{{10, 1}, {2*loadChunkSize + 1, 3}} {
+		v0 := version()
+		src.Publish(enzymeFlat(t, bio.GenEnzymes(tc.docs, bio.GenOptions{Seed: 5})))
+		if _, err := e.Harness(db); err != nil {
+			t.Fatal(err)
+		}
+		if d := version() - v0; d != tc.chunks {
+			t.Errorf("a %d-document harness published %d dictionary versions, want one per chunk: %d", tc.docs, d, tc.chunks)
+		}
+	}
+	v0 := version()
+	if cs, err := e.Update(db); err != nil || !cs.Empty() {
+		t.Fatalf("Update of an unchanged source = %+v, %v; want an empty delta", cs, err)
+	}
+	if err := e.Store().AnalyzeStats(); err != nil {
 		t.Fatal(err)
 	}
-	d1 := e.Store().Epoch(db) - e0
-	src.Publish(enzymeFlat(t, bio.GenEnzymes(60, bio.GenOptions{Seed: 5})))
-	if _, err := e.Harness(db); err != nil {
-		t.Fatal(err)
-	}
-	d2 := e.Store().Epoch(db) - e0 - d1
-	if d1 != d2 {
-		t.Errorf("epoch delta depends on corpus size: %d for 10 docs, %d for 60", d1, d2)
-	}
-	if d1 > 3 {
-		t.Errorf("epoch bumped %d times in one harness; want a small constant", d1)
+	if v := version(); v != v0 {
+		t.Errorf("commits that change nothing moved the dictionary version %d -> %d", v0, v)
 	}
 }
 
 // TestPlanCacheSurvivesLoad pins the plan-cache consequence: repeated
-// queries miss at most once per harness, never once per document.
+// queries miss once per commit that changes their database's dictionary
+// entry — once for a one-chunk harness — never once per document.
 func TestPlanCacheSurvivesLoad(t *testing.T) {
 	const db = "hlx_enzyme.DEFAULT"
 	const q = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme

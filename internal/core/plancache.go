@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"xomatiq/internal/shred"
 	"xomatiq/internal/sql"
 	"xomatiq/internal/xq"
 	"xomatiq/internal/xq2sql"
@@ -15,25 +16,38 @@ const DefaultPlanCacheSize = 128
 
 // planEntry is one cached pipeline outcome: the parsed query plus either
 // its SQL translation or the fact that translation is unsupported (so the
-// native fallback is taken without re-trying the translator). Validity is
-// tied to the catalog epochs of every database the query references —
-// generated SQL embeds path ids and keyword-prefilter doc-id lists, so a
-// content change to any referenced database makes the plan wrong, not
-// just stale.
+// native fallback is taken without re-trying the translator). The
+// generated SQL embeds path ids and keyword-prefilter doc-id lists, so
+// an entry serves a statement only if the statement's dictionary holds
+// every database the query references at the version it was translated
+// against.
 type planEntry struct {
 	q           *xq.Query
 	tr          *xq2sql.Translation
 	stmt        *sql.Select // translated SQL, parsed once
 	unsupported bool
-	epochs      map[string]uint64 // db -> epoch captured at translation time
+	version     uint64            // the dictionary's version
+	versions    map[string]uint64 // db -> its entry's version (shred.Dict.DBVersion)
+}
+
+// validFor reports whether the entry's translation is the one d gives.
+func (e *planEntry) validFor(d *shred.Dict) bool {
+	for db, v := range e.versions {
+		if d.DBVersion(db) != v {
+			return false
+		}
+	}
+	return true
 }
 
 // PlanCacheStats is a snapshot of plan-cache effectiveness counters.
 type PlanCacheStats struct {
-	Entries       int
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64 // hits discarded because a catalog epoch moved
+	Entries int
+	Hits    uint64
+	Misses  uint64
+	// Invalidations counts the misses that found the query cached
+	// against an older version of a database it reads, and dropped it.
+	Invalidations uint64
 }
 
 // planCache is an LRU over normalised query text.
@@ -87,10 +101,11 @@ func normalizeQuery(src string) string {
 	return b.String()
 }
 
-// get returns the entry for a key and whether it was present, promoting
-// it to most recently used. The caller validates epochs; stale entries
-// are removed with invalidate.
-func (c *planCache) get(key string) (*planEntry, bool) {
+// get returns the entry for a key that is valid for the dictionary d,
+// promoting it to most recently used. An entry translated against an
+// older dictionary than d is dropped; one translated against a newer
+// dictionary stays for the statements that read it.
+func (c *planCache) get(key string, d *shred.Dict) (*planEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -98,18 +113,31 @@ func (c *planCache) get(key string) (*planEntry, bool) {
 		c.misses++
 		return nil, false
 	}
+	e := el.Value.(*planItem).entry
+	if !e.validFor(d) {
+		c.misses++
+		if e.version < d.Version() {
+			c.lru.Remove(el)
+			delete(c.items, key)
+			c.invalidations++
+		}
+		return nil, false
+	}
 	c.lru.MoveToFront(el)
 	c.hits++
-	return el.Value.(*planItem).entry, true
+	return e, true
 }
 
 // put inserts or replaces the entry for a key, evicting the least
-// recently used entry when over capacity.
+// recently used entry when over capacity. An entry translated against a
+// newer dictionary is not replaced by an older one.
 func (c *planCache) put(key string, e *planEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*planItem).entry = e
+		if it := el.Value.(*planItem); it.entry.version <= e.version {
+			it.entry = e
+		}
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -118,18 +146,6 @@ func (c *planCache) put(key string, e *planEntry) {
 		back := c.lru.Back()
 		c.lru.Remove(back)
 		delete(c.items, back.Value.(*planItem).key)
-	}
-}
-
-// invalidate removes a key after its epochs were found stale.
-func (c *planCache) invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.lru.Remove(el)
-		delete(c.items, key)
-		c.invalidations++
-		c.hits-- // the stale lookup was not a usable hit
 	}
 }
 

@@ -8,24 +8,26 @@ import (
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/shred"
 )
 
 func TestPlanCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(2)
+	d := &shred.Dict{}
 	c.put("a", &planEntry{})
 	c.put("b", &planEntry{})
 	c.put("c", &planEntry{}) // evicts a
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get("a", d); ok {
 		t.Error("a should have been evicted")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.get("b", d); !ok {
 		t.Error("b should survive")
 	}
 	c.put("d", &planEntry{}) // evicts c (b was just used)
-	if _, ok := c.get("c"); ok {
+	if _, ok := c.get("c", d); ok {
 		t.Error("c should have been evicted")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.get("b", d); !ok {
 		t.Error("b should still survive")
 	}
 	st := c.stats()
@@ -165,6 +167,47 @@ RETURN $a//enzyme_id`
 	}
 	if st := e.plans.stats(); st.Invalidations == 0 {
 		t.Errorf("expected an invalidation, stats = %+v", st)
+	}
+}
+
+// TestPlanCacheServesEachDictionary: a transaction pinned before a load
+// reads an older dictionary than the cached plan was translated
+// against. It gets a translation of its own, which neither evicts the
+// newer entry nor counts as an invalidation, and readers of the new
+// state keep hitting the cache.
+func TestPlanCacheServesEachDictionary(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 10)
+	ctx := context.Background()
+	const q = ketoneQuery
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	pinned := txRows(t, tx, ctx, q)
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(40, bio.GenOptions{Seed: 5})))
+	if _, err := e.Harness("hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := txRows(t, e.defaultSess, ctx, q)
+	base := e.plans.stats()
+	for i := 0; i < 2; i++ {
+		if n := txRows(t, tx, ctx, q); n != pinned {
+			t.Fatalf("pinned transaction reads %d rows, want its snapshot's %d", n, pinned)
+		}
+		if n := txRows(t, e.defaultSess, ctx, q); n != fresh {
+			t.Fatalf("a new statement reads %d rows, want %d", n, fresh)
+		}
+	}
+	st := e.plans.stats()
+	if hits, inv := st.Hits-base.Hits, st.Invalidations-base.Invalidations; hits != 2 || inv != 0 {
+		t.Errorf("plan cache: %d hits and %d invalidations beside a pinned reader, want 2 and 0", hits, inv)
 	}
 }
 

@@ -355,21 +355,23 @@ func (s *Session) query(ctx context.Context, src string, analyze bool) (*Result,
 	return s.run(ctx, src, view, analyze)
 }
 
-// view picks the view the session's next statement reads: the open
-// transaction's (see Tx.view), or else the published snapshot (nil).
-// release must follow the statement.
+// view picks and pins the view the session's next statement reads, for
+// its plan and its rows: the open transaction's (see Tx.view), or else
+// the published snapshot. release must follow the statement.
 func (s *Session) view() (view *sql.Snap, release func(), err error) {
 	if tx := s.openTx(); tx != nil {
 		return tx.view()
 	}
-	return nil, func() {}, nil
+	db := s.eng.db
+	snap := db.AcquireSnapshot()
+	return snap, func() { db.ReleaseSnapshot(snap) }, nil
 }
 
 // run is the one query path under every entry point: admit, derive the
-// query context, plan (cache-first), execute against view (nil: the
-// published snapshot) with the session's overrides, observe. With
-// analyze set the execution is traced and rendered as the EXPLAIN
-// ANALYZE report; otherwise a trace is kept only for the slow-query log.
+// query context, plan against view (cache-first), execute against it
+// with the session's overrides, observe. With analyze set the execution
+// is traced and rendered as the EXPLAIN ANALYZE report; otherwise a
+// trace is kept only for the slow-query log.
 func (s *Session) run(ctx context.Context, src string, view *sql.Snap, analyze bool) (res *Result, report string, err error) {
 	release, err := s.Admit()
 	if err != nil {
@@ -388,7 +390,7 @@ func (s *Session) run(ctx context.Context, src string, view *sql.Snap, analyze b
 		return nil, "", err
 	}
 	start := time.Now()
-	entry, cached, err := e.plan(src)
+	entry, cached, err := e.plan(src, view)
 	if err != nil {
 		e.reg.Query.Queries.Inc()
 		e.reg.Query.Errors.Inc()
@@ -436,7 +438,7 @@ func (s *Session) Explain(src string) (string, error) {
 	}
 	defer release()
 	e := s.eng
-	entry, _, err := e.plan(src)
+	entry, _, err := e.plan(src, view)
 	if err != nil {
 		return "", err
 	}

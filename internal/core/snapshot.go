@@ -7,6 +7,7 @@ package core
 
 import (
 	"xomatiq/internal/obs"
+	"xomatiq/internal/shred"
 	"xomatiq/internal/sql"
 )
 
@@ -19,7 +20,7 @@ type Snapshot struct {
 
 	PlanCache  PlanCacheStats
 	DB         sql.Stats
-	Warehouses []WarehouseStats
+	Warehouses []shred.WarehouseInfo
 	LastLoad   LoadStats
 	Sessions   []SessionInfo
 }
@@ -31,7 +32,7 @@ type Snapshot struct {
 // worker. Counter groups may be mutually skewed by in-flight work, but
 // every counter is monotone across snapshots.
 func (e *Engine) Snapshot() (Snapshot, error) {
-	whs, err := e.warehouseStats()
+	whs, err := e.store.Overview()
 	if err != nil {
 		return Snapshot{}, err
 	}

@@ -256,8 +256,7 @@ func (tx *Tx) rollbackLocked() error {
 	e := tx.sess.eng
 	var err error
 	if tx.escalated {
-		// The store's dictionaries ran ahead with the discarded writes.
-		err = errors.Join(e.db.Rollback(), e.store.Reload())
+		err = e.db.Rollback()
 		e.releaseWriter()
 	}
 	e.db.ReleaseSnapshot(tx.snap)
@@ -268,17 +267,15 @@ func (tx *Tx) rollbackLocked() error {
 // commitTxBatch finishes an escalated transaction: commit the open
 // batch, refresh stats, fire deferred triggers, release the writer
 // token. A commit failure already rolled the batch back inside the sql
-// layer, so only the store's dictionaries need reloading.
+// layer, the store's dictionary with it.
 func (e *Engine) commitTxBatch(st *txLoadState) error {
 	defer e.releaseWriter()
 	if err := e.db.Commit(); err != nil {
-		return errors.Join(err, e.store.Reload())
+		return err
 	}
 	var err error
 	if len(st.dbs) > 0 {
-		if aerr := e.store.AnalyzeStats(); aerr != nil {
-			err = aerr
-		}
+		err = e.store.AnalyzeStats()
 	}
 	for _, tr := range st.triggers {
 		e.bus.Publish(tr)

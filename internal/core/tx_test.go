@@ -14,9 +14,7 @@ import (
 	"xomatiq/internal/hounds"
 )
 
-// countQuery returns every entry id: one row per warehoused document,
-// with no contains() predicate (keyword prefilters read live store
-// state by design, so snapshot assertions avoid them).
+// countQuery returns every entry id: one row per warehoused document.
 const countQuery = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 RETURN $a//enzyme_id`
 
@@ -233,8 +231,8 @@ func TestTxConflict(t *testing.T) {
 }
 
 // TestTxRollback: an escalated transaction's writes vanish on rollback,
-// the engine caches resync, and autocommit loads still work afterwards
-// (the writer token was released).
+// the store's dictionary with them, and autocommit loads still work
+// afterwards (the writer token was released).
 func TestTxRollback(t *testing.T) {
 	e := openEngine(t)
 	src := setupEnzyme(t, e, 10)
@@ -266,7 +264,7 @@ func TestTxRollback(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
 		t.Fatalf("commit after rollback = %v, want ErrTxClosed", err)
 	}
-	// The store dictionaries reloaded: a new autocommit load and a
+	// The store's dictionary reverted: a new autocommit load and a
 	// follow-up query behave normally.
 	if _, err := e.Update("hlx_enzyme.DEFAULT"); err != nil {
 		t.Fatal(err)
@@ -340,12 +338,22 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 
 	v1 := enzymeFlat(t, bio.GenEnzymes(15, bio.GenOptions{Seed: 5}))
 	v2 := enzymeFlat(t, bio.GenEnzymes(27, bio.GenOptions{Seed: 5}))
+	// The keyword query's answer in each of the two harvests.
+	keyword := map[int]bool{}
+	for _, flat := range []string{v2, v1} {
+		src.Publish(flat)
+		if _, err := e.Update("hlx_enzyme.DEFAULT"); err != nil {
+			t.Fatal(err)
+		}
+		keyword[txRows(t, e.defaultSess, ctx, ketoneQuery)] = true
+	}
 
 	const readers = 8
 	const iters = 15
 	var wg sync.WaitGroup
 	errs := make(chan error, (readers+1)*iters+iters)
 	counts := make(chan int, (readers+1)*iters)
+	kwCounts := make(chan int, readers*iters)
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func() {
@@ -357,12 +365,16 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 			}
 			defer sess.Close()
 			for i := 0; i < iters; i++ {
-				res, err := sess.Query(ctx, countQuery)
+				q, out := countQuery, counts
+				if i%2 == 1 {
+					q, out = ketoneQuery, kwCounts
+				}
+				res, err := sess.Query(ctx, q)
 				if err != nil {
 					errs <- err
 					return
 				}
-				counts <- len(res.Rows)
+				out <- len(res.Rows)
 			}
 		}()
 	}
@@ -404,12 +416,18 @@ func TestQueryDuringLoadConsistency(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	close(counts)
+	close(kwCounts)
 	for err := range errs {
 		t.Fatal(err)
 	}
 	for n := range counts {
 		if n != 16 && n != 28 {
 			t.Fatalf("reader saw %d rows mid-load; want a committed boundary (16 or 28)", n)
+		}
+	}
+	for n := range kwCounts {
+		if !keyword[n] {
+			t.Fatalf("keyword reader saw %d rows mid-load; want a committed boundary (%v)", n, keyword)
 		}
 	}
 }
@@ -425,9 +443,9 @@ func enzymeIDs(entries []*bio.EnzymeEntry) map[string]bool {
 
 // TestTxReadersNeverSeeOpenBatch: while an escalated transaction holds an
 // uncommitted update, every reader outside it — document counts, the
-// metrics snapshot, plain sessions (translated and native queries),
-// document reconstruction — reports the last commit, before and after a
-// rollback; the new state appears at Commit and not before.
+// metrics snapshot, plain sessions (translated, keyword and native
+// queries), document reconstruction — reports the last commit, before
+// and after a rollback; the new state appears at Commit and not before.
 func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 	e := openEngine(t)
 	src := setupEnzyme(t, e, 10)
@@ -451,8 +469,12 @@ func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
+	keyword := map[int]int{} // keyword rows by document count
 	check := func(stage string, want int) {
 		t.Helper()
+		if n := txRows(t, plain, ctx, ketoneQuery); n != keyword[want] {
+			t.Errorf("%s: plain session's keyword query sees %d rows, want %d", stage, n, keyword[want])
+		}
 		if n, err := e.DocCount(dbName); err != nil || n != want {
 			t.Errorf("%s: DocCount = %d, %v; want %d", stage, n, err, want)
 		}
@@ -476,6 +498,7 @@ func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 			t.Errorf("%s: Document(%s) = %v, want visible=%v", stage, added, err, want == len(bigger))
 		}
 	}
+	keyword[11] = txRows(t, plain, ctx, ketoneQuery)
 	check("before", 11)
 
 	sess, err := e.NewSession(ctx)
@@ -504,6 +527,7 @@ func TestTxReadersNeverSeeOpenBatch(t *testing.T) {
 	if _, err := tx.Update(ctx, dbName); err != nil {
 		t.Fatal(err)
 	}
+	keyword[len(bigger)] = txRows(t, tx, ctx, ketoneQuery)
 	check("open batch again", 11)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
@@ -737,5 +761,140 @@ func TestTxSessionExplainReadsPinnedSnapshot(t *testing.T) {
 	}
 	if after == atBegin {
 		t.Errorf("plan after the tx does not see the committed load:\n%s", after)
+	}
+}
+
+// TestTxPinnedKeywordSnapshot: a transaction pinned before a committed
+// re-harness answers a keyword query from its snapshot's keyword index,
+// not from the new harvest's, whose doc ids name other documents in the
+// pinned snapshot.
+func TestTxPinnedKeywordSnapshot(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 40)
+	ctx := context.Background()
+
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if n := txRows(t, tx, ctx, ketoneQuery); n != 11 {
+		t.Fatalf("tx reads %d rows before the re-harness, want 11", n)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(40, bio.GenOptions{Seed: 9})))
+	if _, err := e.Harness("hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	if n := txRows(t, tx, ctx, ketoneQuery); n != 11 {
+		t.Errorf("tx pinned before the re-harness reads %d rows, want its snapshot's 11", n)
+	}
+	plain, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if n := txRows(t, plain, ctx, ketoneQuery); n != 10 {
+		t.Errorf("a new session reads %d rows after the re-harness, want 10", n)
+	}
+}
+
+// TestTxOpenBatchKeywordSnapshot: a plain session beside an escalated
+// transaction whose re-harness has not committed answers a keyword
+// query from the last commit; the transaction reads its own harvest.
+func TestTxOpenBatchKeywordSnapshot(t *testing.T) {
+	e := openEngine(t)
+	src := setupEnzyme(t, e, 40)
+	ctx := context.Background()
+
+	plain, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Publish(enzymeFlat(t, bio.GenEnzymes(40, bio.GenOptions{Seed: 9})))
+	if _, err := tx.Harness(ctx, "hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	if n := txRows(t, plain, ctx, ketoneQuery); n != 11 {
+		t.Errorf("plain session beside the open re-harness reads %d rows, want the committed 11", n)
+	}
+	if n := txRows(t, tx, ctx, ketoneQuery); n != 10 {
+		t.Errorf("tx reads %d rows of its own re-harness, want 10", n)
+	}
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n := txRows(t, plain, ctx, ketoneQuery); n != 11 {
+		t.Errorf("plain session reads %d rows after the rollback, want 11", n)
+	}
+}
+
+// TestTxPinnedAcrossNewPaths: a transaction pinned before a load that
+// brings paths the warehouse has never seen resolves paths against its
+// snapshot's dictionary, and a new session against the new one.
+func TestTxPinnedAcrossNewPaths(t *testing.T) {
+	e := openEngine(t)
+	entries := bio.GenEnzymes(5, bio.GenOptions{Seed: 5})
+	for _, en := range entries {
+		en.PrositeRefs = nil
+	}
+	src := hounds.NewSimSource("expasy-enzyme", enzymeFlat(t, entries))
+	if err := e.RegisterSource("hlx_enzyme.DEFAULT", src, hounds.EnzymeTransformer{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Harness("hlx_enzyme.DEFAULT"); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const q = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a//prosite_reference, "PDOC00080")
+RETURN $a//enzyme_id`
+	sess, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	tx, err := sess.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if n := txRows(t, tx, ctx, q); n != 0 {
+		t.Fatalf("tx reads %d rows before the load, want 0", n)
+	}
+	revised := *entries[2]
+	revised.PrositeRefs = []string{"PDOC00080"}
+	entries[2] = &revised
+	src.Publish(enzymeFlat(t, entries))
+	if cs, err := e.Update("hlx_enzyme.DEFAULT"); err != nil || len(cs.Modified) != 1 {
+		t.Fatalf("update = %+v, %v; want one modified entry", cs, err)
+	}
+	if n := txRows(t, tx, ctx, countQuery); n != len(entries) {
+		t.Errorf("tx pinned before the load reads %d entries, want %d", n, len(entries))
+	}
+	if n := txRows(t, tx, ctx, q); n != 0 {
+		t.Errorf("tx pinned before the load reads %d rows, want 0", n)
+	}
+	plain, err := e.NewSession(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	if n := txRows(t, plain, ctx, q); n != 1 {
+		t.Errorf("a new session reads %d rows after the load, want 1", n)
 	}
 }

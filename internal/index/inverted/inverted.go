@@ -9,9 +9,9 @@
 package inverted
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"strings"
-	"sync"
 	"unicode"
 )
 
@@ -21,21 +21,19 @@ type Posting struct {
 	Node uint32
 }
 
-// Index is the inverted keyword index. It is safe for concurrent use:
-// loads write while query translation reads.
+// Index is the inverted keyword index. It has one writer: an index is
+// changed only until it is published, and any number of goroutines may
+// read a published one. Clone gives the writer a copy to change next.
 type Index struct {
-	mu       sync.RWMutex
 	postings map[string][]Posting
 	byDoc    map[uint32][]string // tokens contributed by each document
 	tokens   int
+	owned    map[string]bool // posting arrays this copy wrote, not shared
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{
-		postings: make(map[string][]Posting),
-		byDoc:    make(map[uint32][]string),
-	}
+	return &Index{postings: map[string][]Posting{}, byDoc: map[uint32][]string{}, owned: map[string]bool{}}
 }
 
 // Tokenize splits text into lowercased index tokens: maximal runs of
@@ -56,7 +54,6 @@ func Tokenize(text string) []string {
 		}
 		// Scan a compound: alnum runs joined by single '.' or '-'.
 		start := i
-		lastRunStart := i
 		var runs []string
 		for i < n {
 			j := i
@@ -64,7 +61,6 @@ func Tokenize(text string) []string {
 				j++
 			}
 			runs = append(runs, lower[i:j])
-			lastRunStart = i
 			i = j
 			if i+1 < n && (lower[i] == '.' || lower[i] == '-') && isAlnum(rune(lower[i+1])) {
 				i++
@@ -72,7 +68,6 @@ func Tokenize(text string) []string {
 			}
 			break
 		}
-		_ = lastRunStart
 		out = append(out, runs...)
 		if len(runs) > 1 {
 			out = append(out, lower[start:i])
@@ -102,6 +97,14 @@ func TokenizeDedup(text string) []string {
 	return out
 }
 
+// Clone returns a copy of the index that can be changed without
+// changing ix. The two share posting arrays: AddTokens appends past the
+// end that ix reads, and DeleteDoc copies an array before its first
+// change to it.
+func (ix *Index) Clone() *Index {
+	return &Index{postings: maps.Clone(ix.postings), byDoc: maps.Clone(ix.byDoc), tokens: ix.tokens, owned: map[string]bool{}}
+}
+
 // AddText tokenizes text and indexes every token under (doc, node).
 // Repeated tokens within one call are indexed once.
 func (ix *Index) AddText(doc, node uint32, text string) {
@@ -115,8 +118,6 @@ func (ix *Index) AddTokens(doc, node uint32, toks []string) {
 	if len(toks) == 0 {
 		return
 	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	for _, tok := range toks {
 		ix.postings[tok] = append(ix.postings[tok], Posting{Doc: doc, Node: node})
 		ix.byDoc[doc] = append(ix.byDoc[doc], tok)
@@ -127,51 +128,34 @@ func (ix *Index) AddTokens(doc, node uint32, toks []string) {
 // Lookup returns the postings for one keyword (lowercased exact token
 // match), in insertion order. The returned slice is a copy.
 func (ix *Index) Lookup(keyword string) []Posting {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	list := ix.postings[strings.ToLower(strings.TrimSpace(keyword))]
-	if list == nil {
-		return nil
-	}
-	out := make([]Posting, len(list))
-	copy(out, list)
-	return out
+	return slices.Clone(ix.postings[strings.ToLower(strings.TrimSpace(keyword))])
 }
 
 // LookupDocs returns the distinct documents mentioning the keyword, in
 // ascending order.
 func (ix *Index) LookupDocs(keyword string) []uint32 {
-	seen := map[uint32]bool{}
 	var docs []uint32
-	for _, p := range ix.Lookup(keyword) {
-		if !seen[p.Doc] {
-			seen[p.Doc] = true
-			docs = append(docs, p.Doc)
-		}
+	for _, p := range ix.postings[strings.ToLower(strings.TrimSpace(keyword))] {
+		docs = append(docs, p.Doc)
 	}
-	sort.Slice(docs, func(i, j int) bool { return docs[i] < docs[j] })
-	return docs
+	slices.Sort(docs)
+	return slices.Compact(docs)
 }
 
 // DeleteDoc removes every posting contributed by doc (used when the Data
 // Hounds incremental update replaces or deletes an entry).
 func (ix *Index) DeleteDoc(doc uint32) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
 	toks := ix.byDoc[doc]
 	if toks == nil {
 		return
 	}
 	for _, tok := range toks {
 		list := ix.postings[tok]
-		kept := list[:0]
-		for _, p := range list {
-			if p.Doc != doc {
-				kept = append(kept, p)
-			} else {
-				ix.tokens--
-			}
+		if !ix.owned[tok] {
+			list, ix.owned[tok] = slices.Clone(list), true
 		}
+		kept := slices.DeleteFunc(list, func(p Posting) bool { return p.Doc == doc })
+		ix.tokens -= len(list) - len(kept)
 		if len(kept) == 0 {
 			delete(ix.postings, tok)
 		} else {
@@ -182,15 +166,7 @@ func (ix *Index) DeleteDoc(doc uint32) {
 }
 
 // Len reports the number of stored postings.
-func (ix *Index) Len() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tokens
-}
+func (ix *Index) Len() int { return ix.tokens }
 
 // DistinctTokens reports the vocabulary size.
-func (ix *Index) DistinctTokens() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.postings)
-}
+func (ix *Index) DistinctTokens() int { return len(ix.postings) }

@@ -2,6 +2,7 @@ package inverted
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -97,5 +98,28 @@ func TestStats(t *testing.T) {
 	ix.AddText(1, 1, "alpha beta alpha")
 	if ix.DistinctTokens() != 2 || ix.Len() != 2 {
 		t.Errorf("DistinctTokens=%d Len=%d", ix.DistinctTokens(), ix.Len())
+	}
+}
+
+// TestCloneLeavesOriginal: adding to and deleting from a clone changes
+// nothing the original reads, although the two share posting arrays.
+func TestCloneLeavesOriginal(t *testing.T) {
+	ix := New()
+	ix.AddText(1, 1, "copper zinc")
+	ix.AddText(2, 1, "copper")
+	c := ix.Clone()
+	c.AddText(3, 1, "copper iron")
+	c.DeleteDoc(1)
+	if got := ix.LookupDocs("copper"); !slices.Equal(got, []uint32{1, 2}) {
+		t.Errorf("original copper docs = %v, want [1 2]", got)
+	}
+	if got := ix.LookupDocs("iron"); got != nil {
+		t.Errorf("original iron docs = %v, want none", got)
+	}
+	if ix.Len() != 3 || ix.DistinctTokens() != 2 {
+		t.Errorf("original has %d postings of %d tokens, want 3 of 2", ix.Len(), ix.DistinctTokens())
+	}
+	if got := c.LookupDocs("copper"); !slices.Equal(got, []uint32{2, 3}) {
+		t.Errorf("clone copper docs = %v, want [2 3]", got)
 	}
 }

@@ -73,7 +73,9 @@ func BenchmarkShred(b *testing.B) {
 		b.Fatal(err)
 	}
 	warm := sh.Shred(s.ReserveDocID("hlx_enzyme.DEFAULT"), doc)
-	s.ResolveBatch("hlx_enzyme.DEFAULT", warm)
+	if err := s.InsertChunk("hlx_enzyme.DEFAULT", []*DocBatch{warm}); err != nil {
+		b.Fatal(err)
+	}
 	if sh, err = s.NewShredder("hlx_enzyme.DEFAULT"); err != nil {
 		b.Fatal(err)
 	}

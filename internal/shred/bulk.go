@@ -4,7 +4,7 @@
 // whole documents into in-memory tuple batches without taking any lock:
 // paths missing from the snapshot are recorded per document in first
 // encounter order and resolved to global ids by a single-threaded merge
-// (ResolveBatch) that runs in ascending document order. Because document
+// (InsertChunk) that runs in ascending document order. Because document
 // ids are pre-assigned and the merge order is fixed, the resulting
 // tuples, path ids and keyword postings are identical for any worker
 // count — including workers=1, which is the sequential reference.
@@ -13,6 +13,7 @@ package shred
 import (
 	"crypto/sha256"
 	"fmt"
+	"maps"
 
 	"xomatiq/internal/index/inverted"
 	"xomatiq/internal/value"
@@ -38,7 +39,7 @@ type DocBatch struct {
 	// NewPaths lists dictionary paths absent from the Shredder's
 	// snapshot, in first-encounter order. Tuples referencing one carry
 	// its local index (position in NewPaths) as a placeholder path_id
-	// until ResolveBatch patches in the global id.
+	// until InsertChunk patches in the global id.
 	NewPaths []string
 
 	Nodes []value.Tuple // nodes rows, path_id at index 6
@@ -48,7 +49,7 @@ type DocBatch struct {
 
 	KW []TokenSet
 
-	nodesPatch, strPatch, numPatch, seqPatch []int32
+	patch []*value.Value // the placeholder path_ids
 }
 
 // Tuples counts the relational tuples the batch contributes, including
@@ -64,24 +65,20 @@ type Shredder struct {
 	db     string
 	snap   map[string]int
 	seqSet map[string]bool
-	kwOn   bool
 }
 
-// NewShredder snapshots db's path dictionary for a bulk load.
+// NewShredder snapshots the writer's path dictionary of db for a bulk
+// load.
 func (s *Store) NewShredder(db string) (*Shredder, error) {
-	if !s.HasDB(db) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.work.dbs[db]
+	if e == nil {
 		return nil, fmt.Errorf("shred: database %q not registered", db)
 	}
-	s.mu.RLock()
-	snap := make(map[string]int, len(s.paths[db]))
-	for p, id := range s.paths[db] {
-		snap[p] = id
-	}
-	// The per-db seqPaths set is frozen at registration, so sharing the
-	// map with workers is race-free.
-	sh := &Shredder{db: db, snap: snap, seqSet: s.seqPaths[db], kwOn: s.kw[db] != nil}
-	s.mu.RUnlock()
-	return sh, nil
+	// The sequence-path set is frozen at registration, so sharing it
+	// with workers is race-free.
+	return &Shredder{db: db, snap: maps.Clone(e.paths), seqSet: e.seqPaths}, nil
 }
 
 // ReserveDocID assigns the next document id of db. The pipeline
@@ -89,10 +86,10 @@ func (s *Store) NewShredder(db string) (*Shredder, error) {
 // it to a worker, so ids follow the stream whatever the worker count.
 func (s *Store) ReserveDocID(db string) int {
 	s.mu.Lock()
-	id := s.nextDoc[db]
-	s.nextDoc[db] = id + 1
-	s.mu.Unlock()
-	return id
+	defer s.mu.Unlock()
+	e := s.ownLocked(db)
+	e.nextDoc++
+	return e.nextDoc - 1
 }
 
 // shredState is the reusable walk state for one document. The path
@@ -127,7 +124,7 @@ func (sh *Shredder) Shred(docID int, doc *xmldoc.Document) *DocBatch {
 
 // pathID resolves the dictionary path in buf against the snapshot,
 // falling back to a local placeholder for paths first seen in this
-// document. patch reports whether the returned id needs ResolveBatch.
+// document. patch reports whether the returned id is a placeholder.
 func (st *shredState) pathID(buf []byte) (int64, bool) {
 	if id, ok := st.sh.snap[string(buf)]; ok {
 		return int64(id), false
@@ -166,7 +163,7 @@ func (st *shredState) walk(n *xmldoc.Node, parent, pos, depth, pathLen int) {
 		value.NewInt(int64(pos)), value.NewInt(int64(depth)), value.NewInt(int64(id)),
 	})
 	if patch {
-		st.b.nodesPatch = append(st.b.nodesPatch, int32(row))
+		st.b.patch = append(st.b.patch, &st.b.Nodes[row][6])
 	}
 
 	if n.Kind != xmldoc.KindElement {
@@ -210,17 +207,14 @@ func (st *shredState) value(text string, id, parent int, pid int64, patch bool, 
 		st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
 		value.NewInt(pid), value.NewText(text),
 	}
+	if patch {
+		st.b.patch = append(st.b.patch, &base[4])
+	}
 	if st.sh.seqSet[string(seqPath)] {
 		st.b.Seq = append(st.b.Seq, base)
-		if patch {
-			st.b.seqPatch = append(st.b.seqPatch, int32(len(st.b.Seq)-1))
-		}
 		return
 	}
 	st.b.Str = append(st.b.Str, base)
-	if patch {
-		st.b.strPatch = append(st.b.strPatch, int32(len(st.b.Str)-1))
-	}
 	if f, ok := value.NewText(text).AsNumeric(); ok {
 		num := value.Tuple{
 			st.dbv, st.docv, value.NewInt(int64(id)), value.NewInt(int64(parent)),
@@ -228,68 +222,51 @@ func (st *shredState) value(text string, id, parent int, pid int64, patch bool, 
 		}
 		st.b.Num = append(st.b.Num, num)
 		if patch {
-			st.b.numPatch = append(st.b.numPatch, int32(len(st.b.Num)-1))
+			st.b.patch = append(st.b.patch, &num[4])
 		}
 	}
-	if st.sh.kwOn {
-		if toks := inverted.TokenizeDedup(text); len(toks) > 0 {
-			st.b.KW = append(st.b.KW, TokenSet{Node: uint32(id), Tokens: toks})
-		}
+	if toks := inverted.TokenizeDedup(text); len(toks) > 0 {
+		st.b.KW = append(st.b.KW, TokenSet{Node: uint32(id), Tokens: toks})
 	}
 }
 
-// ResolveBatch assigns global path ids to a batch's NewPaths (in batch
+// resolve assigns global path ids to a batch's NewPaths in e (in batch
 // order, so ids follow first encounter in document order, as a
-// workers=1 load assigns them) and patches its placeholder path_ids. It returns the paths tuples for
-// dictionary entries this merge created. Batches MUST be resolved in
-// ascending DocID order for path-id determinism.
-func (s *Store) ResolveBatch(db string, b *DocBatch) []value.Tuple {
+// workers=1 load assigns them), patches its placeholder path_ids and
+// returns the paths tuples for the entries it created. Batches MUST be
+// resolved in ascending DocID order for path-id determinism.
+func (e *dbDict) resolve(db string, b *DocBatch) []value.Tuple {
 	if len(b.NewPaths) == 0 {
 		return nil
-	}
-	s.mu.Lock()
-	m := s.paths[db]
-	if m == nil {
-		m = map[string]int{}
-		s.paths[db] = m
 	}
 	var fresh []value.Tuple
 	ids := make([]int64, len(b.NewPaths))
 	for i, p := range b.NewPaths {
-		id, ok := m[p]
+		id, ok := e.paths[p]
 		if !ok {
 			// First global encounter (an earlier batch of this load may
 			// have introduced it already).
-			id = s.nextPath[db]
-			s.nextPath[db] = id + 1
-			m[p] = id
+			id = e.nextPath
+			e.nextPath++
+			e.paths[p] = id
 			fresh = append(fresh, value.Tuple{
 				value.NewText(db), value.NewInt(int64(id)), value.NewText(p),
 			})
 		}
 		ids[i] = int64(id)
 	}
-	s.mu.Unlock()
-	for _, i := range b.nodesPatch {
-		b.Nodes[i][6] = value.NewInt(ids[b.Nodes[i][6].Int()])
-	}
-	for _, i := range b.strPatch {
-		b.Str[i][4] = value.NewInt(ids[b.Str[i][4].Int()])
-	}
-	for _, i := range b.numPatch {
-		b.Num[i][4] = value.NewInt(ids[b.Num[i][4].Int()])
-	}
-	for _, i := range b.seqPatch {
-		b.Seq[i][4] = value.NewInt(ids[b.Seq[i][4].Int()])
+	for _, v := range b.patch {
+		*v = value.NewInt(ids[v.Int()])
 	}
 	return fresh
 }
 
 // InsertChunk writes a run of shredded batches (ascending DocID) into
 // the relational engine as one bulk insert per table: path dictionary
-// rows first, then docs, digests, nodes and the value tables. The
-// caller brackets the call in DB.Begin/Commit and merges keyword shards
-// (MergeKeywords) after the chunk commits.
+// rows first, then docs, digests, nodes and the value tables. Their new
+// paths and keyword postings go into the writer's dictionary, which the
+// commit of the caller's batch publishes with the rows and a rollback
+// drops with them.
 func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 	var nNodes, nStr, nNum, nSeq int
 	for _, b := range batches {
@@ -305,8 +282,20 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 	str := make([]value.Tuple, 0, nStr)
 	num := make([]value.Tuple, 0, nNum)
 	seq := make([]value.Tuple, 0, nSeq)
+	s.mu.Lock()
+	e := s.ownLocked(db)
+	if e == nil {
+		s.mu.Unlock()
+		return fmt.Errorf("shred: database %q not registered", db)
+	}
 	for _, b := range batches {
-		paths = append(paths, s.ResolveBatch(db, b)...)
+		paths = append(paths, e.resolve(db, b)...)
+		for _, ts := range b.KW {
+			e.kw.AddTokens(uint32(b.DocID), ts.Node, ts.Tokens)
+		}
+	}
+	s.mu.Unlock()
+	for _, b := range batches {
 		docs = append(docs, value.Tuple{
 			value.NewText(db), value.NewInt(int64(b.DocID)), value.NewText(b.Name),
 		})
@@ -332,17 +321,6 @@ func (s *Store) InsertChunk(db string, batches []*DocBatch) error {
 	return nil
 }
 
-// MergeKeywords merges a batch's keyword shard into db's inverted index.
-// Called in ascending DocID order after the owning chunk commits, it
-// yields the posting order of a workers=1 load.
-func (s *Store) MergeKeywords(db string, b *DocBatch) {
-	s.mu.RLock()
-	kw := s.kw[db]
-	s.mu.RUnlock()
-	if kw == nil {
-		return
-	}
-	for _, ts := range b.KW {
-		kw.AddTokens(uint32(b.DocID), ts.Node, ts.Tokens)
-	}
-}
+// Deprecated: MergeKeywords does nothing, kept for the ledger;
+// InsertChunk merges a chunk's keyword postings in the batch of its rows.
+func (s *Store) MergeKeywords(string, *DocBatch) {}

@@ -15,15 +15,15 @@
 //     (structure by reference, after XRecursive),
 //   - sequence vs non-sequence data separated (seq_data table),
 //   - string vs numeric values distinguished (values_str / values_num),
-//   - efficient keyword-based search (inverted index over text values).
+//   - efficient keyword-based search (inverted index over text values,
+//     published with each snapshot beside the path dictionary: dict.go).
 package shred
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"xomatiq/internal/index/inverted"
 	"xomatiq/internal/sql"
@@ -70,54 +70,35 @@ const (
 
 // Store is the shredded warehouse over one relational database. It is
 // safe for concurrent use: the relational engine serialises tuple
-// access, and mu guards the in-memory dictionaries while loads run
-// concurrently with query translation.
+// access, readers take the dictionary published with the snapshot they
+// read (Dict), and one writer at a time changes the working copy.
 type Store struct {
 	DB *sql.DB
 
-	mu       sync.RWMutex
-	paths    map[string]map[string]int // db -> path -> path_id
-	nextPath map[string]int
-	nextDoc  map[string]int
-	seqPaths map[string]map[string]bool
-	kw       map[string]*inverted.Index
-	dtds     map[string]string
-	epochs   map[string]uint64 // db -> catalog epoch, bumped on any content change
+	pub atomic.Pointer[Dict] // the latest published dictionary
+
+	// mu guards the writer's working copy and the entries it owns since
+	// the last publish.
+	mu    sync.Mutex
+	work  *Dict
+	owned map[string]bool
 }
 
-// Epoch returns the catalog epoch of a database. The epoch advances on
-// every content mutation (register, load, delete, clear), so a cached
-// query translation is valid exactly while the epochs of every database
-// it references are unchanged: translated SQL embeds path ids and
-// keyword-prefilter doc-id lists that those mutations invalidate.
-func (s *Store) Epoch(db string) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epochs[db]
-}
-
-func (s *Store) bumpEpoch(db string) {
-	s.mu.Lock()
-	s.epochs[db]++
-	s.mu.Unlock()
-}
-
-// BumpEpoch advances the catalog epoch of db, invalidating cached query
-// translations. InsertChunk does not bump the epoch itself — a loader
-// calls this once per load, so a 1000-document harness invalidates
-// concurrent readers once instead of once per chunk.
-func (s *Store) BumpEpoch(db string) { s.bumpEpoch(db) }
+// Deprecated: BumpEpoch does nothing, kept for the ledger; a cached
+// translation is valid for the dictionary version it was made against.
+func (s *Store) BumpEpoch(string) {}
 
 // AnalyzeStats recomputes the relational engine's optimizer statistics
-// over the warehouse tables. Loaders call it once per bulk load (after
-// the data has committed, before the epoch bump publishes it), so the
-// per-path row counts and value distributions the cost-based planner
-// reads always describe the current harvest.
+// over the warehouse tables. Loaders call it once per bulk load, after
+// the data has committed, so the per-path row counts and value
+// distributions the cost-based planner reads always describe the
+// current harvest.
 func (s *Store) AnalyzeStats() error { return s.DB.Analyze() }
 
 // Open attaches the shredding schema to db, creating tables on first
-// use, migrating a file written with Dewey sort keys (migrateDewey), and
-// rebuilding the in-memory path cache and keyword indexes.
+// use, migrating a file written with Dewey sort keys (migrateDewey),
+// building the dictionary from the tables and publishing it with db's
+// snapshots from then on.
 func Open(db *sql.DB) (*Store, error) {
 	for _, ddl := range schemaDDL {
 		if _, err := db.Exec(ddl); err != nil {
@@ -132,19 +113,12 @@ func Open(db *sql.DB) (*Store, error) {
 			return nil, fmt.Errorf("shred: indexes: %w", err)
 		}
 	}
-	s := &Store{
-		DB:       db,
-		paths:    map[string]map[string]int{},
-		nextPath: map[string]int{},
-		nextDoc:  map[string]int{},
-		seqPaths: map[string]map[string]bool{},
-		kw:       map[string]*inverted.Index{},
-		dtds:     map[string]string{},
-		epochs:   map[string]uint64{},
-	}
+	s := &Store{DB: db, work: &Dict{dbs: map[string]*dbDict{}}, owned: map[string]bool{}}
+	s.pub.Store(&Dict{dbs: map[string]*dbDict{}})
 	if err := s.loadState(); err != nil {
 		return nil, err
 	}
+	db.SetPublisher(s)
 	return s, nil
 }
 
@@ -154,31 +128,24 @@ func (s *Store) loadState() error {
 		return err
 	}
 	for _, r := range rows.Rows {
-		db := r[0].Text()
-		set := map[string]bool{}
+		var seq []string
 		if !r[1].IsNull() && r[1].Text() != "" {
-			for _, p := range strings.Split(r[1].Text(), ";") {
-				set[p] = true
-			}
+			seq = strings.Split(r[1].Text(), ";")
 		}
-		s.seqPaths[db] = set
+		var dtd string
 		if !r[2].IsNull() {
-			s.dtds[db] = r[2].Text()
+			dtd = r[2].Text()
 		}
-		s.kw[db] = inverted.New()
+		s.addLocked(r[0].Text(), seq, dtd)
 	}
 	rows, err = s.DB.Query(`SELECT db, path_id, path FROM paths`)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows.Rows {
-		db, id, path := r[0].Text(), int(r[1].Int()), r[2].Text()
-		if s.paths[db] == nil {
-			s.paths[db] = map[string]int{}
-		}
-		s.paths[db][path] = id
-		if id >= s.nextPath[db] {
-			s.nextPath[db] = id + 1
+		if e, id := s.work.dbs[r[0].Text()], int(r[1].Int()); e != nil {
+			e.paths[r[2].Text()] = id
+			e.nextPath = max(e.nextPath, id+1)
 		}
 	}
 	rows, err = s.DB.Query(`SELECT db, doc_id FROM docs`)
@@ -186,9 +153,8 @@ func (s *Store) loadState() error {
 		return err
 	}
 	for _, r := range rows.Rows {
-		db, id := r[0].Text(), int(r[1].Int())
-		if id >= s.nextDoc[db] {
-			s.nextDoc[db] = id + 1
+		if e := s.work.dbs[r[0].Text()]; e != nil {
+			e.nextDoc = max(e.nextDoc, int(r[1].Int())+1)
 		}
 	}
 	// Rebuild keyword indexes from non-sequence text values.
@@ -197,191 +163,53 @@ func (s *Store) loadState() error {
 		return err
 	}
 	for _, r := range rows.Rows {
-		db := r[0].Text()
-		ix := s.kw[db]
-		if ix == nil {
-			ix = inverted.New()
-			s.kw[db] = ix
+		if e := s.work.dbs[r[0].Text()]; e != nil {
+			e.kw.AddText(uint32(r[1].Int()), uint32(r[2].Int()), r[3].Text())
 		}
-		ix.AddText(uint32(r[1].Int()), uint32(r[2].Int()), r[3].Text())
 	}
 	return nil
 }
 
-// Reload rebuilds the in-memory dictionaries — path ids, doc-id
-// counters, sequence-path sets, keyword indexes and DTDs — from the
-// relational tables. It is the recovery step after a transaction
-// rollback: the relational engine replayed itself back to the last
-// committed state, while the dictionaries ran ahead with the aborted
-// writes. Every previously or newly known database's catalog epoch is
-// bumped, so cached query translations (which embed path ids and
-// keyword doc-id prefilter lists) are invalidated.
-func (s *Store) Reload() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := s.epochs
-	s.paths = map[string]map[string]int{}
-	s.nextPath = map[string]int{}
-	s.nextDoc = map[string]int{}
-	s.seqPaths = map[string]map[string]bool{}
-	s.kw = map[string]*inverted.Index{}
-	s.dtds = map[string]string{}
-	if err := s.loadState(); err != nil {
-		return err
+// addLocked adds a database to the working copy. Caller holds s.mu or
+// owns the Store alone.
+func (s *Store) addLocked(db string, seqPaths []string, dtdText string) {
+	set := map[string]bool{}
+	for _, p := range seqPaths {
+		set[p] = true
 	}
-	s.epochs = map[string]uint64{}
-	for db, e := range old {
-		s.epochs[db] = e + 1
-	}
-	for db := range s.seqPaths {
-		if _, ok := s.epochs[db]; !ok {
-			s.epochs[db] = old[db] + 1
-		}
-	}
-	return nil
+	s.work.dbs[db] = &dbDict{paths: map[string]int{}, seqPaths: set, dtd: dtdText, kw: inverted.New()}
+	s.owned[db] = true
 }
 
 // Quote escapes a string for inclusion in a SQL literal.
 func Quote(s string) string { return "'" + strings.ReplaceAll(s, "'", "''") + "'" }
 
 // RegisterDB declares one biological database in the warehouse: its
-// sequence paths and the DTD to display for query formulation.
+// sequence paths and the DTD to display for query formulation. It runs
+// outside a batch: the commit of its warehouses row publishes the
+// registration, and a failed one leaves the database unregistered.
 func (s *Store) RegisterDB(db string, seqPaths []string, dtdText string) error {
 	s.mu.Lock()
-	if _, exists := s.seqPaths[db]; exists {
+	if s.work.dbs[db] != nil {
 		s.mu.Unlock()
 		return nil
 	}
-	set := map[string]bool{}
-	for _, p := range seqPaths {
-		set[p] = true
-	}
-	s.seqPaths[db] = set
-	s.kw[db] = inverted.New()
-	s.dtds[db] = dtdText
-	s.epochs[db]++
+	s.addLocked(db, seqPaths, dtdText)
 	s.mu.Unlock()
 	_, err := s.DB.Exec(fmt.Sprintf(
 		`INSERT INTO warehouses VALUES (%s, %s, %s)`,
 		Quote(db), Quote(strings.Join(seqPaths, ";")), Quote(dtdText)))
+	if err != nil {
+		// A statement that failed before writing rolled nothing back, and
+		// outside a batch the working copy holds only the registration.
+		s.Rollback()
+	}
 	return err
 }
 
-// HasDB reports whether a database is registered.
-func (s *Store) HasDB(db string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.seqPaths[db]
-	return ok
-}
-
-// Databases lists registered database names, sorted.
-func (s *Store) Databases() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for db := range s.seqPaths {
-		out = append(out, db)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DTD returns the registered DTD text for a database.
-func (s *Store) DTD(db string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	d, ok := s.dtds[db]
-	return d, ok
-}
-
-// Keywords exposes the keyword index of a database (nil if unknown).
-// The index has its own internal locking.
-func (s *Store) Keywords(db string) *inverted.Index {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.kw[db]
-}
-
-// PathsMatching returns ids of dictionary paths matching the given
-// element path pattern: an absolute /a/b/c or a descendant pattern
-// //c or /a//c (the XQ2SQL translator resolves path expressions here).
-func (s *Store) PathsMatching(db, pattern string) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []int
-	for path, id := range s.paths[db] {
-		if pathMatches(pattern, path) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// PathsUnder returns ids of dictionary paths that match the pattern or
-// lie anywhere beneath a matching path — the resolution rule for
-// subtree-scoped contains() ("limit the search to selected sub-trees").
-func (s *Store) PathsUnder(db, pattern string) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []int
-	for path, id := range s.paths[db] {
-		if pathOrAncestorMatches(pattern, path) {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func pathOrAncestorMatches(pattern, path string) bool {
-	if pathMatches(pattern, path) {
-		return true
-	}
-	// Test every proper element prefix of the path.
-	for i := 1; i < len(path); i++ {
-		if path[i] == '/' && pathMatches(pattern, path[:i]) {
-			return true
-		}
-	}
-	return false
-}
-
-// pathMatches matches a path pattern with // descendant separators
-// against an absolute path.
-func pathMatches(pattern, path string) bool {
-	if !strings.Contains(pattern, "//") {
-		return pattern == path
-	}
-	parts := strings.Split(pattern, "//")
-	// The first part must be a prefix (or empty for a leading //); each
-	// later part must appear in order; the last must end the path.
-	pos := 0
-	for i, part := range parts {
-		if part == "" || part == "/" {
-			continue
-		}
-		if i == 0 {
-			if !strings.HasPrefix(path, part) {
-				return false
-			}
-			pos = len(part)
-			continue
-		}
-		seg := "/" + strings.Trim(part, "/")
-		idx := strings.Index(path[pos:], seg)
-		if idx < 0 {
-			return false
-		}
-		pos += idx + len(seg)
-	}
-	last := parts[len(parts)-1]
-	if last != "" {
-		return strings.HasSuffix(path, "/"+strings.Trim(last, "/")) || path == last
-	}
-	return true
-}
+// Deprecated: Keywords returns the latest published keyword index of a
+// database, kept for the ledger; read Dict(view).Keywords.
+func (s *Store) Keywords(db string) *inverted.Index { return s.Dict(nil).Keywords(db) }
 
 // docID resolves a document name to its id through view.
 func (s *Store) docID(db, name string, view *sql.Snap) (int, bool, error) {
@@ -399,11 +227,7 @@ func (s *Store) docID(db, name string, view *sql.Snap) (int, bool, error) {
 // pinned snapshot, the writer's BatchView, or nil for the published
 // snapshot of the moment.
 func (s *Store) query(view *sql.Snap, format string, args ...any) (*sql.Rows, error) {
-	stmt, err := sql.Parse(fmt.Sprintf(format, args...))
-	if err != nil {
-		return nil, err
-	}
-	return s.DB.QueryStmtOptsContext(context.Background(), stmt.(*sql.Select), sql.ExecOpts{Snap: view})
+	return selectWith(s.DB, fmt.Sprintf(format, args...), sql.ExecOpts{Snap: view})
 }
 
 // WarehouseInfo summarises one registered database.
@@ -414,19 +238,12 @@ type WarehouseInfo struct {
 }
 
 // Overview reports every registered database with its document and
-// dictionary-path counts, sorted by name. The dictionary state is read
-// under ONE RLock acquisition and the document counts come from a single
-// grouped query, so the listing cannot interleave with a concurrent
-// load's per-database mutations.
+// dictionary-path counts, sorted by name, both read from one pinned
+// snapshot, so the listing cannot interleave with a concurrent load.
 func (s *Store) Overview() ([]WarehouseInfo, error) {
-	s.mu.RLock()
-	var out []WarehouseInfo
-	for db := range s.seqPaths {
-		out = append(out, WarehouseInfo{DB: db, Paths: len(s.paths[db])})
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].DB < out[j].DB })
-	rows, err := s.DB.Query(`SELECT db, COUNT(*) FROM docs GROUP BY db`)
+	snap := s.DB.AcquireSnapshot()
+	defer s.DB.ReleaseSnapshot(snap)
+	rows, err := s.query(snap, `SELECT db, COUNT(*) FROM docs GROUP BY db`)
 	if err != nil {
 		return nil, err
 	}
@@ -434,16 +251,17 @@ func (s *Store) Overview() ([]WarehouseInfo, error) {
 	for _, r := range rows.Rows {
 		counts[r[0].Text()] = int(r[1].Int())
 	}
-	for i := range out {
-		out[i].Docs = counts[out[i].DB]
+	d := DictOf(snap)
+	var out []WarehouseInfo
+	for _, db := range d.Databases() {
+		out = append(out, WarehouseInfo{DB: db, Docs: counts[db], Paths: len(d.dbs[db].paths)})
 	}
 	return out, nil
 }
 
 // DocCount reports the number of documents in a database.
 func (s *Store) DocCount(db string) (int, error) {
-	rows, err := s.DB.Query(fmt.Sprintf(
-		`SELECT COUNT(*) FROM docs WHERE db = %s`, Quote(db)))
+	rows, err := s.query(nil, `SELECT COUNT(*) FROM docs WHERE db = %s`, Quote(db))
 	if err != nil {
 		return 0, err
 	}
@@ -451,9 +269,13 @@ func (s *Store) DocCount(db string) (int, error) {
 }
 
 // ClearDatabase removes every document of a database in one pass (the
-// full re-harness path). The registration, DTD and path dictionary stay.
+// full re-harness path). The registration, DTD and path dictionary stay;
+// the keyword index and the document ids start over.
 func (s *Store) ClearDatabase(db string) error {
-	if !s.HasDB(db) {
+	s.mu.Lock()
+	registered := s.work.dbs[db] != nil
+	s.mu.Unlock()
+	if !registered {
 		return fmt.Errorf("shred: database %q not registered", db)
 	}
 	// A database without documents has no rows in any table, and the
@@ -464,21 +286,21 @@ func (s *Store) ClearDatabase(db string) error {
 	if err != nil {
 		return err
 	}
-	tables := docTables
 	if rows.Rows[0][0].Int() == 0 {
-		tables = nil
+		return nil
 	}
-	for _, table := range tables {
+	// The dictionary changes first, so that outside a batch the DELETE
+	// that commits publishes it.
+	s.mu.Lock()
+	e := s.ownLocked(db)
+	e.kw, e.nextDoc = inverted.New(), 0
+	s.mu.Unlock()
+	for _, table := range docTables {
 		if _, err := s.DB.Exec(fmt.Sprintf(
 			`DELETE FROM %s WHERE db = %s`, table, Quote(db))); err != nil {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.kw[db] = inverted.New()
-	s.nextDoc[db] = 0
-	s.epochs[db]++
-	s.mu.Unlock()
 	return nil
 }
 
@@ -498,20 +320,22 @@ func (s *Store) DeleteDocument(db, name string) error {
 	if !ok {
 		return fmt.Errorf("shred: no document %q in %q", name, db)
 	}
+	// The dictionary changes first, as in ClearDatabase.
+	s.mu.Lock()
+	if e := s.ownLocked(db); e != nil {
+		e.kw.DeleteDoc(uint32(id))
+	}
+	s.mu.Unlock()
 	for _, table := range docTables {
 		if _, err := s.DB.Exec(fmt.Sprintf(
 			`DELETE FROM %s WHERE db = %s AND doc_id = %d`, table, Quote(db), id)); err != nil {
 			return err
 		}
 	}
-	if kw := s.kw[db]; kw != nil {
-		kw.DeleteDoc(uint32(id))
-	}
 	// Optimizer statistics are NOT refreshed here: deletions run inside
 	// the caller's batch (ANALYZE cannot), and the update pipeline that
 	// follows re-analyzes once the replacement loads commit. Live row
 	// counts come from the heaps anyway, so only value-distribution
 	// fractions go briefly stale.
-	s.bumpEpoch(db)
 	return nil
 }

@@ -31,8 +31,8 @@ func openStore(t *testing.T) *Store {
 
 // shredDocs loads docs into db the way the ingest pipeline does with one
 // worker: ids reserved in stream order, every document shredded against
-// one dictionary snapshot, one chunk inserted in one batch, keyword
-// shards merged once it commits. It returns the documents' ids.
+// one dictionary snapshot, one chunk inserted in one batch, whose commit
+// publishes its keyword postings. It returns the documents' ids.
 func shredDocs(s *Store, db string, docs ...*xmldoc.Document) ([]int, error) {
 	sh, err := s.NewShredder(db)
 	if err != nil {
@@ -53,10 +53,6 @@ func shredDocs(s *Store, db string, docs ...*xmldoc.Document) ([]int, error) {
 	if err := s.DB.Commit(); err != nil {
 		return nil, err
 	}
-	for _, b := range chunk {
-		s.MergeKeywords(db, b)
-	}
-	s.BumpEpoch(db)
 	return ids, nil
 }
 
@@ -135,7 +131,7 @@ func TestValuesTablesAndTypes(t *testing.T) {
 		t.Errorf("values_num count = %v", rows.Rows[0][0])
 	}
 	// Numeric range query through values_num.
-	pids := s.PathsMatching("db", "/ann/length")
+	pids := s.Dict(nil).PathsMatching("db", "/ann/length")
 	if len(pids) != 1 {
 		t.Fatalf("path ids for /ann/length = %v", pids)
 	}
@@ -168,7 +164,7 @@ func TestSequenceSeparation(t *testing.T) {
 	if rows.Rows[0][0].Int() != 0 {
 		t.Error("sequence leaked into values_str")
 	}
-	if got := s.Keywords("embl").Lookup("acgtacgt"); got != nil {
+	if got := s.Dict(nil).Keywords("embl").Lookup("acgtacgt"); got != nil {
 		t.Error("sequence leaked into keyword index")
 	}
 	// Reconstruction still includes the sequence.
@@ -185,7 +181,7 @@ func TestSequenceSeparation(t *testing.T) {
 func TestKeywordIndex(t *testing.T) {
 	s := openStore(t)
 	loadSample(t, s)
-	kw := s.Keywords("hlx_enzyme.DEFAULT")
+	kw := s.Dict(nil).Keywords("hlx_enzyme.DEFAULT")
 	if kw == nil {
 		t.Fatal("no keyword index")
 	}
@@ -229,13 +225,13 @@ func TestKeywordIndexRebuiltOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if docs := s2.Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 1 {
+	if docs := s2.Dict(nil).Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 1 {
 		t.Errorf("rebuilt keyword index docs = %v", docs)
 	}
-	if dtdText, ok := s2.DTD("hlx_enzyme.DEFAULT"); !ok || !strings.Contains(dtdText, "hlx_enzyme") {
+	if dtdText, ok := s2.Dict(nil).DTD("hlx_enzyme.DEFAULT"); !ok || !strings.Contains(dtdText, "hlx_enzyme") {
 		t.Error("DTD not persisted")
 	}
-	if got := s2.Databases(); len(got) != 1 || got[0] != "hlx_enzyme.DEFAULT" {
+	if got := s2.Dict(nil).Databases(); len(got) != 1 || got[0] != "hlx_enzyme.DEFAULT" {
 		t.Errorf("Databases = %v", got)
 	}
 }
@@ -263,10 +259,10 @@ func TestDeleteDocument(t *testing.T) {
 		t.Error("nodes not deleted")
 	}
 	// Keyword index no longer finds the deleted doc.
-	if docs := s.Keywords("hlx_enzyme.DEFAULT").LookupDocs("monooxygenase"); len(docs) != 0 {
+	if docs := s.Dict(nil).Keywords("hlx_enzyme.DEFAULT").LookupDocs("monooxygenase"); len(docs) != 0 {
 		t.Errorf("deleted doc still indexed: %v", docs)
 	}
-	if docs := s.Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 1 {
+	if docs := s.Dict(nil).Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 1 {
 		t.Errorf("surviving doc lost: %v", docs)
 	}
 	if err := s.DeleteDocument("hlx_enzyme.DEFAULT", "absent"); err == nil {
@@ -279,24 +275,24 @@ func TestPathsMatching(t *testing.T) {
 	loadSample(t, s)
 	db := "hlx_enzyme.DEFAULT"
 	// Absolute.
-	ids := s.PathsMatching(db, "/hlx_enzyme/db_entry/enzyme_id")
+	ids := s.Dict(nil).PathsMatching(db, "/hlx_enzyme/db_entry/enzyme_id")
 	if len(ids) != 1 {
 		t.Errorf("absolute match = %v", ids)
 	}
 	// Descendant.
-	ids = s.PathsMatching(db, "//enzyme_id")
+	ids = s.Dict(nil).PathsMatching(db, "//enzyme_id")
 	if len(ids) != 1 {
 		t.Errorf("descendant match = %v", ids)
 	}
-	ids = s.PathsMatching(db, "/hlx_enzyme//reference")
+	ids = s.Dict(nil).PathsMatching(db, "/hlx_enzyme//reference")
 	if len(ids) != 1 {
 		t.Errorf("mixed match = %v", ids)
 	}
-	ids = s.PathsMatching(db, "//@swissprot_accession_number")
+	ids = s.Dict(nil).PathsMatching(db, "//@swissprot_accession_number")
 	if len(ids) != 1 {
 		t.Errorf("attr match = %v", ids)
 	}
-	if ids := s.PathsMatching(db, "//nonexistent"); len(ids) != 0 {
+	if ids := s.Dict(nil).PathsMatching(db, "//nonexistent"); len(ids) != 0 {
 		t.Errorf("bogus pattern matched %v", ids)
 	}
 }
@@ -395,7 +391,7 @@ func TestClearDatabase(t *testing.T) {
 	if n, _ := s.DocCount("hlx_enzyme.DEFAULT"); n != 0 {
 		t.Errorf("DocCount after clear = %d", n)
 	}
-	if docs := s.Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 0 {
+	if docs := s.Dict(nil).Keywords("hlx_enzyme.DEFAULT").LookupDocs("copper"); len(docs) != 0 {
 		t.Error("keyword index survived clear")
 	}
 	// Registration and DTD survive; reloading works and doc ids restart.
@@ -516,7 +512,7 @@ func TestDocuments(t *testing.T) {
 func TestHasDBAndPathCount(t *testing.T) {
 	s := openStore(t)
 	loadSample(t, s)
-	if !s.HasDB("hlx_enzyme.DEFAULT") || s.HasDB("nope") {
+	if d := s.Dict(nil); !d.HasDB("hlx_enzyme.DEFAULT") || d.HasDB("nope") {
 		t.Error("HasDB misbehaves")
 	}
 	dbs, err := s.Overview()

@@ -89,7 +89,7 @@ func crashFingerprint(db *sql.DB) (string, error) {
 		return "", err
 	}
 	var names []string
-	if s.HasDB(crashDBName) {
+	if s.Dict(nil).HasDB(crashDBName) {
 		rows, err := s.DB.Query(`SELECT name FROM docs WHERE db = ` + shred.Quote(crashDBName))
 		if err != nil {
 			return "", err
@@ -178,13 +178,7 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 		for i, d := range ds {
 			chunk[i] = sh.Shred(store.ReserveDocID(crashDBName), d)
 		}
-		if err := store.InsertChunk(crashDBName, chunk); err != nil {
-			return err
-		}
-		for _, b := range chunk {
-			store.MergeKeywords(crashDBName, b)
-		}
-		return nil
+		return store.InsertChunk(crashDBName, chunk)
 	}
 	load := func(ds ...*xmldoc.Document) func(*sql.DB) error {
 		return func(*sql.DB) error { return shredInto(ds...) }
@@ -221,9 +215,6 @@ func crashWorkload(t testing.TB, docs []*xmldoc.Document) crashtest.Workload {
 				}
 				if err := db.Commit(); err != nil {
 					return err
-				}
-				for _, b := range chunk {
-					store.MergeKeywords(crashDBName, b)
 				}
 			}
 			return db.ResumeIndexes()
@@ -316,12 +307,22 @@ func TestCrashRecoverySweep(t *testing.T) {
 
 // snapshotProbe reduces the warehouse to a comparable string through a
 // pinned snapshot: every page access resolves against the snapshot's
-// epoch, so a load or delete committing between two probes of the same
-// snapshot must not change the result.
+// epoch, and the keyword query is translated against the dictionary
+// published with it, so a load or delete committing between two probes
+// of the same snapshot must not change the result.
 func snapshotProbe(db *sql.DB, snap *sql.Snap) (string, error) {
+	q, err := xq.Parse(crashQueries[0])
+	if err != nil {
+		return "", err
+	}
+	tr, err := xq2sql.TranslateDict(shred.DictOf(snap), q, xq2sql.Options{UseKeywordIndex: true})
+	if err != nil {
+		return "", err
+	}
 	probes := []string{
 		`SELECT name FROM docs WHERE db = ` + shred.Quote(crashDBName),
 		`SELECT doc_id, node_id, val FROM values_str WHERE db = ` + shred.Quote(crashDBName),
+		tr.SQL,
 	}
 	var b strings.Builder
 	for i, src := range probes {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -111,6 +112,8 @@ type DB struct {
 	// snap is the currently published snapshot (see snapshot.go); replaced
 	// under db.mu at every commit, read lock-free by snapshot queries.
 	snap atomic.Pointer[Snap]
+	// pub supplies the value each published Snap carries (SetPublisher).
+	pub Publisher
 	// readGate excludes snapshot readers from the rollback window where
 	// live frames are discarded and replayed (mid-replay pages are torn).
 	// Readers hold it shared per statement; only rollbackLocked takes it
@@ -553,7 +556,7 @@ func (db *DB) Commit() error {
 		err = db.log.Sync()
 	}
 	if err != nil {
-		if rbErr := db.rollbackLocked(); rbErr != nil {
+		if rbErr := db.rollbackLocked(db.batchTxn); rbErr != nil {
 			return errors.Join(err, fmt.Errorf("sql: commit abort: %w", rbErr))
 		}
 		return err
@@ -581,13 +584,13 @@ func (db *DB) Rollback() error {
 		return errors.New("sql: no open batch")
 	}
 	db.inBatch = false
-	return db.rollbackLocked()
+	return db.rollbackLocked(db.batchTxn)
 }
 
 // rollbackLocked discards everything since the last commit and restores
 // the committed state, tolerating a WAL writer poisoned by an earlier
-// I/O fault. Caller holds db.mu.
-func (db *DB) rollbackLocked() error {
+// I/O fault. txn is the transaction being abandoned. Caller holds db.mu.
+func (db *DB) rollbackLocked(txn uint64) error {
 	db.dead = nil
 	// Push buffered records (committed and aborted alike) to the log
 	// file so the committed-ops scan sees everything appended so far. A
@@ -600,6 +603,12 @@ func (db *DB) rollbackLocked() error {
 		db.log.DiscardBuffer()
 	}
 	ops, err := wal.CommittedOpsFS(db.opts.FS, db.path+".wal")
+	// A transaction whose commit record reached the log before the fault
+	// is replayed below: it committed, and so did what the Publisher
+	// holds for it.
+	if db.pub != nil && (err != nil || !slices.ContainsFunc(ops, func(r wal.Record) bool { return r.Txn == txn })) {
+		db.pub.Rollback()
+	}
 	if err != nil {
 		return fmt.Errorf("sql: rollback scan: %w", err)
 	}
@@ -757,7 +766,7 @@ func (db *DB) autocommitLocked(fn func(txn uint64) error) error {
 	if db.pool.Mutations() == preMut && db.log.Size() == preSize {
 		return err
 	}
-	if rbErr := db.rollbackLocked(); rbErr != nil {
+	if rbErr := db.rollbackLocked(txn); rbErr != nil {
 		return errors.Join(err, fmt.Errorf("sql: statement abort: %w", rbErr))
 	}
 	return err
@@ -1116,7 +1125,7 @@ func (db *DB) ResumeIndexes() error {
 		err = db.checkpointLocked()
 	}
 	if err != nil {
-		if rbErr := db.rollbackLocked(); rbErr != nil {
+		if rbErr := db.rollbackLocked(0); rbErr != nil {
 			return errors.Join(err, fmt.Errorf("sql: resume indexes abort: %w", rbErr))
 		}
 		return err

@@ -32,10 +32,37 @@ type Snap struct {
 	// drop to sequential scans (heap pages are WAL-protected and replay
 	// restores them, so heaps stay readable).
 	rollbackGen uint64
+	// published is what the DB's Publisher gave this publish; nil for
+	// the writer's BatchView.
+	published any
 }
 
 // Epoch reports the snapshot's engine epoch.
 func (s *Snap) Epoch() uint64 { return s.epoch }
+
+// Published returns the value the DB's Publisher published with this
+// snapshot, or nil.
+func (s *Snap) Published() any { return s.published }
+
+// Publisher is state that the layer above keeps beside the tables and
+// publishes with them: the DB calls it under db.mu, so a value is
+// published by exactly the commits that make the rows it describes
+// visible, and reverts with every rollback.
+type Publisher interface {
+	// Publish returns the value the snapshot being published carries.
+	Publish() any
+	// Rollback discards what changed since the last Publish.
+	Rollback()
+}
+
+// SetPublisher installs p, replacing any earlier Publisher, and
+// publishes a snapshot that carries its value.
+func (db *DB) SetPublisher(p Publisher) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.pub = p
+	db.publishLocked()
+}
 
 // freeze returns an immutable copy of the table bound to epoch: the heap
 // and every B-tree index frozen. Column defs and the stats block are
@@ -75,6 +102,9 @@ func (db *DB) publishLocked() {
 		cat:         &catalog{tables: make(map[string]*TableInfo, len(db.cat.tables))},
 		indexesOK:   !db.indexesDeferred,
 		rollbackGen: db.rollbackGen.Load(),
+	}
+	if db.pub != nil {
+		s.published = db.pub.Publish()
 	}
 	for name, t := range db.cat.tables {
 		s.cat.tables[name] = t.freeze(epoch)

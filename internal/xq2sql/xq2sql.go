@@ -29,11 +29,11 @@
 // disjunctions across different paths; Translate returns ErrUnsupported
 // for those and the engine falls back to the native evaluator.
 //
-// A Translation is only valid for the catalog state it was produced
-// from: the SQL embeds path-dictionary ids and keyword-prefilter doc-id
-// lists. Callers that cache translations (the engine's plan cache) must
-// key validity on the referenced databases' catalog epochs
-// (shred.Store.Epoch) and re-translate when an epoch moves.
+// A Translation is only valid for the dictionary it was produced from:
+// the SQL embeds path ids and keyword-prefilter doc-id lists. Translate
+// against the dictionary of the snapshot the SQL will read; the engine's
+// plan cache keys translations by the dictionary versions of the
+// databases they read (shred.Dict.DBVersion).
 package xq2sql
 
 import (
@@ -72,8 +72,8 @@ type Translation struct {
 // instances last, so the left-deep executor joins selectively before it
 // crosses bindings or widens rows for output.
 type translator struct {
-	store *shred.Store
-	opts  Options
+	dict *shred.Dict
+	opts Options
 
 	fromSeg    [][]string // per-binding FROM segments
 	fromReturn []string   // return-item instances, appended last
@@ -92,14 +92,21 @@ type bindingInfo struct {
 	seg   int    // FROM segment index
 }
 
-// Translate rewrites a query. The store provides the path dictionary and
-// keyword indexes of the referenced databases.
+// Deprecated: Translate rewrites a query against the latest published
+// dictionary, kept for the ledger; use TranslateDict with the dictionary
+// of the snapshot the SQL will read.
 func Translate(store *shred.Store, q *xq.Query, opts Options) (*Translation, error) {
+	return TranslateDict(store.Dict(nil), q, opts)
+}
+
+// TranslateDict rewrites a query. The dictionary provides the path ids
+// and keyword indexes of the referenced databases.
+func TranslateDict(dict *shred.Dict, q *xq.Query, opts Options) (*Translation, error) {
 	q, err := q.ResolveLets()
 	if err != nil {
 		return nil, err
 	}
-	tr := &translator{store: store, opts: opts, bindings: map[string]*bindingInfo{}}
+	tr := &translator{dict: dict, opts: opts, bindings: map[string]*bindingInfo{}}
 	for _, b := range q.For {
 		if err := tr.addBinding(b); err != nil {
 			return nil, err
@@ -181,7 +188,7 @@ func (t *translator) addBinding(b xq.Binding) error {
 	if b.Path.Doc == "" {
 		return fmt.Errorf("%w: FOR binding rooted at a variable", ErrUnsupported)
 	}
-	if !t.store.HasDB(b.Path.Doc) {
+	if !t.dict.HasDB(b.Path.Doc) {
 		return fmt.Errorf("%w %q", ErrUnknownDatabase, b.Path.Doc)
 	}
 	if _, err := lastPreds(b.Path.Steps); err != nil {
@@ -194,7 +201,7 @@ func (t *translator) addBinding(b xq.Binding) error {
 	if err != nil {
 		return err
 	}
-	ids := t.store.PathsMatching(b.Path.Doc, pat)
+	ids := t.dict.PathsMatching(b.Path.Doc, pat)
 	alias := t.alias("b")
 	seg := len(t.fromSeg)
 	t.fromSeg = append(t.fromSeg, []string{"nodes " + alias})
@@ -241,9 +248,9 @@ func (t *translator) valueInstance(p *xq.PathExpr, numeric, under, forReturn boo
 	}
 	var ids []int
 	if under {
-		ids = t.store.PathsUnder(b.db, pat)
+		ids = t.dict.PathsUnder(b.db, pat)
 	} else {
-		ids = t.store.PathsMatching(b.db, pat)
+		ids = t.dict.PathsMatching(b.db, pat)
 	}
 	table := "values_str"
 	prefix := "w"
@@ -294,7 +301,7 @@ func (t *translator) addPredicate(valAlias string, b *bindingInfo, stepPat strin
 	steps := pr.Path.Steps
 	if len(steps) == 1 && steps[0].IsAttr {
 		pat := stepPat + "/@" + steps[0].Name
-		ids := t.store.PathsMatching(b.db, pat)
+		ids := t.dict.PathsMatching(b.db, pat)
 		p := t.alias("p")
 		addFrom(table + " " + p)
 		t.where = append(t.where,
@@ -312,7 +319,7 @@ func (t *translator) addPredicate(valAlias string, b *bindingInfo, stepPat strin
 		if err != nil {
 			return err
 		}
-		ids := t.store.PathsMatching(b.db, pat)
+		ids := t.dict.PathsMatching(b.db, pat)
 		p := t.alias("p")
 		cn := t.alias("c")
 		addFrom(table+" "+p, "nodes "+cn)
@@ -419,7 +426,7 @@ func (t *translator) addSeqContains(e *xq.SeqContains) error {
 	if err != nil {
 		return err
 	}
-	ids := t.store.PathsUnder(b.db, pat)
+	ids := t.dict.PathsUnder(b.db, pat)
 	alias := t.alias("s")
 	t.fromSeg[b.seg] = append(t.fromSeg[b.seg], "seq_data "+alias)
 	t.where = append(t.where,
@@ -435,7 +442,7 @@ func (t *translator) addSeqContains(e *xq.SeqContains) error {
 // addKeywordPrefilter narrows an alias to the documents the inverted
 // index knows to mention every keyword token.
 func (t *translator) addKeywordPrefilter(alias, db, keyword string) {
-	ix := t.store.Keywords(db)
+	ix := t.dict.Keywords(db)
 	if ix == nil {
 		return
 	}
@@ -493,7 +500,7 @@ func (t *translator) nodeInstance(p *xq.PathExpr) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	ids := t.store.PathsMatching(b.db, pat)
+	ids := t.dict.PathsMatching(b.db, pat)
 	alias := t.alias("o")
 	t.fromSeg[b.seg] = append(t.fromSeg[b.seg], "nodes "+alias)
 	// Match the node kind of the path's final step: text children share

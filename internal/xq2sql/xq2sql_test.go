@@ -44,8 +44,8 @@ func (fx *fixture) loadDocs(t *testing.T, dbName string, seqPaths []string, docs
 	if err := fx.store.RegisterDB(dbName, seqPaths, ""); err != nil {
 		t.Fatal(err)
 	}
-	// The ingest pipeline's stages on one goroutine: one chunk, one batch,
-	// keyword shards merged once it commits.
+	// The ingest pipeline's stages on one goroutine: one chunk in one
+	// batch, whose commit publishes its paths and keyword postings.
 	sh, err := fx.store.NewShredder(dbName)
 	if err != nil {
 		t.Fatal(err)
@@ -62,9 +62,6 @@ func (fx *fixture) loadDocs(t *testing.T, dbName string, seqPaths []string, docs
 	}
 	if err := fx.store.DB.Commit(); err != nil {
 		t.Fatal(err)
-	}
-	for _, b := range chunk {
-		fx.store.MergeKeywords(dbName, b)
 	}
 	fx.corpus[dbName] = docs
 }
