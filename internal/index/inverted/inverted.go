@@ -28,7 +28,7 @@ type Index struct {
 	postings map[string][]Posting
 	byDoc    map[uint32][]string // tokens contributed by each document
 	tokens   int
-	owned    map[string]bool // posting arrays this copy wrote, not shared
+	owned    map[string]bool // tokens whose posting array this copy allocated
 }
 
 // New returns an empty index.
