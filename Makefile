@@ -43,11 +43,15 @@ race:
 # visibility, conflicts, admission, keyword queries answered from the
 # dictionary of a pinned snapshot or beside an open batch) under the race
 # detector, plus the crash sweep that pins a reader snapshot across every
-# crash point of a concurrent load.
+# crash point of a concurrent load, and the update tests that pin what a
+# reader can see between an update's commits: each kept entry exactly
+# once, whatever fault ends the update, and one commit for a delta of up
+# to one chunk.
 test-tx:
 	$(GO) test -race -count=1 -run 'TestTx|TestQueryDuringLoadConsistency|TestHTTPTransactions|TestREPLTransaction' \
 		./internal/core/ ./internal/server/ ./internal/console/
 	$(GO) test -count=1 -run 'TestCrashSweepSnapshotReader' ./internal/sql/
+	$(GO) test -count=1 -run 'TestUpdateFaultSweep|TestLoadPublishesOneVersionPerChunk' ./internal/core/
 
 # ---- server ----
 

@@ -99,14 +99,8 @@ type Engine struct {
 	// receive = release.
 	writerTok chan struct{}
 
-	mu      sync.Mutex
+	// sources is read and written only by holders of writerTok.
 	sources map[string]*sourceReg
-	// txLoad, when non-nil, marks loads running inside an escalated
-	// transaction's open batch: the pipeline skips per-chunk commits and
-	// post-load stats, and triggers are deferred into it until the
-	// transaction commits. Guarded by e.mu (set only by load paths,
-	// which hold it).
-	txLoad *txLoadState
 
 	statsMu  sync.Mutex
 	lastLoad LoadStats
@@ -123,7 +117,6 @@ type Engine struct {
 type sourceReg struct {
 	source      hounds.Source
 	transformer hounds.Transformer
-	lastVersion string
 }
 
 // Open opens (or creates) a warehouse.
@@ -187,8 +180,7 @@ func (e *Engine) Recovered() bool { return e.db.Recovered() }
 
 // acquireWriter blocks until the single-writer token is free (or the
 // context ends). Every warehouse mutation holds the token: it is what
-// lets an escalated transaction exclude concurrent loads without
-// touching e.mu.
+// lets an escalated transaction exclude concurrent loads.
 func (e *Engine) acquireWriter(ctx context.Context) error {
 	select {
 	case e.writerTok <- struct{}{}:
@@ -223,8 +215,6 @@ func (e *Engine) RegisterSource(dbName string, src hounds.Source, tr hounds.Tran
 		return err
 	}
 	defer e.releaseWriter()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if _, dup := e.sources[dbName]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateSource, dbName)
 	}
@@ -269,10 +259,6 @@ func (e *Engine) HarnessContext(ctx context.Context, dbName string) (int, error)
 // writer token; st non-nil runs the load inside an escalated
 // transaction's open batch (see tx.go).
 func (e *Engine) harnessContext(ctx context.Context, dbName string, st *txLoadState) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.txLoad = st
-	defer func() { e.txLoad = nil }()
 	reg, ok := e.sources[dbName]
 	if !ok || reg.source == nil {
 		return 0, fmt.Errorf("%w for %q", ErrNoSource, dbName)
@@ -282,11 +268,7 @@ func (e *Engine) harnessContext(ctx context.Context, dbName string, st *txLoadSt
 		return 0, err
 	}
 	defer rc.Close()
-	n, err := e.harnessStreamLocked(ctx, dbName, reg.transformer, rc, version)
-	if err == nil {
-		reg.lastVersion = version
-	}
-	return n, err
+	return e.harnessStream(ctx, dbName, reg.transformer, rc, version, st)
 }
 
 // HarnessReaderContext is a full load from a caller-supplied flat-file
@@ -300,8 +282,6 @@ func (e *Engine) HarnessReaderContext(ctx context.Context, dbName string, tr hou
 		return 0, err
 	}
 	defer e.releaseWriter()
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	reg, ok := e.sources[dbName]
 	if !ok {
 		if err := e.store.RegisterDB(dbName, tr.SequencePaths(), dtdText(tr)); err != nil {
@@ -312,18 +292,14 @@ func (e *Engine) HarnessReaderContext(ctx context.Context, dbName string, tr hou
 		reg = &sourceReg{transformer: tr}
 		e.sources[dbName] = reg
 	}
-	n, err := e.harnessStreamLocked(ctx, dbName, reg.transformer, r, version)
-	if err == nil {
-		reg.lastVersion = version
-	}
-	return n, err
+	return e.harnessStream(ctx, dbName, reg.transformer, r, version, nil)
 }
 
-// harnessStreamLocked is the shared harness body: stream-transform the
-// flat file, clear the previous harvest once the stream proves viable,
-// run the parallel load pipeline, record stats and fire the trigger.
-// Caller holds e.mu.
-func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr hounds.Transformer, r io.Reader, version string) (int, error) {
+// harnessStream is the shared harness body: stream-transform the flat
+// file, clear the previous harvest once the stream proves viable, run
+// the parallel load pipeline, record stats and fire the trigger. Caller
+// holds the writer token; st as in harnessContext.
+func (e *Engine) harnessStream(ctx context.Context, dbName string, tr hounds.Transformer, r io.Reader, version string, st *txLoadState) (int, error) {
 	start := time.Now()
 	cr := &countingReader{r: r}
 
@@ -333,7 +309,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 	trErr := make(chan error, 1)
 	stopTr := make(chan struct{})
 	go func() {
-		err := hounds.TransformStream(tr, cr, func(d *xmldoc.Document) error {
+		err := tr.TransformStream(cr, func(d *xmldoc.Document) error {
 			select {
 			case rawCh <- d:
 				return nil
@@ -390,7 +366,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 	}
 	// The pipeline clears the previous harvest in the batch of the first
 	// chunk it commits.
-	names, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), true, true, produce)
+	names, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), nil, st, produce)
 	if err != nil {
 		// A pipeline that failed before calling produce leaves the
 		// transform blocked on its channel.
@@ -401,19 +377,18 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 		Docs: len(names), Tuples: tuples, Bytes: cr.n,
 		Elapsed: time.Since(start), Workers: e.loadWorkers(),
 	})
-	e.publishOrDefer(hounds.Trigger{Change: hounds.ChangeSet{
+	e.publishOrDefer(st, hounds.Trigger{Change: hounds.ChangeSet{
 		DB: dbName, Version: version, Added: names,
 	}})
 	return len(names), nil
 }
 
-// publishOrDefer fires a change trigger — immediately for autocommit
-// loads, deferred into the transaction state for loads inside an open
-// batch (subscribers must not observe uncommitted changes). Caller
-// holds e.mu.
-func (e *Engine) publishOrDefer(tr hounds.Trigger) {
-	if e.txLoad != nil {
-		e.txLoad.triggers = append(e.txLoad.triggers, tr)
+// publishOrDefer fires a change trigger: immediately for autocommit
+// loads (st nil), deferred into st for loads inside a transaction's open
+// batch (subscribers must not observe uncommitted changes).
+func (e *Engine) publishOrDefer(st *txLoadState, tr hounds.Trigger) {
+	if st != nil {
+		st.triggers = append(st.triggers, tr)
 		return
 	}
 	e.bus.Publish(tr)
@@ -438,9 +413,10 @@ func (e *Engine) Update(dbName string) (hounds.ChangeSet, error) {
 // The diff needs the full new harvest up front, so the transform is
 // materialised (and validated) here and compared against the digests
 // the warehouse stored at load time; the old harvest is never rebuilt.
-// The replacement loads still go through the parallel shredding
-// pipeline, with inline index maintenance for small deltas and the
-// deferred bulk path once the delta reaches a full chunk.
+// The delta then goes through the harness's pipeline: the removed
+// entries are deleted in the batch of the first chunk, and each chunk
+// deletes the old versions of the modified entries it inserts, so every
+// commit holds each kept entry exactly once, in its old or new version.
 func (e *Engine) UpdateContext(ctx context.Context, dbName string) (hounds.ChangeSet, error) {
 	if err := e.acquireWriter(ctx); err != nil {
 		return hounds.ChangeSet{}, err
@@ -452,10 +428,6 @@ func (e *Engine) UpdateContext(ctx context.Context, dbName string) (hounds.Chang
 // updateContext is the token-free update body (caller holds the writer
 // token; st as in harnessContext).
 func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadState) (hounds.ChangeSet, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.txLoad = st
-	defer func() { e.txLoad = nil }()
 	reg, ok := e.sources[dbName]
 	if !ok || reg.source == nil {
 		return hounds.ChangeSet{}, fmt.Errorf("%w for %q", ErrNoSource, dbName)
@@ -486,46 +458,19 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 	}
 	cs := hounds.Diff(dbName, version, old, newDocs)
 	if cs.Empty() {
-		reg.lastVersion = version
 		return cs, nil
 	}
-	// Deletions first (removed entries and the old versions of modified
-	// ones), then the replacement loads in crash-atomic chunks. Inside a
-	// transaction the batch is already open and stays open.
-	if e.txLoad == nil {
-		if err := e.db.Begin(); err != nil {
-			return cs, err
-		}
-	}
-	for _, name := range append(append([]string{}, cs.Removed...), cs.Modified...) {
-		if err := e.store.DeleteDocument(dbName, name); err != nil {
-			if e.txLoad == nil {
-				err = errors.Join(err, e.db.Rollback())
-			}
-			return cs, err
-		}
-	}
-	if e.txLoad == nil {
-		if err := e.db.Commit(); err != nil {
-			return cs, err
-		}
-	}
-	var loads []*xmldoc.Document
-	for _, name := range append(append([]string{}, cs.Modified...), cs.Added...) {
-		loads = append(loads, byName[name])
-	}
 	// Documents were validated by the transform, so the pipeline skips
-	// DTD validation (nil DTD). Deferring index maintenance only pays
-	// for itself once the delta is bulk-sized.
+	// DTD validation (nil DTD).
 	produce := func(emit func(*xmldoc.Document) error) error {
-		for _, d := range loads {
-			if err := emit(d); err != nil {
+		for _, name := range slices.Concat(cs.Modified, cs.Added) {
+			if err := emit(byName[name]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	names, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, false, produce)
+	names, tuples, err := e.runLoadPipeline(ctx, dbName, nil, &cs, st, produce)
 	if err != nil {
 		return cs, err
 	}
@@ -533,8 +478,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 		Docs: len(names), Tuples: tuples, Bytes: cr.n,
 		Elapsed: time.Since(start), Workers: e.loadWorkers(),
 	})
-	reg.lastVersion = version
-	e.publishOrDefer(hounds.Trigger{Change: cs})
+	e.publishOrDefer(st, hounds.Trigger{Change: cs})
 	return cs, nil
 }
 

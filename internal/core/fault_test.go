@@ -3,12 +3,16 @@ package core
 // Engine-level fault tests: I/O errors and power cuts injected while the
 // warehouse is harnessed or incrementally updated. The engine's contract
 // under a mid-load fault is the chunked-commit one: the warehouse holds a
-// committed prefix, stays structurally consistent, and a subsequent
-// harness replaces it wholesale.
+// committed prefix and stays structurally consistent; a subsequent
+// harness replaces it wholesale, and a subsequent update completes it.
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
@@ -21,9 +25,14 @@ const faultWH = "hlx_enzyme.DEFAULT"
 
 func faultEngine(t testing.TB, fs *faultfs.FS) *Engine {
 	t.Helper()
+	return faultEnginePool(t, fs, 256)
+}
+
+func faultEnginePool(t testing.TB, fs *faultfs.FS, pool int) *Engine {
+	t.Helper()
 	cfg := NewConfig("wh.db")
 	cfg.FS = fs
-	cfg.PoolPages = 256
+	cfg.PoolPages = pool
 	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,35 +104,101 @@ func TestHarnessFaultSweep(t *testing.T) {
 }
 
 // TestUpdateFaultSweep injects one I/O error at sampled op offsets
-// inside an incremental Update. A failed update may leave a committed
-// sub-delta (the deletions commit before the loads), so the assertions
-// are consistency plus the documented recovery path: a full harness.
+// inside an incremental Update: a delta that removes one entry and
+// revises another, and a 401-entry delta that revises every entry and
+// commits in three chunks. Wherever the fault lands, the warehouse stays
+// consistent and holds every entry the new harvest keeps exactly once,
+// in its old or its new version, and no entry twice; nothing is
+// half-applied, so retrying the Update reaches the new harvest.
 func TestUpdateFaultSweep(t *testing.T) {
-	entries := bio.GenEnzymes(4, bio.GenOptions{Seed: 8})
-	flat := enzymeFlat(t, entries)
-	mod := make([]*bio.EnzymeEntry, len(entries))
-	copy(mod, entries)
-	mod = append(mod[:1], mod[2:]...) // drop one entry
-	changed := *mod[1]                // revise another
-	changed.Comments = append([]string{"Revised note."}, changed.Comments...)
-	mod[1] = &changed
-	flat2 := enzymeFlat(t, mod)
+	revise := func(e *bio.EnzymeEntry) *bio.EnzymeEntry {
+		c := *e
+		c.Comments = append([]string{"Revised note."}, c.Comments...)
+		return &c
+	}
+	small := bio.GenEnzymes(4, bio.GenOptions{Seed: 8})
+	smallNew := slices.Delete(slices.Clone(small), 1, 2)
+	smallNew[1] = revise(smallNew[1])
+	large := bio.GenEnzymes(2*loadChunkSize, bio.GenOptions{Seed: 8})
+	largeNew := make([]*bio.EnzymeEntry, len(large))
+	for i, e := range large {
+		largeNew[i] = revise(e)
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new []*bio.EnzymeEntry
+		// A chunk that replaces 200 entries with inline index maintenance
+		// dirties about 600 pages before its commit.
+		pool int
+	}{
+		{"removed and modified", small, smallNew, 256},
+		{"three chunks modified", large, largeNew, 1024},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			updateFaultSweep(t, enzymeFlat(t, tc.old), enzymeFlat(t, tc.new), tc.pool)
+		})
+	}
+}
 
-	setup := func(fs *faultfs.FS) (*Engine, *hounds.SimSource) {
-		e := faultEngine(t, fs)
-		src := hounds.NewSimSource("enzyme", flat)
-		if err := e.RegisterSource(faultWH, src, hounds.EnzymeTransformer{}); err != nil {
+func updateFaultSweep(t *testing.T, flat, flat2 string, pool int) {
+	digests := func(flat string) map[string][sha256.Size]byte {
+		docs, err := hounds.EnzymeTransformer{}.Transform(strings.NewReader(flat))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Harness(faultWH); err != nil {
-			t.Fatal(err)
+		out := map[string][sha256.Size]byte{}
+		for _, d := range docs {
+			out[d.Name] = d.Digest()
 		}
-		src.Publish(flat2)
-		return e, src
+		return out
+	}
+	oldDigests, newDigests := digests(flat), digests(flat2)
+	// The old harvest is loaded once; every run starts from a copy of the
+	// closed warehouse, with the source publishing the new harvest.
+	base := faultfs.New(99)
+	e := faultEnginePool(t, base, pool)
+	registerEnzyme(t, e, flat)
+	if _, err := e.Harness(faultWH); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setup := func() (*Engine, *faultfs.FS) {
+		fs := base.Reboot()
+		e := faultEnginePool(t, fs, pool)
+		registerEnzyme(t, e, flat2)
+		return e, fs
+	}
+	// check asserts that every stored entry is there once, in a version
+	// of one of the two harvests, and that no kept entry is missing.
+	check := func(e *Engine, when string) {
+		t.Helper()
+		if err := e.DB().CheckConsistency(); err != nil {
+			t.Fatalf("%s: inconsistent: %v", when, err)
+		}
+		stored, err := e.Store().Digests(faultWH, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		count := map[string]int{}
+		for _, r := range sqlRows(t, e, `SELECT name FROM docs WHERE db = 'hlx_enzyme.DEFAULT'`) {
+			name := r[0].Text()
+			if count[name]++; count[name] > 1 {
+				t.Fatalf("%s: entry %q stored twice", when, name)
+			}
+			if d := stored[name]; d != oldDigests[name] && d != newDigests[name] {
+				t.Fatalf("%s: entry %q is in neither harvest's version", when, name)
+			}
+		}
+		for name := range newDigests {
+			if _, kept := oldDigests[name]; kept && count[name] == 0 {
+				t.Fatalf("%s: kept entry %q is missing", when, name)
+			}
+		}
 	}
 
-	fs := faultfs.New(99)
-	e, _ := setup(fs)
+	e, fs := setup()
 	start := fs.Ops()
 	cs, err := e.Update(faultWH)
 	if err != nil {
@@ -133,10 +208,6 @@ func TestUpdateFaultSweep(t *testing.T) {
 		t.Fatal("reference update applied no delta; test is vacuous")
 	}
 	updateOps := fs.Ops() - start
-	wantDocs, err := e.DocCount(faultWH)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,39 +217,23 @@ func TestUpdateFaultSweep(t *testing.T) {
 
 	stride := updateOps/25 + 1
 	for k := int64(0); k < updateOps; k += stride {
-		fs := faultfs.New(99)
-		e, _ := setup(fs)
+		when := fmt.Sprintf("op +%d", k)
+		e, fs := setup()
 		fs.FailAt(fs.Ops()+k, faultfs.FaultErr)
 
-		_, uerr := e.Update(faultWH)
-		if uerr != nil && !errors.Is(uerr, faultfs.ErrInjected) {
-			t.Fatalf("op +%d: update err = %v, want ErrInjected in chain", k, uerr)
+		if _, uerr := e.Update(faultWH); uerr != nil && !errors.Is(uerr, faultfs.ErrInjected) {
+			t.Fatalf("%s: update err = %v, want ErrInjected in chain", when, uerr)
 		}
-		if cerr := e.DB().CheckConsistency(); cerr != nil {
-			t.Fatalf("op +%d: inconsistent after update fault: %v", k, cerr)
+		check(e, when+", after the update")
+		if _, err := e.Update(faultWH); err != nil {
+			t.Fatalf("%s: retried update: %v", when, err)
 		}
-		if uerr == nil {
-			// The fault was never reached (Update's op usage can shrink
-			// when the faulted run diverges) or absorbed; the update must
-			// then have fully applied.
-			if got, derr := e.DocCount(faultWH); derr != nil || got != wantDocs {
-				t.Fatalf("op +%d: clean update DocCount = %d, %v; want %d", k, got, derr, wantDocs)
-			}
-		} else {
-			// Documented recovery from a half-applied delta: re-harness.
-			if _, rerr := e.Harness(faultWH); rerr != nil {
-				t.Fatalf("op +%d: harness after failed update: %v", k, rerr)
-			}
-			if got, derr := e.DocCount(faultWH); derr != nil || got != wantDocs {
-				t.Fatalf("op +%d: recovered DocCount = %d, %v; want %d", k, got, derr, wantDocs)
-			}
-			cs, uerr2 := e.Update(faultWH)
-			if uerr2 != nil || !cs.Empty() {
-				t.Fatalf("op +%d: update after recovery = %+v, %v; want empty delta", k, cs, uerr2)
-			}
+		check(e, when+", after the retry")
+		if got, err := e.Store().Digests(faultWH, nil); err != nil || !maps.Equal(got, newDigests) {
+			t.Fatalf("%s: retried update holds %d entries (%v), want the %d of the new harvest", when, len(got), err, len(newDigests))
 		}
 		if err := e.Close(); err != nil {
-			t.Fatalf("op +%d: close: %v", k, err)
+			t.Fatalf("%s: close: %v", when, err)
 		}
 	}
 }

@@ -7,8 +7,9 @@
 // the collector merges in that order, the warehouse contents are
 // byte-identical for any worker count — workers=1 is the sequential
 // reference. Secondary index maintenance is deferred for the duration
-// of a bulk load (the durable indexesStale flag covers crashes) and the
-// indexes are bulk-rebuilt from sorted runs afterwards.
+// of a full harvest (the durable indexesStale flag covers crashes) and
+// the indexes are bulk-rebuilt from sorted runs afterwards; an update's
+// delta keeps inline maintenance.
 package core
 
 import (
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	"xomatiq/internal/dtd"
+	"xomatiq/internal/hounds"
 	"xomatiq/internal/shred"
 	"xomatiq/internal/xmldoc"
 )
@@ -107,22 +109,27 @@ type loadResult struct {
 // produce runs on its own goroutine; emit returns an error once the
 // pipeline aborts, which produce must propagate. When d is non-nil each
 // document is DTD-validated on a worker before shredding; an entry name
-// the load already carried fails the load the same way. deferIdx
-// elects the bulk index path: maintenance off during the load, bulk
-// rebuild from sorted runs at the end (small delta loads keep inline
-// maintenance instead, which is cheaper than a full rebuild). clear
-// removes the database's previous harvest first, in the same batch as
-// the first chunk: readers see the old harvest until the new one's first
-// chunk commits, never an empty warehouse between the two.
+// the load already carried fails the load the same way.
+//
+// delta says what the load replaces. A nil delta is a full harvest: the
+// database's previous harvest is cleared in the batch of the first chunk,
+// so readers see the old harvest until the new one's first chunk
+// commits, never an empty warehouse between the two; outside a
+// transaction index maintenance is off for the load and the indexes are
+// rebuilt from sorted runs at its end. A non-nil delta is an update's:
+// its removed entries are deleted in the batch of the first chunk, and
+// each chunk deletes the old versions of the modified entries it
+// inserts, with inline index maintenance, so every commit holds each
+// kept entry exactly once. st non-nil runs the load inside a
+// transaction's open batch (see tx.go).
 //
 // Error handling: a failed chunk is rolled back; whatever prefix
 // committed before the failure stays, is reindexed, and the error is
-// returned — the next harness replaces the harvest wholesale. A failure
-// before the first chunk commits rolls the clear back with it, leaving
-// the previous harvest in place. The store's dictionary commits and rolls
-// back with the rows. Cancellation is honoured between documents and
-// chunks, never inside a chunk commit.
-func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx, clear bool, produce func(emit func(*xmldoc.Document) error) error) ([]string, int, error) {
+// returned. A failure before the first chunk commits rolls the clear or
+// the removals back with it, leaving the previous harvest in place. The
+// store's dictionary commits and rolls back with the rows. Cancellation
+// is honoured between documents and chunks, never inside a chunk commit.
+func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, delta *hounds.ChangeSet, st *txLoadState, produce func(emit func(*xmldoc.Document) error) error) ([]string, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
 		return nil, 0, err
@@ -131,33 +138,41 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 	// not individually committed, and index maintenance stays inline so
 	// the batch's indexes remain usable by the transaction's own reads
 	// (ResumeIndexes would commit, which a batch must not).
-	txMode := e.txLoad != nil
-	if txMode {
-		deferIdx = false
-	}
-	if deferIdx {
+	txMode := st != nil
+	if delta == nil && !txMode {
 		if err := e.db.DeferIndexes(); err != nil {
 			return nil, 0, err
 		}
 	}
 	// open: a batch is open that the next chunk joins rather than begins.
-	// The clear runs before the producer starts, since it resets the doc
-	// ids the producer hands out.
-	open := false
-	if clear && !txMode {
+	// The clear or the removals run before the producer starts, since the
+	// clear resets the doc ids the producer hands out.
+	open := !txMode
+	if open {
 		if err := e.db.Begin(); err != nil {
 			return nil, 0, errors.Join(err, e.db.ResumeIndexes())
 		}
-		open = true
 	}
-	if clear {
-		if err := e.store.ClearDatabase(dbName); err != nil {
-			if open {
-				// The rollback also ends the deferred-index window.
-				err = errors.Join(err, e.db.Rollback())
-			}
-			return nil, 0, err
+	var modified map[string]bool
+	if delta == nil {
+		err = e.store.ClearDatabase(dbName)
+	} else {
+		modified = make(map[string]bool, len(delta.Modified))
+		for _, name := range delta.Modified {
+			modified[name] = true
 		}
+		for _, name := range delta.Removed {
+			if err = e.store.DeleteDocument(dbName, name); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		if open {
+			// The rollback also ends the deferred-index window.
+			err = errors.Join(err, e.db.Rollback())
+		}
+		return nil, 0, err
 	}
 	workers := e.loadWorkers()
 	jobCh := make(chan loadJob, workers)
@@ -229,8 +244,9 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 		next    int
 		failErr error
 	)
-	// flush commits the pending chunk; with the clear still open it
-	// commits that batch even when no document followed it. Inside a
+	// flush commits the pending chunk, deleting the old versions of the
+	// modified entries it carries first; with the first batch still open
+	// it commits that batch even when no document followed it. Inside a
 	// transaction the batch is already open and a failed chunk aborts the
 	// whole transaction in tx.go. Otherwise a failed chunk leaves its
 	// batch open for the tail to roll back.
@@ -246,6 +262,13 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 				return err
 			}
 			open = true
+		}
+		for _, b := range chunk {
+			if modified[b.Name] {
+				if err := e.store.DeleteDocument(dbName, b.Name); err != nil {
+					return err
+				}
+			}
 		}
 		if err := e.store.InsertChunk(dbName, chunk); err != nil {
 			return err
@@ -320,7 +343,7 @@ collect:
 	// errors. In tx mode maintenance was inline and ANALYZE would
 	// commit mid-batch, so both steps move to the transaction's Commit.
 	if txMode {
-		e.txLoad.dbs[dbName] = true
+		st.dbs[dbName] = true
 	} else {
 		if rerr := e.db.ResumeIndexes(); rerr != nil {
 			failErr = errors.Join(failErr, rerr)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,9 +177,11 @@ func TestParallelUpdateDeterminism(t *testing.T) {
 // TestLoadPublishesOneVersionPerChunk: each commit that changes the
 // dictionary publishes one new version of it, and a publish that changes
 // nothing publishes none. A harness commits once per chunk, with the
-// clear in the first; an update with an empty delta commits nothing, and
-// the commits of the index rebuild and of ANALYZE change nothing. The
-// version is the one published with the current snapshot.
+// clear in the first; so does an update, with its removals in the first
+// and each modified entry's deletion in the chunk that reloads it; an
+// update with an empty delta commits nothing, and the commits of the
+// index rebuild and of ANALYZE change nothing. The version is the one
+// published with the current snapshot.
 func TestLoadPublishesOneVersionPerChunk(t *testing.T) {
 	const db = "hlx_enzyme.DEFAULT"
 	e := openEngineWorkers(t, 2)
@@ -205,7 +208,24 @@ func TestLoadPublishesOneVersionPerChunk(t *testing.T) {
 			t.Errorf("a %d-document harness published %d dictionary versions, want one per chunk: %d", tc.docs, d, tc.chunks)
 		}
 	}
+	entries := bio.GenEnzymes(2*loadChunkSize+1, bio.GenOptions{Seed: 5})
+	next := slices.Clone(entries[3:])
+	for i := range 3 {
+		revised := *next[i]
+		revised.Comments = append([]string{"Revised note."}, revised.Comments...)
+		next[i] = &revised
+		next = append(next, &bio.EnzymeEntry{ID: fmt.Sprintf("9.9.9.%d", i), Description: []string{"New entry."}})
+	}
+	src.Publish(enzymeFlat(t, next))
 	v0 := version()
+	cs, err := e.Update(db)
+	if err != nil || len(cs.Removed) != 3 || len(cs.Modified) != 3 || len(cs.Added) != 3 {
+		t.Fatalf("Update = %+v, %v; want 3 removed, 3 modified and 3 added entries", cs, err)
+	}
+	if d := version() - v0; d != 1 {
+		t.Errorf("an update of %d entries published %d dictionary versions, want 1", cs.Total(), d)
+	}
+	v0 = version()
 	if cs, err := e.Update(db); err != nil || !cs.Empty() {
 		t.Fatalf("Update of an unchanged source = %+v, %v; want an empty delta", cs, err)
 	}

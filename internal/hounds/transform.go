@@ -22,8 +22,14 @@ type Transformer interface {
 	Name() string
 	// DTD returns the document type the transformer emits.
 	DTD() *dtd.DTD
-	// Transform converts a whole flat file into XML documents. Each
-	// document's Name is the entry's stable key (EC number, accession).
+	// TransformStream parses r and calls emit for every entry-document
+	// in flat-file order, so XML building overlaps downstream validation
+	// and shredding in the parallel ingest pipeline. Each document's Name
+	// is the entry's stable key (EC number, accession). Documents are
+	// not validated. A non-nil error from emit aborts the stream and is
+	// returned.
+	TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error
+	// Transform collects TransformStream's documents.
 	Transform(r io.Reader) ([]*xmldoc.Document, error)
 	// SequencePaths lists element paths holding sequence residues, which
 	// the shredder routes to the seq_data table (paper §2.2: "we
@@ -31,36 +37,21 @@ type Transformer interface {
 	SequencePaths() []string
 }
 
-// StreamTransformer is implemented by transformers that can yield
-// entry-documents one at a time instead of materialising the whole
-// corpus, so XML building overlaps downstream validation and shredding
-// in the parallel ingest pipeline.
-type StreamTransformer interface {
-	Transformer
-	// TransformStream parses r and calls emit for every entry-document
-	// in flat-file order. A non-nil error from emit aborts the stream
-	// and is returned.
-	TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error
+// collect materialises t's document stream.
+func collect(t Transformer, r io.Reader) ([]*xmldoc.Document, error) {
+	var docs []*xmldoc.Document
+	if err := t.TransformStream(r, func(d *xmldoc.Document) error {
+		docs = append(docs, d)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return docs, nil
 }
 
-// TransformStream streams t's documents through emit, using the native
-// streaming path when t implements StreamTransformer and falling back
-// to a materialising Transform otherwise. Documents are NOT validated;
-// the pipeline fans DTD validation across its workers.
+// Deprecated: TransformStream is t.TransformStream, kept for the ledger.
 func TransformStream(t Transformer, r io.Reader, emit func(*xmldoc.Document) error) error {
-	if st, ok := t.(StreamTransformer); ok {
-		return st.TransformStream(r, emit)
-	}
-	docs, err := t.Transform(r)
-	if err != nil {
-		return err
-	}
-	for _, d := range docs {
-		if err := emit(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.TransformStream(r, emit)
 }
 
 // Registry maps format names to transformers.
@@ -111,19 +102,9 @@ func (EnzymeTransformer) DTD() *dtd.DTD { return dtd.MustParse(EnzymeDTD) }
 func (EnzymeTransformer) SequencePaths() []string { return nil }
 
 // Transform implements Transformer.
-func (EnzymeTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) {
-	entries, err := bio.ParseEnzyme(r)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]*xmldoc.Document, 0, len(entries))
-	for _, e := range entries {
-		docs = append(docs, EnzymeEntryToXML(e))
-	}
-	return docs, nil
-}
+func (t EnzymeTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) { return collect(t, r) }
 
-// TransformStream implements StreamTransformer.
+// TransformStream implements Transformer.
 func (EnzymeTransformer) TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error {
 	entries, err := bio.ParseEnzyme(r)
 	if err != nil {
@@ -234,19 +215,9 @@ func (EMBLTransformer) DTD() *dtd.DTD { return dtd.MustParse(NSequenceDTD) }
 func (EMBLTransformer) SequencePaths() []string { return nSequencePaths }
 
 // Transform implements Transformer.
-func (EMBLTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) {
-	entries, err := bio.ParseEMBL(r)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]*xmldoc.Document, 0, len(entries))
-	for _, e := range entries {
-		docs = append(docs, EMBLEntryToXML(e))
-	}
-	return docs, nil
-}
+func (t EMBLTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) { return collect(t, r) }
 
-// TransformStream implements StreamTransformer.
+// TransformStream implements Transformer.
 func (EMBLTransformer) TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error {
 	entries, err := bio.ParseEMBL(r)
 	if err != nil {
@@ -315,19 +286,9 @@ func (SProtTransformer) DTD() *dtd.DTD { return dtd.MustParse(NSequenceDTD) }
 func (SProtTransformer) SequencePaths() []string { return nSequencePaths }
 
 // Transform implements Transformer.
-func (SProtTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) {
-	entries, err := bio.ParseSProt(r)
-	if err != nil {
-		return nil, err
-	}
-	docs := make([]*xmldoc.Document, 0, len(entries))
-	for _, e := range entries {
-		docs = append(docs, SProtEntryToXML(e))
-	}
-	return docs, nil
-}
+func (t SProtTransformer) Transform(r io.Reader) ([]*xmldoc.Document, error) { return collect(t, r) }
 
-// TransformStream implements StreamTransformer.
+// TransformStream implements Transformer.
 func (SProtTransformer) TransformStream(r io.Reader, emit func(*xmldoc.Document) error) error {
 	entries, err := bio.ParseSProt(r)
 	if err != nil {

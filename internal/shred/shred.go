@@ -327,14 +327,20 @@ func (s *Store) DeleteDocument(db, name string) error {
 	}
 	s.mu.Unlock()
 	for _, table := range docTables {
+		// idx_docs_name keys docs by (db, name); by doc_id the delete
+		// would read every docs row of db.
+		key := fmt.Sprintf("doc_id = %d", id)
+		if table == "docs" {
+			key = "name = " + Quote(name)
+		}
 		if _, err := s.DB.Exec(fmt.Sprintf(
-			`DELETE FROM %s WHERE db = %s AND doc_id = %d`, table, Quote(db), id)); err != nil {
+			`DELETE FROM %s WHERE db = %s AND %s`, table, Quote(db), key)); err != nil {
 			return err
 		}
 	}
 	// Optimizer statistics are NOT refreshed here: deletions run inside
-	// the caller's batch (ANALYZE cannot), and the update pipeline that
-	// follows re-analyzes once the replacement loads commit. Live row
+	// the caller's batch (ANALYZE cannot), and the load pipeline they run
+	// in re-analyzes once its chunks commit. Live row
 	// counts come from the heaps anyway, so only value-distribution
 	// fractions go briefly stale.
 	return nil

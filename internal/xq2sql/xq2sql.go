@@ -39,6 +39,7 @@ package xq2sql
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"xomatiq/internal/index/inverted"
@@ -450,17 +451,19 @@ func (t *translator) addKeywordPrefilter(alias, db, keyword string) {
 	if len(toks) == 0 {
 		return
 	}
-	docSet := map[uint32]int{}
-	for _, tok := range toks {
-		for _, d := range ix.LookupDocs(tok) {
-			docSet[d]++
-		}
+	// LookupDocs lists are ascending, so the intersection is too, and the
+	// SQL text is the same for every translation against one dictionary.
+	docs := ix.LookupDocs(toks[0])
+	for _, tok := range toks[1:] {
+		other := ix.LookupDocs(tok)
+		docs = slices.DeleteFunc(docs, func(d uint32) bool {
+			_, found := slices.BinarySearch(other, d)
+			return !found
+		})
 	}
-	var ids []int
-	for d, n := range docSet {
-		if n == len(toks) {
-			ids = append(ids, int(d))
-		}
+	ids := make([]int, len(docs))
+	for i, d := range docs {
+		ids[i] = int(d)
 	}
 	t.where = append(t.where, inList(alias+".doc_id", ids))
 }

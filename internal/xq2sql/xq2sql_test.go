@@ -347,6 +347,31 @@ WHERE contains($a//catalytic_activity, "ketone") RETURN $a//enzyme_id`,
 	}
 }
 
+// TestKeywordPrefilterDeterministic: the prefilter's doc-id list is
+// emitted in ascending order, so translating one query against one
+// dictionary always gives the same SQL text.
+func TestKeywordPrefilterDeterministic(t *testing.T) {
+	fx := newFixture(t)
+	loadPaperCorpus(t, fx, 300, 0, 0)
+	q := xq.MustParse(`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains($a, "copper", any) RETURN $a//enzyme_id`)
+	dict := fx.store.Dict(nil)
+	texts := map[string]bool{}
+	for range 20 {
+		tr, err := TranslateDict(dict, q, Options{UseKeywordIndex: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(tr.SQL, "doc_id IN (") {
+			t.Fatalf("no multi-document prefilter in %s", tr.SQL)
+		}
+		texts[tr.SQL] = true
+	}
+	if len(texts) != 1 {
+		t.Errorf("20 translations gave %d different SQL texts", len(texts))
+	}
+}
+
 func TestMultiTokenKeyword(t *testing.T) {
 	fx := newFixture(t)
 	docs := []*xmldoc.Document{
