@@ -35,9 +35,12 @@ test-plans:
 	$(GO) test -run 'Explain|Legacy' ./internal/core/
 
 # The keyword index has no lock of its own (the writer changes a copy
-# that is published with the snapshot), so it runs here too.
+# that is published with the snapshot), so it runs here too. The query
+# suite at 1 and 4 workers is the end-to-end check that hash-join
+# partitions built on 4 goroutines give the serial bytes.
 race:
 	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/shred/... ./internal/xq2sql/... ./internal/index/...
+	$(GO) test -race -run TestQuerySuiteWorkerDeterminism .
 
 # Transaction suite: the MVCC/Tx API tests (snapshot isolation, write
 # visibility, conflicts, admission, keyword queries answered from the

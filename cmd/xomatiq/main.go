@@ -30,7 +30,7 @@ func main() {
 	connect := flag.String("connect", "", "attach to a running xomatiqd line-protocol port (host:port) instead of opening -db")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (e.g. 5s; 0 = none)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shredding goroutines for \\harness loads")
-	queryWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per large sequential scan (1 = serial)")
+	queryWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per hash-join partition build (1 = serial)")
 	flag.Parse()
 
 	if *connect != "" {

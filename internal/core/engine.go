@@ -40,9 +40,9 @@ type Config struct {
 	// 0 means runtime.GOMAXPROCS(0). Any value produces byte-identical
 	// warehouse contents; only the wall clock changes.
 	LoadWorkers int
-	// QueryWorkers caps intra-query scan parallelism: large sequential
-	// scans fan out across up to this many goroutines. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces serial scans. Any value produces
+	// QueryWorkers caps the goroutines a partitioned hash join builds
+	// its partition tables on; every scan is serial. 0 means
+	// runtime.GOMAXPROCS(0); 1 builds serially. Any value produces
 	// byte-identical query results; only the wall clock changes.
 	QueryWorkers int
 	// QueryMemBudget bounds the memory a hash join may hold for its
@@ -624,17 +624,23 @@ func (e *Engine) execPlan(ctx context.Context, entry *planEntry, o sql.ExecOpts)
 		return res, nil
 	}
 	// Native fallback over documents rebuilt from the view the statement
-	// reads.
+	// reads: every database the query names, in a binding, a condition
+	// or a return path, once LETs are resolved.
+	q, err := entry.q.ResolveLets()
+	if err != nil {
+		return nil, err
+	}
+	dict := e.store.Dict(o.Snap)
 	byDB := nativexml.Corpus{}
-	for _, b := range entry.q.For {
-		if _, done := byDB[b.Path.Doc]; b.Path.Doc == "" || done {
-			continue
+	for _, db := range q.Databases() {
+		if !dict.HasDB(db) {
+			return nil, fmt.Errorf("%w: %q", ErrUnknownDatabase, db)
 		}
-		docs, err := e.store.Documents(ctx, b.Path.Doc, o.Snap)
+		docs, err := e.store.Documents(ctx, db, o.Snap)
 		if err != nil {
 			return nil, err
 		}
-		byDB[b.Path.Doc] = docs
+		byDB[db] = docs
 	}
 	nres, nerr := nativexml.EvalContext(ctx, byDB, entry.q)
 	if nerr != nil {

@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"xomatiq/internal/bio"
 	"xomatiq/internal/hounds"
+	"xomatiq/internal/nativexml"
+	"xomatiq/internal/xq"
 )
 
 // flatFile renders entries of any of the three formats to text.
@@ -581,4 +585,70 @@ func TestUpdateAfterReopenCostsTheSame(t *testing.T) {
 		t.Errorf("update after a reopen made %d B-tree searches, without one %d", got, want)
 	}
 	t.Logf("B-tree searches per update: %d", want)
+}
+
+// TestNativeFallbackLoadsConditionDatabases: the native fallback
+// evaluates over every database the query names, not only those its FOR
+// bindings range over. A database named only inside a condition, directly
+// or through a LET, must be loaded; one that is not registered must still
+// fail as unknown.
+func TestNativeFallbackLoadsConditionDatabases(t *testing.T) {
+	e := openEngine(t)
+	setupEnzyme(t, e, 30)
+	var ebuf bytes.Buffer
+	if err := bio.WriteEMBL(&ebuf, bio.GenEMBL(20, "inv", nil, bio.GenOptions{Seed: 3, Cdc6Rate: 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterSource("hlx_embl.inv", hounds.NewSimSource("embl", ebuf.String()), hounds.EMBLTransformer{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Harness("hlx_embl.inv"); err != nil {
+		t.Fatal(err)
+	}
+	corpus := nativexml.Corpus{}
+	for _, db := range []string{"hlx_enzyme.DEFAULT", "hlx_embl.inv"} {
+		docs, err := e.store.Documents(context.Background(), db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus[db] = docs
+	}
+	queries := []string{
+		`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains(document("hlx_embl.inv")/hlx_n_sequence, "cdc6", any)
+RETURN $a//enzyme_id`,
+		`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+LET $e := document("hlx_embl.inv")/hlx_n_sequence
+WHERE contains($e, "cdc6", any)
+RETURN $a//enzyme_id`,
+	}
+	for _, src := range queries {
+		q, err := xq.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := nativexml.Eval(corpus, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) != 31 {
+			t.Fatalf("native oracle answers %d rows, want all 31 entries", len(want.Rows))
+		}
+		res, err := e.Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if res.Mode != ModeNative {
+			t.Errorf("%s: mode = %s, want native", src, res.Mode)
+		}
+		if !reflect.DeepEqual(res.Rows, want.Rows) {
+			t.Errorf("%s: %d rows, native oracle %d", src, len(res.Rows), len(want.Rows))
+		}
+	}
+	_, err := e.Query(`FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
+WHERE contains(document("hlx_sprot.all")/hlx_n_sequence, "cdc6", any)
+RETURN $a//enzyme_id`)
+	if ErrorCode(err) != CodeUnknownDatabase {
+		t.Errorf("condition over an unregistered database: err = %v (code %q)", err, ErrorCode(err))
+	}
 }

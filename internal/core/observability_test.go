@@ -116,23 +116,6 @@ RETURN $a//enzyme_id`)
 	}
 }
 
-func TestExplainAnalyzeParallelScan(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 4 })
-	dropShredIndexes(t, e)
-	setupEnzyme(t, e, 300)
-	out := analyze(t, e, `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
-WHERE contains($a//catalytic_activity, "ketone")
-RETURN $a//enzyme_id`)
-	if !regexp.MustCompile(`parallel scan \(\d+ workers, \d+ pages\) \(batch=\d+\) \(est rows=\d+\) \(actual rows=\d+ time=[^\)]+ batches=\d+ rows/batch=\d+\)`).MatchString(out) {
-		t.Errorf("no parallel scan with batched actuals:\n%s", out)
-	}
-	// The superseded serial scan line stays in the plan but never ran, so
-	// it must render without actuals.
-	if regexp.MustCompile(`sequential \(actual`).MatchString(out) {
-		t.Errorf("superseded serial scan rendered actuals:\n%s", out)
-	}
-}
-
 func TestExplainAnalyzeHashJoin(t *testing.T) {
 	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 1 })
 	dropShredIndexes(t, e)
@@ -455,18 +438,22 @@ func planLinesRun(t *testing.T, plan, report string) {
 }
 
 // TestSessionExplainHonorsWorkers: Session.Explain plans with the
-// session's worker override, so it shows the serial scan a serial
-// session runs and the parallel scan a default session runs.
+// session's overrides. A memory budget is a plan decision (the hash
+// join takes more partitions so that each fits it), so a session with a
+// small budget shows more partitions than a default session, and each
+// session's plan is the plan its analyzed run executes.
 func TestSessionExplainHonorsWorkers(t *testing.T) {
-	e := openEngineCfg(t, func(c *Config) { c.QueryWorkers = 4 })
+	e := openEngineCfg(t, nil)
 	dropShredIndexes(t, e)
 	setupEnzyme(t, e, 300)
 	const q = `FOR $a IN document("hlx_enzyme.DEFAULT")/hlx_enzyme
 WHERE contains($a//catalytic_activity, "ketone")
 RETURN $a//enzyme_id`
 	ctx := context.Background()
-	for _, workers := range []int{1, 0} {
-		sess, err := e.NewSession(ctx, WithSessionQueryWorkers(workers))
+	parts := regexp.MustCompile(`partitions=(\d+)`)
+	var counts []string
+	for _, budget := range []int64{0, 4 << 10} {
+		sess, err := e.NewSession(ctx, WithSessionMemBudget(budget))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,9 +466,14 @@ RETURN $a//enzyme_id`
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := strings.Contains(plan, "parallel scan"), workers != 1; got != want {
-			t.Errorf("workers=%d: plan shows parallel scan %v, want %v:\n%s", workers, got, want, plan)
+		m := parts.FindAllString(plan, -1)
+		if len(m) == 0 {
+			t.Fatalf("budget=%d: plan has no partitioned hash join:\n%s", budget, plan)
 		}
+		counts = append(counts, strings.Join(m, ","))
 		planLinesRun(t, plan, report)
+	}
+	if counts[0] == counts[1] {
+		t.Errorf("a 4 KiB session budget planned the same partitions as the default: %s", counts[0])
 	}
 }

@@ -28,8 +28,8 @@ type SessionOptions struct {
 	// context that expires after this duration unless the caller's
 	// context already carries an earlier deadline. Zero means no default.
 	Deadline time.Duration
-	// QueryWorkers overrides the engine's intra-query scan parallelism
-	// for this session's queries (1 = serial). Zero inherits
+	// QueryWorkers overrides the engine's hash-join build workers for
+	// this session's queries (1 = serial). Zero inherits
 	// Config.QueryWorkers. Results are byte-identical for any value.
 	QueryWorkers int
 	// MemBudget overrides the engine's hash-join memory budget for this
@@ -50,7 +50,7 @@ func WithDefaultDeadline(d time.Duration) SessionOption {
 	return func(o *SessionOptions) { o.Deadline = d }
 }
 
-// WithSessionQueryWorkers caps intra-query scan parallelism for the
+// WithSessionQueryWorkers caps the hash-join build workers of the
 // session's queries (0 = engine default, 1 = serial).
 func WithSessionQueryWorkers(n int) SessionOption {
 	return func(o *SessionOptions) { o.QueryWorkers = n }

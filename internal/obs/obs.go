@@ -306,11 +306,10 @@ type SessionSnapshot struct {
 }
 
 // ExecMetrics counts work done by the vectorized executor's stateful
-// operators: hash aggregation, chunk-wise sort, and hash-join spilling
-// under a memory budget.
+// operators: hash aggregation, index-join switches, and hash-join
+// spilling under a memory budget.
 type ExecMetrics struct {
 	AggGroups      Counter // groups materialized by hash aggregation
-	SortRuns       Counter // sorted runs merged by the run-merge sort
 	JoinSpillParts Counter // join partitions spilled to temp files
 	JoinSpillBytes Counter // bytes written to join spill files
 	JoinSpillLoads Counter // spilled partitions loaded back for probing
@@ -320,7 +319,6 @@ type ExecMetrics struct {
 // ExecSnapshot is the executor section of a registry snapshot.
 type ExecSnapshot struct {
 	AggGroups      uint64
-	SortRuns       uint64
 	JoinSpillParts uint64
 	JoinSpillBytes uint64
 	JoinSpillLoads uint64
@@ -410,7 +408,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		},
 		Exec: ExecSnapshot{
 			AggGroups:      r.Exec.AggGroups.Load(),
-			SortRuns:       r.Exec.SortRuns.Load(),
 			JoinSpillParts: r.Exec.JoinSpillParts.Load(),
 			JoinSpillBytes: r.Exec.JoinSpillBytes.Load(),
 			JoinSpillLoads: r.Exec.JoinSpillLoads.Load(),
@@ -460,7 +457,6 @@ func (s RegistrySnapshot) Metrics() map[string]float64 {
 		"query.slow":            float64(s.Query.Slow),
 		"query.rows":            float64(s.Query.Rows),
 		"exec.agg_groups":       float64(s.Exec.AggGroups),
-		"exec.sort_runs":        float64(s.Exec.SortRuns),
 		"exec.join_spill_parts": float64(s.Exec.JoinSpillParts),
 		"exec.join_spill_bytes": float64(s.Exec.JoinSpillBytes),
 		"exec.join_spill_loads": float64(s.Exec.JoinSpillLoads),

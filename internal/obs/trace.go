@@ -115,8 +115,8 @@ func (o *OpStats) Note() string {
 }
 
 // Touched reports whether the operator ever executed. Plan lines whose
-// operator never ran (e.g. the serial scan superseded by a parallel
-// scan wrapper) render without actuals. Nil-safe.
+// operator never ran (e.g. one the statement stopped before reaching)
+// render without actuals. Nil-safe.
 func (o *OpStats) Touched() bool {
 	return o != nil && o.touched.Load()
 }
@@ -163,7 +163,7 @@ func (t *QueryTrace) Linef(format string, args ...any) *OpStats {
 }
 
 // Plainf appends a plan line with no operator even when timing is on
-// (e.g. filter lines folded into a parallel scan's workers). Nil-safe.
+// (e.g. the DISTINCT folded into the result sink). Nil-safe.
 func (t *QueryTrace) Plainf(format string, args ...any) {
 	if t == nil {
 		return

@@ -14,7 +14,8 @@
 //	POST /v1/ingest            stream a flat file into the load pipeline;
 //	                           ?db=&format=&version=
 //	GET  /v1/sessions          list open sessions
-//	POST /v1/sessions          open a session ({"tag","deadline_ms","query_workers"})
+//	POST /v1/sessions          open a session ({"tag","deadline_ms","query_workers"};
+//	                           query_workers caps hash-join build workers)
 //	DELETE /v1/sessions/{id}   close a session
 //	POST /v1/tx                begin a transaction on a session
 //	                           ({"session": N, "read_only": bool}); queries

@@ -393,7 +393,7 @@ func (db *DB) emitAggregate(es *execState, sel *Select, h *hashAgg, sp *sinkPlan
 		}
 	}
 
-	sink := newResultSink(es, sel, sp.names, spec, sp.sortOp)
+	sink := newResultSink(sel, sp.names, spec, sp.sortOp)
 	aggRes := make([]value.Value, len(h.aggCalls))
 	setBinds := func(binds []aggBinding) {
 		for _, b := range binds {

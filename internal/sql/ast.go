@@ -173,9 +173,9 @@ type InExpr struct {
 	// litSet memoises an all-literal list as encoded keys for O(1)
 	// membership tests. Built lazily on first evaluation. The pointer is
 	// atomic because cached plans share AST nodes across concurrent
-	// queries and parallel-scan workers evaluate filters from several
-	// goroutines; racing builders construct identical sets, so whichever
-	// store wins is correct.
+	// queries, which evaluate the same filter from several goroutines;
+	// racing builders construct identical sets, so whichever store wins
+	// is correct.
 	litSet atomic.Pointer[map[string]bool]
 }
 

@@ -203,7 +203,7 @@ var partitionedJoinQueries = []string{
 // TestPartitionedJoinDeterminism is the join half of the byte-identity
 // bar: partitioned hash join results — including row order — must be
 // identical between QueryWorkers=1 (serial build) and QueryWorkers=4
-// (concurrent per-partition build + parallel driving scan).
+// (concurrent per-partition build).
 func TestPartitionedJoinDeterminism(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)

@@ -1,6 +1,6 @@
-// cost.go is the cost model behind the planner's three statistics-driven
+// cost.go is the cost model behind the planner's statistics-driven
 // decisions: index scan vs sequential scan, greedy join ordering by
-// estimated output cardinality, and serial vs parallel scan execution.
+// estimated output cardinality, and hash-join partition counts.
 // Estimates combine live heap counts (rows, pages — always current) with
 // the ANALYZE snapshot (NDV, min/max, frequency maps — see stats.go).
 // Every estimate lands in the EXPLAIN output as "(est rows=N)" so plan

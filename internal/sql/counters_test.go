@@ -37,28 +37,23 @@ func seedCounterFixture(t *testing.T, db *DB) {
 // strategy, sink and DML path feeds for a fixed script. The ledger reads
 // heap.pages_scanned_per_op, btree.searches_per_op and
 // sql.rows_examined_per_row from these counters, so an executor rewrite
-// must reproduce them exactly. The exec counters pin the group-by, top-k
-// sort, spilled-join and join-switch operators the same way, a semi join
-// must do the work of its inner join, and a scan at 4 workers must read
-// exactly the pages and records of the serial scan. Each
-// statement's plan is checked too, so a planner change cannot silently
-// move a case onto another path.
+// must reproduce them exactly. The exec counters pin the group-by,
+// spilled-join and join-switch operators the same way, and a semi join
+// must do the work of its inner join. Each statement's plan is checked
+// too, so a planner change cannot silently move a case onto another
+// path.
 func TestCounterParity(t *testing.T) {
 	db := openDB(t)
 	db.opts.QueryWorkers = 1
 	seedCounterFixture(t, db)
-	// The fixture's heaps are a few pages each; let a 4-worker scan fan
-	// out over them.
-	defer func(pages int) { parallelScanMinPages = pages }(parallelScanMinPages)
-	parallelScanMinPages = 1
 	type counters struct{ pages, records, btree uint64 }
-	type execCounters struct{ groups, sortRuns, spillParts, spillLoads, switches uint64 }
+	type execCounters struct{ groups, spillParts, spillLoads, switches uint64 }
 	read := func() (counters, execCounters) {
 		return counters{
 				db.reg.Heap.PagesScanned.Load(), db.reg.Heap.RecordsScanned.Load(),
 				db.reg.Index.BTreeSearches.Load(),
 			}, execCounters{
-				db.reg.Exec.AggGroups.Load(), db.reg.Exec.SortRuns.Load(),
+				db.reg.Exec.AggGroups.Load(),
 				db.reg.Exec.JoinSpillParts.Load(), db.reg.Exec.JoinSpillLoads.Load(),
 				db.reg.Exec.JoinSwitches.Load(),
 			}
@@ -71,7 +66,6 @@ func TestCounterParity(t *testing.T) {
 		exec execCounters
 	}{
 		{`SELECT COUNT(*) FROM a WHERE CONTAINS(v, '7')`, ExecOpts{}, "scan a as a: sequential", counters{3, 400, 0}, execCounters{groups: 1}},
-		{`SELECT COUNT(*) FROM a WHERE CONTAINS(v, '7')`, ExecOpts{Workers: 4}, "parallel scan (3 workers, 3 pages)", counters{3, 400, 0}, execCounters{groups: 1}},
 		{`SELECT v FROM a WHERE k < 40`, ExecOpts{}, "index idx_a_k (prefix+range scan", counters{0, 0, 1}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_k", counters{0, 0, 31}, execCounters{}},
 		{`SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND a.j = b.j AND a.k < 30`, ExecOpts{}, "index nested loop via idx_b_kjw (2 of 3 cols, 2 keys), hash past 300 rows", counters{0, 0, 31}, execCounters{}},
@@ -84,7 +78,7 @@ func TestCounterParity(t *testing.T) {
 		{`SELECT a.v, b.w FROM a, b WHERE a.j = b.j AND a.k < 20`, ExecOpts{MemBudget: 1 << 10}, "partitioned hash join", counters{1, 300, 1}, execCounters{spillParts: 6, spillLoads: 6}},
 		{`SELECT j, COUNT(*), SUM(k) FROM a GROUP BY j`, ExecOpts{}, "hash aggregate (1 group cols, 2 aggs)", counters{3, 400, 0}, execCounters{groups: 10}},
 		{`SELECT k, v FROM a WHERE CONTAINS(v, '1') ORDER BY v DESC LIMIT 5`, ExecOpts{}, "sort: top-k (k=5)", counters{3, 400, 0}, execCounters{}},
-		{`SELECT k, v FROM a WHERE CONTAINS(v, '1') ORDER BY v DESC`, ExecOpts{}, "sort: run-merge (1 keys)", counters{3, 400, 0}, execCounters{sortRuns: 1}},
+		{`SELECT k, v FROM a WHERE CONTAINS(v, '1') ORDER BY v DESC`, ExecOpts{}, "sort (1 keys)", counters{3, 400, 0}, execCounters{}},
 		{`SELECT COUNT(*) FROM a, b WHERE a.k <= b.k AND a.k >= b.k AND a.k < 5`, ExecOpts{}, "nested loop (cross)", counters{1, 300, 1}, execCounters{groups: 1}},
 		{`DELETE FROM b WHERE CONTAINS(w, '-01')`, ExecOpts{}, "", counters{1, 300, 0}, execCounters{}},
 		{`DELETE FROM a WHERE k IN (3, 4, 5)`, ExecOpts{}, "", counters{0, 0, 3}, execCounters{}},
@@ -115,12 +109,12 @@ func TestCounterParity(t *testing.T) {
 			t.Errorf("%s %+v: counters {pages records btree} = %v, want %v", c.sql, c.opts, got, c.want)
 		}
 		gotExec := execCounters{
-			afterExec.groups - beforeExec.groups, afterExec.sortRuns - beforeExec.sortRuns,
+			afterExec.groups - beforeExec.groups,
 			afterExec.spillParts - beforeExec.spillParts, afterExec.spillLoads - beforeExec.spillLoads,
 			afterExec.switches - beforeExec.switches,
 		}
 		if gotExec != c.exec {
-			t.Errorf("%s %+v: exec counters {groups sortRuns spillParts spillLoads switches} = %v, want %v", c.sql, c.opts, gotExec, c.exec)
+			t.Errorf("%s %+v: exec counters {groups spillParts spillLoads switches} = %v, want %v", c.sql, c.opts, gotExec, c.exec)
 		}
 	}
 }

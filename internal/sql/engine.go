@@ -34,10 +34,10 @@ type Options struct {
 	// WAL. Nil means the real filesystem. Crash-recovery tests inject a
 	// faultfs.FS here to exercise I/O-error and power-cut paths.
 	FS disk.FS
-	// QueryWorkers caps intra-query parallelism: sequential scans over
-	// large heaps fan out across up to this many goroutines (default
-	// GOMAXPROCS). 1 forces every scan serial; results are byte-identical
-	// either way.
+	// QueryWorkers caps the goroutines a partitioned hash join builds
+	// its partition tables on (default GOMAXPROCS); 1 builds them
+	// serially. Every scan runs on the statement's goroutine. Results
+	// are byte-identical either way.
 	QueryWorkers int
 	// QueryMemBudget bounds the memory a hash join may hold for its
 	// build side, in bytes (0 = unlimited). When the estimated resident
@@ -798,7 +798,8 @@ type ExecOpts struct {
 	// Trace, when non-nil, collects plan lines and per-operator actuals.
 	Trace *obs.QueryTrace
 	// Workers overrides Options.QueryWorkers for this query when
-	// positive (1 forces serial scans); 0 inherits the DB-wide setting.
+	// positive (1 builds hash joins serially); 0 inherits the DB-wide
+	// setting.
 	// Results are byte-identical for any value.
 	Workers int
 	// MemBudget overrides Options.QueryMemBudget for this query when
@@ -1262,8 +1263,8 @@ func (db *DB) removeTuple(txn uint64, t *TableInfo, rid heap.RID, tup value.Tupl
 // feeds the same work counters as a SELECT scan. fn must not mutate the
 // heap; callers collect rids first when they need to.
 func (db *DB) matchingRows(t *TableInfo, where Expr, fn func(rid heap.RID, tup value.Tuple) error) error {
-	// A minimal execState (no ctx, no workers) keeps the DML scan serial
-	// and untraced while still feeding the work counters. DML reads the
+	// A minimal execState (no ctx) keeps the DML scan uncancellable and
+	// untraced while still feeding the work counters. DML reads the
 	// batch it writes.
 	es := &execState{reg: db.reg, snap: db.batchViewLocked()}
 	a := db.accessPath(es, t, t.Name, conjuncts(where))

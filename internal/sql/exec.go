@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
-	"sync"
 
 	"xomatiq/internal/obs"
 	"xomatiq/internal/storage/disk"
@@ -21,21 +20,16 @@ const cancelEvery = 256
 // execState is shared by every iterator of one query execution, so the
 // poll counter accumulates across the whole plan: many small index
 // probes cancel as promptly as one big scan. A state without a context
-// (DML row collection) never cancels and never parallelises.
+// (DML row collection) never cancels. Every iterator runs on the
+// statement's goroutine; the one operator that starts goroutines of its
+// own, the partitioned hash join's build, joins them before it returns.
 type execState struct {
 	ctx   context.Context
 	polls int
-	// workers is the intra-query parallelism budget for scan operators
-	// (Options.QueryWorkers); 0 or 1 keeps every scan serial.
+	// workers is how many goroutines a partitioned hash join may build
+	// its partition tables on (Options.QueryWorkers); 0 or 1 builds them
+	// serially.
 	workers int
-	// done is closed when the query finishes (success, error or early
-	// LIMIT cut). Parallel scan workers select on it when handing off
-	// page batches, so an abandoned iterator never strands goroutines.
-	done chan struct{}
-	// scans counts the running parallel scan workers. finish waits for
-	// them: a worker still decoding a page after the statement released
-	// its snapshot could read a page the writer has since recycled.
-	scans sync.WaitGroup
 	// reg receives the work counters (heap pages, index probes) of this
 	// execution; nil skips them (plan-only walks).
 	reg *obs.Registry
@@ -67,18 +61,13 @@ func (es *execState) addSpillFile(path string, f disk.File) {
 // newExecState prepares the shared state for one query execution. The
 // caller must invoke finish (normally via defer) once the query is done.
 func newExecState(ctx context.Context, workers int) *execState {
-	return &execState{ctx: ctx, workers: workers, done: make(chan struct{})}
+	return &execState{ctx: ctx, workers: workers}
 }
 
-// finish releases every goroutine still working for the query, waits
-// for them to stop, and removes its spill files. Cleanup failures are
+// finish removes the query's spill files. Cleanup failures are
 // swallowed: the query's result (or error) is already determined, and
 // an undeletable scratch file must not turn it into a failure.
 func (es *execState) finish() {
-	if es.done != nil {
-		close(es.done)
-	}
-	es.scans.Wait()
 	for _, f := range es.spillFiles {
 		_ = f.Close()
 	}
@@ -103,13 +92,13 @@ func (es *execState) tracef(format string, args ...any) *obs.OpStats {
 }
 
 // plainf appends a plan line that never carries actuals (work folded
-// into another operator, e.g. filters inside a parallel scan).
+// into another operator, e.g. the sink's DISTINCT).
 func (es *execState) plainf(format string, args ...any) {
 	es.qt.Plainf(format, args...)
 }
 
 // scannedPage feeds one visited heap page (with its decoded record
-// count) to the registry. Safe from scan worker goroutines.
+// count) to the registry.
 func (es *execState) scannedPage(records int) {
 	if es.reg == nil {
 		return
@@ -191,7 +180,7 @@ func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, execute bo
 // resolved output expressions/names, the order spec, the aggregate
 // calls and whether the SELECT groups at all, the cost model's group
 // estimate, and the plan-line operator handles the executor feeds with
-// actuals (EXPLAIN ANALYZE "groups=G" / "runs=R" annotations).
+// actuals (EXPLAIN ANALYZE "groups=G" annotations).
 type sinkPlan struct {
 	exprs     []Expr
 	names     []string
@@ -207,7 +196,7 @@ type sinkPlan struct {
 // schema and appends their plan lines (hash aggregate, distinct, sort)
 // after the scan/join tree. Shared by execution and plain EXPLAIN, so
 // the rendered plan always shows the sink strategy — including the
-// top-K-vs-run-merge sort decision.
+// top-K-vs-full sort decision.
 func (db *DB) planSink(es *execState, sel *Select, in *Schema) *sinkPlan {
 	sp := &sinkPlan{}
 	sp.exprs, sp.names = expandItems(sel, in)
@@ -226,7 +215,7 @@ func (db *DB) planSink(es *execState, sel *Select, in *Schema) *sinkPlan {
 		if topKEligible(sel) {
 			sp.sortOp = es.tracef("sort: top-k (k=%d)", sel.Limit)
 		} else {
-			sp.sortOp = es.tracef("sort: run-merge (%d keys)", len(sp.spec.exprs))
+			sp.sortOp = es.tracef("sort (%d keys)", len(sp.spec.exprs))
 		}
 	}
 	return sp
@@ -698,22 +687,10 @@ func (db *DB) chooseAccess(es *execState, t *TableInfo, binding string, conjs []
 }
 
 // scanWith builds the scan of an access decision with its binding's
-// pushed-down filters: the parallel scan when it wins (the filters fold
-// into its workers, and the serial scan's plan line renders without
-// actuals because that operator never runs), otherwise the serial scan
-// with one chunk filter per conjunct. lines gives each filter a plan
-// line of its own, as the driving table's scan shows them.
+// pushed-down filters: the sequential or index scan with one chunk
+// filter per conjunct. lines gives each filter a plan line of its own,
+// as the driving table's scan shows them.
 func scanWith(es *execState, a *access, filters []Expr, lines bool) batchIter {
-	if pit, pop, ok := parallelizeScan(es, a, filters); ok {
-		for _, c := range filters {
-			if lines {
-				// The workers apply the filter, so its line carries no
-				// separate actuals.
-				es.plainf("  filter %s", ExprString(c))
-			}
-		}
-		return tracedBatchIf(pop, pit)
-	}
 	var it batchIter = &chunkScanIter{es: es, a: a}
 	if a.ix != nil {
 		it = &chunkRIDIter{es: es, a: a}

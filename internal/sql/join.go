@@ -87,13 +87,11 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, binding st
 
 	// The right side materialises through its own access path (which may
 	// use an index for pushed-down equality/range conjuncts) with the
-	// remaining single-binding filters applied inline. A large sequential
-	// right side parallelises just like a driving scan, so hash-join and
-	// cross-join builds also scale with QueryWorkers. The path is chosen
+	// remaining single-binding filters applied inline. The path is chosen
 	// here, since its est rows is an index join's switch budget, but
 	// rightSrc runs lazily inside the join (on the caller's goroutine),
-	// so its scan/parallel-scan trace lines appear only when the build
-	// actually executes — plain EXPLAIN never reaches it.
+	// so its scan trace line appears only when the build actually
+	// executes — plain EXPLAIN never reaches it.
 	ra := db.chooseAccess(es, rt, binding, whereConjs)
 	rightSrc := func() batchIter {
 		ra.trace(es)
@@ -612,7 +610,9 @@ func (h *partHashJoin) spillLargest() error {
 		return nil
 	}
 	p := &h.partitions[best]
-	path := fmt.Sprintf("%s.p%d", h.es.spillBase, best)
+	// Numbered per statement, not per partition: two joins of one
+	// statement may spill the same partition index.
+	path := fmt.Sprintf("%s.%d", h.es.spillBase, len(h.es.spillPaths))
 	f, err := h.es.fs.OpenFile(path)
 	if err != nil {
 		return fmt.Errorf("sql: join spill open: %w", err)

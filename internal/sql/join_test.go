@@ -160,12 +160,6 @@ func FuzzJoinStrategies(f *testing.F) {
 	f.Add(int64(5), uint8(200), uint8(150))
 	f.Add(int64(42), uint8(25), uint8(60))
 	f.Fuzz(func(t *testing.T, seed int64, na, nb uint8) {
-		// Let the tiny tables take the parallel scan, so workers=4 runs a
-		// different operator than workers=1.
-		defer func(pages int, overhead float64) {
-			parallelScanMinPages, parallelOverhead = pages, overhead
-		}(parallelScanMinPages, parallelOverhead)
-		parallelScanMinPages, parallelOverhead = 1, 0
 		defer func() { switchAfterProbes = -1 }()
 
 		type run struct {

@@ -116,7 +116,7 @@ func (db *DB) project(es *execState, sel *Select, it batchIter, sp *sinkPlan) (*
 			keySrcs[i] = compileValSrc(ke, in)
 		}
 	}
-	sink := newResultSink(es, sel, sp.names, spec, sp.sortOp)
+	sink := newResultSink(sel, sp.names, spec, sp.sortOp)
 	scratch := make(value.Tuple, len(in.Cols))
 	row := Row{Schema: in, Values: scratch}
 	keyScratch := make(value.Tuple, len(keySrcs))

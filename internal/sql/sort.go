@@ -65,11 +65,6 @@ type sortRow struct {
 	seq  int64
 }
 
-// sortRunSize is how many rows accumulate before the run-merge sort
-// seals and sorts a run. Runs sort while their rows are cache-warm and
-// the final k-way merge touches each row once.
-const sortRunSize = 4096
-
 // topKEligible reports whether the query's ORDER BY can run as a
 // bounded top-K heap: a LIMIT caps the interesting prefix and DISTINCT
 // is absent (dedup-then-sort semantics need every row).
@@ -83,8 +78,8 @@ func topKEligible(sel *Select) bool {
 //
 //   - top-K: ORDER BY + LIMIT without DISTINCT keeps a bounded max-heap
 //     of the best limit rows — the table never materialises.
-//   - run-merge: any other ORDER BY sorts fixed-size runs as they fill
-//     and k-way merges them at the end.
+//   - sort: any other ORDER BY buffers every row and sorts them once
+//     at the end.
 //   - plain: no ORDER BY accumulates in arrival order and stops early
 //     once LIMIT rows are kept.
 //
@@ -92,7 +87,6 @@ func topKEligible(sel *Select) bool {
 // matching dedup-before-sort semantics), which is what makes the plain
 // early exit safe even for SELECT DISTINCT ... LIMIT.
 type resultSink struct {
-	es    *execState
 	names []string
 	desc  []bool // per-key descending flags; nil when no ORDER BY
 	limit int    // -1 when absent; the top-K heap's bound
@@ -105,8 +99,7 @@ type resultSink struct {
 
 	heap []sortRow // top-K mode: max-heap, worst retained row at [0]
 
-	buf  []sortRow   // run-merge mode: the run being filled
-	runs [][]sortRow // run-merge mode: sealed sorted runs
+	buf []sortRow // sort mode: every row, sorted at finish
 
 	rows []value.Tuple // plain mode
 
@@ -117,9 +110,8 @@ type resultSink struct {
 	sortStart time.Time
 }
 
-func newResultSink(es *execState, sel *Select, names []string, spec *orderSpec, sortOp *obs.OpStats) *resultSink {
+func newResultSink(sel *Select, names []string, spec *orderSpec, sortOp *obs.OpStats) *resultSink {
 	s := &resultSink{
-		es:        es,
 		names:     names,
 		limit:     sel.Limit,
 		distinct:  sel.Distinct,
@@ -211,9 +203,6 @@ func (s *resultSink) push(vals, keys value.Tuple) {
 		s.offer(row)
 	case s.desc != nil:
 		s.buf = append(s.buf, row)
-		if len(s.buf) >= sortRunSize {
-			s.sealRun()
-		}
 	default:
 		s.rows = append(s.rows, row.vals)
 		if s.limit >= 0 && len(s.rows) >= s.limit {
@@ -269,93 +258,14 @@ func (s *resultSink) siftDown(i int) {
 	}
 }
 
-// sealRun sorts the current run and appends it to the merge set.
-func (s *resultSink) sealRun() {
-	if len(s.buf) == 0 {
-		return
-	}
-	run := s.buf
-	sort.Slice(run, func(i, j int) bool { return s.less(&run[i], &run[j]) })
-	s.runs = append(s.runs, run)
-	s.buf = nil
-}
-
-// mergeRuns k-way merges the sealed sorted runs into one ordered slice.
-// Each run is internally sorted and the comparator is a strict total
-// order, so the merge output equals a global stable sort.
-func (s *resultSink) mergeRuns() []sortRow {
-	switch len(s.runs) {
-	case 0:
-		return nil
-	case 1:
-		return s.runs[0]
-	}
-	total := 0
-	for _, r := range s.runs {
-		total += len(r)
-	}
-	out := make([]sortRow, 0, total)
-	// heads[i] is the cursor into runs[i]; a tiny heap over the head rows
-	// drives the merge.
-	type head struct{ run, pos int }
-	heads := make([]head, 0, len(s.runs))
-	hless := func(a, b head) bool {
-		return s.less(&s.runs[a.run][a.pos], &s.runs[b.run][b.pos])
-	}
-	hsift := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heads) && hless(heads[l], heads[small]) {
-				small = l
-			}
-			if r < len(heads) && hless(heads[r], heads[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heads[i], heads[small] = heads[small], heads[i]
-			i = small
-		}
-	}
-	for i := range s.runs {
-		heads = append(heads, head{run: i})
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		hsift(i)
-	}
-	for len(heads) > 0 {
-		h := heads[0]
-		out = append(out, s.runs[h.run][h.pos])
-		h.pos++
-		if h.pos < len(s.runs[h.run]) {
-			heads[0] = h
-		} else {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		if len(heads) > 0 {
-			hsift(0)
-		}
-	}
-	return out
-}
-
 // finish applies the terminal LIMIT and renders the Rows.
 func (s *resultSink) finish() *Rows {
 	var ordered []sortRow
 	switch {
 	case s.topK:
 		ordered = s.heap
-		sort.Slice(ordered, func(i, j int) bool { return s.less(&ordered[i], &ordered[j]) })
 	case s.desc != nil:
-		s.sealRun()
-		ordered = s.mergeRuns()
-		if s.es != nil && s.es.reg != nil {
-			s.es.reg.Exec.SortRuns.Add(uint64(len(s.runs)))
-		}
-		s.sortOp.Notef("runs=%d", len(s.runs))
+		ordered = s.buf
 	default:
 		rows := s.rows
 		if s.limit >= 0 && s.limit < len(rows) {
@@ -364,6 +274,7 @@ func (s *resultSink) finish() *Rows {
 		out := &Rows{Columns: s.names, Rows: rows}
 		return out
 	}
+	sort.Slice(ordered, func(i, j int) bool { return s.less(&ordered[i], &ordered[j]) })
 	if s.limit >= 0 && s.limit < len(ordered) {
 		ordered = ordered[:s.limit]
 	}

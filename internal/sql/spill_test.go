@@ -24,29 +24,40 @@ import (
 // a deterministic multi-row result.
 const spillJoinQuery = `SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.grp = 'g2'`
 
+// spillJoin3Query has two partitioned hash joins, both of which spill
+// under a small budget: their spill files must not collide.
+const spillJoin3Query = `SELECT a.k, b.v, c.grp FROM big a, big b, big c WHERE a.k = b.k AND b.k = c.k AND a.grp = 'g2' AND c.grp <> 'g5'`
+
 // TestJoinSpillByteIdentity is the acceptance bar: a join forced over a
 // small budget spills, and its results — including row order — match
 // the in-memory run for workers 1 and 4 across budgets.
 func TestJoinSpillByteIdentity(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 1
-	base := rowStrings(mustQuery(t, db, spillJoinQuery))
-	if len(base) == 0 {
-		t.Fatal("probe join returned no rows")
-	}
-	for _, workers := range []int{1, 4} {
-		for _, budget := range []int64{1 << 12, 1 << 16} {
-			db.opts.QueryWorkers = workers
-			db.opts.QueryMemBudget = budget
-			spilledBefore := db.reg.Exec.JoinSpillParts.Load()
-			got := rowStrings(mustQuery(t, db, spillJoinQuery))
-			if strings.Join(got, "\n") != strings.Join(base, "\n") {
-				t.Errorf("workers=%d budget=%d: %d rows diverged from the in-memory run (%d rows)",
-					workers, budget, len(got), len(base))
-			}
-			if db.reg.Exec.JoinSpillParts.Load() == spilledBefore {
-				t.Errorf("workers=%d budget=%d: join did not spill", workers, budget)
+	for _, q := range []string{spillJoinQuery, spillJoin3Query} {
+		db.opts.QueryWorkers = 1
+		db.opts.QueryMemBudget = 0
+		base := rowStrings(mustQuery(t, db, q))
+		if len(base) == 0 {
+			t.Fatalf("%s: probe join returned no rows", q)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, budget := range []int64{1 << 12, 1 << 16} {
+				db.opts.QueryWorkers = workers
+				db.opts.QueryMemBudget = budget
+				spilledBefore := db.reg.Exec.JoinSpillParts.Load()
+				got, err := db.Query(q)
+				if err != nil {
+					t.Errorf("%s: workers=%d budget=%d: %v", q, workers, budget, err)
+					continue
+				}
+				if rows := rowStrings(got); strings.Join(rows, "\n") != strings.Join(base, "\n") {
+					t.Errorf("%s: workers=%d budget=%d: %d rows diverged from the in-memory run (%d rows)",
+						q, workers, budget, len(rows), len(base))
+				}
+				if db.reg.Exec.JoinSpillParts.Load() == spilledBefore {
+					t.Errorf("%s: workers=%d budget=%d: join did not spill", q, workers, budget)
+				}
 			}
 		}
 	}

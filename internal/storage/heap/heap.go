@@ -45,7 +45,7 @@ type Heap struct {
 	last  disk.PageID
 	count int
 	bytes int64         // live record payload, for fill-factor statistics
-	pages []disk.PageID // chain order; parallel scans partition this
+	pages []disk.PageID // chain order
 	img   []byte        // logPageImage's scratch buffer
 
 	// Frozen heaps resolve page reads through the pool's version map at
@@ -366,16 +366,15 @@ func (h *Heap) NumPages() int { return len(h.pages) }
 
 // PageIDs returns the heap's page chain in order. The slice is shared
 // with the heap: callers must not mutate it, and a reader's view is only
-// stable while the engine layer holds writers off (db.mu). Parallel scans
-// partition this list across workers.
+// stable while the engine layer holds writers off (db.mu).
 func (h *Heap) PageIDs() []disk.PageID { return h.pages }
 
 // ScanPage calls fn for every live record of one page, holding the page's
 // pin only for the duration of the call, and returns the next page of the
 // chain (InvalidPage at the end). stopped reports that fn returned false.
 // The rec slice passed to fn is only valid for the duration of the call.
-// Streaming iterators and parallel scan workers are built on this: memory
-// stays O(page) and pages of one heap may be scanned concurrently.
+// Streaming iterators are built on this: memory stays O(page), and pages
+// of one heap may be scanned concurrently.
 func (h *Heap) ScanPage(id disk.PageID, fn func(rid RID, rec []byte) bool) (next disk.PageID, stopped bool, err error) {
 	ref, err := h.fetchRead(id)
 	if err != nil {

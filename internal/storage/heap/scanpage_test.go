@@ -9,8 +9,8 @@ import (
 )
 
 // TestPageIDsTracksChain checks that the page list matches the on-disk
-// chain across growth, reopen, and page-at-a-time iteration — the
-// parallel scan operator partitions work by this list.
+// chain across growth, reopen, and page-at-a-time iteration — admin
+// checks and table drops walk the heap by this list.
 func TestPageIDsTracksChain(t *testing.T) {
 	fx := newFixture(t)
 	h, err := Create(fx.pool, fx.log, 1)

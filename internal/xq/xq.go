@@ -16,6 +16,7 @@ package xq
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -425,6 +426,49 @@ func (q *Query) ResolveLets() (*Query, error) {
 		out.Return[i] = ReturnItem{Alias: r.Alias, Path: p}
 	}
 	return out, nil
+}
+
+// Databases lists the databases the query names through document(), in
+// order of first appearance: bindings, then the WHERE clause, then the
+// return items.
+func (q *Query) Databases() []string {
+	var out []string
+	add := func(p *PathExpr) {
+		if p != nil && p.Doc != "" && !slices.Contains(out, p.Doc) {
+			out = append(out, p.Doc)
+		}
+	}
+	for _, b := range slices.Concat(q.For, q.Let) {
+		add(b.Path)
+	}
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch e := e.(type) {
+		case *Cmp:
+			add(e.Left)
+			add(e.Right)
+		case *Contains:
+			add(e.Target)
+		case *SeqContains:
+			add(e.Target)
+		case *Order:
+			add(e.Left)
+			add(e.Right)
+		case *And:
+			walk(e.L)
+			walk(e.R)
+		case *Or:
+			walk(e.L)
+			walk(e.R)
+		case *Not:
+			walk(e.E)
+		}
+	}
+	walk(q.Where)
+	for _, r := range q.Return {
+		add(r.Path)
+	}
+	return out
 }
 
 func substitute(p *PathExpr, lets map[string]*PathExpr) (*PathExpr, error) {

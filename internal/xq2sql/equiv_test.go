@@ -68,7 +68,7 @@ func TestRandomQueryEquivalence(t *testing.T) {
 					}
 					sqlRows = append(sqlRows, strings.Join(parts, "|"))
 				}
-				// Intra-query parallelism must not perturb results: the
+				// Hash-join build workers must not perturb results: the
 				// same statement under 1 and 4 workers returns
 				// byte-identical rows in identical order.
 				stmt, err := sql.Parse(tr.SQL)

@@ -1,6 +1,7 @@
 package xomatiq_test
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -28,56 +29,64 @@ func dropShredIndexes(t *testing.T, db *sql.DB) {
 
 // TestQuerySuiteWorkerDeterminism runs the E-series query suite with
 // QueryWorkers=1 and QueryWorkers=4 and requires the full result sets
-// to be byte-identical. Every suite query takes an index path when the
-// indexes exist, so the no-index mode forces the queries through the
-// sequential-scan path, where the parallel scan-filter operator must
-// engage at workers=4.
+// to be byte-identical: the workers build a partitioned hash join's
+// tables, and which goroutine builds a partition must not show in the
+// answer. Every suite query takes an index path when the indexes
+// exist, so the no-index modes force the queries through sequential
+// scans and hash joins. At this corpus size every join builds one
+// partition, which no worker splits; the budgeted mode's 4 KiB memory
+// budget plans more partitions, spills some of them and builds the
+// rest on the workers.
 func TestQuerySuiteWorkerDeterminism(t *testing.T) {
 	f, err := benchutil.BuildFlats(120, 150, 150, benchOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, noIndexes := range []bool{false, true} {
-		name := "indexed"
-		if noIndexes {
-			name = "no-indexes"
-		}
-		t.Run(name, func(t *testing.T) {
+	modes := []struct {
+		name      string
+		noIndexes bool
+		budget    int64
+	}{
+		{"indexed", false, 0},
+		{"no-indexes", true, 0},
+		{"no-indexes-budgeted", true, 4 << 10},
+	}
+	multiPart := regexp.MustCompile(`partitioned hash join \(\d+ keys, partitions=([2-9]|\d\d)\)`)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
 			open := func(workers int) *core.Engine {
 				eng, err := benchutil.Warehouse(t.TempDir(), f, func(c *core.Config) {
 					c.QueryWorkers = workers
+					c.QueryMemBudget = m.budget
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { eng.Close() })
-				if noIndexes {
+				if m.noIndexes {
 					dropShredIndexes(t, eng.DB())
 				}
 				return eng
 			}
-			serial, parallel := open(1), open(4)
-			parallelScans := 0
+			serial, workers4 := open(1), open(4)
+			split := 0
 			for _, q := range benchutil.QuerySuite {
 				want := renderResult(t, serial, q.Query)
-				got := renderResult(t, parallel, q.Query)
+				got := renderResult(t, workers4, q.Query)
 				if want != got {
-					t.Errorf("%s: workers=4 diverges from workers=1\nserial:\n%s\nparallel:\n%s",
+					t.Errorf("%s: workers=4 diverges from workers=1\nworkers=1:\n%s\nworkers=4:\n%s",
 						q.Name, want, got)
 				}
-				if !noIndexes {
-					continue
-				}
-				plan, err := parallel.Explain(q.Query)
+				plan, err := workers4.Explain(q.Query)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if strings.Contains(plan, "parallel scan") {
-					parallelScans++
+				if multiPart.MatchString(plan) {
+					split++
 				}
 			}
-			if noIndexes && parallelScans == 0 {
-				t.Error("no query of the suite ran a parallel scan at workers=4")
+			if m.budget > 0 && split == 0 {
+				t.Error("no suite query built a hash join of more than one partition")
 			}
 		})
 	}

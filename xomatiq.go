@@ -143,7 +143,7 @@ type TxOptions = core.TxOptions
 var (
 	// WithDefaultDeadline sets the session's default per-query deadline.
 	WithDefaultDeadline = core.WithDefaultDeadline
-	// WithSessionQueryWorkers overrides intra-query scan parallelism for
+	// WithSessionQueryWorkers overrides the hash-join build workers for
 	// the session (0 = engine default, 1 = serial).
 	WithSessionQueryWorkers = core.WithSessionQueryWorkers
 	// WithSessionMemBudget bounds hash-join build memory for the
@@ -236,8 +236,9 @@ type Option func(*Config)
 // WithPoolPages sets the buffer pool capacity in pages.
 func WithPoolPages(n int) Option { return func(c *Config) { c.PoolPages = n } }
 
-// WithQueryWorkers caps intra-query scan parallelism (0 = GOMAXPROCS,
-// 1 = serial). Results are byte-identical for any setting.
+// WithQueryWorkers caps the goroutines a partitioned hash join builds
+// its partition tables on (0 = GOMAXPROCS, 1 = serial). Results are
+// byte-identical for any setting.
 func WithQueryWorkers(n int) Option { return func(c *Config) { c.QueryWorkers = n } }
 
 // WithQueryMemBudget bounds the memory a hash join may hold for its
